@@ -9,20 +9,22 @@ from .decompose import (CanonicalDecomposition, LwRecognizer, ResidualMonoid,
                         verify_canonical, wreath_divisor)
 from .monoid import (CayleyGraph, FiniteMonoid, SyntacticMonoid,
                      cayley_graph, cayley_to_dot, direct_product, find_zero,
-                     function_monoid, hom_image_check, is_ideal, make_named,
-                     principal_ideal, rees_factor, semidirect_product,
-                     transition_monoid)
+                     function_monoid, hom_generator_check, hom_image_check,
+                     is_ideal, make_named, principal_ideal, rees_factor,
+                     semidirect_product, transition_monoid)
 from .periods import (PeriodSignature, build_signature, max_period,
                       residual_of_word, sink_periods)
 from .probability import (MarkovChain, accumulation_points, markov_chain,
                           mu_consistency, mu_exact, mu_series,
                           zero_one_basic, zero_one_residual)
+from .pipeline import Analysis
 from .regexes import parse_regex, regex_to_dfa
 from . import errors, oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Dfa", "block_dfa", "load_dfa", "minimize",
     "CanonicalDecomposition", "LwRecognizer", "ResidualMonoid",
     "WreathEmbedding", "canonical_decomposition", "lw_member", "lw_quotient",
@@ -30,8 +32,8 @@ __all__ = [
     "verify_canonical", "wreath_divisor",
     "CayleyGraph", "FiniteMonoid", "SyntacticMonoid", "cayley_graph",
     "cayley_to_dot", "direct_product", "find_zero", "function_monoid",
-    "hom_image_check", "is_ideal", "make_named", "principal_ideal",
-    "rees_factor", "semidirect_product", "transition_monoid",
+    "hom_generator_check", "hom_image_check", "is_ideal", "make_named",
+    "principal_ideal", "rees_factor", "semidirect_product", "transition_monoid",
     "PeriodSignature", "build_signature", "max_period", "residual_of_word",
     "sink_periods",
     "MarkovChain", "accumulation_points", "markov_chain", "mu_consistency",

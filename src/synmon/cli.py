@@ -9,16 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+import warnings
 
 from . import decompose as dc
 from . import probability as pr
-from .dfa import load_dfa, minimize
-from .errors import SynmonError, VerificationFailure
-from .monoid import (cayley_graph, cayley_to_dot, syntactic_to_json,
-                     transition_monoid)
+from .dfa import load_dfa
+from .errors import InvalidArgument, SynmonError, VerificationFailure
+from .monoid import cayley_to_dot, syntactic_to_json
 from .oracle import cycle_gcd, lw_enumerate, mu_enumerate
-from .periods import build_signature, max_period, sink_periods
+from .periods import sink_periods
+from .pipeline import Analysis
 from .regexes import parse_regex, regex_to_dfa, symbols_of
 
 
@@ -34,16 +34,24 @@ def _load_source(args):
         return load_dfa(handle.read())
 
 
-def _parse_gammas(args, alphabet):
-    if not args.gamma:
-        return [tuple(alphabet)]
+def _parse_gammas(args):
+    """Letter subsets from --gamma; None (the whole alphabet) without it."""
+    if not getattr(args, "gamma", None):
+        return None
     return [tuple(sorted(set(g.split(",")) - {""})) for g in args.gamma]
 
 
 def _parse_periods(args):
-    if not args.periods:
+    if not getattr(args, "periods", None):
         return None
     return [int(p) for p in args.periods.split(",")]
+
+
+def _analysis(args) -> Analysis:
+    """The analysis of the source the flags name, with their signature and
+    iteration bounds."""
+    return Analysis(_load_source(args), _parse_gammas(args), _parse_periods(args),
+                    args.tol, args.cap)
 
 
 def _rkey(residual):
@@ -89,7 +97,10 @@ def _zero_one_json(basic, residuals):
     }
 
 
-def _residual_zero_one_line(per_r):
+def _residual_zero_one_line(residuals):
+    per_r = {}
+    for v in residuals:
+        per_r.setdefault(v.r, []).append(v)
     parts = []
     for r in sorted(per_r):
         verdicts = per_r[r]
@@ -110,35 +121,12 @@ def _emit(args, report_json, text_lines):
             print(line)
 
 
-def _probability_suite(dfa, sm, dec, tol, cap):
-    """Residual monoids, recognizers, mu estimates, and zero-one verdicts;
-    needs the full-alphabet single-period scope."""
-    period = dec.signature.periods[0]
-    basic = pr.zero_one_basic(sm, dfa, tol, cap)
-    points = basic.accumulation
-    letters = sorted(dfa.alphabet)
-    residual_verdicts = []
-    per_r = {}
-    for r in range(period):
-        for w in ("".join(p) for p in product(letters, repeat=r)):
-            verdict = pr.zero_one_residual(dec, dfa, w, tol, cap)
-            residual_verdicts.append(verdict)
-            per_r.setdefault(r, []).append(verdict)
-    residual_monoids = [dc.residual_monoid(dec, r) for r in range(period)]
-    return basic, points, residual_verdicts, per_r, residual_monoids
-
-
 def cmd_analyze(args) -> int:
-    dfa = _load_source(args)
-    minimal = minimize(dfa)
-    sm = transition_monoid(minimal)
-    gammas = _parse_gammas(args, sm.alphabet)
-    sig = build_signature(sm, gammas, _parse_periods(args))
-    dec = dc.canonical_decomposition(sm, sig)
-    report = dc.verify_canonical(dec)
-    wreath = dc.wreath_divisor(dec)
-    graph = cayley_graph(sm)
-    dfa_sinks = sink_periods(dfa)
+    analysis = _analysis(args)
+    sm, sig, dec = analysis.monoid, analysis.signature, analysis.decomposition
+    wreath = analysis.wreath
+    graph = analysis.cayley
+    dfa_sinks = sink_periods(analysis.dfa)
     cayley_sinks = sink_periods(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -147,7 +135,7 @@ def cmd_analyze(args) -> int:
     out = {
         "monoid": syntactic_to_json(sm),
         "signature": _signature_json(sig),
-        "decomposition": dc.decomposition_to_json(dec, report),
+        "decomposition": dc.decomposition_to_json(dec, dec.report),
         "wreath": {
             "equivariant": wreath.equivariant,
             "rho_bar_surjective": wreath.rho_bar_surjective,
@@ -156,14 +144,14 @@ def cmd_analyze(args) -> int:
         "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
     }
     lines = [
-        f"dfa: {minimal.n_states} states over {{{','.join(sm.alphabet)}}}",
+        f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}",
         f"monoid: order {sm.order}",
     ]
     for gamma, period in zip(sig.gammas, sig.periods):
         lines.append(f"period w.r.t. {{{','.join(gamma)}}}: {period}")
     lines.append(
         f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
-        f"verified={report.ok}"
+        f"verified={dec.report.ok}"
     )
     lines.append(
         f"wreath divisor: equivariant={wreath.equivariant}, "
@@ -173,15 +161,15 @@ def cmd_analyze(args) -> int:
         for comp, period in sinks:
             lines.append(f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}")
 
-    in_scope = sig.n == 1 and tuple(sig.gammas[0]) == tuple(sm.alphabet)
-    if in_scope:
-        basic, points, verdicts, per_r, residual_monoids = _probability_suite(
-            dfa, sm, dec, args.tol, args.cap)
-        series = pr.mu_series(dfa, args.length)
+    if analysis.full_alphabet:
+        basic = analysis.basic_verdict
+        verdicts = analysis.residual_verdicts
+        residual_monoids = [analysis.residual_monoid(r) for r in range(sig.periods[0])]
+        series = pr.mu_series(analysis.dfa, args.length)
         out["probability"] = {
             "mu_series": _mu_series_json(series),
             "period": basic.period,
-            "accumulation": _accumulation_json(points),
+            "accumulation": _accumulation_json(basic.accumulation),
             "sinks": _sinks_json(dfa_sinks),
             "zero_one": _zero_one_json(basic, verdicts),
         }
@@ -193,19 +181,19 @@ def cmd_analyze(args) -> int:
             lines.append(f"residual monoid T_{t.r}: order {t.order}")
         lines.append("accumulation: " + ", ".join(
             f"r={p.r}: {p.value:.6g}{'' if p.converged else ' (unconverged)'}"
-            for p in points))
+            for p in basic.accumulation))
         lines.append(f"zero-one: basic: {basic.verdict}; "
-                     + _residual_zero_one_line(per_r))
+                     + _residual_zero_one_line(verdicts))
     _emit(args, out, lines)
     return 0
 
 
 def cmd_monoid(args) -> int:
-    dfa = _load_source(args)
-    sm = transition_monoid(minimize(dfa))
+    analysis = _analysis(args)
+    sm = analysis.monoid
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cayley_to_dot(cayley_graph(sm), sm.monoid.names))
+            handle.write(cayley_to_dot(analysis.cayley, sm.monoid.names))
     out = syntactic_to_json(sm)
     lines = [f"order {sm.order}"]
     lines += [f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet]
@@ -217,10 +205,7 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_period(args) -> int:
-    dfa = _load_source(args)
-    sm = transition_monoid(minimize(dfa))
-    gammas = _parse_gammas(args, sm.alphabet)
-    sig = build_signature(sm, gammas, _parse_periods(args))
+    sig = _analysis(args).signature
     out = _signature_json(sig)
     lines = [
         f"gamma {{{','.join(g)}}}: period {p}" for g, p in zip(sig.gammas, sig.periods)
@@ -232,16 +217,15 @@ def cmd_period(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    dfa = _load_source(args)
-    sm = transition_monoid(minimize(dfa))
-    period = max_period(sm, sm.alphabet)
-    series = pr.mu_series(dfa, args.length)
-    points = pr.accumulation_points(dfa, period, args.tol, args.cap)
+    analysis = _analysis(args)
+    period = analysis.max_period
+    series = pr.mu_series(analysis.dfa, args.length)
+    points = pr.accumulation_points(analysis.dfa, period, args.tol, args.cap)
     out = {
         "mu_series": _mu_series_json(series),
         "period": period,
         "accumulation": _accumulation_json(points),
-        "sinks": _sinks_json(sink_periods(dfa)),
+        "sinks": _sinks_json(sink_periods(analysis.dfa)),
     }
     lines = [f"{i} {v}" for i, v in enumerate(series)]
     _emit(args, out, lines)
@@ -249,31 +233,23 @@ def cmd_prob(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    dfa = _load_source(args)
-    sm = transition_monoid(minimize(dfa))
-    gammas = _parse_gammas(args, sm.alphabet)
-    sig = build_signature(sm, gammas, _parse_periods(args))
-    dec = dc.canonical_decomposition(sm, sig)
-    report = dc.verify_canonical(dec)
-    out = dc.decomposition_to_json(dec, report)
+    analysis = _analysis(args)
+    dec, sig = analysis.decomposition, analysis.signature
+    out = dc.decomposition_to_json(dec, dec.report)
     lines = [
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
-        f"homomorphism={report.homomorphism} injective={report.injective} "
-        f"residual={report.residual_condition}",
+        f"homomorphism={dec.report.homomorphism} injective={dec.report.injective} "
+        f"residual={dec.report.residual_condition}",
     ]
     _emit(args, out, lines)
     return 0
 
 
 def cmd_zero_one(args) -> int:
-    dfa = _load_source(args)
-    sm = transition_monoid(minimize(dfa))
-    sig = build_signature(sm, [tuple(sm.alphabet)], None)
-    dec = dc.canonical_decomposition(sm, sig)
-    basic, _points, verdicts, per_r, _tr = _probability_suite(
-        dfa, sm, dec, args.tol, args.cap)
+    analysis = _analysis(args)
+    basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
     out = _zero_one_json(basic, verdicts)
-    lines = [f"basic: {basic.verdict}; " + _residual_zero_one_line(per_r)]
+    lines = [f"basic: {basic.verdict}; " + _residual_zero_one_line(verdicts)]
     _emit(args, out, lines)
     return 0
 
@@ -284,16 +260,13 @@ def cmd_oracle(args) -> int:
         value = mu_enumerate(dfa, args.length)
         print(f"{args.length} {value}")
         return 0
+    analysis = Analysis(dfa)
     if args.oracle_op == "cycle-gcd":
-        sm = transition_monoid(minimize(dfa))
-        gammas = _parse_gammas(args, sm.alphabet)
-        for gamma in gammas:
-            print(f"{{{','.join(gamma)}}} {cycle_gcd(cayley_graph(sm), gamma)}")
+        for gamma in _parse_gammas(args) or [analysis.monoid.alphabet]:
+            print(f"{{{','.join(gamma)}}} {cycle_gcd(analysis.cayley, gamma)}")
         return 0
     if args.oracle_op == "lw":
-        sm = transition_monoid(minimize(dfa))
-        period = max_period(sm, sm.alphabet)
-        words = sorted(lw_enumerate(dfa, args.w, period, args.blocks))
+        words = sorted(lw_enumerate(dfa, args.w, analysis.max_period, args.blocks))
         for u in words:
             print("".join(u) if u else "&")
         return 0
@@ -350,16 +323,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_length(args) -> None:
+    if getattr(args, "length", 0) < 0:
+        raise InvalidArgument(f"--length must be non-negative, got {args.length}")
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
-    except (SynmonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            _check_length(args)
+            return args.handler(args)
+        except VerificationFailure as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 3
+        except (SynmonError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -13,14 +13,13 @@ pointwise left-to-right composition in the first component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field, replace
 
 from .dfa import Dfa, block_dfa, minimize
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
                      VerificationFailure)
 from .monoid import (FiniteMonoid, SyntacticMonoid, Transformation, compose,
-                     hom_image_check, identity_transformation,
+                     hom_generator_check, identity_transformation,
                      transition_monoid)
 from .periods import PeriodSignature
 
@@ -32,6 +31,8 @@ class CanonicalDecomposition:
     K: int
     theta: dict    # residual -> ascending tuple of element indices (N_r)
     can_f: tuple   # element t -> {residual: Transformation of degree K}
+    # the passing check made by canonical_decomposition
+    report: VerificationReport | None = field(default=None, compare=False)
 
     @property
     def residuals(self):
@@ -95,7 +96,8 @@ class WreathEmbedding:
 
 def canonical_decomposition(m: SyntacticMonoid,
                             sig: PeriodSignature) -> CanonicalDecomposition:
-    """Build Can and verify it is an injective homomorphism before returning."""
+    """Build Can and verify it is an injective homomorphism before returning;
+    the passing report is kept as `report`."""
     residuals = sig.residuals()
     theta = {r: sig.classes[r] for r in residuals}
     theta_inv = {r: {t: k for k, t in enumerate(theta[r])} for r in residuals}
@@ -117,7 +119,7 @@ def canonical_decomposition(m: SyntacticMonoid,
     report = verify_canonical(dec)
     if not report.ok:
         raise VerificationFailure(f"canonical homomorphism check failed: {report}")
-    return dec
+    return replace(dec, report=report)
 
 
 def can_product(dec: CanonicalDecomposition, s: int, s2: int):
@@ -137,44 +139,68 @@ def _can_key(dec: CanonicalDecomposition, t: int):
 
 
 def verify_canonical(dec: CanonicalDecomposition) -> VerificationReport:
-    """Exhaustive check: homomorphism over all pairs, injectivity, and the
-    letter residual condition.
+    """Homomorphism on generators, injectivity, and the letter residual
+    condition.
 
-    The homomorphism identity is checked on every class-carrying slot
-    k < |N_r| of every residual r; those slots determine the embedding (the
-    identity pins the image of each class, and injectivity reads slot 0 of
-    the zero residual).  The inert k -> k padding above |N_r| is a fixed
-    convention, not part of the class action, and is excluded: composing
-    across residuals whose classes differ in size drags padding slots of
-    one class through class-carrying slots of another, so raw equality of
-    the padded transformations is unattainable in general.
+    The homomorphism identity Can(s.a) = Can(s).Can(a) is checked for every
+    element s and every letter a, together with Can(e) = (identity, 0) and
+    the requirement that each f_s(r) maps the class-carrying slots of r into
+    those of r + rho_bar(s).  That is equivalent to checking all pairs.
+    These conditions imply the identity for every pair s, t, by induction
+    on the length of a word for t = t'.a: Can(s.t'.a) = Can(s.t').Can(a) =
+    (Can(s).Can(t')).Can(a) = Can(s).(Can(t').Can(a)) = Can(s).Can(t).  The
+    regrouping is sound because on the class-carrying slots the target
+    product composes partial maps between classes, which is associative, and
+    every element is the image of a word since the letters generate the
+    monoid.  Conversely the letter cases are among all pairs, and Can(e) and
+    the class-to-class property hold by construction.
+
+    Only the class-carrying slots k < |N_r| of every residual r are
+    compared; those slots determine the embedding (the identity pins the
+    image of each class, and injectivity reads slot 0 of the zero residual).
+    The inert k -> k padding above |N_r| is a fixed convention, not part of
+    the class action, and is excluded: composing across residuals whose
+    classes differ in size drags padding slots of one class through
+    class-carrying slots of another, so raw equality of the padded
+    transformations is unattainable in general.
     """
     sig = dec.signature
-    table = dec.m.monoid.table
-    homomorphism = True
-    for s in range(dec.m.order):
-        rho_s = sig.rho_bar[s]
-        for s2 in range(dec.m.order):
-            t = table[s][s2]
-            if sig.add(rho_s, sig.rho_bar[s2]) != sig.rho_bar[t]:
-                homomorphism = False
-                break
-            for r in dec.residuals:
-                shifted = dec.can_f[s2][sig.add(r, rho_s)]
-                left = dec.can_f[s][r]
-                expected = dec.can_f[t][r]
-                if any(shifted[left[k]] != expected[k] for k in range(len(dec.theta[r]))):
-                    homomorphism = False
-                    break
-            if not homomorphism:
-                break
-        if not homomorphism:
-            break
-    injective = len({_can_key(dec, t) for t in range(dec.m.order)}) == dec.m.order
+    m = dec.m
+    injective = len({_can_key(dec, t) for t in range(m.order)}) == m.order
     residual_condition = all(
-        sig.rho_bar[dec.m.eta[a]] == sig.letter_residual(a) for a in dec.m.alphabet
+        sig.rho_bar[m.eta[a]] == sig.letter_residual(a) for a in m.alphabet
     )
-    return VerificationReport(homomorphism, injective, residual_condition)
+    return VerificationReport(_homomorphic_on_generators(dec), injective,
+                              residual_condition)
+
+
+def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
+    sig = dec.signature
+    m = dec.m
+    table = m.monoid.table
+    sizes = {r: len(dec.theta[r]) for r in dec.residuals}
+    identity = m.monoid.identity
+    if sig.rho_bar[identity] != tuple(0 for _ in sig.periods) or any(
+            dec.can_f[identity][r][:sizes[r]] != tuple(range(sizes[r]))
+            for r in dec.residuals):
+        return False
+    for s in range(m.order):
+        rho_s = sig.rho_bar[s]
+        f_s = dec.can_f[s]
+        for r in dec.residuals:
+            if any(k >= sizes[sig.add(r, rho_s)] for k in f_s[r][:sizes[r]]):
+                return False
+        for a in m.alphabet:
+            g = m.eta[a]
+            t = table[s][g]
+            if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
+                return False
+            for r in dec.residuals:
+                shifted = dec.can_f[g][sig.add(r, rho_s)]
+                expected = dec.can_f[t][r]
+                if any(shifted[f_s[r][k]] != expected[k] for k in range(sizes[r])):
+                    return False
+    return True
 
 
 def _require_full_alphabet(dec: CanonicalDecomposition) -> int:
@@ -217,27 +243,47 @@ def _blocks(alphabet, period: int) -> list:
     return blocks
 
 
-def lw_recognizer(dec: CanonicalDecomposition, w: str) -> LwRecognizer:
-    """Recognizer for the block language L_w = {u in (Sigma^P)* : wu in L}."""
+def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:
+    """|w|, after checking that w is a word over the alphabet shorter than
+    the period."""
     period = _require_full_alphabet(dec)
     if len(w) >= period:
         raise ScopeError(f"prefix length {len(w)} must be below the period {period}")
     for a in w:
         if a not in dec.m.eta:
             raise UnknownSymbol(f"letter {a!r} not in alphabet")
-    r = len(w)
-    monoid = residual_monoid(dec, r)
-    block_images = {
+    return len(w)
+
+
+def block_images(dec: CanonicalDecomposition, r: int) -> dict:
+    """Block string -> f_{eta(b)}(r), for every block b of length P."""
+    period = _require_full_alphabet(dec)
+    return {
         b: dec.can_f[dec.m.image_of_word(b)][(r,)]
         for b in _blocks(dec.signature.alphabet, period)
     }
-    prefix_pos = dec.theta[(r,)].index(dec.m.image_of_word(w))
-    accepting = frozenset(
-        monoid.index[tau]
-        for tau in monoid.transformations
-        if dec.theta[(r,)][tau[prefix_pos]] in dec.m.accepting_image
+
+
+def lw_accepting(dec: CanonicalDecomposition, w: str,
+                 monoid: ResidualMonoid) -> frozenset:
+    """Indices of the elements of `monoid` = T_{|w|} that accept after the
+    prefix w: tau accepts iff theta_r(tau(k)) is in the image of L, with k
+    the position of eta(w) in N_r.  Depends on w only through eta(w)."""
+    r = _prefix_residual(dec, w)
+    theta = dec.theta[(r,)]
+    position = theta.index(dec.m.image_of_word(w))
+    return frozenset(
+        i for i, tau in enumerate(monoid.transformations)
+        if theta[tau[position]] in dec.m.accepting_image
     )
-    return LwRecognizer(w, r, monoid, block_images, accepting)
+
+
+def lw_recognizer(dec: CanonicalDecomposition, w: str) -> LwRecognizer:
+    """Recognizer for the block language L_w = {u in (Sigma^P)* : wu in L}."""
+    r = _prefix_residual(dec, w)
+    monoid = residual_monoid(dec, r)
+    return LwRecognizer(w, r, monoid, block_images(dec, r),
+                        lw_accepting(dec, w, monoid))
 
 
 def lw_member(rec: LwRecognizer, blocks) -> bool:
@@ -275,8 +321,13 @@ class LwQuotientReport:
 
 
 def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> LwQuotientReport:
-    """Check that eta_w(u) -> eta_{L_w}(u) is a well-defined surjection from
-    T_{rho(w)} onto the independently computed syntactic monoid of L_w."""
+    """Check that eta_w(u) -> eta_{L_w}(u) is a well-defined surjective
+    homomorphism from T_{rho(w)} onto the independently computed syntactic
+    monoid of L_w.
+
+    The homomorphism is checked on the block images, which generate T_r
+    (see `hom_generator_check`); by induction on the number of blocks that
+    is equivalent to checking all pairs of elements."""
     period = _require_full_alphabet(dec)
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
@@ -300,19 +351,28 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> LwQuotientRepo
         return LwQuotientReport(False, False, False, None)
     as_list = tuple(mapping[i] for i in range(t_m.order))
     surjective = set(as_list) == set(range(lw_m.order))
-    homomorphism = hom_image_check(t_m.monoid, lw_m.monoid, as_list)
+    generators = {t_m.index[tau] for tau in rec.block_images.values()}
+    homomorphism = hom_generator_check(t_m.monoid, lw_m.monoid, as_list, generators)
     return LwQuotientReport(well_defined, surjective, homomorphism, as_list)
 
 
 def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     """Equivariant pair (phi, psi) witnessing that the syntactic monoid,
     acting on itself, divides the wreath product of T_K with the residual
-    group; verified exhaustively.
+    group; verified on generators.
 
     phi reads a point of T_K x G back into the monoid:
     phi(tau, c) = theta_c(tau(position of the identity in N_0)), and the
     wreath action (tau, c) * (g, r) = (tau then g(c), c + r) must agree
     with right multiplication: phi(x * m) = phi(x) . psi(m).
+
+    The action is checked at every point x_t = (f_t(0), rho_bar(t)) for
+    every letter a.  That is equivalent to checking every element m, by
+    induction on the length of a word for m = m'.a: phi reads one
+    class-carrying slot, on which Can(m'.a) = Can(m').Can(a)
+    (verify_canonical) and on which x_t * Can(m') agrees with x_{t.m'} once
+    phi(x_t * Can(m')) = t.m', so phi(x_t * Can(m'.a)) =
+    phi(x_{t.m'} * Can(a)) = t.m'.a.
     """
     sig = dec.signature
     zero = tuple(0 for _ in sig.periods)
@@ -332,9 +392,9 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     for (x1, c), t in phi.items():
         if phi_formula(x1, c) != t:
             raise VerificationFailure(f"phi formula disagrees at element {t}")
-        for s in range(dec.m.order):
-            g_c = dec.can_f[s][c]
-            moved = compose(x1, g_c)
+        for a in dec.m.alphabet:
+            s = dec.m.eta[a]
+            moved = compose(x1, dec.can_f[s][c])
             if phi_formula(moved, sig.add(c, dec.rho(s))) != table[t][s]:
                 raise VerificationFailure(
                     f"wreath action disagrees with multiplication at ({t}, {s})"

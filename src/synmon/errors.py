@@ -5,6 +5,10 @@ class SynmonError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(SynmonError, ValueError):
+    """A numeric argument (length, tolerance, iteration cap) is out of range."""
+
+
 # --- regex / DFA ingestion ---
 
 class RegexSyntaxError(SynmonError):

@@ -357,6 +357,22 @@ def hom_image_check(src: FiniteMonoid, dst: FiniteMonoid, mapping) -> bool:
     )
 
 
+def hom_generator_check(src: FiniteMonoid, dst: FiniteMonoid, mapping,
+                        generators) -> bool:
+    """True iff `mapping` sends the identity to the identity and
+    mapping(x.g) = mapping(x).mapping(g) for every element x and every g in
+    `generators`.  When the generators generate src this is equivalent to
+    `hom_image_check`, by induction on the length of a product of
+    generators: mapping(x.y.g) = mapping(x.y).mapping(g) =
+    mapping(x).mapping(y).mapping(g) = mapping(x).mapping(y.g)."""
+    if mapping[src.identity] != dst.identity:
+        return False
+    return all(
+        mapping[src.table[x][g]] == dst.table[mapping[x]][mapping[g]]
+        for x in range(src.order) for g in generators
+    )
+
+
 def syntactic_to_json(sm: SyntacticMonoid) -> dict:
     return {
         "order": sm.order,

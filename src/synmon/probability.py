@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .decompose import CanonicalDecomposition, lw_recognizer
-from .dfa import Dfa, block_dfa, minimize
-from .errors import InvalidPeriod, ScopeError, VerificationFailure
-from .monoid import SyntacticMonoid, find_zero, principal_ideal, transition_monoid
+from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
+from .dfa import Dfa, block_dfa
+from .errors import (InvalidArgument, InvalidPeriod, ScopeError,
+                     VerificationFailure)
+from .monoid import SyntacticMonoid, find_zero, principal_ideal
 from .periods import max_period
 
 CROSS_CHECK_TOL = 1e-6
@@ -116,8 +117,13 @@ def markov_chain(dfa: Dfa) -> MarkovChain:
 
 
 def maximum_period_of(dfa: Dfa) -> int:
-    sm = transition_monoid(minimize(dfa))
-    return max_period(sm, sm.alphabet)
+    """Maximum period of the language of `dfa` over its whole alphabet.
+
+    The public helpers below check a caller's period against it; an
+    `Analysis` computes it once as a stage instead.
+    """
+    from .pipeline import Analysis  # pipeline.py is built on this module
+    return Analysis(dfa).max_period
 
 
 def accumulation_points(dfa: Dfa, period: int, tol: float = 1e-9,
@@ -128,11 +134,19 @@ def accumulation_points(dfa: Dfa, period: int, tol: float = 1e-9,
     `period` must be the maximum period of the language with respect to the
     whole alphabet.
     """
-    if period < 1 or tol <= 0 or cap < period:
-        raise ValueError("need period >= 1, tol > 0, cap >= period")
     maximum = maximum_period_of(dfa)
     if period != maximum:
         raise InvalidPeriod(f"period {period} is not the maximum period {maximum}")
+    return residue_limits(dfa, period, tol, cap)
+
+
+def residue_limits(dfa: Dfa, period: int, tol: float, cap: int) -> list:
+    """The iteration behind `accumulation_points`, for a period the caller
+    knows to be the maximum period."""
+    if period < 1 or not tol > 0 or cap < period:
+        raise InvalidArgument(
+            f"need period >= 1, tol > 0 and cap >= period; got period {period}, "
+            f"tol {tol}, cap {cap}")
     matrix = _counting_matrix(dfa)
     position = {q: i for i, q in enumerate(dfa.states)}
     accepting = [position[q] for q in dfa.accepting]
@@ -178,9 +192,14 @@ def zero_one_basic(m: SyntacticMonoid, dfa: Dfa, tol: float = 1e-9,
                    cap: int = 4096) -> BasicZeroOne:
     """Verdict from the zero element of the syntactic monoid, cross-checked
     against the numeric accumulation points."""
-    zero = find_zero(m.monoid)
     period = max_period(m, m.alphabet)
-    points = accumulation_points(dfa, period, tol, cap)
+    return basic_verdict(m, period, accumulation_points(dfa, period, tol, cap))
+
+
+def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
+    """`zero_one_basic` for accumulation points already computed at the
+    maximum period."""
+    zero = find_zero(m.monoid)
     values = [p.value for p in points]
     if zero is not None:
         verdict = "one" if zero in m.accepting_image else "zero"
@@ -224,23 +243,31 @@ def limit_mu_blocks(dfa: Dfa, w: str, period: int, tol: float = 1e-9,
 
 def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str,
                       tol: float = 1e-9, cap: int = 4096) -> ResidualZeroOne:
-    """Theorem-style verdict for the block language L_w: scan principal
-    ideals of T_r for one disjoint from, or contained in, the accepting set.
-    Sound and complete because every non-empty ideal is a union of the
-    principal ideals of its members."""
+    """Theorem-style verdict for the block language L_w; see
+    `residual_verdict`."""
     period = dec.signature.periods[0]
     if period != maximum_period_of(dfa):
         raise ScopeError("zero-one residual verdicts need the maximum period")
     rec = lw_recognizer(dec, w)
-    t_r = rec.monoid
-    accepted = set(rec.accepting)
+    return residual_verdict(w, rec.monoid, rec.accepting,
+                            limit_mu_blocks(dfa, w, period, tol, cap))
+
+
+def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
+                     limit: tuple) -> ResidualZeroOne:
+    """Scan the principal ideals of T_r for one disjoint from, or contained
+    in, the elements `accepting` after the prefix w.  Sound and complete
+    because every non-empty ideal is a union of the principal ideals of its
+    members.  `limit` is the numeric (value, converged) limit of mu_{L_w}
+    from `limit_mu_blocks`; a converged limit that disagrees with the ideal
+    verdict raises VerificationFailure."""
     witness = None
     for tau in range(t_r.order):
         ideal = principal_ideal(t_r.monoid, tau)
-        if not (ideal & accepted) or ideal <= accepted:
+        if not (ideal & accepting) or ideal <= accepting:
             witness = tuple(sorted(ideal))
             break
-    mu_lw, converged = limit_mu_blocks(dfa, w, period, tol, cap)
+    mu_lw, converged = limit
     is_zero_or_one = witness is not None
     numeric = min(abs(mu_lw), abs(mu_lw - 1.0)) <= CROSS_CHECK_TOL
     if converged and numeric != is_zero_or_one:
@@ -248,7 +275,7 @@ def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str,
             f"ideal verdict {is_zero_or_one} disagrees with limit {mu_lw} for w={w!r}"
         )
     names = tuple(t_r.monoid.name_of(i) for i in witness) if witness else None
-    return ResidualZeroOne(w, rec.r, is_zero_or_one, witness, names, mu_lw, converged)
+    return ResidualZeroOne(w, t_r.r, is_zero_or_one, witness, names, mu_lw, converged)
 
 
 def mu_consistency(dec: CanonicalDecomposition, dfa: Dfa, r: int,
@@ -260,7 +287,7 @@ def mu_consistency(dec: CanonicalDecomposition, dfa: Dfa, r: int,
         raise ScopeError("consistency checks need the maximum period")
     if not 0 <= r < period:
         raise ScopeError(f"residue {r} out of range for period {period}")
-    points = accumulation_points(dfa, period, iter_tol, cap)
+    points = residue_limits(dfa, period, iter_tol, cap)
     mu_r = points[r].value
     letters = sorted(dfa.alphabet)
     words = ["".join(p) for p in product(letters, repeat=r)]

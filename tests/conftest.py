@@ -2,12 +2,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from synmon import (build_signature, canonical_decomposition, load_dfa,
                     minimize, transition_monoid)
 from synmon.regexes import parse_regex, regex_to_dfa
 
 DATA = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and have no time limit:
+# a machine whose speed drifts must not turn a slow example into a failure.
+settings.register_profile("synmon", deadline=None, derandomize=True)
+settings.load_profile("synmon")
 
 # name -> (regex or None, dfa json or None); every language is over {a, b}
 CORPUS_SOURCES = {

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 A3_REGEX = "a((a|b)(a|b))*|b(a|b)*"
 
@@ -39,6 +41,9 @@ def test_analyze_trivial_period_warns_but_succeeds():
     assert result.returncode == 0
     assert "degenerate" in result.stderr
     assert "K=1" in result.stdout
+    assert result.stderr.splitlines() == [
+        "warning: all periods are 1; the decomposition is degenerate"]
+    assert "cli.py" not in result.stderr
 
 
 def test_prob_last_line():
@@ -99,6 +104,22 @@ def test_analyze_json_parses_with_expected_keys():
     assert report["probability"]["mu_series"][2] == {"len": 2, "num": 1, "den": 2}
     verdicts = {v["w"]: v["verdict"] for v in report["probability"]["zero_one"]["residual"]}
     assert verdicts == {"": "mixed", "a": "zero-one", "b": "zero-one"}
+
+
+@pytest.mark.parametrize("args", [
+    ("prob", "--tol", "0"),
+    ("zero-one", "--tol", "0"),
+    ("prob", "--cap", "1"),         # below the period 2
+    ("analyze", "--cap", "1"),
+    ("prob", "--length", "-1"),
+    ("analyze", "--length", "-1"),
+], ids=" ".join)
+def test_out_of_range_numbers_exit_two_with_one_error_line(args):
+    result = run_cli(args[0], "--dfa", str(DATA / "a3.json"), *args[1:])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 def test_json_and_text_report_same_numbers():

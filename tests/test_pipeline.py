@@ -1,0 +1,79 @@
+import functools
+import itertools
+import json
+import sys
+
+from synmon import (Analysis, cli, lw_recognizer, monoid, probability,
+                    zero_one_residual)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` in every synmon module that binds it; returns the
+    list of calls, one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "synmon" or key.startswith("synmon."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def counter_dfa_file(tmp_path, n):
+    """n x n two-letter counter: accept when both letter counts are 0 mod n."""
+    states = [f"{i}_{j}" for i in range(n) for j in range(n)]
+    transitions = []
+    for i, j in itertools.product(range(n), repeat=2):
+        transitions.append({"from": f"{i}_{j}", "on": "a", "to": f"{(i + 1) % n}_{j}"})
+        transitions.append({"from": f"{i}_{j}", "on": "b", "to": f"{i}_{(j + 1) % n}"})
+    path = tmp_path / f"counter{n}.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "states": states,
+                                "initial": "0_0", "accepting": ["0_0"],
+                                "transitions": transitions}))
+    return path
+
+
+def test_analyze_builds_the_monoid_once(monkeypatch, tmp_path, capsys):
+    builds = count_calls(monkeypatch, monoid, "transition_monoid")
+    assert cli.main(["analyze", "--json", "--dfa", str(counter_dfa_file(tmp_path, 4))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["monoid"]["order"] == 16
+    assert len(builds) == 1
+
+
+def test_residual_verdicts_once_per_prefix_image(monkeypatch, capsys):
+    verdicts = count_calls(monkeypatch, probability, "residual_verdict")
+    regex = "((a|b|c)(a|b|c)(a|b|c))*"
+    assert cli.main(["analyze", "--json", "--regex", regex]) == 0
+    rows = json.loads(capsys.readouterr().out)["probability"]["zero_one"]["residual"]
+    assert len(rows) == 1 + 3 + 9
+    # eta(w) is the length of w mod 3, so three distinct images
+    assert len(verdicts) == 3
+
+
+def test_deduplicated_rows_equal_per_prefix_recomputation(corpus):
+    for name in ("a3", "alt_half"):
+        dfa = corpus[name][0]
+        analysis = Analysis(dfa)
+        period = analysis.signature.periods[0]
+        prefixes = ["".join(p) for r in range(period)
+                    for p in itertools.product("ab", repeat=r)]
+        direct = [zero_one_residual(analysis.decomposition, dfa, w) for w in prefixes]
+        assert list(analysis.residual_verdicts) == direct, name
+
+
+def test_shared_recognizers_equal_fresh_ones(corpus):
+    analysis = Analysis(corpus["a3"][0])
+    assert analysis.recognizer("a").monoid is analysis.recognizer("b").monoid
+    for w in ("", "a", "b"):
+        shared, fresh = analysis.recognizer(w), lw_recognizer(analysis.decomposition, w)
+        assert shared.monoid.transformations == fresh.monoid.transformations
+        assert shared.block_images == fresh.block_images
+        assert shared.accepting == fresh.accepting
