@@ -1,7 +1,7 @@
 """Command-line surface: ingestion -> analysis -> text/JSON/DOT reports.
 
 Exit codes: 0 success, 2 input error, 3 internal verification failure
-(a failed exhaustive check of a constructed homomorphism).
+(a failed check of a constructed homomorphism or of a verdict's limit).
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ def _parse_periods(args):
 
 
 def _analysis(args) -> Analysis:
-    """The analysis of the source the flags name, with their signature and
-    iteration bounds."""
-    return Analysis(_load_source(args), _parse_gammas(args), _parse_periods(args),
-                    args.tol, args.cap)
+    """The analysis of the source the flags name, with their signature."""
+    return Analysis(_load_source(args), _parse_gammas(args), _parse_periods(args))
 
 
 def _rkey(residual):
@@ -74,7 +72,8 @@ def _sinks_json(sinks):
 
 
 def _accumulation_json(points):
-    return [{"r": p.r, "mu": p.value, "converged": p.converged} for p in points]
+    return [{"r": p.r, "num": p.value.numerator, "den": p.value.denominator}
+            for p in points]
 
 
 def _mu_series_json(series):
@@ -90,7 +89,8 @@ def _zero_one_json(basic, residuals):
                 "w": v.w,
                 "verdict": "zero-one" if v.is_zero_or_one else "mixed",
                 "witness": list(v.witness_names) if v.witness_names else [],
-                "mu": v.mu_lw,
+                "num": v.mu_lw.numerator,
+                "den": v.mu_lw.denominator,
             }
             for v in residuals
         ],
@@ -161,7 +161,7 @@ def cmd_analyze(args) -> int:
         for comp, period in sinks:
             lines.append(f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}")
 
-    if analysis.full_alphabet:
+    if analysis.full_alphabet and sig.periods[0] == analysis.max_period:
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
         residual_monoids = [analysis.residual_monoid(r) for r in range(sig.periods[0])]
@@ -180,8 +180,7 @@ def cmd_analyze(args) -> int:
         for t in residual_monoids:
             lines.append(f"residual monoid T_{t.r}: order {t.order}")
         lines.append("accumulation: " + ", ".join(
-            f"r={p.r}: {p.value:.6g}{'' if p.converged else ' (unconverged)'}"
-            for p in basic.accumulation))
+            f"r={p.r}: {p.value}" for p in basic.accumulation))
         lines.append(f"zero-one: basic: {basic.verdict}; "
                      + _residual_zero_one_line(verdicts))
     _emit(args, out, lines)
@@ -220,7 +219,7 @@ def cmd_prob(args) -> int:
     analysis = _analysis(args)
     period = analysis.max_period
     series = pr.mu_series(analysis.dfa, args.length)
-    points = pr.accumulation_points(analysis.dfa, period, args.tol, args.cap)
+    points = pr.accumulation_points(analysis.dfa, period)
     out = {
         "mu_series": _mu_series_json(series),
         "period": period,
@@ -278,8 +277,6 @@ def _add_source_flags(sub):
     sub.add_argument("--dfa", help="path to a DFA JSON document")
     sub.add_argument("--alphabet", help="explicit alphabet for --regex, e.g. 'ab'")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")
-    sub.add_argument("--cap", type=int, default=4096, help="iteration cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,7 @@ class SynmonError(Exception):
 
 
 class InvalidArgument(SynmonError, ValueError):
-    """A numeric argument (length, tolerance, iteration cap) is out of range."""
+    """A numeric argument, such as a length, is out of range."""
 
 
 # --- regex / DFA ingestion ---
@@ -90,8 +90,8 @@ class ScopeError(SynmonError):
 
 
 class VerificationFailure(SynmonError):
-    """An exhaustive check of a constructed homomorphism failed; this would
-    falsify an invariant the construction relies on."""
+    """A check of a constructed homomorphism, or of a verdict against its
+    exact limit, failed; this would falsify an invariant the code relies on."""
 
 
 class BlockLengthError(SynmonError):

@@ -32,15 +32,12 @@ class Analysis:
     """Every stage of the pipeline for one DFA.
 
     `gammas` (letter subsets) and `periods` (one per subset) choose the
-    signature; by default it is the whole alphabet at its maximum period.
-    `tol` and `cap` bound the numeric limits.  Stages are attributes, or
-    methods for the per-r and per-prefix ones, computed on first use.
+    signature, by default the whole alphabet at its maximum period.  Stages
+    are attributes, or methods per r and per prefix, computed on first use.
     """
     dfa: Dfa
     gammas: list | None = None
     periods: list | None = None
-    tol: float = 1e-9
-    cap: int = 4096
     _residual_monoids: dict = field(default_factory=dict, init=False, repr=False)
     _block_images: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -77,8 +74,8 @@ class Analysis:
 
     @property
     def full_alphabet(self) -> bool:
-        """True when the signature is one period over the whole alphabet,
-        the scope of residual monoids, recognizers and verdicts."""
+        """One period over the whole alphabet: the scope of residual monoids
+        and recognizers, and of verdicts when that period is the maximum."""
         sig = self.signature
         return sig.n == 1 and sig.gammas[0] == self.monoid.alphabet
 
@@ -100,9 +97,15 @@ class Analysis:
                                dc.lw_accepting(self.decomposition, w, t_r))
 
     @cached_property
+    def limit_vector(self) -> dict:
+        """`probability.limit_vector` of the minimal DFA at the maximum
+        period, from which every limit and verdict below is read."""
+        return pr.limit_vector(self.minimal, self.max_period)
+
+    @cached_property
     def accumulation(self) -> list:
-        """Limit of mu along each residue class mod the maximum period."""
-        return pr.residue_limits(self.dfa, self.max_period, self.tol, self.cap)
+        """Exact limit of mu along each residue class mod the maximum period."""
+        return pr.residue_limits(self.minimal, self.max_period, self.limit_vector)
 
     @cached_property
     def basic_verdict(self) -> pr.BasicZeroOne:
@@ -124,8 +127,8 @@ class Analysis:
                 w = "".join(letters)
                 image = self.monoid.image_of_word(w)
                 if image not in by_image:
-                    limit = pr.limit_mu_blocks(self.dfa, w, period, self.tol, self.cap)
                     by_image[image] = pr.residual_verdict(
-                        w, t_r, dc.lw_accepting(dec, w, t_r), limit)
+                        w, t_r, dc.lw_accepting(dec, w, t_r),
+                        self.limit_vector[self.minimal.run(w)])
                 rows.append(replace(by_image[image], w=w))
         return tuple(rows)

@@ -1,11 +1,13 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 
-from synmon import (build_signature, canonical_decomposition, load_dfa,
+from synmon import (Dfa, build_signature, canonical_decomposition, load_dfa,
                     minimize, transition_monoid)
+from synmon.errors import MonoidTooLarge
 from synmon.regexes import parse_regex, regex_to_dfa
 
 DATA = Path(__file__).parent / "data"
@@ -50,8 +52,6 @@ def corpus():
 @pytest.fixture(scope="session")
 def full_sigs(corpus):
     """Full-alphabet signatures at the maximum period, per language."""
-    import warnings
-
     out = {}
     for name, (_dfa, _minimal, sm) in corpus.items():
         with warnings.catch_warnings():
@@ -66,6 +66,32 @@ def full_decs(corpus, full_sigs):
         name: canonical_decomposition(corpus[name][2], full_sigs[name])
         for name in corpus
     }
+
+
+@st.composite
+def small_dfas(draw):
+    """Complete DFAs over {a, b} with at most five states.  State q sits on
+    level q mod p and every letter moves one level up, so that lengths mod p
+    are tracked and periods above one occur."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(1, n))
+    delta = {(q, a): draw(st.sampled_from(range((q + 1) % p, n, p)))
+             for q in range(n) for a in "ab"}
+    accepting = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return Dfa(("a", "b"), tuple(range(n)), 0, frozenset(accepting), delta)
+
+
+def random_decomposition(dfa):
+    """The full-alphabet decomposition at the maximum period of a DFA from
+    `small_dfas`; examples whose monoid has more than 64 elements are
+    skipped."""
+    try:
+        sm = transition_monoid(minimize(dfa), cap=64)
+    except MonoidTooLarge:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return canonical_decomposition(sm, build_signature(sm, [sm.alphabet]))
 
 
 def data_text(filename):

@@ -90,7 +90,7 @@ def test_oscillating_language_monoid(corpus, full_decs):
     check("a3: sinks {q2,q3} period 2 and {q4} period 1",
           sinks == {("q2", "q3"): 2, ("q4",): 1})
     check("a3: mu(2) = 1/2 exactly", mu_exact(dfa, 2) == Fraction(1, 2))
-    points = accumulation_points(dfa, 2, 1e-9, 4096)
+    points = accumulation_points(dfa, 2)
     check("a3: accumulation points (0.5, 1.0) within 1e-6",
           abs(points[0].value - 0.5) < 1e-6 and abs(points[1].value - 1.0) < 1e-6)
     r1 = [zero_one_residual(dec, dfa, w) for w in ("a", "b")]

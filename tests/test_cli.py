@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ def test_analyze_text_report():
     assert "monoid: order 5" in out
     assert "period w.r.t. {a,b}: 2" in out
     assert "K=3" in out
-    assert "r=0: 0.5" in out and "r=1: 1" in out
+    assert "accumulation: r=0: 1/2, r=1: 1" in out
     assert "zero-one: basic: oscillating; r=0: no; r=1: yes (witness {e})" in out
 
 
@@ -100,17 +101,13 @@ def test_analyze_json_parses_with_expected_keys():
     assert report["decomposition"]["verified"] is True
     assert report["probability"]["period"] == 2
     acc = report["probability"]["accumulation"]
-    assert [round(p["mu"], 6) for p in acc] == [0.5, 1.0]
+    assert [Fraction(p["num"], p["den"]) for p in acc] == [Fraction(1, 2), 1]
     assert report["probability"]["mu_series"][2] == {"len": 2, "num": 1, "den": 2}
     verdicts = {v["w"]: v["verdict"] for v in report["probability"]["zero_one"]["residual"]}
     assert verdicts == {"": "mixed", "a": "zero-one", "b": "zero-one"}
 
 
 @pytest.mark.parametrize("args", [
-    ("prob", "--tol", "0"),
-    ("zero-one", "--tol", "0"),
-    ("prob", "--cap", "1"),         # below the period 2
-    ("analyze", "--cap", "1"),
     ("prob", "--length", "-1"),
     ("analyze", "--length", "-1"),
 ], ids=" ".join)
@@ -126,11 +123,36 @@ def test_json_and_text_report_same_numbers():
     as_json = json.loads(run_cli("prob", "--dfa", str(DATA / "a3.json"),
                                  "--length", "4", "--json").stdout)
     as_text = run_cli("prob", "--dfa", str(DATA / "a3.json"), "--length", "4").stdout
-    from fractions import Fraction
-
     text_values = [Fraction(line.split()[1]) for line in as_text.splitlines()]
     json_values = [Fraction(e["num"], e["den"]) for e in as_json["mu_series"]]
     assert text_values == json_values
+
+
+@pytest.mark.parametrize("args", [
+    ("--dfa", str(DATA / "a3.json"), "--periods", "1"),
+    ("--dfa", str(DATA / "a1.json"), "--gamma", "a,b", "--periods", "1"),
+], ids=["a3", "a1-gamma"])
+def test_analyze_below_the_maximum_period_reports_the_algebra(args):
+    # limits and verdicts need the maximum period, so they are left out
+    result = run_cli("analyze", "--json", *args)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["signature"]["periods"] == [1]
+    assert report["decomposition"]["verified"] is True
+    assert "probability" not in report and "residual_monoids" not in report
+
+
+def test_prob_limit_of_third_letter_from_the_end():
+    # mu(l) = 0 for l < 3 and 1/2 after: the limit is 1/2, not the 0 at the start
+    result = run_cli("prob", "--json", "--regex", "(a|b)*a(a|b)(a|b)")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["accumulation"] == [{"r": 0, "num": 1, "den": 2}]
+
+
+@pytest.mark.parametrize("regex", ["(a|b)(a|b)(a|b)(a|b)*", "(a|b)*a(a|b)(a|b)"])
+def test_zero_one_succeeds_when_mu_starts_with_zeros(regex):
+    result = run_cli("zero-one", "--regex", regex)
+    assert result.returncode == 0, result.stderr
 
 
 def test_period_json_classes_keys():

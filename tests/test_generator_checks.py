@@ -11,16 +11,17 @@ import dataclasses
 import itertools
 import warnings
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from synmon import (Dfa, build_signature, canonical_decomposition,
+from synmon import (build_signature, canonical_decomposition,
                     hom_generator_check, hom_image_check, lw_quotient,
-                    lw_recognizer, max_period, minimize, syntactic_monoid_of_lw,
-                    transition_monoid, verify_canonical, wreath_divisor)
+                    lw_recognizer, max_period, syntactic_monoid_of_lw,
+                    verify_canonical, wreath_divisor)
 from synmon.decompose import LwQuotientReport, VerificationReport, _can_key
-from synmon.errors import MonoidTooLarge, VerificationFailure
+from synmon.errors import VerificationFailure
 from synmon.monoid import compose
 
+from conftest import random_decomposition, small_dfas
 from test_decompose import GAMMA_SETS, divisor_vectors
 
 
@@ -169,27 +170,6 @@ def test_agree_on_mutated_non_letter_table(full_decs):
     broken = mutated(dec, t, r, len(dec.theta[r]))
     assert verify_canonical(broken) == allpairs_verify(broken)
     assert not verify_canonical(broken).homomorphism
-
-
-@st.composite
-def small_dfas(draw):
-    """Complete DFAs over {a, b} with at most five states.  State q sits on
-    level q mod p and every letter moves one level up, so that lengths mod p
-    are tracked and periods above one occur."""
-    n = draw(st.integers(1, 5))
-    p = draw(st.integers(1, n))
-    delta = {(q, a): draw(st.sampled_from(range((q + 1) % p, n, p)))
-             for q in range(n) for a in "ab"}
-    accepting = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    return Dfa(("a", "b"), tuple(range(n)), 0, frozenset(accepting), delta)
-
-
-def random_decomposition(dfa):
-    try:
-        sm = transition_monoid(minimize(dfa), cap=64)
-    except MonoidTooLarge:
-        assume(False)
-    return canonical_decomposition(sm, quiet_signature(sm, [sm.alphabet]))
 
 
 @settings(max_examples=200)

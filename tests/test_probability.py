@@ -1,14 +1,18 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from synmon import (build_signature, canonical_decomposition, mu_exact,
+from synmon import (Analysis, build_signature, canonical_decomposition, mu_exact,
                     mu_series, markov_chain, mu_consistency,
                     accumulation_points, zero_one_basic, zero_one_residual)
-from synmon.errors import InvalidPeriod, ScopeError
-from synmon.probability import (distinct_accumulation_values,
-                                limit_mu_blocks, maximum_period_of)
+from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
+from synmon.probability import (AccumulationPoint, basic_verdict, limit_mu_blocks,
+                                maximum_period_of, residual_verdict)
+
+from conftest import random_decomposition, small_dfas
 
 def test_mu_exact_matches_quoted_value(corpus):
     dfa, _, _ = corpus["a3"]
@@ -75,25 +79,20 @@ def test_mu_equals_markov_power(corpus):
 
 def test_accumulation_oscillating(corpus):
     dfa, _, _ = corpus["a3"]
-    points = accumulation_points(dfa, 2, 1e-9, 4096)
-    assert [p.converged for p in points] == [True, True]
-    assert abs(points[0].value - 0.5) < 1e-6
-    assert abs(points[1].value - 1.0) < 1e-6
+    points = accumulation_points(dfa, 2)
+    assert [p.value for p in points] == [Fraction(1, 2), 1]
 
 
 def test_accumulation_equal_halves(corpus):
     dfa, _, _ = corpus["alt_half"]
     points = accumulation_points(dfa, 2)
-    assert abs(points[0].value - 0.5) < 1e-6
-    assert abs(points[1].value - 0.5) < 1e-6
-    assert distinct_accumulation_values(points, 1e-6) == 1
+    assert [p.value for p in points] == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_accumulation_parity(corpus):
     dfa, _, _ = corpus["a1"]
     points = accumulation_points(dfa, 2)
-    assert abs(points[0].value - 0.5) < 1e-6
-    assert abs(points[1].value - 0.0) < 1e-6
+    assert [p.value for p in points] == [Fraction(1, 2), 0]
 
 
 def test_accumulation_requires_max_period(corpus):
@@ -102,12 +101,20 @@ def test_accumulation_requires_max_period(corpus):
         accumulation_points(dfa, 3)
 
 
+# exact limits per residue, derived by hand (see bench/workloads.py)
+CORPUS_LIMITS = {
+    "a1": [Fraction(1, 2), 0], "a2": [Fraction(1, 3)], "a3": [Fraction(1, 2), 1],
+    "pairs": [1, 0], "head_a": [Fraction(1, 2)],
+    "alt_half": [Fraction(1, 2), Fraction(1, 2)], "has_a": [1], "single_a": [0],
+    "all_words": [1],
+}
+
+
 def test_accumulation_sequences_settle(corpus, full_sigs):
-    # along every residue class the tail is Cauchy at the default tolerance
     for name, (dfa, _, _) in corpus.items():
         period = full_sigs[name].periods[0]
-        for point in accumulation_points(dfa, period):
-            assert point.converged, name
+        points = accumulation_points(dfa, period)
+        assert [p.value for p in points] == CORPUS_LIMITS[name], name
 
 
 # --- zero-one verdicts ---
@@ -133,10 +140,10 @@ def test_residual_verdicts_for_oscillating_language(corpus, full_decs):
     dec = full_decs["a3"]
     va = zero_one_residual(dec, dfa, "a")
     assert va.is_zero_or_one and va.witness_names == ("e",)
-    assert abs(va.mu_lw - 1.0) < 1e-6
+    assert va.mu_lw == 1
     veps = zero_one_residual(dec, dfa, "")
     assert not veps.is_zero_or_one and veps.witness is None
-    assert abs(veps.mu_lw - 0.5) < 1e-6
+    assert veps.mu_lw == Fraction(1, 2)
 
 
 def test_residual_verdict_parity_prefix(corpus, full_decs):
@@ -144,7 +151,7 @@ def test_residual_verdict_parity_prefix(corpus, full_decs):
     dec = full_decs["a1"]
     verdict = zero_one_residual(dec, dfa, "a")
     assert verdict.is_zero_or_one
-    assert abs(verdict.mu_lw - 0.0) < 1e-6
+    assert verdict.mu_lw == 0
 
 
 def test_residual_scope_needs_max_period(corpus):
@@ -159,7 +166,7 @@ def test_residual_scope_needs_max_period(corpus):
 
 
 def test_verdicts_match_limits_both_ways(corpus, full_decs):
-    # ideal witness exists iff the numeric limit is within 1e-6 of {0, 1}
+    # ideal witness exists iff the exact limit is 0 or 1
     from synmon import is_ideal, residual_monoid
 
     for name, dec in full_decs.items():
@@ -168,25 +175,35 @@ def test_verdicts_match_limits_both_ways(corpus, full_decs):
         for n in range(period):
             for w in map("".join, itertools.product("ab", repeat=n)):
                 verdict = zero_one_residual(dec, dfa, w)
-                assert verdict.mu_converged, (name, w)
-                near_binary = min(abs(verdict.mu_lw), abs(verdict.mu_lw - 1)) < 1e-6
-                assert verdict.is_zero_or_one == near_binary, (name, w)
+                assert verdict.is_zero_or_one == (verdict.mu_lw in (0, 1)), (name, w)
                 if verdict.witness is not None:
                     t_r = residual_monoid(dec, verdict.r)
                     assert is_ideal(t_r.monoid, set(verdict.witness)), (name, w)
+
+
+def test_verdicts_reject_limits_off_zero_or_one_by_any_amount(corpus):
+    # the algebra says 1; a limit 1e-9 below it is a verification failure
+    near_one = 1 - Fraction(1, 10 ** 9)
+    analysis = Analysis(corpus["a3"][0])
+    rec = analysis.recognizer("a")
+    with pytest.raises(VerificationFailure):
+        residual_verdict("a", rec.monoid, rec.accepting, near_one)
+    _, _, has_a = corpus["has_a"]
+    with pytest.raises(VerificationFailure):
+        basic_verdict(has_a, 1, [AccumulationPoint(0, near_one)])
 
 
 def test_mu_consistency_examples(corpus, full_decs):
     dfa, _, _ = corpus["a3"]
     dec = full_decs["a3"]
     c1 = mu_consistency(dec, dfa, 1)
-    assert c1.ok and abs(c1.mu_r - 1.0) < 1e-6
+    assert c1.ok and c1.mu_r == 1
     c0 = mu_consistency(dec, dfa, 0)
-    assert c0.ok and abs(c0.mu_r - 0.5) < 1e-6
+    assert c0.ok and c0.mu_r == Fraction(1, 2)
     dfa1, _, _ = corpus["a1"]
     cp = mu_consistency(full_decs["a1"], dfa1, 1)
-    assert cp.ok and abs(cp.mu_r) < 1e-6
-    assert all(abs(v) < 1e-6 for _, v in cp.per_word)
+    assert cp.ok and cp.mu_r == 0
+    assert all(v == 0 for _, v in cp.per_word)
 
 
 def test_mu_consistency_everywhere(corpus, full_decs):
@@ -198,10 +215,36 @@ def test_mu_consistency_everywhere(corpus, full_decs):
 
 def test_limit_mu_blocks_converges(corpus):
     dfa, _, _ = corpus["a3"]
-    value, converged = limit_mu_blocks(dfa, "b", 2)
-    assert converged and abs(value - 1.0) < 1e-6
+    assert limit_mu_blocks(dfa, "b", 2) == 1
 
 
 def test_maximum_period_of(corpus, full_sigs):
     for name, (dfa, _, _) in corpus.items():
         assert maximum_period_of(dfa) == full_sigs[name].periods[0], name
+
+
+# --- exact limits against float64 powers, on random DFAs ---
+
+@settings(max_examples=200)
+@given(small_dfas())
+def test_exact_limits_match_float_powers_on_random_dfas(dfa):
+    # mu(r + kP) -> u Q^r (Q^P)^k acc: at k = 2000 the float64 value is
+    # within 1e-9 of the exact limit; the DFA need not be minimal
+    dec = random_decomposition(dfa)
+    period = dec.signature.periods[0]
+    index = {q: i for i, q in enumerate(dfa.states)}
+    chain = np.zeros((dfa.n_states, dfa.n_states))
+    for (q, _a), t in dfa.delta.items():
+        chain[index[q], index[t]] += 0.5
+    acc = np.array([float(q in dfa.accepting) for q in dfa.states])
+    tail = np.linalg.matrix_power(np.linalg.matrix_power(chain, period), 2000) @ acc
+    start = np.eye(dfa.n_states)[index[dfa.initial]]
+    for point in accumulation_points(dfa, period):
+        expected = start @ np.linalg.matrix_power(chain, point.r) @ tail
+        assert abs(float(point.value) - expected) < 1e-9, point
+    zero_one_basic(dec.m, dfa)
+    for r in range(period):
+        for w in map("".join, itertools.product("ab", repeat=r)):
+            limit = limit_mu_blocks(dfa, w, period)
+            assert abs(float(limit) - tail[index[dfa.run(w)]]) < 1e-9, w
+            assert zero_one_residual(dec, dfa, w).mu_lw == limit
