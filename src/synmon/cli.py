@@ -52,10 +52,6 @@ def _analysis(args) -> Analysis:
     return Analysis(_load_source(args), _parse_gammas(args), _parse_periods(args))
 
 
-def _rkey(residual):
-    return ",".join(map(str, residual))
-
-
 def _signature_json(sig):
     return {
         "gammas": [list(g) for g in sig.gammas],

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 from .dfa import Dfa, block_dfa, minimize
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
                      VerificationFailure)
-from .monoid import (FiniteMonoid, SyntacticMonoid, Transformation, compose,
-                     hom_generator_check, identity_transformation,
-                     transition_monoid)
+from .monoid import (FiniteMonoid, SyntacticMonoid, compose, hom_generator_check,
+                     identity_transformation, transition_monoid)
 from .periods import PeriodSignature
 
 
@@ -79,17 +78,12 @@ class LwRecognizer:
     block_images: dict       # block string -> Transformation
     accepting: frozenset     # indices into `monoid`
 
-    @property
-    def accepting_transformations(self) -> frozenset:
-        return frozenset(self.monoid.transformations[i] for i in self.accepting)
-
 
 @dataclass(frozen=True)
 class WreathEmbedding:
     K: int
     G: tuple                 # cyclic group orders
     phi: dict                # (f_t(0), rho_bar(t)) -> t
-    psi: dict                # Can(t) key -> t
     equivariant: bool
     rho_bar_surjective: bool
 
@@ -212,28 +206,28 @@ def _require_full_alphabet(dec: CanonicalDecomposition) -> int:
 
 def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
-    composition.  Element 0 is the identity transformation."""
+    composition, numbered in ascending order of t; element 0 is the
+    identity.  For t, s in N_0, f_{t.s}(r) = f_t(r) then f_s(r), so the
+    table is M's table at one representative t per element."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
     zero = tuple(0 for _ in dec.signature.periods)
-    transformations = []
-    index = {}
+    index, slot, representatives = {}, {}, []  # slot: t in N_0 -> index of f_t(r)
     for t in dec.signature.classes[zero]:
         tau = dec.can_f[t][(r,)]
         if tau not in index:
-            index[tau] = len(transformations)
-            transformations.append(tau)
-    n = len(transformations)
-    table = tuple(
-        tuple(index[compose(x, y)] for y in transformations) for x in transformations
-    )
+            index[tau] = len(representatives)
+            representatives.append(t)
+        slot[t] = index[tau]
+    rows = (dec.m.monoid.table[x] for x in representatives)
+    table = tuple(tuple(slot[row[y]] for y in representatives) for row in rows)
     names = tuple(
         "e" if tau == identity_transformation(dec.K) else "(" + ",".join(map(str, tau)) + ")"
-        for tau in transformations
+        for tau in index
     )
     monoid = FiniteMonoid(table, 0, {}, names)
-    return ResidualMonoid(r, tuple(transformations), monoid, index)
+    return ResidualMonoid(r, tuple(index), monoid, index)
 
 
 def _blocks(alphabet, period: int) -> list:
@@ -357,14 +351,14 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> LwQuotientRepo
 
 
 def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
-    """Equivariant pair (phi, psi) witnessing that the syntactic monoid,
-    acting on itself, divides the wreath product of T_K with the residual
-    group; verified on generators.
+    """The map phi witnessing that the syntactic monoid, acting on itself,
+    divides the wreath product of T_K with the residual group, with
+    elements m acting through Can(m); verified on generators.
 
     phi reads a point of T_K x G back into the monoid:
     phi(tau, c) = theta_c(tau(position of the identity in N_0)), and the
     wreath action (tau, c) * (g, r) = (tau then g(c), c + r) must agree
-    with right multiplication: phi(x * m) = phi(x) . psi(m).
+    with right multiplication: phi(x * Can(m)) = phi(x) . m.
 
     The action is checked at every point x_t = (f_t(0), rho_bar(t)) for
     every letter a.  That is equivalent to checking every element m, by
@@ -387,7 +381,6 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     def phi_formula(tau, c):
         return dec.theta[c][tau[e_pos]]
 
-    psi = {_can_key(dec, t): t for t in range(dec.m.order)}
     table = dec.m.monoid.table
     for (x1, c), t in phi.items():
         if phi_formula(x1, c) != t:
@@ -400,7 +393,7 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
                     f"wreath action disagrees with multiplication at ({t}, {s})"
                 )
     surjective = set(sig.rho_bar) == set(sig.residuals())
-    return WreathEmbedding(dec.K, sig.periods, phi, psi, True, surjective)
+    return WreathEmbedding(dec.K, sig.periods, phi, True, surjective)
 
 
 def decomposition_to_json(dec: CanonicalDecomposition,

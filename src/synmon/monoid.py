@@ -8,9 +8,8 @@ left to right: (x . y)(k) = y(x(k)).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -48,9 +47,12 @@ def check_table(table, identity: int) -> None:
         if table[identity][i] != i or table[i][identity] != i:
             raise InvalidMonoid(f"identity law fails at element {i}")
     if n <= ASSOC_CHECK_CAP:
-        t = np.asarray(table, dtype=np.int64)
+        t = np.asarray(table, dtype=np.int32)
+        left, right = np.empty_like(t), np.empty_like(t)
         for i in range(n):
-            if not np.array_equal(t[t[i], :], t[i, t]):
+            # (i.x).y against i.(x.y); entries are in range, "clip" is unbuffered
+            t.take(t[i], axis=0, out=left, mode="clip")
+            if not np.array_equal(left, t[i].take(t, out=right, mode="clip")):
                 raise InvalidMonoid(f"associativity fails with left factor {i}")
 
 
@@ -72,19 +74,15 @@ class FiniteMonoid:
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names else str(i)
 
 
 def _closure_from(table, identity, generator_indices):
     seen = {identity}
-    queue = deque([identity])
+    queue = [identity]
     gens = sorted(set(generator_indices))
-    while queue:
-        x = queue.popleft()
+    for x in queue:
         for g in gens:
             y = table[x][g]
             if y not in seen:
@@ -100,7 +98,6 @@ class SyntacticMonoid:
     monoid: FiniteMonoid
     eta: dict
     accepting_image: frozenset
-    transformations: tuple  # element index -> transformation on dfa.states
 
     @property
     def alphabet(self) -> tuple:
@@ -123,6 +120,44 @@ class CayleyGraph:
     edges: tuple  # (from, symbol, to), sorted by (from, symbol)
 
 
+def _close(generators, cap: int):
+    """Froidure-Pin closure of transformations of one degree (Froidure &
+    Pin, "Algorithms for computing finite semigroups", 1997).
+
+    Returns the elements (int32 arrays in BFS order from the identity at 0,
+    generators tried in order), the right Cayley graph right[i, g], the
+    tree of first arrivals (element j is tree[j] = (parent, last generator))
+    and the table as a tuple of tuples.  Column j of the table is
+    right[column parent, last], so no two elements are ever composed.
+    MonoidTooLarge is raised once the order would exceed cap.
+    """
+    gens = [np.asarray(g, dtype=np.int32) for g in generators]
+    key = np.arange(len(gens[0]), dtype=np.int32).tobytes()
+    index = {key: 0}  # the only copy of each element: `elements` views it
+    elements, tree, right = [np.frombuffer(key, np.int32)], [(-1, -1)], []
+    for x in elements:  # grows while it is read: a BFS queue
+        right.append([])
+        for g, gen in enumerate(gens):
+            key = gen[x].tobytes()
+            j = index.setdefault(key, len(elements))
+            if j == len(elements):
+                if j >= cap:
+                    raise MonoidTooLarge(f"transition monoid exceeds cap {cap}")
+                elements.append(np.frombuffer(key, np.int32))
+                tree.append((len(right) - 1, g))
+            right[-1].append(j)
+    del index
+    n = len(elements)
+    right = np.asarray(right, dtype=np.int32)
+    columns = np.empty((n, n), dtype=np.int32)  # columns[j] is table[:, j]
+    columns[0] = np.arange(n)
+    for j, (parent, last) in enumerate(tree[1:], 1):
+        columns[j] = right[columns[parent], last]
+    ints = tuple(range(n))  # one shared int object per index, not per entry
+    table = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in columns.T)
+    return elements, right, tree, table
+
+
 def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     """Word-induced transformations on the states of `dfa`, closed under
     composition and numbered in BFS order from the identity (letters
@@ -131,39 +166,17 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     """
     position = {q: i for i, q in enumerate(dfa.states)}
     letters = sorted(dfa.alphabet)
-    letter_trans = {
-        a: tuple(position[dfa.delta[(q, a)]] for q in dfa.states) for a in letters
-    }
-    ident = identity_transformation(dfa.n_states)
-    elements = [ident]
-    index = {ident: 0}
-    words = [""]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for a in letters:
-            t = compose(elements[i], letter_trans[a])
-            if t not in index:
-                if len(elements) >= cap:
-                    raise MonoidTooLarge(f"transition monoid exceeds cap {cap}")
-                index[t] = len(elements)
-                elements.append(t)
-                words.append(words[i] + a)
-                queue.append(index[t])
-    n = len(elements)
-    table = tuple(
-        tuple(index[compose(elements[i], elements[j])] for j in range(n))
-        for i in range(n)
-    )
-    eta = {a: index[letter_trans[a]] for a in letters}
-    names = tuple("e" if w == "" else w for w in words)
-    initial_pos = position[dfa.initial]
-    accepting_pos = {position[q] for q in dfa.accepting}
+    elements, right, tree, table = _close(
+        [[position[dfa.delta[(q, a)]] for q in dfa.states] for a in letters], cap)
+    names = ["e"]  # element j is named by the word that first reached it
+    for parent, last in tree[1:]:
+        names.append((names[parent] if parent else "") + letters[last])
+    eta = {a: int(right[0, g]) for g, a in enumerate(letters)}
+    initial, accepting = position[dfa.initial], {position[q] for q in dfa.accepting}
     accepting_image = frozenset(
-        i for i, t in enumerate(elements) if t[initial_pos] in accepting_pos
-    )
-    monoid = FiniteMonoid(table, 0, dict(eta), names)
-    return SyntacticMonoid(monoid, eta, accepting_image, tuple(elements))
+        i for i, x in enumerate(elements) if int(x[initial]) in accepting)
+    monoid = FiniteMonoid(table, 0, dict(eta), tuple(names))
+    return SyntacticMonoid(monoid, eta, accepting_image)
 
 
 def cayley_graph(m: SyntacticMonoid | FiniteMonoid) -> CayleyGraph:
@@ -328,20 +341,16 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
         )
         return FiniteMonoid(table, 0, {}, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
     if kind in ("symmetric", "full_transformation"):
-        if k > 6:
+        if k > (6 if kind == "symmetric" else 5):
             raise TooLarge(f"{kind} monoid of degree {k} exceeds the order cap")
-        if kind == "symmetric":
-            rest = sorted(p for p in permutations(range(k)) if p != identity_transformation(k))
-        else:
-            rest = sorted(
-                t for t in product(range(k), repeat=k) if t != identity_transformation(k)
-            )
-        elements = [identity_transformation(k)] + rest
-        index = {t: i for i, t in enumerate(elements)}
-        table = tuple(
-            tuple(index[compose(x, y)] for y in elements) for x in elements
-        )
-        names = tuple("".join(map(str, t)) for t in elements)
+        # a k-cycle and a transposition generate S_k; a map of rank k-1 adds T_k
+        generators = [tuple(range(1, k)) + (0,)]
+        if k > 1:
+            generators.append((1, 0) + tuple(range(2, k)))
+            if kind == "full_transformation":
+                generators.append((0, 0) + tuple(range(2, k)))
+        elements, _, _, table = _close(generators, k ** k)
+        names = tuple("".join(map(str, t.tolist())) for t in elements)
         return FiniteMonoid(table, 0, {}, names)
     raise ValueError(f"unknown monoid kind {kind!r}")
 

@@ -61,6 +61,8 @@ def test_named_caps():
     with pytest.raises(TooLarge):
         make_named("symmetric", 7)
     with pytest.raises(TooLarge):
+        make_named("full_transformation", 6)
+    with pytest.raises(TooLarge):
         make_named("cyclic", 0)
 
 
@@ -117,6 +119,10 @@ def test_monoid_cap():
     dfa = regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab")
     with pytest.raises(MonoidTooLarge):
         transition_monoid(dfa, cap=3)
+    # the cap is the largest order that builds
+    assert transition_monoid(dfa, cap=5).order == 5
+    with pytest.raises(MonoidTooLarge):
+        transition_monoid(dfa, cap=4)
 
 
 # --- Cayley graphs ---
