@@ -182,7 +182,7 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
         rho_s = sig.rho_bar[s]
         f_s = dec.can_f[s]
         for r in dec.residuals:
-            if any(k >= sizes[sig.add(r, rho_s)] for k in f_s[r][:sizes[r]]):
+            if max(f_s[r][:sizes[r]], default=-1) >= sizes[sig.add(r, rho_s)]:
                 return False
         for a in m.alphabet:
             g = m.eta[a]
@@ -190,9 +190,9 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
             if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
                 return False
             for r in dec.residuals:
+                n_r = sizes[r]
                 shifted = dec.can_f[g][sig.add(r, rho_s)]
-                expected = dec.can_f[t][r]
-                if any(shifted[f_s[r][k]] != expected[k] for k in range(sizes[r])):
+                if tuple(map(shifted.__getitem__, f_s[r][:n_r])) != dec.can_f[t][r][:n_r]:
                     return False
     return True
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-
-import numpy as np
+from operator import itemgetter
 
 from .dfa import Dfa
 from .errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
@@ -31,29 +30,68 @@ def compose(x: Transformation, y: Transformation) -> Transformation:
     return tuple(y[k] for k in x)
 
 
-def check_table(table, identity: int) -> None:
+def check_table(table, identity: int, generators=None) -> None:
     """Raise InvalidMonoid unless `table` satisfies the monoid laws.
 
-    Associativity is verified exhaustively (vectorized) up to order 512;
-    larger tables are trusted (they are produced by closure).
+    With `generators` (element indices), also raise unless they generate
+    the table: every element is reached from the identity by right
+    multiplication with generators.  Without them, a generating set is
+    chosen greedily.  Associativity is verified up to order 512 by Light's
+    test on that set A: (x.a).y = x.(a.y) for all x, y and every a in A,
+    one row x at a time.  Larger tables are trusted (they are produced by
+    closure).
+
+    Light's test is enough.  Let T = {t : (x.t).y = x.(t.y) for all x, y}.
+    The identity is in T by the identity laws.  For s, t in T and any x, y:
+      (x.(s.t)).y = ((x.s).t).y    since s is in T, at (x, t)
+                  = (x.s).(t.y)    since t is in T, at (x.s, y)
+                  = x.(s.(t.y))    since s is in T, at (x, t.y)
+                  = x.((s.t).y)    since t is in T, at (s, y)
+    so T is closed under products.  Every element is reached from the
+    identity by right multiplication with elements of A, so T >= A forces
+    T = M.  The cost is O(n^2 |A|) instead of O(n^3).
     """
     n = len(table)
     if n == 0 or not 0 <= identity < n:
         raise InvalidMonoid("table is empty or the identity index is out of range")
-    for row in table:
-        if len(row) != n or any(not (0 <= v < n) for v in row):
+    rows = tuple(map(tuple, table))  # whole rows are compared below
+    for row in rows:
+        if len(row) != n or min(row) < 0 or max(row) >= n:
             raise InvalidMonoid("table is not a square array of element indices")
     for i in range(n):
-        if table[identity][i] != i or table[i][identity] != i:
+        if rows[identity][i] != i or rows[i][identity] != i:
             raise InvalidMonoid(f"identity law fails at element {i}")
-    if n <= ASSOC_CHECK_CAP:
-        t = np.asarray(table, dtype=np.int32)
-        left, right = np.empty_like(t), np.empty_like(t)
-        for i in range(n):
-            # (i.x).y against i.(x.y); entries are in range, "clip" is unbuffered
-            t.take(t[i], axis=0, out=left, mode="clip")
-            if not np.array_equal(left, t[i].take(t, out=right, mode="clip")):
-                raise InvalidMonoid(f"associativity fails with left factor {i}")
+    if generators is not None:
+        if len(_closure_from(rows, identity, generators)) != n:
+            raise InvalidMonoid("generators do not generate the monoid")
+    if n > ASSOC_CHECK_CAP:
+        return
+    if generators is None:
+        generators = _generating_set(rows, identity)
+    for a in sorted(set(generators)):
+        a_row = rows[a]
+        for x, row in enumerate(rows):
+            if rows[row[a]] != tuple(map(row.__getitem__, a_row)):
+                raise InvalidMonoid(
+                    f"associativity fails with left factor {x} and middle factor {a}")
+
+
+def _generating_set(rows, identity: int) -> list:
+    """A greedy generating set: each index in ascending order that the ones
+    kept so far do not reach from the identity by right multiplication."""
+    kept, reached, seen = [], [identity], {identity}
+    for x in range(len(rows)):
+        if x in seen:
+            continue
+        kept.append(x)
+        closed = len(reached)  # reached[:closed] is closed under the others
+        for i, z in enumerate(reached):  # grows while it is read
+            for g in kept if i >= closed else (x,):
+                y = rows[z][g]
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +102,8 @@ class FiniteMonoid:
     names: tuple | None = None
 
     def __post_init__(self):
-        check_table(self.table, self.identity)
-        if self.generators:
-            reached = _closure_from(self.table, self.identity, self.generators.values())
-            if len(reached) != self.order:
-                raise InvalidMonoid("generators do not generate the monoid")
+        check_table(self.table, self.identity,
+                    self.generators.values() if self.generators else None)
 
     @property
     def order(self) -> int:
@@ -124,38 +159,38 @@ def _close(generators, cap: int):
     """Froidure-Pin closure of transformations of one degree (Froidure &
     Pin, "Algorithms for computing finite semigroups", 1997).
 
-    Returns the elements (int32 arrays in BFS order from the identity at 0,
-    generators tried in order), the right Cayley graph right[i, g], the
+    Returns the elements (tuples in BFS order from the identity at 0,
+    generators tried in order), the right Cayley graph right[i][g], the
     tree of first arrivals (element j is tree[j] = (parent, last generator))
-    and the table as a tuple of tuples.  Column j of the table is
-    right[column parent, last], so no two elements are ever composed.
-    MonoidTooLarge is raised once the order would exceed cap.
+    and the table as a tuple of tuples.  Column j of the table is column
+    parent[j] mapped through the Cayley graph of generator last[j], so no
+    two elements are ever composed.  MonoidTooLarge is raised once the
+    order would exceed cap.
     """
-    gens = [np.asarray(g, dtype=np.int32) for g in generators]
-    key = np.arange(len(gens[0]), dtype=np.int32).tobytes()
-    index = {key: 0}  # the only copy of each element: `elements` views it
-    elements, tree, right = [np.frombuffer(key, np.int32)], [(-1, -1)], []
+    gens = [tuple(g) for g in generators]
+    elements = [tuple(range(len(gens[0])))]
+    index = {elements[0]: 0}
+    tree, right = [(-1, -1)], []
     for x in elements:  # grows while it is read: a BFS queue
-        right.append([])
+        row = []
         for g, gen in enumerate(gens):
-            key = gen[x].tobytes()
-            j = index.setdefault(key, len(elements))
+            y = tuple(map(gen.__getitem__, x))
+            j = index.setdefault(y, len(elements))
             if j == len(elements):
                 if j >= cap:
                     raise MonoidTooLarge(f"transition monoid exceeds cap {cap}")
-                elements.append(np.frombuffer(key, np.int32))
-                tree.append((len(right) - 1, g))
-            right[-1].append(j)
+                elements.append(y)
+                tree.append((len(right), g))
+            row.append(j)
+        right.append(row)
     del index
-    n = len(elements)
-    right = np.asarray(right, dtype=np.int32)
-    columns = np.empty((n, n), dtype=np.int32)  # columns[j] is table[:, j]
-    columns[0] = np.arange(n)
-    for j, (parent, last) in enumerate(tree[1:], 1):
-        columns[j] = right[columns[parent], last]
-    ints = tuple(range(n))  # one shared int object per index, not per entry
-    table = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in columns.T)
-    return elements, right, tree, table
+    by_generator = list(zip(*right))  # by_generator[g][i] = right[i][g]
+    columns = [tuple(range(len(elements)))]
+    for parent, last in tree[1:]:
+        # a tuple, as the order is at least 2 here: itemgetter of one index
+        # would return a bare element
+        columns.append(itemgetter(*columns[parent])(by_generator[last]))
+    return elements, right, tree, tuple(zip(*columns))
 
 
 def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
@@ -171,10 +206,10 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
         names.append((names[parent] if parent else "") + letters[last])
-    eta = {a: int(right[0, g]) for g, a in enumerate(letters)}
+    eta = {a: right[0][g] for g, a in enumerate(letters)}
     initial, accepting = position[dfa.initial], {position[q] for q in dfa.accepting}
     accepting_image = frozenset(
-        i for i, x in enumerate(elements) if int(x[initial]) in accepting)
+        i for i, x in enumerate(elements) if x[initial] in accepting)
     monoid = FiniteMonoid(table, 0, dict(eta), tuple(names))
     return SyntacticMonoid(monoid, eta, accepting_image)
 
@@ -216,8 +251,8 @@ def find_zero(m: FiniteMonoid):
 
 def principal_ideal(m: FiniteMonoid, x: int) -> frozenset:
     """Two-sided principal ideal {s.x.t : s, t in M}."""
-    left = {m.table[s][x] for s in range(m.order)}
-    return frozenset(m.table[a][t] for a in left for t in range(m.order))
+    left = {row[x] for row in m.table}
+    return frozenset().union(*(m.table[a] for a in left))
 
 
 def is_ideal(m: FiniteMonoid, candidate) -> bool:
@@ -350,7 +385,7 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
             if kind == "full_transformation":
                 generators.append((0, 0) + tuple(range(2, k)))
         elements, _, _, table = _close(generators, k ** k)
-        names = tuple("".join(map(str, t.tolist())) for t in elements)
+        names = tuple("".join(map(str, t)) for t in elements)
         return FiniteMonoid(table, 0, {}, names)
     raise ValueError(f"unknown monoid kind {kind!r}")
 
