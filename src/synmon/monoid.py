@@ -30,16 +30,13 @@ def compose(x: Transformation, y: Transformation) -> Transformation:
     return tuple(y[k] for k in x)
 
 
-def check_table(table, identity: int, generators=None) -> None:
+def check_table(table, identity: int) -> None:
     """Raise InvalidMonoid unless `table` satisfies the monoid laws.
 
-    With `generators` (element indices), also raise unless they generate
-    the table: every element is reached from the identity by right
-    multiplication with generators.  Without them, a generating set is
-    chosen greedily.  Associativity is verified up to order 512 by Light's
-    test on that set A: (x.a).y = x.(a.y) for all x, y and every a in A,
-    one row x at a time.  Larger tables are trusted (they are produced by
-    closure).
+    Associativity is verified up to order 512 by Light's test on a greedy
+    generating set A (`_generating_set`): (x.a).y = x.(a.y) for all x, y
+    and every a in A, one row x at a time.  Larger tables are trusted
+    (they are produced by closure).
 
     Light's test is enough.  Let T = {t : (x.t).y = x.(t.y) for all x, y}.
     The identity is in T by the identity laws.  For s, t in T and any x, y:
@@ -61,14 +58,9 @@ def check_table(table, identity: int, generators=None) -> None:
     for i in range(n):
         if rows[identity][i] != i or rows[i][identity] != i:
             raise InvalidMonoid(f"identity law fails at element {i}")
-    if generators is not None:
-        if len(_closure_from(rows, identity, generators)) != n:
-            raise InvalidMonoid("generators do not generate the monoid")
     if n > ASSOC_CHECK_CAP:
         return
-    if generators is None:
-        generators = _generating_set(rows, identity)
-    for a in sorted(set(generators)):
+    for a in _generating_set(rows, identity):
         a_row = rows[a]
         for x, row in enumerate(rows):
             if rows[row[a]] != tuple(map(row.__getitem__, a_row)):
@@ -102,8 +94,11 @@ class FiniteMonoid:
     names: tuple | None = None
 
     def __post_init__(self):
-        check_table(self.table, self.identity,
-                    self.generators.values() if self.generators else None)
+        check_table(self.table, self.identity)
+        if self.generators:
+            reached = _closure_from(self.table, self.identity, self.generators.values())
+            if len(reached) != self.order:
+                raise InvalidMonoid("generators do not generate the monoid")
 
     @property
     def order(self) -> int:
