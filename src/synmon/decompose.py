@@ -14,6 +14,7 @@ pointwise left-to-right composition in the first component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .dfa import Dfa, block_dfa, minimize
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
@@ -96,19 +97,16 @@ def canonical_decomposition(m: SyntacticMonoid,
     theta = {r: sig.classes[r] for r in residuals}
     theta_inv = {r: {t: k for k, t in enumerate(theta[r])} for r in residuals}
     big_k = max(len(theta[r]) for r in residuals)
-    table = m.monoid.table
+    rows = {r: [m.monoid.table[x] for x in theta[r]] for r in residuals}
+    padding = {r: tuple(range(len(theta[r]), big_k)) for r in residuals}
     can_f = []
     for t in range(m.order):
-        shift = sig.rho_bar[t]
-        f_t = {}
-        for r in residuals:
-            target = theta_inv[sig.add(r, shift)]
-            members = theta[r]
-            f_t[r] = tuple(
-                target[table[members[k]][t]] if k < len(members) else k
-                for k in range(big_k)
-            )
-        can_f.append(f_t)
+        shift, column = sig.rho_bar[t], itemgetter(t)
+        can_f.append({
+            r: tuple(map(theta_inv[sig.add(r, shift)].__getitem__, map(column, rows[r])))
+            + padding[r]
+            for r in residuals
+        })
     dec = CanonicalDecomposition(m, sig, big_k, theta, tuple(can_f))
     report = verify_canonical(dec)
     if not report.ok:
@@ -378,17 +376,16 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
             raise VerificationFailure("first-coordinate map is not injective")
         phi[key] = t
 
-    def phi_formula(tau, c):
-        return dec.theta[c][tau[e_pos]]
-
+    # phi reads only slot e_pos, so x * Can(s) is needed at that slot alone:
+    # there (x1 then f_s(c))(e_pos) = f_s(c)(x1(e_pos))
     table = dec.m.monoid.table
+    letters = [dec.m.eta[a] for a in dec.m.alphabet]
     for (x1, c), t in phi.items():
-        if phi_formula(x1, c) != t:
+        k = x1[e_pos]
+        if dec.theta[c][k] != t:
             raise VerificationFailure(f"phi formula disagrees at element {t}")
-        for a in dec.m.alphabet:
-            s = dec.m.eta[a]
-            moved = compose(x1, dec.can_f[s][c])
-            if phi_formula(moved, sig.add(c, dec.rho(s))) != table[t][s]:
+        for s in letters:
+            if dec.theta[sig.add(c, dec.rho(s))][dec.can_f[s][c][k]] != table[t][s]:
                 raise VerificationFailure(
                     f"wreath action disagrees with multiplication at ({t}, {s})"
                 )

@@ -4,6 +4,17 @@ A residual is a plain tuple (r_1, ..., r_n) with 0 <= r_i < P_i.  The
 maximum period for a subset gamma is the gcd of the gamma-letter counts
 over all closed walks of the Cayley graph; any divisor of it is a valid
 period.
+
+Every cycle question here (the maximum period, the sink periods of a DFA or
+a Cayley graph, and the closed classes of a Markov chain) is answered by
+one pass over the edges, `_cycle_classes`.  It finds the strongly connected
+components once, groups the edges inside each, and gives every vertex a
+potential p along a spanning tree of its component.  The gcd of the cycle
+weights of a component is then the gcd of p(u) + w - p(v) over its edges
+(u, w, v), as for the period of a Markov chain (Denardo, "Periods of
+connected networks and powers of nonnegative matrices", Math. Oper. Res.
+1977).  Every cycle's weight is the sum of these terms along it, and each
+term is the difference of the weights of two closed walks through the root.
 """
 
 from __future__ import annotations
@@ -83,32 +94,43 @@ def strongly_connected_components(n: int, successors) -> list:
     return components
 
 
-def _component_gcd(component, weighted_edges) -> int:
-    """gcd of cycle weights inside one SCC via spanning-tree potentials.
-
-    Returns 0 when every cycle in the component has weight 0.
-    """
-    members = set(component)
-    adjacency = {}
-    for u, w, v in weighted_edges:
-        if u in members and v in members:
-            adjacency.setdefault(u, []).append((w, v))
-    if not adjacency:
-        return 0
-    root = component[0]
-    potential = {root: 0}
-    queue = [root]
-    while queue:
-        u = queue.pop()
-        for w, v in adjacency.get(u, ()):
-            if v not in potential:
-                potential[v] = potential[u] + w
-                queue.append(v)
-    g = 0
-    for u, neighbours in adjacency.items():
-        for w, v in neighbours:
-            g = math.gcd(g, abs(potential[u] + w - potential[v]))
-    return g
+def _cycle_classes(n: int, edges) -> list:
+    """Every strongly connected component of the graph on 0..n-1 with the
+    weighted edges (u, w, v), as (component, closed, gcd) in the order of
+    `strongly_connected_components`.  `closed` says that no edge leaves the
+    component, and gcd is the gcd of the weights of its cycles, 0 when it
+    has no cycle of nonzero weight."""
+    successors = [[] for _ in range(n)]
+    for u, _, v in edges:
+        successors[u].append(v)
+    components = strongly_connected_components(n, successors)
+    owner = [0] * n
+    for c, component in enumerate(components):
+        for v in component:
+            owner[v] = c
+    closed = [True] * len(components)
+    internal = [[] for _ in range(n)]  # u -> (w, v) for the edges inside owner[u]
+    for u, w, v in edges:
+        if owner[u] == owner[v]:
+            internal[u].append((w, v))
+        else:
+            closed[owner[u]] = False
+    potential = [None] * n
+    classes = []
+    for c, component in enumerate(components):
+        root = component[0]
+        potential[root] = 0
+        stack, g = [root], 0
+        while stack:
+            u = stack.pop()
+            for w, v in internal[u]:
+                if potential[v] is None:
+                    potential[v] = potential[u] + w  # a tree edge adds 0 to g
+                    stack.append(v)
+                else:
+                    g = math.gcd(g, potential[u] + w - potential[v])
+        classes.append((component, closed[c], g))
+    return classes
 
 
 def max_period(m: SyntacticMonoid, gamma) -> int:
@@ -117,14 +139,8 @@ def max_period(m: SyntacticMonoid, gamma) -> int:
     gamma = set(gamma)
     if not gamma or not gamma <= set(m.alphabet):
         raise UnknownSymbol(f"gamma {sorted(gamma)} is not a non-empty subset of the alphabet")
-    graph = cayley_graph(m)
-    weighted = [(u, 1 if a in gamma else 0, v) for u, a, v in graph.edges]
-    successors = [[] for _ in graph.vertices]
-    for u, _, v in weighted:
-        successors[u].append(v)
-    g = 0
-    for component in strongly_connected_components(len(graph.vertices), successors):
-        g = math.gcd(g, _component_gcd(component, weighted))
+    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in cayley_graph(m).edges]
+    g = math.gcd(*(period for _, _, period in _cycle_classes(m.order, edges)))
     if g == 0:
         raise InternalNoPositiveCycle(
             "no closed walk with positive gamma-weight; impossible for a Cayley graph"
@@ -205,38 +221,18 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
     return PeriodSignature(alphabet, gammas, tuple(periods), tuple(rho_bar), classes)
 
 
-def _as_plain_graph(graph):
-    """(vertices, unlabeled edge list) from a CayleyGraph or a Dfa."""
-    if isinstance(graph, CayleyGraph):
-        return list(graph.vertices), [(u, v) for u, _, v in graph.edges]
-    if isinstance(graph, Dfa):
-        vertices = list(graph.states)
-        edges = [(q, graph.delta[(q, a)]) for q in vertices for a in sorted(graph.alphabet)]
-        return vertices, edges
-    raise TypeError(f"expected CayleyGraph or Dfa, got {type(graph).__name__}")
-
-
 def sink_periods(graph) -> list:
     """Sinks (SCCs without outgoing edges) with their periods, the gcd of
     their cycle lengths.  Vertices keep their original ids."""
-    vertices, edges = _as_plain_graph(graph)
-    position = {q: i for i, q in enumerate(vertices)}
-    successors = [[] for _ in vertices]
-    for u, v in edges:
-        successors[position[u]].append(position[v])
-    components = strongly_connected_components(len(vertices), successors)
-    component_of = {}
-    for k, comp in enumerate(components):
-        for v in comp:
-            component_of[v] = k
-    results = []
-    for k, comp in enumerate(components):
-        members = set(comp)
-        if any(component_of[w] != k for v in comp for w in successors[v]):
-            continue
-        if not any(w in members for v in comp for w in successors[v]):
-            continue  # no internal edge, no closed walk
-        weighted = [(v, 1, w) for v in comp for w in successors[v] if w in members]
-        period = _component_gcd(comp, weighted)
-        results.append((tuple(vertices[v] for v in comp), period))
-    return results
+    if isinstance(graph, CayleyGraph):
+        vertices, edges = graph.vertices, [(u, 1, v) for u, _, v in graph.edges]
+    elif isinstance(graph, Dfa):
+        vertices = graph.states
+        position = {q: i for i, q in enumerate(vertices)}
+        edges = [(position[q], 1, position[graph.delta[(q, a)]])
+                 for q in vertices for a in sorted(graph.alphabet)]
+    else:
+        raise TypeError(f"expected CayleyGraph or Dfa, got {type(graph).__name__}")
+    return [(tuple(vertices[v] for v in component), period)
+            for component, closed, period in _cycle_classes(len(vertices), edges)
+            if closed and period]

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import product
 
 from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
-from .dfa import Dfa
+from .dfa import Dfa, minimize
 from .errors import InvalidPeriod, ScopeError, VerificationFailure
-from .monoid import SyntacticMonoid, find_zero, principal_ideal
-from .periods import max_period, strongly_connected_components
+from .monoid import SyntacticMonoid, find_zero, principal_ideal, transition_monoid
+from .periods import _cycle_classes, max_period
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,9 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     size = len(dfa.alphabet) ** period
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     h = {}
-    for component in strongly_connected_components(n, [list(row) for row in rows]):
-        if any(j not in component for i in component for j in rows[i]):
+    edges = [(i, 1, j) for i, row in enumerate(rows) for j in row]
+    for component, closed, _ in _cycle_classes(n, edges):
+        if not closed:
             continue
         # the stationary distribution pi of the closed class solves
         # pi A = size pi, with one balance equation replaced by sum(pi) = 1
@@ -183,11 +184,11 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
 def maximum_period_of(dfa: Dfa) -> int:
     """Maximum period of the language of `dfa` over its whole alphabet.
 
-    The public helpers below check a caller's period against it; an
+    `accumulation_points` checks a caller's period against it; an
     `Analysis` computes it once as a stage instead.
     """
-    from .pipeline import Analysis  # pipeline.py is built on this module
-    return Analysis(dfa).max_period
+    m = transition_monoid(minimize(dfa))
+    return max_period(m, m.alphabet)
 
 
 def accumulation_points(dfa: Dfa, period: int) -> list:
@@ -253,7 +254,7 @@ def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> Residual
     """Theorem-style verdict for the block language L_w; see
     `residual_verdict`."""
     period = dec.signature.periods[0]
-    if period != maximum_period_of(dfa):
+    if period != max_period(dec.m, dec.m.alphabet):
         raise ScopeError("zero-one residual verdicts need the maximum period")
     rec = lw_recognizer(dec, w)
     return residual_verdict(w, rec.monoid, rec.accepting, limit_mu_blocks(dfa, w, period))
@@ -285,7 +286,7 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
 def mu_consistency(dec: CanonicalDecomposition, dfa: Dfa, r: int) -> MuConsistency:
     """Check mu_r = average of mu_{L_w} over w in Sigma^r, exactly."""
     period = dec.signature.periods[0]
-    if period != maximum_period_of(dfa):
+    if period != max_period(dec.m, dec.m.alphabet):
         raise ScopeError("consistency checks need the maximum period")
     if not 0 <= r < period:
         raise ScopeError(f"residue {r} out of range for period {period}")

@@ -1,5 +1,6 @@
 import json
 import warnings
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -81,17 +82,56 @@ def small_dfas(draw):
     return Dfa(("a", "b"), tuple(range(n)), 0, frozenset(accepting), delta)
 
 
+def small_monoid(dfa, cap=64):
+    """The syntactic monoid of a DFA from `small_dfas`; examples whose
+    monoid has more than `cap` elements are skipped."""
+    try:
+        return transition_monoid(minimize(dfa), cap=cap)
+    except MonoidTooLarge:
+        assume(False)
+
+
 def random_decomposition(dfa):
     """The full-alphabet decomposition at the maximum period of a DFA from
     `small_dfas`; examples whose monoid has more than 64 elements are
     skipped."""
-    try:
-        sm = transition_monoid(minimize(dfa), cap=64)
-    except MonoidTooLarge:
-        assume(False)
+    sm = small_monoid(dfa)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return canonical_decomposition(sm, build_signature(sm, [sm.alphabet]))
+
+
+def closed_classes(successors) -> list:
+    """The closed classes of the graph v -> successors[v] on 0..n-1 by
+    definition, as (sorted class, period) in the order of their least
+    vertex: a class is the set of vertices mutually reachable with one, and
+    it is closed when nothing outside it is reachable.  The period is the
+    gcd of the lengths l <= 3n of the closed walks through the least
+    vertex.  For each simple cycle of the class two such walks differ in
+    length by the cycle's length, so that gcd is the gcd of all cycle
+    lengths."""
+    n = len(successors)
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            for w in successors[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    out = []
+    for v in range(n):
+        members = tuple(u for u in range(n) if u in reach[v] and v in reach[u])
+        if members[0] != v or not reach[v] <= set(members):
+            continue
+        period, walk_ends = 0, {v}
+        for length in range(1, 3 * n + 1):
+            walk_ends = {w for u in walk_ends for w in successors[u]}
+            if v in walk_ends:
+                period = gcd(period, length)
+        out.append((members, period))
+    return out
 
 
 def data_text(filename):

@@ -7,11 +7,11 @@ from synmon import (build_signature, cayley_graph, max_period,
                     residual_of_word, sink_periods)
 from synmon.errors import (InvalidPeriod, PeriodTrivialWarning,
                            UnknownSymbol)
-from synmon.oracle import cycle_gcd
+from synmon.oracle import OracleBudget, cycle_gcd
 from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
 
-from conftest import CORPUS_SOURCES
+from conftest import CORPUS_SOURCES, closed_classes, small_dfas, small_monoid
 
 
 def test_residual_of_word_mixed_gammas():
@@ -74,6 +74,14 @@ def test_max_period_matches_cycle_oracle(corpus):
         graph = cayley_graph(sm)
         for gamma in gammas:
             assert max_period(sm, gamma) == cycle_gcd(graph, gamma), (name, gamma)
+
+
+@given(small_dfas())
+def test_max_period_matches_cycle_oracle_on_random_dfas(dfa):
+    sm = small_monoid(dfa, cap=OracleBudget().max_monoid_order)
+    graph = cayley_graph(sm)
+    for gamma in [("a",), ("b",), ("a", "b")]:
+        assert max_period(sm, gamma) == cycle_gcd(graph, gamma), gamma
 
 
 # --- signatures ---
@@ -178,3 +186,13 @@ def test_sink_periods_divide_max_period(corpus, full_sigs):
         periods = {p for _, p in sinks}
         assert len(periods) == 1, name
         assert period % periods.pop() == 0, name
+
+
+@given(small_dfas())
+def test_sinks_are_the_closed_classes_on_random_dfas(dfa):
+    # small_dfas numbers the states 0..n-1
+    assert sink_periods(dfa) == closed_classes(
+        [[dfa.delta[(q, a)] for a in dfa.alphabet] for q in dfa.states])
+    sm = small_monoid(dfa)
+    assert sink_periods(cayley_graph(sm)) == closed_classes(
+        [[sm.monoid.table[x][sm.eta[a]] for a in sm.alphabet] for x in range(sm.order)])

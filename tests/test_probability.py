@@ -1,18 +1,20 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from synmon import (Analysis, build_signature, canonical_decomposition, mu_exact,
                     mu_series, markov_chain, mu_consistency,
                     accumulation_points, zero_one_basic, zero_one_residual)
+from synmon import periods, probability
 from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
 from synmon.probability import (AccumulationPoint, basic_verdict, limit_mu_blocks,
-                                maximum_period_of, residual_verdict)
+                                limit_vector, maximum_period_of, residual_verdict)
 
-from conftest import random_decomposition, small_dfas
+from conftest import closed_classes, random_decomposition, small_dfas
 
 def test_mu_exact_matches_quoted_value(corpus):
     dfa, _, _ = corpus["a3"]
@@ -221,6 +223,28 @@ def test_limit_mu_blocks_converges(corpus):
 def test_maximum_period_of(corpus, full_sigs):
     for name, (dfa, _, _) in corpus.items():
         assert maximum_period_of(dfa) == full_sigs[name].periods[0], name
+
+
+@given(small_dfas(), st.integers(1, 4))
+def test_limit_vector_closed_classes_on_random_dfas(dfa, period):
+    # the closed classes limit_vector solves are those of the chain at
+    # `period` letters a step; small_dfas numbers the states 0..n-1
+    solved = []
+
+    def recording(n, edges):
+        classes = periods._cycle_classes(n, edges)
+        solved.extend(component for component, closed, _ in classes if closed)
+        return classes
+
+    with mock.patch.object(probability, "_cycle_classes", recording):
+        limit_vector(dfa, period)
+    steps = []
+    for q in dfa.states:
+        reached = {q}
+        for _ in range(period):
+            reached = {dfa.delta[(p, a)] for p in reached for a in dfa.alphabet}
+        steps.append(sorted(reached))
+    assert solved == [list(members) for members, _ in closed_classes(steps)]
 
 
 # --- exact limits against float64 powers, on random DFAs ---
