@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import warnings
+from itertools import chain
 
 from . import decompose as dc
 from . import probability as pr
@@ -109,12 +110,75 @@ def _residual_zero_one_line(residuals):
     return "; ".join(parts)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CONTAINERS = (dict, list, tuple)
+_SLICE_ITEMS = 1 << 16  # about this many row items are encoded at once
+_BATCH_CHARS = 1 << 16  # about this much output is written at once
+
+
+def _json_pieces(value):
+    """Yield the pieces of `_ENCODER.encode(value)` for a JSON report with
+    string keys, so that no piece holds more than a bounded part of a large
+    value.
+
+    A dict with a container among its values is walked key by key, in
+    sorted order.  A list or tuple whose first item is a container of
+    scalars (a row) is encoded a slice of rows at a time; one whose first
+    item holds containers itself is walked item by item.  Everything else
+    goes to the C encoder whole.  Only the first item of a list is looked
+    at, which is enough for the uniform rows of a report.
+    """
+    if isinstance(value, dict):
+        if any(isinstance(v, _CONTAINERS) for v in value.values()):
+            yield "{"
+            for i, key in enumerate(sorted(value)):
+                yield ("," if i else "") + _ENCODER.encode(key) + ":"
+                yield from _json_pieces(value[key])
+            yield "}"
+            return
+    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], _CONTAINERS):
+        first = value[0]
+        nested = first.values() if isinstance(first, dict) else first[:1]
+        if any(isinstance(v, _CONTAINERS) for v in nested):
+            yield "["
+            for i, item in enumerate(value):
+                if i:
+                    yield ","
+                yield from _json_pieces(item)
+            yield "]"
+            return
+        step = max(1, _SLICE_ITEMS // max(1, len(first)))
+        yield "["
+        for start in range(0, len(value), step):
+            rows = _ENCODER.encode(value[start:start + step])
+            yield ("," if start else "") + rows[1:-1]
+        yield "]"
+        return
+    yield _ENCODER.encode(value)
+
+
+def _write_batched(pieces) -> None:
+    """Write the strings `pieces` to stdout in batches of about 64 KB."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH_CHARS:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
+
+
 def _emit(args, report_json, text_lines):
+    """Print the report: compact JSON with sorted keys under --json (the
+    bytes of `json.dumps(report_json, sort_keys=True, separators=(",",
+    ":"))`, written as they are encoded), else the text lines, which may
+    be a lazy iterable.  Every value that can fail must be computed
+    before the call, so that a failure leaves stdout empty."""
     if args.json:
-        print(json.dumps(report_json, sort_keys=True, separators=(",", ":")))
+        _write_batched(chain(_json_pieces(report_json), ("\n",)))
     else:
-        for line in text_lines:
-            print(line)
+        _write_batched(line + "\n" for line in text_lines)
 
 
 def cmd_analyze(args) -> int:
@@ -139,25 +203,8 @@ def cmd_analyze(args) -> int:
         },
         "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
     }
-    lines = [
-        f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}",
-        f"monoid: order {sm.order}",
-    ]
-    for gamma, period in zip(sig.gammas, sig.periods):
-        lines.append(f"period w.r.t. {{{','.join(gamma)}}}: {period}")
-    lines.append(
-        f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
-        f"verified={dec.report.ok}"
-    )
-    lines.append(
-        f"wreath divisor: equivariant={wreath.equivariant}, "
-        f"G divides monoid={wreath.rho_bar_surjective}"
-    )
-    for label, sinks in (("dfa", dfa_sinks), ("cayley", cayley_sinks)):
-        for comp, period in sinks:
-            lines.append(f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}")
-
-    if analysis.full_alphabet and sig.periods[0] == analysis.max_period:
+    probability = analysis.full_alphabet and sig.periods[0] == analysis.max_period
+    if probability:
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
         residual_monoids = [analysis.residual_monoid(r) for r in range(sig.periods[0])]
@@ -170,16 +217,31 @@ def cmd_analyze(args) -> int:
             "zero_one": _zero_one_json(basic, verdicts),
         }
         out["residual_monoids"] = [
-            {"r": t.r, "order": t.order, "elements": [list(x) for x in t.transformations]}
+            {"r": t.r, "order": t.order, "elements": t.transformations}
             for t in residual_monoids
         ]
-        for t in residual_monoids:
-            lines.append(f"residual monoid T_{t.r}: order {t.order}")
-        lines.append("accumulation: " + ", ".join(
-            f"r={p.r}: {p.value}" for p in basic.accumulation))
-        lines.append(f"zero-one: basic: {basic.verdict}; "
-                     + _residual_zero_one_line(verdicts))
-    _emit(args, out, lines)
+
+    def lines():
+        yield f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}"
+        yield f"monoid: order {sm.order}"
+        for gamma, period in zip(sig.gammas, sig.periods):
+            yield f"period w.r.t. {{{','.join(gamma)}}}: {period}"
+        yield (f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
+               f"verified={dec.report.ok}")
+        yield (f"wreath divisor: equivariant={wreath.equivariant}, "
+               f"G divides monoid={wreath.rho_bar_surjective}")
+        for label, sinks in (("dfa", dfa_sinks), ("cayley", cayley_sinks)):
+            for comp, period in sinks:
+                yield f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}"
+        if probability:
+            for t in residual_monoids:
+                yield f"residual monoid T_{t.r}: order {t.order}"
+            yield "accumulation: " + ", ".join(
+                f"r={p.r}: {p.value}" for p in basic.accumulation)
+            yield (f"zero-one: basic: {basic.verdict}; "
+                   + _residual_zero_one_line(verdicts))
+
+    _emit(args, out, lines())
     return 0
 
 
@@ -222,8 +284,7 @@ def cmd_prob(args) -> int:
         "accumulation": _accumulation_json(points),
         "sinks": _sinks_json(sink_periods(analysis.dfa)),
     }
-    lines = [f"{i} {v}" for i, v in enumerate(series)]
-    _emit(args, out, lines)
+    _emit(args, out, (f"{i} {v}" for i, v in enumerate(series)))
     return 0
 
 

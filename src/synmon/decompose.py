@@ -70,6 +70,12 @@ class ResidualMonoid:
     def order(self) -> int:
         return self.monoid.order
 
+    def name_of(self, i: int) -> str:
+        """"e" for the identity, else the transformation as "(k0,k1,...)"."""
+        if i == self.monoid.identity:
+            return "e"
+        return "(" + ",".join(map(str, self.transformations[i])) + ")"
+
 
 @dataclass(frozen=True)
 class LwRecognizer:
@@ -176,21 +182,26 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
             dec.can_f[identity][r][:sizes[r]] != tuple(range(sizes[r]))
             for r in dec.residuals):
         return False
+
+    def slots(f, r):
+        """The class-carrying slots of f(r): all of it when |N_r| = K."""
+        return f[r] if sizes[r] == dec.K else f[r][:sizes[r]]
+
+    letters = [m.eta[a] for a in m.alphabet]
     for s in range(m.order):
         rho_s = sig.rho_bar[s]
         f_s = dec.can_f[s]
-        for r in dec.residuals:
-            if max(f_s[r][:sizes[r]], default=-1) >= sizes[sig.add(r, rho_s)]:
+        moves = [(r, slots(f_s, r), sig.add(r, rho_s)) for r in dec.residuals]
+        for _, image, target in moves:
+            if max(image, default=-1) >= sizes[target]:
                 return False
-        for a in m.alphabet:
-            g = m.eta[a]
+        for g in letters:
             t = table[s][g]
             if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
                 return False
-            for r in dec.residuals:
-                n_r = sizes[r]
-                shifted = dec.can_f[g][sig.add(r, rho_s)]
-                if tuple(map(shifted.__getitem__, f_s[r][:n_r])) != dec.can_f[t][r][:n_r]:
+            f_g, f_t = dec.can_f[g], dec.can_f[t]
+            for r, image, target in moves:
+                if tuple(map(f_g[target].__getitem__, image)) != slots(f_t, r):
                     return False
     return True
 
@@ -206,7 +217,9 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
     composition, numbered in ascending order of t; element 0 is the
     identity.  For t, s in N_0, f_{t.s}(r) = f_t(r) then f_s(r), so the
-    table is M's table at one representative t per element."""
+    table is M's table at one representative t per element.  When every t
+    is its own representative (N_0 = M with t -> f_t(r) injective, as at
+    period 1) that is M's table itself, which T_r then shares."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
@@ -218,13 +231,11 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
             index[tau] = len(representatives)
             representatives.append(t)
         slot[t] = index[tau]
-    rows = (dec.m.monoid.table[x] for x in representatives)
-    table = tuple(tuple(slot[row[y]] for y in representatives) for row in rows)
-    names = tuple(
-        "e" if tau == identity_transformation(dec.K) else "(" + ",".join(map(str, tau)) + ")"
-        for tau in index
-    )
-    monoid = FiniteMonoid(table, 0, {}, names)
+    table = dec.m.monoid.table
+    if len(representatives) < dec.m.order:
+        rows = (table[x] for x in representatives)
+        table = tuple(tuple(slot[row[y]] for y in representatives) for row in rows)
+    monoid = FiniteMonoid(table, 0)
     return ResidualMonoid(r, tuple(index), monoid, index)
 
 
@@ -395,16 +406,19 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
 
 def decomposition_to_json(dec: CanonicalDecomposition,
                           report: VerificationReport) -> dict:
+    """The decomposition as a JSON-ready dict; the classes and the
+    transformations f_t(r) are shared, not copied (tuples encode as JSON
+    arrays)."""
     def rkey(r):
         return ",".join(map(str, r))
 
     return {
         "K": dec.K,
         "G": list(dec.signature.periods),
-        "theta": {rkey(r): list(dec.theta[r]) for r in dec.residuals},
+        "theta": {rkey(r): dec.theta[r] for r in dec.residuals},
         "can": {
             str(t): {
-                "f": {rkey(r): list(dec.can_f[t][r]) for r in dec.residuals},
+                "f": {rkey(r): dec.can_f[t][r] for r in dec.residuals},
                 "r": list(dec.rho(t)),
             }
             for t in range(dec.m.order)

@@ -413,10 +413,12 @@ def hom_generator_check(src: FiniteMonoid, dst: FiniteMonoid, mapping,
 
 
 def syntactic_to_json(sm: SyntacticMonoid) -> dict:
+    """The monoid as a JSON-ready dict; the table is shared, not copied
+    (tuples encode as JSON arrays)."""
     return {
         "order": sm.order,
         "identity": sm.monoid.identity,
-        "table": [list(row) for row in sm.monoid.table],
+        "table": sm.monoid.table,
         "generators": {a: sm.eta[a] for a in sorted(sm.eta)},
         "accepting_image": sorted(sm.accepting_image),
     }

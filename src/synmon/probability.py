@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd, lcm
 
 from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
 from .dfa import Dfa, minimize
@@ -83,6 +85,19 @@ def _counts(successors, start: int, upto: int):
         yield vector
 
 
+def _walk_counts(successors, start: int, steps: int) -> dict:
+    """{state: number of words of `steps` letters leading from state
+    `start` to it}, without the zero counts, in ascending order of state."""
+    counts = {start: 1}
+    for _ in range(steps):
+        step = {}
+        for i, count in counts.items():
+            for j in successors[i]:
+                step[j] = step.get(j, 0) + count
+        counts = step
+    return dict(sorted(counts.items()))
+
+
 def mu_exact(dfa: Dfa, length: int) -> Fraction:
     """|L intersect Sigma^length| / |Sigma|^length, exactly."""
     if length < 0:
@@ -108,27 +123,36 @@ def markov_chain(dfa: Dfa) -> MarkovChain:
 
 def _solve(equations) -> dict:
     """The unique solution of a linear system, by Gauss-Jordan elimination
-    over Fractions on sparse rows.  Each equation is a dict {unknown:
-    coefficient} with its right-hand side under the key None.  To keep the
-    fill-in low, each pivot is the unknown in the fewest rows among those of
-    the sparsest remaining row (Markowitz's rule)."""
-    rows = [{x: Fraction(v) for x, v in equation.items() if v} for equation in equations]
+    on sparse integer rows.  Each equation is a dict {unknown:
+    coefficient}, ints or Fractions, with its right-hand side under the key
+    None.  Every row is scaled to coprime integers; eliminating the pivot
+    p.x from a row holding q.x replaces it by (p.row - q.pivot row) / gcd(p,
+    q) and divides out the gcd of its entries again, so a Fraction is built
+    only for each final value.  To keep the fill-in low, each pivot is the
+    unknown in the fewest rows among those of the sparsest remaining row
+    (Markowitz's rule)."""
+    rows = [_integer_row(equation) for equation in equations]
     holders = {None: set()}  # unknown -> indices of the rows in which it appears
     for i, row in enumerate(rows):
         for x in row:
             holders.setdefault(x, set()).add(i)
     pending = set(range(len(rows)))
+    queue = [(len(row), i) for i, row in enumerate(rows)]  # stale entries are skipped
+    heapify(queue)
     while pending:
-        i = min(pending, key=lambda k: len(rows[k]))
+        size, i = heappop(queue)
+        if i not in pending or size != len(rows[i]):
+            continue
         pending.remove(i)
         row = rows[i]
         x = min((y for y in row if y is not None), key=lambda y: len(holders[y]))
-        scale = row[x]
-        for y in row:
-            row[y] /= scale
         for k in holders[x] - {i}:
             other = rows[k]
-            factor = other[x]
+            common = gcd(row[x], other[x])
+            scale, factor = row[x] // common, other[x] // common
+            if scale != 1:
+                for y in other:
+                    other[y] *= scale
             for y, v in row.items():
                 value = other.get(y, 0) - factor * v
                 if value:
@@ -137,7 +161,28 @@ def _solve(equations) -> dict:
                 else:
                     del other[y]
                     holders[y].discard(k)
-    return {x: row.get(None, Fraction(0)) for row in rows for x in row if x is not None}
+            _coprime(other)
+            if k in pending:
+                heappush(queue, (len(other), k))
+    return {x: Fraction(row.get(None, 0), row[x])
+            for row in rows for x in row if x is not None}
+
+
+def _integer_row(equation) -> dict:
+    """The equation's non-zero entries times the lcm of their denominators,
+    divided by their gcd."""
+    row = {x: v for x, v in equation.items() if v}
+    scale = lcm(*(v.denominator for v in row.values()))
+    return _coprime({x: v.numerator * (scale // v.denominator) for x, v in row.items()})
+
+
+def _coprime(row: dict) -> dict:
+    """`row` divided by the gcd of its entries."""
+    divisor = gcd(*row.values())
+    if divisor > 1:
+        for x in row:
+            row[x] //= divisor
+    return row
 
 
 def limit_vector(dfa: Dfa, period: int) -> dict:
@@ -153,8 +198,7 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     """
     successors, n = _successors(dfa), dfa.n_states
     # rows of A = size R, A[i][j] the number of words of `period` letters from i to j
-    rows = [{j: c for j, c in enumerate(list(_counts(successors, i, period))[-1]) if c}
-            for i in range(n)]
+    rows = [_walk_counts(successors, i, period) for i in range(n)]
     size = len(dfa.alphabet) ** period
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     h = {}
@@ -262,25 +306,42 @@ def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> Residual
 
 def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
                      limit: Fraction) -> ResidualZeroOne:
-    """Scan the principal ideals of T_r for one disjoint from, or contained
-    in, the elements `accepting` after the prefix w.  Sound and complete
-    because every non-empty ideal is a union of the principal ideals of its
-    members.  `limit` is the exact limit of mu_{L_w}; a witness exists
-    exactly when it is 0 or 1, and a disagreement raises
-    VerificationFailure."""
+    """Find an ideal of T_r disjoint from, or contained in, the elements
+    `accepting` after the prefix w: the first such principal ideal in
+    ascending order of its generator.  Sound and complete because every
+    non-empty ideal is a union of the principal ideals of its members.
+    `limit` is the exact limit of mu_{L_w}; a witness exists exactly when
+    it is 0 or 1, and a disagreement raises VerificationFailure.
+
+    The minimal ideal K(T_r) decides whether a witness exists (Sin'ya,
+    GandALF 2015): it lies in every ideal, so some ideal is a witness if
+    and only if K(T_r) is.  K(T_r) is the principal ideal of the product z
+    of all elements, since z = s.x.t lies in every ideal that holds an x.
+    The ascending scan runs only when K(T_r) is a witness, to report the
+    first one."""
+    table = t_r.monoid.table
+    z = t_r.monoid.identity
+    for x in range(t_r.order):
+        z = table[z][x]
     witness = None
-    for tau in range(t_r.order):
-        ideal = principal_ideal(t_r.monoid, tau)
-        if not (ideal & accepting) or ideal <= accepting:
-            witness = tuple(sorted(ideal))
-            break
+    if _decides(principal_ideal(t_r.monoid, z), accepting):
+        for tau in range(t_r.order):
+            ideal = principal_ideal(t_r.monoid, tau)
+            if _decides(ideal, accepting):
+                witness = tuple(sorted(ideal))
+                break
     is_zero_or_one = witness is not None
     if (limit in (0, 1)) != is_zero_or_one:
         raise VerificationFailure(
             f"ideal verdict {is_zero_or_one} disagrees with limit {limit} for w={w!r}"
         )
-    names = tuple(t_r.monoid.name_of(i) for i in witness) if witness else None
+    names = tuple(map(t_r.name_of, witness)) if witness else None
     return ResidualZeroOne(w, t_r.r, is_zero_or_one, witness, names, limit)
+
+
+def _decides(ideal: frozenset, accepting: frozenset) -> bool:
+    """Whether the ideal lies inside or outside the accepting elements."""
+    return not (ideal & accepting) or ideal <= accepting
 
 
 def mu_consistency(dec: CanonicalDecomposition, dfa: Dfa, r: int) -> MuConsistency:

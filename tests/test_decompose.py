@@ -123,6 +123,25 @@ def test_residual_monoid_scope_error(corpus):
         residual_monoid(dec_full, 5)
 
 
+def test_residual_monoid_shares_the_table_of_m_at_period_one(full_decs):
+    # at P = 1, N_0 = M and t -> f_t(0) is injective, so T_0's table is M's
+    dec = full_decs["a2"]
+    assert dec.signature.periods == (1,)
+    assert residual_monoid(dec, 0).monoid.table is dec.m.monoid.table
+    dec = full_decs["a3"]
+    assert dec.signature.periods == (2,)
+    assert residual_monoid(dec, 0).monoid.table is not dec.m.monoid.table
+
+
+def test_residual_monoid_names_elements_by_their_transformation(full_decs):
+    for name, dec in full_decs.items():
+        for r in range(dec.signature.periods[0]):
+            t_r = residual_monoid(dec, r)
+            assert t_r.name_of(0) == "e", name
+            for i, tau in enumerate(t_r.transformations[1:], 1):
+                assert t_r.name_of(i) == "(" + ",".join(map(str, tau)) + ")", name
+
+
 def test_residual_monoids_closed_with_identity(full_decs):
     for name, dec in full_decs.items():
         for r in range(dec.signature.periods[0]):

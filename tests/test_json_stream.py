@@ -1,0 +1,77 @@
+"""The --json report is written as it is encoded, piece by piece, and must
+be byte for byte what one `json.dumps(report, sort_keys=True,
+separators=(",", ":"))` call would print."""
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from synmon import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import kth_tail  # noqa: E402
+
+JSON = argparse.Namespace(json=True)
+
+
+def one_shot(report) -> str:
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def streamed(report, slice_items=cli._SLICE_ITEMS, batch_chars=cli._BATCH_CHARS) -> str:
+    out = io.StringIO()
+    with mock.patch.object(cli, "_SLICE_ITEMS", slice_items), \
+            mock.patch.object(cli, "_BATCH_CHARS", batch_chars), \
+            contextlib.redirect_stdout(out):
+        cli._emit(JSON, report, [])
+    return out.getvalue()
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5))
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=5)),
+    max_leaves=40)
+# uniform rows, as in tables and series: lists of equally long rows, and
+# lists of dicts with the same keys
+tables = st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.integers(), min_size=width, max_size=width), max_size=12))
+series = st.lists(st.fixed_dictionaries({"len": st.integers(), "num": st.integers(),
+                                         "den": st.integers(1, 9)}), max_size=12)
+reports = st.dictionaries(st.text(max_size=4), st.one_of(values, tables, series),
+                          max_size=5)
+
+
+@settings(max_examples=300)
+@given(st.one_of(values, tables, series, reports), st.integers(1, 8), st.integers(1, 64))
+def test_streamed_bytes_equal_one_json_dumps(report, slice_items, batch_chars):
+    assert streamed(report, slice_items, batch_chars) == one_shot(report)
+
+
+def test_analyze_json_streams_the_bytes_of_one_dump(tmp_path):
+    path = tmp_path / "kth_tail_5.json"
+    path.write_text(json.dumps(kth_tail(5).dfa))
+    reports = []
+    emit = cli._emit
+
+    def recording(args, report_json, text_lines):
+        reports.append(report_json)
+        emit(args, report_json, text_lines)
+
+    for slice_items in (cli._SLICE_ITEMS, 100):
+        out = io.StringIO()
+        with mock.patch.object(cli, "_emit", recording), \
+                mock.patch.object(cli, "_SLICE_ITEMS", slice_items), \
+                contextlib.redirect_stdout(out):
+            assert cli.main(["analyze", "--json", "--dfa", str(path)]) == 0
+        assert out.getvalue() == one_shot(reports[-1])
+        assert json.loads(out.getvalue())["monoid"]["order"] == 127

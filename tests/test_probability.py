@@ -1,20 +1,28 @@
 import itertools
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synmon import (Analysis, build_signature, canonical_decomposition, mu_exact,
+from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa,
+                    lw_recognizer, mu_exact, principal_ideal,
                     mu_series, markov_chain, mu_consistency,
                     accumulation_points, zero_one_basic, zero_one_residual)
 from synmon import periods, probability
 from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
-from synmon.probability import (AccumulationPoint, basic_verdict, limit_mu_blocks,
-                                limit_vector, maximum_period_of, residual_verdict)
+from synmon.probability import (AccumulationPoint, _solve, basic_verdict,
+                                limit_mu_blocks, limit_vector, maximum_period_of,
+                                residual_verdict)
 
 from conftest import closed_classes, random_decomposition, small_dfas
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import counter, kth_tail  # noqa: E402
 
 def test_mu_exact_matches_quoted_value(corpus):
     dfa, _, _ = corpus["a3"]
@@ -183,6 +191,47 @@ def test_verdicts_match_limits_both_ways(corpus, full_decs):
                     assert is_ideal(t_r.monoid, set(verdict.witness)), (name, w)
 
 
+def scan_witness(t_r, accepting):
+    """The first principal ideal of T_r, in ascending order of its
+    generator, that lies inside or outside `accepting`, or None: the
+    verdict by definition, scanning every element."""
+    for tau in range(t_r.order):
+        ideal = principal_ideal(t_r.monoid, tau)
+        if not (ideal & accepting) or ideal <= accepting:
+            return tuple(sorted(ideal))
+    return None
+
+
+def assert_verdicts_match_scan(analysis):
+    for verdict in analysis.residual_verdicts:
+        rec = analysis.recognizer(verdict.w)
+        assert verdict.witness == scan_witness(rec.monoid, rec.accepting), verdict.w
+
+
+@pytest.mark.filterwarnings("ignore:all periods are 1")
+def test_minimal_ideal_verdicts_match_the_scan_on_the_corpus(corpus):
+    for name, (dfa, _, _) in corpus.items():
+        assert_verdicts_match_scan(Analysis(dfa))
+
+
+@pytest.mark.filterwarnings("ignore:all periods are 1")
+@pytest.mark.parametrize("language", [kth_tail(k) for k in range(1, 6)]
+                         + [counter(n) for n in (4, 6, 8)], ids=lambda lang: lang.name)
+def test_minimal_ideal_verdicts_match_the_scan_on_families(language):
+    assert_verdicts_match_scan(Analysis(load_dfa(json.dumps(language.dfa))))
+
+
+@given(small_dfas())
+def test_minimal_ideal_verdicts_match_the_scan_on_random_dfas(dfa):
+    dec = random_decomposition(dfa)
+    h = limit_vector(dfa, dec.signature.periods[0])
+    for r in range(dec.signature.periods[0]):
+        for w in map("".join, itertools.product("ab", repeat=r)):
+            rec = lw_recognizer(dec, w)
+            verdict = residual_verdict(w, rec.monoid, rec.accepting, h[dfa.run(w)])
+            assert verdict.witness == scan_witness(rec.monoid, rec.accepting), w
+
+
 def test_verdicts_reject_limits_off_zero_or_one_by_any_amount(corpus):
     # the algebra says 1; a limit 1e-9 below it is a verification failure
     near_one = 1 - Fraction(1, 10 ** 9)
@@ -223,6 +272,80 @@ def test_limit_mu_blocks_converges(corpus):
 def test_maximum_period_of(corpus, full_sigs):
     for name, (dfa, _, _) in corpus.items():
         assert maximum_period_of(dfa) == full_sigs[name].periods[0], name
+
+
+def fraction_solve(equations) -> dict:
+    """The unique solution of a linear system by Gauss-Jordan elimination
+    over Fractions, each pivot row divided by its pivot: the reference for
+    `probability._solve`, which eliminates on integer rows.  Equations are
+    dicts {unknown: coefficient} with the right-hand side under None."""
+    rows = [{x: Fraction(v) for x, v in equation.items() if v} for equation in equations]
+    holders = {None: set()}
+    for i, row in enumerate(rows):
+        for x in row:
+            holders.setdefault(x, set()).add(i)
+    pending = set(range(len(rows)))
+    while pending:
+        i = min(pending, key=lambda k: len(rows[k]))
+        pending.remove(i)
+        row = rows[i]
+        x = min((y for y in row if y is not None), key=lambda y: len(holders[y]))
+        scale = row[x]
+        for y in row:
+            row[y] /= scale
+        for k in holders[x] - {i}:
+            other = rows[k]
+            factor = other[x]
+            for y, v in row.items():
+                value = other.get(y, 0) - factor * v
+                if value:
+                    other[y] = value
+                    holders[y].add(k)
+                else:
+                    del other[y]
+                    holders[y].discard(k)
+    return {x: row.get(None, Fraction(0)) for row in rows for x in row if x is not None}
+
+
+@st.composite
+def regular_systems(draw):
+    """Sparse linear systems with a unique solution: strictly diagonally
+    dominant integer coefficients, and right-hand sides that are ints or
+    Fractions."""
+    n = draw(st.integers(1, 7))
+    equations = []
+    for i in range(n):
+        row = {j: draw(st.integers(-4, 4)) for j in range(n)
+               if j != i and draw(st.booleans())}
+        dominance = sum(abs(v) for v in row.values()) + draw(st.integers(1, 5))
+        row[i] = draw(st.sampled_from([dominance, -dominance]))
+        row[None] = draw(st.one_of(
+            st.integers(-20, 20),
+            st.fractions(min_value=-20, max_value=20, max_denominator=12)))
+        equations.append(row)
+    return equations
+
+
+@settings(max_examples=300)
+@given(regular_systems())
+def test_integer_elimination_matches_fraction_elimination(equations):
+    assert _solve(equations) == fraction_solve(equations)
+
+
+def test_limit_vector_systems_match_fraction_elimination(corpus):
+    # the systems limit_vector builds, solved by both eliminations
+    systems = []
+
+    def recording(equations):
+        systems.append(equations)
+        return _solve(equations)
+
+    for dfa, _, _ in corpus.values():
+        with mock.patch.object(probability, "_solve", recording):
+            limit_vector(dfa, maximum_period_of(dfa))
+    assert systems
+    for equations in systems:
+        assert _solve(equations) == fraction_solve(equations)
 
 
 @given(small_dfas(), st.integers(1, 4))
