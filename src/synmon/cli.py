@@ -15,7 +15,7 @@ from itertools import chain
 from . import decompose as dc
 from . import probability as pr
 from .dfa import load_dfa
-from .errors import InvalidArgument, SynmonError, VerificationFailure
+from .errors import FormatError, InvalidArgument, SynmonError, VerificationFailure
 from .monoid import cayley_to_dot, syntactic_to_json
 from .oracle import cycle_gcd, lw_enumerate, mu_enumerate
 from .periods import sink_periods
@@ -32,7 +32,11 @@ def _load_source(args):
         alphabet = sorted(set(args.alphabet) if args.alphabet else symbols_of(ast))
         return regex_to_dfa(ast, alphabet)
     with open(args.dfa, encoding="utf-8") as handle:
-        return load_dfa(handle.read())
+        try:
+            document = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{args.dfa} is not UTF-8: {exc}") from None
+    return load_dfa(document)
 
 
 def _parse_gammas(args):
@@ -45,7 +49,11 @@ def _parse_gammas(args):
 def _parse_periods(args):
     if not getattr(args, "periods", None):
         return None
-    return [int(p) for p in args.periods.split(",")]
+    try:
+        return [int(p) for p in args.periods.split(",")]
+    except ValueError:
+        raise InvalidArgument(
+            f"--periods must be comma-separated integers, got {args.periods!r}") from None
 
 
 def _analysis(args) -> Analysis:
@@ -113,7 +121,6 @@ def _residual_zero_one_line(residuals):
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
 _SLICE_ITEMS = 1 << 16  # about this many row items are encoded at once
-_BATCH_CHARS = 1 << 16  # about this much output is written at once
 
 
 def _json_pieces(value):
@@ -157,18 +164,6 @@ def _json_pieces(value):
     yield _ENCODER.encode(value)
 
 
-def _write_batched(pieces) -> None:
-    """Write the strings `pieces` to stdout in batches of about 64 KB."""
-    batch, size = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= _BATCH_CHARS:
-            sys.stdout.write("".join(batch))
-            batch, size = [], 0
-    sys.stdout.write("".join(batch))
-
-
 def _emit(args, report_json, text_lines):
     """Print the report: compact JSON with sorted keys under --json (the
     bytes of `json.dumps(report_json, sort_keys=True, separators=(",",
@@ -176,9 +171,9 @@ def _emit(args, report_json, text_lines):
     be a lazy iterable.  Every value that can fail must be computed
     before the call, so that a failure leaves stdout empty."""
     if args.json:
-        _write_batched(chain(_json_pieces(report_json), ("\n",)))
+        sys.stdout.writelines(chain(_json_pieces(report_json), ("\n",)))
     else:
-        _write_batched(line + "\n" for line in text_lines)
+        sys.stdout.writelines(line + "\n" for line in text_lines)
 
 
 def cmd_analyze(args) -> int:
@@ -195,7 +190,7 @@ def cmd_analyze(args) -> int:
     out = {
         "monoid": syntactic_to_json(sm),
         "signature": _signature_json(sig),
-        "decomposition": dc.decomposition_to_json(dec, dec.report),
+        "decomposition": dc.decomposition_to_json(dec),
         "wreath": {
             "equivariant": wreath.equivariant,
             "rho_bar_surjective": wreath.rho_bar_surjective,
@@ -203,7 +198,7 @@ def cmd_analyze(args) -> int:
         },
         "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
     }
-    probability = analysis.full_alphabet and sig.periods[0] == analysis.max_period
+    probability = sig.full_alphabet_at_maximum
     if probability:
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
@@ -291,7 +286,7 @@ def cmd_prob(args) -> int:
 def cmd_decompose(args) -> int:
     analysis = _analysis(args)
     dec, sig = analysis.decomposition, analysis.signature
-    out = dc.decomposition_to_json(dec, dec.report)
+    out = dc.decomposition_to_json(dec)
     lines = [
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
         f"homomorphism={dec.report.homomorphism} injective={dec.report.injective} "

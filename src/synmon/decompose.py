@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .dfa import Dfa, block_dfa, minimize
+from .dfa import Dfa, block_dfa, minimize, words_of_length
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
                      VerificationFailure)
 from .monoid import (FiniteMonoid, SyntacticMonoid, compose, hom_generator_check,
@@ -182,16 +182,11 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
             dec.can_f[identity][r][:sizes[r]] != tuple(range(sizes[r]))
             for r in dec.residuals):
         return False
-
-    def slots(f, r):
-        """The class-carrying slots of f(r): all of it when |N_r| = K."""
-        return f[r] if sizes[r] == dec.K else f[r][:sizes[r]]
-
     letters = [m.eta[a] for a in m.alphabet]
     for s in range(m.order):
         rho_s = sig.rho_bar[s]
         f_s = dec.can_f[s]
-        moves = [(r, slots(f_s, r), sig.add(r, rho_s)) for r in dec.residuals]
+        moves = [(r, f_s[r][:sizes[r]], sig.add(r, rho_s)) for r in dec.residuals]
         for _, image, target in moves:
             if max(image, default=-1) >= sizes[target]:
                 return False
@@ -201,16 +196,15 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
                 return False
             f_g, f_t = dec.can_f[g], dec.can_f[t]
             for r, image, target in moves:
-                if tuple(map(f_g[target].__getitem__, image)) != slots(f_t, r):
+                if tuple(map(f_g[target].__getitem__, image)) != f_t[r][:sizes[r]]:
                     return False
     return True
 
 
 def _require_full_alphabet(dec: CanonicalDecomposition) -> int:
-    sig = dec.signature
-    if sig.n != 1 or tuple(sig.gammas[0]) != tuple(sig.alphabet):
+    if not dec.signature.full_alphabet:
         raise ScopeError("residual monoids need a single period over the full alphabet")
-    return sig.periods[0]
+    return dec.signature.periods[0]
 
 
 def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
@@ -219,7 +213,7 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     identity.  For t, s in N_0, f_{t.s}(r) = f_t(r) then f_s(r), so the
     table is M's table at one representative t per element.  When every t
     is its own representative (N_0 = M with t -> f_t(r) injective, as at
-    period 1) that is M's table itself, which T_r then shares."""
+    period 1) that is M's table itself, and T_r shares M's checked monoid."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
@@ -231,19 +225,12 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
             index[tau] = len(representatives)
             representatives.append(t)
         slot[t] = index[tau]
-    table = dec.m.monoid.table
+    monoid = dec.m.monoid
     if len(representatives) < dec.m.order:
-        rows = (table[x] for x in representatives)
-        table = tuple(tuple(slot[row[y]] for y in representatives) for row in rows)
-    monoid = FiniteMonoid(table, 0)
+        rows = (monoid.table[x] for x in representatives)
+        monoid = FiniteMonoid(
+            tuple(tuple(slot[row[y]] for y in representatives) for row in rows), 0)
     return ResidualMonoid(r, tuple(index), monoid, index)
-
-
-def _blocks(alphabet, period: int) -> list:
-    blocks = [""]
-    for _ in range(period):
-        blocks = [b + a for b in blocks for a in sorted(alphabet)]
-    return blocks
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:
@@ -263,7 +250,7 @@ def block_images(dec: CanonicalDecomposition, r: int) -> dict:
     period = _require_full_alphabet(dec)
     return {
         b: dec.can_f[dec.m.image_of_word(b)][(r,)]
-        for b in _blocks(dec.signature.alphabet, period)
+        for b in words_of_length(dec.signature.alphabet, period)
     }
 
 
@@ -404,8 +391,7 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     return WreathEmbedding(dec.K, sig.periods, phi, True, surjective)
 
 
-def decomposition_to_json(dec: CanonicalDecomposition,
-                          report: VerificationReport) -> dict:
+def decomposition_to_json(dec: CanonicalDecomposition) -> dict:
     """The decomposition as a JSON-ready dict; the classes and the
     transformations f_t(r) are shared, not copied (tuples encode as JSON
     arrays)."""
@@ -423,5 +409,5 @@ def decomposition_to_json(dec: CanonicalDecomposition,
             }
             for t in range(dec.m.order)
         },
-        "verified": report.ok,
+        "verified": dec.report.ok,
     }

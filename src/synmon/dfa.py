@@ -11,6 +11,8 @@ import json
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
+
 from .errors import FormatError, PartialTransitionFunction, UnknownState
 
 State = str | int
@@ -154,8 +156,12 @@ def load_dfa(document: str) -> Dfa:
         raise FormatError("alphabet must be a non-empty list of single-character strings")
     if not isinstance(states, list) or not states or any(not isinstance(q, str) for q in states):
         raise FormatError("states must be a non-empty list of strings")
-    if not isinstance(data["accepting"], list):
-        raise FormatError("accepting must be a list")
+    # JSON arrays and objects are not state ids (nor hashable)
+    if isinstance(data["initial"], (list, dict)):
+        raise FormatError(f"initial must be a state id, got {data['initial']!r}")
+    if (not isinstance(data["accepting"], list)
+            or any(isinstance(q, (list, dict)) for q in data["accepting"])):
+        raise FormatError("accepting must be a list of state ids")
     if not isinstance(data["transitions"], list):
         raise FormatError("transitions must be a list")
     declared = set(states)
@@ -163,7 +169,9 @@ def load_dfa(document: str) -> Dfa:
         raise FormatError("duplicate state ids")
     delta = {}
     for entry in data["transitions"]:
-        if not isinstance(entry, dict) or set(entry) != {"from", "on", "to"}:
+        if (not isinstance(entry, dict) or set(entry) != {"from", "on", "to"}
+                or isinstance(entry["from"], (list, dict))
+                or isinstance(entry["to"], (list, dict))):
             raise FormatError(f"bad transition entry: {entry!r}")
         src, sym, dst = entry["from"], entry["on"], entry["to"]
         if sym not in alphabet:
@@ -193,6 +201,12 @@ def load_dfa(document: str) -> Dfa:
     return trimmed
 
 
+def words_of_length(alphabet, length: int) -> list:
+    """Every word of `length` letters over `alphabet`, as strings in
+    lexicographic order."""
+    return list(map("".join, product(sorted(alphabet), repeat=length)))
+
+
 def block_dfa(dfa: Dfa, prefix: str, period: int) -> Dfa:
     """DFA over the alphabet of length-`period` blocks, started after
     reading `prefix`; accepts u iff prefix+u is accepted by `dfa`.
@@ -200,10 +214,7 @@ def block_dfa(dfa: Dfa, prefix: str, period: int) -> Dfa:
     Block symbols are the concatenated letters, enumerated in lexicographic
     order.  The result is trimmed but not minimized.
     """
-    letters = sorted(dfa.alphabet)
-    blocks = [""]
-    for _ in range(period):
-        blocks = [b + a for b in blocks for a in letters]
+    blocks = words_of_length(dfa.alphabet, period)
     start = dfa.run(prefix)
     seen = {start}
     order = [start]

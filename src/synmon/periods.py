@@ -153,12 +153,25 @@ class PeriodSignature:
     alphabet: tuple
     gammas: tuple       # tuple of sorted letter tuples
     periods: tuple
+    maxima: tuple       # the maximum period of each gamma
     rho_bar: tuple      # element index -> residual tuple
     classes: dict       # residual tuple -> sorted tuple of element indices
 
     @property
     def n(self) -> int:
         return len(self.gammas)
+
+    @property
+    def full_alphabet(self) -> bool:
+        """One period over the whole alphabet: the scope of residual monoids
+        and recognizers."""
+        return self.n == 1 and self.gammas[0] == self.alphabet
+
+    @property
+    def full_alphabet_at_maximum(self) -> bool:
+        """`full_alphabet` at the maximum period: the scope of limits per
+        residue and of zero-one verdicts."""
+        return self.full_alphabet and self.periods == self.maxima
 
     def residuals(self):
         """All residual vectors in lexicographic order."""
@@ -184,9 +197,9 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
     for g in gammas:
         if not g or not set(g) <= set(alphabet):
             raise UnknownSymbol(f"gamma {list(g)} is not a non-empty subset of the alphabet")
-    maxima = [max_period(m, g) for g in gammas]
+    maxima = tuple(max_period(m, g) for g in gammas)
     if periods is None:
-        periods = tuple(maxima)
+        periods = maxima
     else:
         periods = tuple(int(p) for p in periods)
         if len(periods) != len(gammas):
@@ -199,7 +212,7 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
     if all(p == 1 for p in periods):
         warnings.warn("all periods are 1; the decomposition is degenerate",
                       PeriodTrivialWarning, stacklevel=2)
-    sig = PeriodSignature(alphabet, gammas, periods, (), {})
+    sig = PeriodSignature(alphabet, gammas, periods, maxima, (), {})
     rho_bar = [None] * m.order
     rho_bar[m.monoid.identity] = tuple(0 for _ in periods)
     queue = [m.monoid.identity]
@@ -218,7 +231,7 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
     for i, r in enumerate(rho_bar):
         classes[r].append(i)
     classes = {r: tuple(v) for r, v in classes.items()}
-    return PeriodSignature(alphabet, gammas, tuple(periods), tuple(rho_bar), classes)
+    return PeriodSignature(alphabet, gammas, periods, maxima, tuple(rho_bar), classes)
 
 
 def sink_periods(graph) -> list:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
 
 from . import decompose as dc
 from . import probability as pr
-from .dfa import Dfa, minimize
+from .dfa import Dfa, minimize, words_of_length
 from .errors import ScopeError
 from .monoid import CayleyGraph, SyntacticMonoid, cayley_graph, transition_monoid
 from .periods import PeriodSignature, build_signature, max_period
@@ -72,13 +71,6 @@ class Analysis:
     def wreath(self) -> dc.WreathEmbedding:
         return dc.wreath_divisor(self.decomposition)
 
-    @property
-    def full_alphabet(self) -> bool:
-        """One period over the whole alphabet: the scope of residual monoids
-        and recognizers, and of verdicts when that period is the maximum."""
-        sig = self.signature
-        return sig.n == 1 and sig.gammas[0] == self.monoid.alphabet
-
     def residual_monoid(self, r: int) -> dc.ResidualMonoid:
         if r not in self._residual_monoids:
             self._residual_monoids[r] = dc.residual_monoid(self.decomposition, r)
@@ -115,16 +107,15 @@ class Analysis:
     def residual_verdicts(self) -> tuple:
         """One verdict per prefix w with |w| < P, shortest first and then in
         lexicographic order, each equal to `zero_one_residual` for w."""
-        period = self.signature.periods[0]
-        if period != self.max_period:
+        sig = self.signature
+        if not sig.full_alphabet_at_maximum:
             raise ScopeError("zero-one residual verdicts need the maximum period")
         dec = self.decomposition
         by_image = {}
         rows = []
-        for r in range(period):
+        for r in range(sig.periods[0]):
             t_r = self.residual_monoid(r)
-            for letters in product(self.monoid.alphabet, repeat=r):
-                w = "".join(letters)
+            for w in words_of_length(self.monoid.alphabet, r):
                 image = self.monoid.image_of_word(w)
                 if image not in by_image:
                     by_image[image] = pr.residual_verdict(

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
 from math import gcd, lcm
 
 from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
-from .dfa import Dfa, minimize
+from .dfa import Dfa, minimize, words_of_length
 from .errors import InvalidPeriod, ScopeError, VerificationFailure
 from .monoid import SyntacticMonoid, find_zero, principal_ideal, transition_monoid
 from .periods import _cycle_classes, max_period
@@ -297,9 +296,9 @@ def limit_mu_blocks(dfa: Dfa, w: str, period: int) -> Fraction:
 def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> ResidualZeroOne:
     """Theorem-style verdict for the block language L_w; see
     `residual_verdict`."""
-    period = dec.signature.periods[0]
-    if period != max_period(dec.m, dec.m.alphabet):
+    if not dec.signature.full_alphabet_at_maximum:
         raise ScopeError("zero-one residual verdicts need the maximum period")
+    period = dec.signature.periods[0]
     rec = lw_recognizer(dec, w)
     return residual_verdict(w, rec.monoid, rec.accepting, limit_mu_blocks(dfa, w, period))
 
@@ -346,14 +345,13 @@ def _decides(ideal: frozenset, accepting: frozenset) -> bool:
 
 def mu_consistency(dec: CanonicalDecomposition, dfa: Dfa, r: int) -> MuConsistency:
     """Check mu_r = average of mu_{L_w} over w in Sigma^r, exactly."""
-    period = dec.signature.periods[0]
-    if period != max_period(dec.m, dec.m.alphabet):
+    if not dec.signature.full_alphabet_at_maximum:
         raise ScopeError("consistency checks need the maximum period")
+    period = dec.signature.periods[0]
     if not 0 <= r < period:
         raise ScopeError(f"residue {r} out of range for period {period}")
     h = limit_vector(dfa, period)
     mu_r = residue_limits(dfa, period, h)[r].value
-    words = map("".join, product(sorted(dfa.alphabet), repeat=r))
-    per_word = tuple((w, h[dfa.run(w)]) for w in words)
+    per_word = tuple((w, h[dfa.run(w)]) for w in words_of_length(dfa.alphabet, r))
     average = Fraction(sum(v for _, v in per_word), len(per_word))
     return MuConsistency(r, mu_r, per_word, average, average == mu_r)

@@ -107,12 +107,33 @@ def test_analyze_json_parses_with_expected_keys():
     assert verdicts == {"": "mixed", "a": "zero-one", "b": "zero-one"}
 
 
-@pytest.mark.parametrize("args", [
-    ("prob", "--length", "-1"),
-    ("analyze", "--length", "-1"),
-], ids=" ".join)
-def test_out_of_range_numbers_exit_two_with_one_error_line(args):
-    result = run_cli(args[0], "--dfa", str(DATA / "a3.json"), *args[1:])
+def a3_with(change) -> bytes:
+    """The a3 document after `change(doc)`, as UTF-8 bytes."""
+    doc = json.loads((DATA / "a3.json").read_text())
+    change(doc)
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("args, document", [
+    pytest.param(("prob", "--length", "-1"), None, id="prob --length -1"),
+    pytest.param(("analyze", "--length", "-1"), None, id="analyze --length -1"),
+    pytest.param(("analyze", "--periods", "2,x"), None, id="analyze --periods 2,x"),
+    pytest.param(("analyze",), b"\xff\xfe{}", id="not UTF-8"),
+    pytest.param(("analyze",), a3_with(lambda d: d.update(initial=["q1"])),
+                 id="list initial"),
+    pytest.param(("analyze",), a3_with(lambda d: d.update(accepting=[["q2"]])),
+                 id="list accepting entry"),
+    pytest.param(("analyze",), a3_with(lambda d: d["transitions"][0].update({"from": ["q1"]})),
+                 id="list transition source"),
+    pytest.param(("analyze",), a3_with(lambda d: d["transitions"][0].update(to=["q1"])),
+                 id="list transition target"),
+])
+def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_path):
+    path = DATA / "a3.json"
+    if document is not None:
+        path = tmp_path / "bad.json"
+        path.write_bytes(document)
+    result = run_cli(args[0], "--dfa", str(path), *args[1:])
     assert result.returncode == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()

@@ -128,6 +128,7 @@ def test_residual_monoid_shares_the_table_of_m_at_period_one(full_decs):
     dec = full_decs["a2"]
     assert dec.signature.periods == (1,)
     assert residual_monoid(dec, 0).monoid.table is dec.m.monoid.table
+    assert residual_monoid(dec, 0).monoid is dec.m.monoid
     dec = full_decs["a3"]
     assert dec.signature.periods == (2,)
     assert residual_monoid(dec, 0).monoid.table is not dec.m.monoid.table
@@ -272,7 +273,7 @@ def test_wreath_for_two_gamma_signature(corpus):
 
 def test_decomposition_json_shape(full_decs):
     dec = full_decs["a3"]
-    out = decomposition_to_json(dec, verify_canonical(dec))
+    out = decomposition_to_json(dec)
     assert out["K"] == 3 and out["G"] == [2] and out["verified"]
     assert set(out["theta"]) == {"0", "1"}
     assert out["can"]["0"]["r"] == [0]

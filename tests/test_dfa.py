@@ -56,6 +56,17 @@ def test_load_bad_schema():
     del doc["alphabet"]
     with pytest.raises(FormatError):
         load_dfa(json.dumps(doc))
+    # arrays where a state id belongs
+    for key, value in (("initial", ["q1"]), ("accepting", [["q2"]])):
+        doc = data_json("a3.json")
+        doc[key] = value
+        with pytest.raises(FormatError):
+            load_dfa(json.dumps(doc))
+    for end in ("from", "to"):
+        doc = data_json("a3.json")
+        doc["transitions"][0][end] = ["q1"]
+        with pytest.raises(FormatError):
+            load_dfa(json.dumps(doc))
 
 
 def test_load_drops_unreachable_with_warning():

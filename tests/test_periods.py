@@ -100,6 +100,22 @@ def test_signature_four_singletons(corpus):
     assert len(sig.classes) == 4
 
 
+def test_signature_keeps_the_maxima_and_decides_the_residual_scope(corpus):
+    _, _, sm = corpus["a1"]
+    full = build_signature(sm, ["ab"])
+    assert full.periods == full.maxima == (2,)
+    assert full.full_alphabet and full.full_alphabet_at_maximum
+    with pytest.warns(PeriodTrivialWarning):
+        below = build_signature(sm, ["ab"], [1])
+    assert below.maxima == (2,) and below.full_alphabet
+    assert not below.full_alphabet_at_maximum
+    split = build_signature(sm, ["a", "b"], [2, 1])
+    assert split.maxima == (2, 2) and not split.full_alphabet
+    single = build_signature(sm, ["a"])
+    assert single.periods == single.maxima == (2,)
+    assert not single.full_alphabet and not single.full_alphabet_at_maximum
+
+
 def test_signature_invalid_period(corpus):
     _, _, sm = corpus["all_words"]
     with pytest.raises(InvalidPeriod):

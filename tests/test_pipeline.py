@@ -6,6 +6,8 @@ import sys
 from synmon import (Analysis, cli, lw_recognizer, monoid, probability,
                     zero_one_residual)
 
+from conftest import DATA
+
 
 def count_calls(monkeypatch, module, name):
     """Wrap `module.name` in every synmon module that binds it; returns the
@@ -46,6 +48,19 @@ def test_analyze_builds_the_monoid_once(monkeypatch, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["monoid"]["order"] == 16
     assert len(builds) == 1
+
+
+def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
+    checks = count_calls(monkeypatch, monoid, "check_table")
+    # the 6th letter from the end is an a: P = 1, so T_0 shares M's checked monoid
+    assert cli.main(["analyze", "--json", "--regex", "(a|b)*a" + "(a|b)" * 5]) == 0
+    assert json.loads(capsys.readouterr().out)["monoid"]["order"] == 127
+    assert [len(table) for table, _ in checks] == [127]
+    # P = 2: M, then T_0 and T_1 with tables of their own
+    checks.clear()
+    assert cli.main(["analyze", "--json", "--dfa", str(DATA / "a3.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"]["periods"] == [2]
+    assert len(checks) == 3
 
 
 def test_residual_verdicts_once_per_prefix_image(monkeypatch, capsys):

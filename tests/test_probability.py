@@ -171,8 +171,13 @@ def test_residual_scope_needs_max_period(corpus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         dec = canonical_decomposition(sm, build_signature(sm, ["ab"], [1]))
-    with pytest.raises(ScopeError):
-        zero_one_residual(dec, dfa, "")
+    # a single letter subset at its own maximum period is out of scope too
+    dec_a = canonical_decomposition(sm, build_signature(sm, ["a"]))
+    for out_of_scope in (dec, dec_a):
+        with pytest.raises(ScopeError):
+            zero_one_residual(out_of_scope, dfa, "")
+        with pytest.raises(ScopeError):
+            mu_consistency(out_of_scope, dfa, 0)
 
 
 def test_verdicts_match_limits_both_ways(corpus, full_decs):
