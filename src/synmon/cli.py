@@ -121,6 +121,7 @@ def _residual_zero_one_line(residuals):
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
 _SLICE_ITEMS = 1 << 16  # about this many row items are encoded at once
+_WRITE_CHARS = 1 << 16  # stdout is written about this many characters at a time
 
 
 def _json_pieces(value):
@@ -164,6 +165,20 @@ def _json_pieces(value):
     yield _ENCODER.encode(value)
 
 
+def _batched(pieces):
+    """The pieces joined into strings of `_WRITE_CHARS` characters or more, but for
+    the last, so that a write-through stdout (`python -u`) gets one write each."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield "".join(batch)
+
+
 def _emit(args, report_json, text_lines):
     """Print the report: compact JSON with sorted keys under --json (the
     bytes of `json.dumps(report_json, sort_keys=True, separators=(",",
@@ -171,9 +186,10 @@ def _emit(args, report_json, text_lines):
     be a lazy iterable.  Every value that can fail must be computed
     before the call, so that a failure leaves stdout empty."""
     if args.json:
-        sys.stdout.writelines(chain(_json_pieces(report_json), ("\n",)))
+        pieces = chain(_json_pieces(report_json), ("\n",))
     else:
-        sys.stdout.writelines(line + "\n" for line in text_lines)
+        pieces = (line + "\n" for line in text_lines)
+    sys.stdout.writelines(_batched(pieces))
 
 
 def cmd_analyze(args) -> int:
@@ -317,7 +333,13 @@ def cmd_oracle(args) -> int:
             print(f"{{{','.join(gamma)}}} {cycle_gcd(analysis.cayley, gamma)}")
         return 0
     if args.oracle_op == "lw":
-        words = sorted(lw_enumerate(dfa, args.w, analysis.max_period, args.blocks))
+        period = analysis.max_period
+        if len(args.w) >= period:
+            raise InvalidArgument(f"--w {args.w!r} is not shorter than the period {period}")
+        for a in args.w:
+            if a not in dfa.alphabet:
+                raise InvalidArgument(f"--w letter {a!r} is not in the alphabet")
+        words = sorted(lw_enumerate(dfa, args.w, period, args.blocks))
         for u in words:
             print("".join(u) if u else "&")
         return 0

@@ -13,8 +13,8 @@ pointwise left-to-right composition in the first component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from typing import NamedTuple
 
 from .dfa import Dfa, block_dfa, minimize, words_of_length
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
@@ -24,15 +24,20 @@ from .monoid import (FiniteMonoid, SyntacticMonoid, compose, hom_generator_check
 from .periods import PeriodSignature
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(NamedTuple):
     m: SyntacticMonoid
     signature: PeriodSignature
     K: int
     theta: dict    # residual -> ascending tuple of element indices (N_r)
     can_f: tuple   # element t -> {residual: Transformation of degree K}
-    # the passing check made by canonical_decomposition
-    report: VerificationReport | None = field(default=None, compare=False)
+    # the passing check made by canonical_decomposition; equality ignores it
+    report: VerificationReport | None = None
+
+    def __eq__(self, other):
+        return type(other) is CanonicalDecomposition and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def residuals(self):
@@ -48,8 +53,7 @@ class CanonicalDecomposition:
         return (self.K ** self.K) ** g * g
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     homomorphism: bool
     injective: bool
     residual_condition: bool
@@ -59,8 +63,7 @@ class VerificationReport:
         return self.homomorphism and self.injective and self.residual_condition
 
 
-@dataclass(frozen=True)
-class ResidualMonoid:
+class ResidualMonoid(NamedTuple):
     r: int
     transformations: tuple
     monoid: FiniteMonoid
@@ -77,8 +80,7 @@ class ResidualMonoid:
         return "(" + ",".join(map(str, self.transformations[i])) + ")"
 
 
-@dataclass(frozen=True)
-class LwRecognizer:
+class LwRecognizer(NamedTuple):
     w: str
     r: int
     monoid: ResidualMonoid
@@ -86,8 +88,7 @@ class LwRecognizer:
     accepting: frozenset     # indices into `monoid`
 
 
-@dataclass(frozen=True)
-class WreathEmbedding:
+class WreathEmbedding(NamedTuple):
     K: int
     G: tuple                 # cyclic group orders
     phi: dict                # (f_t(0), rho_bar(t)) -> t
@@ -117,7 +118,7 @@ def canonical_decomposition(m: SyntacticMonoid,
     report = verify_canonical(dec)
     if not report.ok:
         raise VerificationFailure(f"canonical homomorphism check failed: {report}")
-    return replace(dec, report=report)
+    return dec._replace(report=report)
 
 
 def can_product(dec: CanonicalDecomposition, s: int, s2: int):
@@ -298,8 +299,7 @@ def syntactic_monoid_of_lw(dfa: Dfa, w: str, period: int,
     return transition_monoid(minimize(block_dfa(dfa, w, period)), cap=cap)
 
 
-@dataclass(frozen=True)
-class LwQuotientReport:
+class LwQuotientReport(NamedTuple):
     well_defined: bool
     surjective: bool
     homomorphism: bool

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import FormatError, PartialTransitionFunction, UnknownState
@@ -18,15 +17,31 @@ from .errors import FormatError, PartialTransitionFunction, UnknownState
 State = str | int
 
 
-@dataclass(frozen=True)
-class Dfa:
-    alphabet: tuple[str, ...]
-    states: tuple
-    initial: object
-    accepting: frozenset
-    delta: dict = field(repr=False)
+class Frozen:
+    """Base of the immutable classes with `__slots__`: `_set` fills the fields
+    once, in `__slots__` order; later assignment or deletion raises
+    AttributeError.  Equality is identity unless a subclass defines it."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Dfa(Frozen):
+    """A complete DFA, validated on construction.  Two are equal when every
+    field is; `delta` is left out of the repr."""
+    __slots__ = ("alphabet", "states", "initial", "accepting", "delta")
+
+    def __init__(self, alphabet: tuple[str, ...], states: tuple, initial,
+                 accepting: frozenset, delta: dict):
+        self._set(alphabet, states, initial, accepting, delta)
         if not self.alphabet:
             raise FormatError("alphabet is empty")
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -48,6 +63,15 @@ class Dfa:
                     raise UnknownState(f"transition ({q!r}, {a!r}) -> undeclared {target!r}")
         if len(self.delta) != len(self.states) * len(self.alphabet):
             raise FormatError("transition table has extraneous entries")
+
+    def __eq__(self, other):
+        if type(other) is not Dfa:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        return (f"Dfa(alphabet={self.alphabet!r}, states={self.states!r}, "
+                f"initial={self.initial!r}, accepting={self.accepting!r})")
 
     @property
     def n_states(self) -> int:

@@ -6,7 +6,7 @@ class SynmonError(Exception):
 
 
 class InvalidArgument(SynmonError, ValueError):
-    """A numeric argument, such as a length, is out of range."""
+    """A command-line argument, such as a length, is out of range."""
 
 
 # --- regex / DFA ingestion ---

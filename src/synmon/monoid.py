@@ -8,11 +8,11 @@ left to right: (x . y)(k) = y(x(k)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
-from .dfa import Dfa
+from .dfa import Dfa, Frozen
 from .errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
                      NotAnIdeal, NotDistributive, TooLarge)
 
@@ -86,14 +86,13 @@ def _generating_set(rows, identity: int) -> list:
     return kept
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteMonoid:
-    table: tuple
-    identity: int = 0
-    generators: dict = field(default_factory=dict)
-    names: tuple | None = None
+class FiniteMonoid(Frozen):
+    """A multiplication table, checked on construction; compared by identity."""
+    __slots__ = ("table", "identity", "generators", "names")
 
-    def __post_init__(self):
+    def __init__(self, table: tuple, identity: int = 0, generators: dict | None = None,
+                 names: tuple | None = None):
+        self._set(table, identity, {} if generators is None else generators, names)
         check_table(self.table, self.identity)
         if self.generators:
             reached = _closure_from(self.table, self.identity, self.generators.values())
@@ -121,13 +120,13 @@ def _closure_from(table, identity, generator_indices):
     return seen
 
 
-@dataclass(frozen=True, eq=False)
-class SyntacticMonoid:
+class SyntacticMonoid(Frozen):
     """Transition monoid of a minimal DFA, with the letter map and the
-    image of the language."""
-    monoid: FiniteMonoid
-    eta: dict
-    accepting_image: frozenset
+    image of the language; compared by identity."""
+    __slots__ = ("monoid", "eta", "accepting_image")
+
+    def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset):
+        self._set(monoid, eta, accepting_image)
 
     @property
     def alphabet(self) -> tuple:
@@ -144,8 +143,7 @@ class SyntacticMonoid:
         return x
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(NamedTuple):
     vertices: tuple
     edges: tuple  # (from, symbol, to), sorted by (from, symbol)
 

@@ -6,10 +6,10 @@ two paths is meaningful evidence.  Everything runs at desk scale only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .dfa import Dfa
 from .errors import BudgetExceeded
@@ -19,8 +19,7 @@ from .regexes import Alt, Cat, Epsilon, Letter, Opt, Plus, RegexAst, Star
 ENUMERATION_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     max_word_length: int = 12
     max_cycle_length: int = 64
     max_monoid_order: int = 30

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .dfa import Dfa
 from .errors import (InternalNoPositiveCycle, InvalidPeriod,
@@ -148,8 +148,7 @@ def max_period(m: SyntacticMonoid, gamma) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class PeriodSignature:
+class PeriodSignature(NamedTuple):
     alphabet: tuple
     gammas: tuple       # tuple of sorted letter tuples
     periods: tuple

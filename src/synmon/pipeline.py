@@ -15,30 +15,28 @@ once per distinct eta(w) and shared by every prefix with that image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import decompose as dc
 from . import probability as pr
-from .dfa import Dfa, minimize, words_of_length
+from .dfa import Dfa, Frozen, minimize, words_of_length
 from .errors import ScopeError
 from .monoid import CayleyGraph, SyntacticMonoid, cayley_graph, transition_monoid
 from .periods import PeriodSignature, build_signature, max_period
 
 
-@dataclass(frozen=True, eq=False)
-class Analysis:
-    """Every stage of the pipeline for one DFA.
+class Analysis(Frozen):
+    """Every stage of the pipeline for one DFA, compared by identity.
 
     `gammas` (letter subsets) and `periods` (one per subset) choose the
     signature, by default the whole alphabet at its maximum period.  Stages
-    are attributes, or methods per r and per prefix, computed on first use.
+    are attributes (in `__dict__`), or methods per r and per prefix, computed
+    on first use.
     """
-    dfa: Dfa
-    gammas: list | None = None
-    periods: list | None = None
-    _residual_monoids: dict = field(default_factory=dict, init=False, repr=False)
-    _block_images: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("dfa", "gammas", "periods", "_residual_monoids", "_block_images", "__dict__")
+
+    def __init__(self, dfa: Dfa, gammas: list | None = None, periods: list | None = None):
+        self._set(dfa, gammas, periods, {}, {})
 
     @cached_property
     def minimal(self) -> Dfa:
@@ -121,5 +119,5 @@ class Analysis:
                     by_image[image] = pr.residual_verdict(
                         w, t_r, dc.lw_accepting(dec, w, t_r),
                         self.limit_vector[self.minimal.run(w)])
-                rows.append(replace(by_image[image], w=w))
+                rows.append(by_image[image]._replace(w=w))
         return tuple(rows)

@@ -11,10 +11,10 @@ rather than being resolved silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
 from .dfa import Dfa, minimize, words_of_length
@@ -23,28 +23,24 @@ from .monoid import SyntacticMonoid, find_zero, principal_ideal, transition_mono
 from .periods import _cycle_classes, max_period
 
 
-@dataclass(frozen=True)
-class MarkovChain:
+class MarkovChain(NamedTuple):
     states: tuple
     matrix: tuple  # row-stochastic, exact Fractions
 
 
-@dataclass(frozen=True)
-class AccumulationPoint:
+class AccumulationPoint(NamedTuple):
     r: int
     value: Fraction
 
 
-@dataclass(frozen=True)
-class BasicZeroOne:
+class BasicZeroOne(NamedTuple):
     verdict: str               # zero | one | neither | oscillating
     zero_element: int | None
     period: int
     accumulation: tuple
 
 
-@dataclass(frozen=True)
-class ResidualZeroOne:
+class ResidualZeroOne(NamedTuple):
     w: str
     r: int
     is_zero_or_one: bool
@@ -53,8 +49,7 @@ class ResidualZeroOne:
     mu_lw: Fraction
 
 
-@dataclass(frozen=True)
-class MuConsistency:
+class MuConsistency(NamedTuple):
     r: int
     mu_r: Fraction
     per_word: tuple            # (w, limit) pairs

@@ -12,7 +12,7 @@ Letters are [a-z0-9]; '&' denotes the empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dfa import Dfa, minimize
 from .errors import AlphabetMismatch, RegexSyntaxError
@@ -20,44 +20,48 @@ from .errors import AlphabetMismatch, RegexSyntaxError
 LETTERS = set("abcdefghijklmnopqrstuvwxyz0123456789")
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     symbol: str
 
 
-@dataclass(frozen=True)
-class Epsilon:
+class Epsilon(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(NamedTuple):
     left: "RegexAst"
     right: "RegexAst"
 
 
-@dataclass(frozen=True)
-class Cat:
+class Cat(NamedTuple):
     left: "RegexAst"
     right: "RegexAst"
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     child: "RegexAst"
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(NamedTuple):
     child: "RegexAst"
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(NamedTuple):
     child: "RegexAst"
 
 
 RegexAst = Letter | Epsilon | Alt | Cat | Star | Plus | Opt
+
+
+def _same_node(self, other) -> bool:
+    """Same kind and equal fields: Star(x) != Plus(x), though both are (x,)."""
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+for _kind in RegexAst.__args__:
+    _kind.__eq__ = _same_node
+    _kind.__ne__ = lambda self, other: not _same_node(self, other)
+del _kind
 
 
 def parse_regex(text: str) -> RegexAst:

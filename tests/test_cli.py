@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+
+from synmon import cli
+
+from conftest import small_dfas
 
 DATA = Path(__file__).parent / "data"
 A3_REGEX = "a((a|b)(a|b))*|b(a|b)*"
@@ -127,6 +134,8 @@ def a3_with(change) -> bytes:
                  id="list transition source"),
     pytest.param(("analyze",), a3_with(lambda d: d["transitions"][0].update(to=["q1"])),
                  id="list transition target"),
+    pytest.param(("oracle", "lw", "--w", "c"), None, id="oracle lw --w outside the alphabet"),
+    pytest.param(("oracle", "lw", "--w", "aaa"), None, id="oracle lw --w past the period"),
 ])
 def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_path):
     path = DATA / "a3.json"
@@ -214,3 +223,24 @@ def test_oracle_subcommands():
     assert result.stdout.strip() == "{a,b} 2"
     result = run_cli("oracle", "lw", "--dfa", str(DATA / "a3.json"), "--blocks", "1")
     assert result.stdout.split() == ["ba", "bb"]
+
+
+VERBS = ("analyze", "monoid", "period", "prob", "decompose", "zero-one")
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@given(dfa=small_dfas())
+def test_no_verb_exits_three_on_random_dfas(tmp_path_factory, verb, dfa):
+    document = {
+        "alphabet": list(dfa.alphabet), "states": [str(q) for q in dfa.states],
+        "initial": str(dfa.initial), "accepting": [str(q) for q in dfa.accepting],
+        "transitions": [{"from": str(q), "on": a, "to": str(t)}
+                        for (q, a), t in dfa.delta.items()],
+    }
+    path = tmp_path_factory.getbasetemp() / f"random-{verb}.json"
+    path.write_text(json.dumps(document))
+    for flags in ([], ["--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([verb, "--dfa", str(path), *flags])
+        assert code != 3, err.getvalue()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -81,7 +80,7 @@ def test_mutated_tables_fail_homomorphism(full_decs):
     tau[i], tau[j] = tau[j], tau[i]
     f_t[zero] = tuple(tau)
     broken_f[t] = f_t
-    mutated = dataclasses.replace(dec, can_f=tuple(broken_f))
+    mutated = dec._replace(can_f=tuple(broken_f))
     assert not verify_canonical(mutated).homomorphism
 
 

@@ -7,7 +7,6 @@ wreath_divisor and hom_generator_check).  The references below check all
 pairs; the tests assert that both give the same answer.
 """
 
-import dataclasses
 import itertools
 import warnings
 
@@ -149,7 +148,7 @@ def mutated(dec, t, r, size):
     f_t[r] = tuple(tau)
     can_f = list(dec.can_f)
     can_f[t] = f_t
-    return dataclasses.replace(dec, can_f=tuple(can_f))
+    return dec._replace(can_f=tuple(can_f))
 
 
 def test_agree_on_mutated_letter_tables(full_decs):
@@ -190,7 +189,7 @@ def test_verify_on_random_single_slot_mutations(dfa, data):
     f_t = dict(dec.can_f[t])
     f_t[r] = f_t[r][:k] + (value,) + f_t[r][k + 1:]
     can_f = dec.can_f[:t] + (f_t,) + dec.can_f[t + 1:]
-    broken = dataclasses.replace(dec, can_f=can_f)
+    broken = dec._replace(can_f=can_f)
     target = dec.signature.add(r, dec.rho(t))
     if t == dec.m.monoid.identity and value != k:
         # Can(e) is no longer the identity

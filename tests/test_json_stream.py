@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from synmon import cli
@@ -74,3 +75,28 @@ def test_analyze_json_streams_the_bytes_of_one_dump(tmp_path):
             assert cli.main(["analyze", "--json", "--dfa", str(path)]) == 0
         assert out.getvalue() == one_shot(reports[-1])
         assert json.loads(out.getvalue())["monoid"]["order"] == 127
+
+
+class CountingBuffer(io.BytesIO):
+    """A binary buffer that counts the writes it receives."""
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["monoid"]])
+def test_write_through_stdout_gets_about_one_write_per_64_kb(tmp_path, argv):
+    # under `python -u` or PYTHONUNBUFFERED every str written to stdout
+    # reaches the file at once, so the report must arrive in large pieces
+    path = tmp_path / "kth_tail_6.json"
+    path.write_text(json.dumps(kth_tail(6).dfa))
+    buffer = CountingBuffer()
+    stdout = io.TextIOWrapper(buffer, encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main([*argv, "--dfa", str(path)]) == 0
+    stdout.flush()
+    size = len(buffer.getvalue())
+    assert size > 3 * 65536  # several batches
+    assert buffer.writes <= -(-size // 65536) + 2

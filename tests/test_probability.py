@@ -15,6 +15,7 @@ from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa
                     accumulation_points, zero_one_basic, zero_one_residual)
 from synmon import periods, probability
 from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
+from synmon.oracle import mu_enumerate
 from synmon.probability import (AccumulationPoint, _solve, basic_verdict,
                                 limit_mu_blocks, limit_vector, maximum_period_of,
                                 residual_verdict)
@@ -44,6 +45,11 @@ def test_mu_series_matches_pointwise(corpus):
     dfa, _, _ = corpus["a3"]
     series = mu_series(dfa, 10)
     assert series == [mu_exact(dfa, l) for l in range(11)]
+
+
+@given(small_dfas())
+def test_mu_series_matches_the_enumeration_oracle_on_random_dfas(dfa):
+    assert mu_series(dfa, 8) == [mu_enumerate(dfa, l) for l in range(9)]
 
 
 def test_markov_matrix_exact(corpus):
