@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 from itertools import chain
+from operator import itemgetter
 
 from . import decompose as dc
 from . import probability as pr
@@ -120,31 +122,83 @@ def _residual_zero_one_line(residuals):
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
+_SEQUENCES = (list, tuple)
 _SLICE_ITEMS = 1 << 16  # about this many row items are encoded at once
 _WRITE_CHARS = 1 << 16  # stdout is written about this many characters at a time
 
 
-def _json_pieces(value):
+def _row_encoder(report):
+    """A function that returns `_ENCODER.encode(row)` for the rows of one
+    report, at C speed for the n^2 arrays.
+
+    A list or tuple of two or more exact non-negative ints (not bools) is
+    joined from a table of decimals when every entry is below L, the length
+    of the longest such row so far; any other row goes to the encoder.
+    The text of a row that occurs more than once in the report (the same
+    object, as f_t(0) is both column t of M's table and an element of T_0
+    at period 1) is kept for its next use.  Object ids are unique only
+    among live objects, so the function must not outlive the report.
+    """
+    decimals = ()
+    counts = Counter()
+    _count_rows(report, counts)
+    memo = dict.fromkeys(key for key, count in counts.items() if count > 1)
+
+    def encode(row):
+        nonlocal decimals
+        text = memo.get(id(row))
+        if text is not None:
+            return text
+        if (not isinstance(row, _SEQUENCES) or len(row) < 2
+                or set(map(type, row)) != {int} or min(row) < 0):
+            return _ENCODER.encode(row)
+        if len(row) > len(decimals):
+            decimals = tuple(map(str, range(len(row))))
+        try:
+            text = "[" + ",".join(itemgetter(*row)(decimals)) + "]"
+        except IndexError:  # an entry is not below len(decimals)
+            return _ENCODER.encode(row)
+        if id(row) in memo:
+            memo[id(row)] = text
+        return text
+
+    return encode
+
+
+def _count_rows(value, counts) -> None:
+    """Count, by id, the lists and tuples of scalars in a JSON report."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _count_rows(item, counts)
+    elif isinstance(value, _SEQUENCES) and value:
+        if isinstance(value[0], _CONTAINERS):
+            for item in value:
+                _count_rows(item, counts)
+        else:
+            counts[id(value)] += 1
+
+
+def _json_pieces(value, row):
     """Yield the pieces of `_ENCODER.encode(value)` for a JSON report with
     string keys, so that no piece holds more than a bounded part of a large
-    value.
+    value.  `row` encodes the lists and tuples (`_row_encoder`).
 
     A dict with a container among its values is walked key by key, in
     sorted order.  A list or tuple whose first item is a container of
     scalars (a row) is encoded a slice of rows at a time; one whose first
     item holds containers itself is walked item by item.  Everything else
-    goes to the C encoder whole.  Only the first item of a list is looked
-    at, which is enough for the uniform rows of a report.
+    is encoded whole.  Only the first item of a list is looked at, which is
+    enough for the uniform rows of a report.
     """
     if isinstance(value, dict):
         if any(isinstance(v, _CONTAINERS) for v in value.values()):
             yield "{"
             for i, key in enumerate(sorted(value)):
                 yield ("," if i else "") + _ENCODER.encode(key) + ":"
-                yield from _json_pieces(value[key])
+                yield from _json_pieces(value[key], row)
             yield "}"
             return
-    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], _CONTAINERS):
+    elif isinstance(value, _SEQUENCES) and value and isinstance(value[0], _CONTAINERS):
         first = value[0]
         nested = first.values() if isinstance(first, dict) else first[:1]
         if any(isinstance(v, _CONTAINERS) for v in nested):
@@ -152,15 +206,22 @@ def _json_pieces(value):
             for i, item in enumerate(value):
                 if i:
                     yield ","
-                yield from _json_pieces(item)
+                yield from _json_pieces(item, row)
             yield "]"
             return
         step = max(1, _SLICE_ITEMS // max(1, len(first)))
         yield "["
         for start in range(0, len(value), step):
-            rows = _ENCODER.encode(value[start:start + step])
-            yield ("," if start else "") + rows[1:-1]
+            rows = value[start:start + step]
+            if isinstance(first, dict):
+                text = _ENCODER.encode(rows)[1:-1]
+            else:
+                text = ",".join(map(row, rows))
+            yield ("," if start else "") + text
         yield "]"
+        return
+    elif isinstance(value, _SEQUENCES):
+        yield row(value)
         return
     yield _ENCODER.encode(value)
 
@@ -186,7 +247,7 @@ def _emit(args, report_json, text_lines):
     be a lazy iterable.  Every value that can fail must be computed
     before the call, so that a failure leaves stdout empty."""
     if args.json:
-        pieces = chain(_json_pieces(report_json), ("\n",))
+        pieces = chain(_json_pieces(report_json, _row_encoder(report_json)), ("\n",))
     else:
         pieces = (line + "\n" for line in text_lines)
     sys.stdout.writelines(_batched(pieces))

@@ -13,14 +13,13 @@ pointwise left-to-right composition in the first component.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 from .dfa import Dfa, block_dfa, minimize, words_of_length
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
                      VerificationFailure)
-from .monoid import (FiniteMonoid, SyntacticMonoid, compose, hom_generator_check,
-                     identity_transformation, transition_monoid)
+from .monoid import (FiniteMonoid, SyntacticMonoid, compose, gather,
+                     hom_generator_check, identity_transformation, transition_monoid)
 from .periods import PeriodSignature
 
 
@@ -102,18 +101,28 @@ def canonical_decomposition(m: SyntacticMonoid,
     the passing report is kept as `report`."""
     residuals = sig.residuals()
     theta = {r: sig.classes[r] for r in residuals}
-    theta_inv = {r: {t: k for k, t in enumerate(theta[r])} for r in residuals}
     big_k = max(len(theta[r]) for r in residuals)
-    rows = {r: [m.monoid.table[x] for x in theta[r]] for r in residuals}
+    # f_t(r) is theta_{r+rho_bar(t)}^{-1} after column t of the table after
+    # theta_r, padded.  theta^{-1} is dense: an element outside the class
+    # reads `m.order`, a slot that verify_canonical rejects.
+    inverse, restrict = {}, {}
+    for r in residuals:
+        inverse[r] = [m.order] * m.order
+        for k, x in enumerate(theta[r]):
+            inverse[r][x] = k
+        restrict[r] = gather(theta[r])
     padding = {r: tuple(range(len(theta[r]), big_k)) for r in residuals}
     can_f = []
-    for t in range(m.order):
-        shift, column = sig.rho_bar[t], itemgetter(t)
-        can_f.append({
-            r: tuple(map(theta_inv[sig.add(r, shift)].__getitem__, map(column, rows[r])))
-            + padding[r]
-            for r in residuals
-        })
+    for t, column in enumerate(m.monoid.columns):
+        shift, f = sig.rho_bar[t], {}
+        for r in residuals:
+            if len(theta[r]) == m.order:
+                # N_r is M, so theta_r and rho_bar are trivial: f_t(r) is
+                # column t itself, shared and not copied
+                f[r] = column
+            else:
+                f[r] = gather(restrict[r](column))(inverse[sig.add(r, shift)]) + padding[r]
+        can_f.append(f)
     dec = CanonicalDecomposition(m, sig, big_k, theta, tuple(can_f))
     report = verify_canonical(dec)
     if not report.ok:
@@ -187,17 +196,19 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
     for s in range(m.order):
         rho_s = sig.rho_bar[s]
         f_s = dec.can_f[s]
-        moves = [(r, f_s[r][:sizes[r]], sig.add(r, rho_s)) for r in dec.residuals]
-        for _, image, target in moves:
+        moves = []  # (r, f -> f_s(r) then f on the slots of N_r, r + rho_bar(s))
+        for r in dec.residuals:
+            image, target = f_s[r][:sizes[r]], sig.add(r, rho_s)
             if max(image, default=-1) >= sizes[target]:
                 return False
+            moves.append((r, gather(image), target))
         for g in letters:
             t = table[s][g]
             if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
                 return False
             f_g, f_t = dec.can_f[g], dec.can_f[t]
-            for r, image, target in moves:
-                if tuple(map(f_g[target].__getitem__, image)) != f_t[r][:sizes[r]]:
+            for r, after_s, target in moves:
+                if after_s(f_g[target]) != f_t[r][:sizes[r]]:
                     return False
     return True
 

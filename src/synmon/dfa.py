@@ -20,12 +20,20 @@ State = str | int
 class Frozen:
     """Base of the immutable classes with `__slots__`: `_set` fills the fields
     once, in `__slots__` order; later assignment or deletion raises
-    AttributeError.  Equality is identity unless a subclass defines it."""
+    AttributeError.  Equality is identity unless a subclass defines it.
+
+    `copy`, `deepcopy` and `pickle` rebuild an instance by calling the
+    class with its fields in `__slots__` order, which validates it again;
+    a subclass whose constructor takes other arguments must override
+    `__reduce__`."""
     __slots__ = ()
 
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -18,7 +18,16 @@ from .errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
 
 Transformation = tuple
 
-ASSOC_CHECK_CAP = 512
+
+def gather(indices):
+    """A callable seq -> tuple(seq[k] for k in indices) that runs at C speed.
+
+    It is `itemgetter(*indices)` when there are two indices or more; with
+    one index itemgetter returns a bare item, and with none it cannot be
+    built, so those fall back to `map`."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(map(seq.__getitem__, indices))
 
 
 def identity_transformation(degree: int) -> Transformation:
@@ -27,16 +36,16 @@ def identity_transformation(degree: int) -> Transformation:
 
 def compose(x: Transformation, y: Transformation) -> Transformation:
     """Apply x first, then y."""
-    return tuple(y[k] for k in x)
+    return gather(x)(y)
 
 
 def check_table(table, identity: int) -> None:
     """Raise InvalidMonoid unless `table` satisfies the monoid laws.
 
-    Associativity is verified up to order 512 by Light's test on a greedy
+    Associativity is verified at every order by Light's test on a greedy
     generating set A (`_generating_set`): (x.a).y = x.(a.y) for all x, y
-    and every a in A, one row x at a time.  Larger tables are trusted
-    (they are produced by closure).
+    and every a in A, one row x at a time, so that row (x.a) is compared
+    with row x gathered at the points of row a.
 
     Light's test is enough.  Let T = {t : (x.t).y = x.(t.y) for all x, y}.
     The identity is in T by the identity laws.  For s, t in T and any x, y:
@@ -58,12 +67,10 @@ def check_table(table, identity: int) -> None:
     for i in range(n):
         if rows[identity][i] != i or rows[i][identity] != i:
             raise InvalidMonoid(f"identity law fails at element {i}")
-    if n > ASSOC_CHECK_CAP:
-        return
     for a in _generating_set(rows, identity):
-        a_row = rows[a]
+        times_a = gather(rows[a])  # row x -> row x.(a.y) over y
         for x, row in enumerate(rows):
-            if rows[row[a]] != tuple(map(row.__getitem__, a_row)):
+            if rows[row[a]] != times_a(row):
                 raise InvalidMonoid(
                     f"associativity fails with left factor {x} and middle factor {a}")
 
@@ -87,12 +94,16 @@ def _generating_set(rows, identity: int) -> list:
 
 
 class FiniteMonoid(Frozen):
-    """A multiplication table, checked on construction; compared by identity."""
-    __slots__ = ("table", "identity", "generators", "names")
+    """A multiplication table, checked on construction; compared by identity.
+
+    `columns`, when given, is the transpose of `table` as a tuple of tuples
+    (the closure kernel builds both); it is not checked."""
+    __slots__ = ("table", "identity", "generators", "names", "_columns")
 
     def __init__(self, table: tuple, identity: int = 0, generators: dict | None = None,
-                 names: tuple | None = None):
-        self._set(table, identity, {} if generators is None else generators, names)
+                 names: tuple | None = None, columns: tuple | None = None):
+        self._set(table, identity, {} if generators is None else generators, names,
+                  columns)
         check_table(self.table, self.identity)
         if self.generators:
             reached = _closure_from(self.table, self.identity, self.generators.values())
@@ -102,6 +113,12 @@ class FiniteMonoid(Frozen):
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @property
+    def columns(self) -> tuple:
+        """Column t of the table, (x.t for every x), for every t: the kept
+        transpose, or else one computed on each call."""
+        return tuple(zip(*self.table)) if self._columns is None else self._columns
 
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names else str(i)
@@ -154,11 +171,11 @@ def _close(generators, cap: int):
 
     Returns the elements (tuples in BFS order from the identity at 0,
     generators tried in order), the right Cayley graph right[i][g], the
-    tree of first arrivals (element j is tree[j] = (parent, last generator))
-    and the table as a tuple of tuples.  Column j of the table is column
-    parent[j] mapped through the Cayley graph of generator last[j], so no
-    two elements are ever composed.  MonoidTooLarge is raised once the
-    order would exceed cap.
+    tree of first arrivals (element j is tree[j] = (parent, last generator)),
+    and the table both as a tuple of rows and as a tuple of columns.
+    Column j of the table is column parent[j] mapped through the Cayley
+    graph of generator last[j], so filling the table composes no two
+    elements.  MonoidTooLarge is raised once the order would exceed cap.
     """
     gens = [tuple(g) for g in generators]
     elements = [tuple(range(len(gens[0])))]
@@ -166,8 +183,9 @@ def _close(generators, cap: int):
     tree, right = [(-1, -1)], []
     for x in elements:  # grows while it is read: a BFS queue
         row = []
+        then = gather(x)  # gen -> x.gen
         for g, gen in enumerate(gens):
-            y = tuple(map(gen.__getitem__, x))
+            y = then(gen)
             j = index.setdefault(y, len(elements))
             if j == len(elements):
                 if j >= cap:
@@ -180,10 +198,9 @@ def _close(generators, cap: int):
     by_generator = list(zip(*right))  # by_generator[g][i] = right[i][g]
     columns = [tuple(range(len(elements)))]
     for parent, last in tree[1:]:
-        # a tuple, as the order is at least 2 here: itemgetter of one index
-        # would return a bare element
-        columns.append(itemgetter(*columns[parent])(by_generator[last]))
-    return elements, right, tree, tuple(zip(*columns))
+        columns.append(gather(columns[parent])(by_generator[last]))
+    columns = tuple(columns)
+    return elements, right, tree, tuple(zip(*columns)), columns
 
 
 def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
@@ -194,7 +211,7 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     """
     position = {q: i for i, q in enumerate(dfa.states)}
     letters = sorted(dfa.alphabet)
-    elements, right, tree, table = _close(
+    elements, right, tree, table, columns = _close(
         [[position[dfa.delta[(q, a)]] for q in dfa.states] for a in letters], cap)
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
@@ -203,7 +220,7 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     initial, accepting = position[dfa.initial], {position[q] for q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
-    monoid = FiniteMonoid(table, 0, dict(eta), tuple(names))
+    monoid = FiniteMonoid(table, 0, dict(eta), tuple(names), columns)
     return SyntacticMonoid(monoid, eta, accepting_image)
 
 
@@ -377,7 +394,7 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
             generators.append((1, 0) + tuple(range(2, k)))
             if kind == "full_transformation":
                 generators.append((0, 0) + tuple(range(2, k)))
-        elements, _, _, table = _close(generators, k ** k)
+        elements, _, _, table, _ = _close(generators, k ** k)
         names = tuple("".join(map(str, t)) for t in elements)
         return FiniteMonoid(table, 0, {}, names)
     raise ValueError(f"unknown monoid kind {kind!r}")

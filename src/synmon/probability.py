@@ -14,12 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
 from .dfa import Dfa, minimize, words_of_length
 from .errors import InvalidPeriod, ScopeError, VerificationFailure
-from .monoid import SyntacticMonoid, find_zero, principal_ideal, transition_monoid
+from .monoid import (SyntacticMonoid, find_zero, gather, principal_ideal,
+                     transition_monoid)
 from .periods import _cycle_classes, max_period
 
 
@@ -100,11 +102,23 @@ def mu_exact(dfa: Dfa, length: int) -> Fraction:
 
 
 def mu_series(dfa: Dfa, upto: int) -> list:
-    """[mu(0), ..., mu(upto)] with one counting pass."""
-    accepting = [i for i, q in enumerate(dfa.states) if q in dfa.accepting]
-    counts = _counts(_successors(dfa), dfa.states.index(dfa.initial), upto)
-    return [Fraction(sum(vector[i] for i in accepting), len(dfa.alphabet) ** length)
-            for length, vector in enumerate(counts)]
+    """[mu(0), ..., mu(upto)] by a backward gather.
+
+    b_0 is the indicator of the accepting states and b_{l+1}[q] is the sum
+    over the letters a of b_l[delta(q, a)], so b_l[q] counts the words of
+    length l accepted from q.  Each step gathers b_l once per letter."""
+    by_letter = [gather(targets) for targets in zip(*_successors(dfa))]
+    initial = dfa.states.index(dfa.initial)
+    b = tuple(int(q in dfa.accepting) for q in dfa.states)
+    counts = [b[initial]]
+    for _ in range(upto):
+        total = by_letter[0](b)
+        for letter in by_letter[1:]:
+            total = map(add, total, letter(b))
+        b = tuple(total)
+        counts.append(b[initial])
+    return [Fraction(count, len(dfa.alphabet) ** length)
+            for length, count in enumerate(counts)]
 
 
 def markov_chain(dfa: Dfa) -> MarkovChain:

@@ -8,6 +8,7 @@ triples all have a middle factor outside the generating set.
 """
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from synmon import load_dfa, make_named, minimize, transition_monoid
 from synmon.errors import InvalidMonoid
-from synmon.monoid import FiniteMonoid, _generating_set, check_table
+from synmon.monoid import FiniteMonoid, _generating_set, check_table, gather
 
 from conftest import CORPUS_SOURCES, load_corpus_dfa
 
@@ -144,6 +145,33 @@ def test_failures_away_from_the_generators_are_caught():
                     outside_first += broken[0][1] not in _generating_set(mutant, 0)
                     assert not light_accepts(mutant), (name, x, y, value)
     assert outside_first > 0
+
+
+def test_tables_of_order_one_and_two():
+    """Rows of one entry go through the `map` fallback of `gather`."""
+    assert gather(())("xyz") == () and gather((2,))("xyz") == ("z",)
+    for table in (((0,),), ((0, 1), (1, 0)), ((0, 1), (1, 1))):
+        assert light_accepts(table)
+        assert FiniteMonoid(table).order == len(table)
+    with pytest.raises(InvalidMonoid, match="identity law"):
+        check_table(((0, 1), (0, 1)), 0)
+    with pytest.raises(InvalidMonoid, match="out of range"):
+        check_table(((0,),), 1)
+
+
+def test_associativity_is_checked_above_order_512():
+    """A single changed entry of the table of kth_tail k = 8 (order 1023)
+    is rejected, and the factors the message names witness the failure."""
+    table = syntactic_table(load_dfa(json.dumps(kth_tail(8).dfa)))
+    assert len(table) == 1023
+    mutant = mutate(table, 700, 300, (table[700][300] + 1) % len(table))
+    with pytest.raises(InvalidMonoid, match="middle factor") as info:
+        check_table(mutant, 0)
+    x, a = map(int, re.fullmatch(
+        r"associativity fails with left factor (\d+) and middle factor (\d+)",
+        str(info.value)).groups())
+    assert any(mutant[mutant[x][a]][y] != mutant[x][mutant[a][y]]
+               for y in range(len(mutant)))
 
 
 def test_generators_that_do_not_generate_are_rejected():

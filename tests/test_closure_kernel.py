@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from synmon import load_dfa, make_named, minimize, residual_monoid, transition_monoid
+from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.errors import MonoidTooLarge
 from synmon.monoid import _close, compose, identity_transformation
 
@@ -101,6 +102,23 @@ def test_kernel_matches_compose_on_benchmark_families(language):
 def test_kernel_matches_compose_on_random_dfas(dfa):
     assert_kernel_matches_reference(dfa)
     assert_kernel_matches_reference(minimize(dfa))
+
+
+def test_kernel_on_a_degree_one_dfa():
+    """a* over {a} has one state: every transformation is one point, which
+    the composition by `gather` must keep a tuple."""
+    dfa = minimize(regex_to_dfa(parse_regex("a*"), "a"))
+    assert dfa.n_states == 1
+    assert_kernel_matches_reference(dfa)
+    m = transition_monoid(dfa).monoid
+    assert m.table == m.columns == ((0,),)
+
+
+def test_columns_are_the_transpose_of_the_table(corpus):
+    for name, (_dfa, _minimal, sm) in corpus.items():
+        assert sm.monoid.columns == tuple(zip(*sm.monoid.table)), name
+    m = make_named("full_transformation", 3)
+    assert m.columns == tuple(zip(*m.table))
 
 
 # --- residual monoids ---

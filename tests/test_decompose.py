@@ -1,15 +1,21 @@
+import contextlib
+import io
 import itertools
+import json
 import random
+import warnings
 
 import pytest
 
-from synmon import (build_signature, canonical_decomposition, lw_member,
-                    lw_quotient, lw_recognizer, make_named, residual_monoid,
-                    syntactic_monoid_of_lw, verify_canonical, wreath_divisor)
+from synmon import (build_signature, canonical_decomposition, cli, lw_member,
+                    lw_quotient, lw_recognizer, make_named, max_period, minimize,
+                    residual_monoid, syntactic_monoid_of_lw, transition_monoid,
+                    verify_canonical, wreath_divisor)
 from synmon.decompose import can_product, decomposition_to_json
 from synmon.errors import BlockLengthError, ScopeError
 from synmon.monoid import identity_transformation
 from synmon.oracle import brute_isomorphic, lw_enumerate
+from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import CORPUS_SOURCES
 
@@ -65,6 +71,78 @@ def test_verify_passes_for_all_divisor_valid_periods(corpus):
                 dec = canonical_decomposition(sm, sig)
                 report = verify_canonical(dec)
                 assert report.ok, (name, gammas, periods)
+
+
+def reference_can_f(sm, sig):
+    """f_t(r) by its definition: the position in N_{r+rho_bar(t)} of
+    theta_r(k).t for k < |N_r|, padded with k -> k."""
+    classes = {r: sig.classes[r] for r in sig.residuals()}
+    big_k = max(map(len, classes.values()))
+    return tuple(
+        {r: tuple(classes[sig.add(r, sig.rho_bar[t])].index(sm.monoid.table[x][t])
+                  for x in theta) + tuple(range(len(theta), big_k))
+         for r, theta in classes.items()}
+        for t in range(sm.order))
+
+
+# nonempty words of a length divisible by P: N_0 = {e, the words of length
+# P} and every other class holds one element, so K = 2
+ONE_ELEMENT_CLASSES = {2: "(a|b)(a|b)((a|b)(a|b))*",
+                       3: "(a|b)(a|b)(a|b)((a|b)(a|b)(a|b))*"}
+
+
+def test_one_element_classes_at_periods_above_one():
+    for period, regex in ONE_ELEMENT_CLASSES.items():
+        sm = transition_monoid(minimize(regex_to_dfa(parse_regex(regex), "ab")))
+        for periods in divisor_vectors([period]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sig = build_signature(sm, [("a", "b")], periods)
+            dec = canonical_decomposition(sm, sig)
+            sizes = sorted(len(sig.classes[r]) for r in sig.residuals())
+            assert sizes == ([1] * (period - 1) + [2] if periods == (period,) else [sm.order])
+            assert dec.K == sizes[-1]
+            assert dec.can_f == reference_can_f(sm, sig), (regex, periods)
+            assert dec.report.ok
+
+
+def test_decomposition_matches_its_definition_at_every_divisor_period(corpus):
+    for name, (_, _, sm) in corpus.items():
+        gammas = GAMMA_SETS[name]
+        for periods in divisor_vectors([max_period(sm, g) for g in gammas]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sig = build_signature(sm, gammas, periods)
+            dec = canonical_decomposition(sm, sig)
+            assert dec.can_f == reference_can_f(sm, sig), (name, periods)
+
+
+def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
+    dec = full_decs["a2"]
+    assert dec.signature.periods == (1,)
+    for t, column in enumerate(dec.m.monoid.columns):
+        assert dec.can_f[t][(0,)] is column
+
+
+def test_cli_decompose_with_divisor_periods():
+    regex = ONE_ELEMENT_CLASSES[2]
+    sm = transition_monoid(minimize(regex_to_dfa(parse_regex(regex), "ab")))
+    for periods in ("1", "2"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["decompose", "--json", "--regex", regex, "--alphabet", "ab",
+                             "--periods", periods])
+        assert code == 0, err.getvalue()
+        report = json.loads(out.getvalue())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sig = build_signature(sm, [("a", "b")], [int(periods)])
+        expected = reference_can_f(sm, sig)
+        assert report["verified"] is True
+        assert {t: {k: tuple(f) for k, f in can["f"].items()}
+                for t, can in report["can"].items()} == {
+            str(t): {",".join(map(str, r)): f for r, f in fs.items()}
+            for t, fs in enumerate(expected)}
 
 
 def test_mutated_tables_fail_homomorphism(full_decs):

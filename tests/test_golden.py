@@ -11,6 +11,7 @@ and shows the diff of the JSON file for review.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -50,6 +51,26 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_output_is_byte_identical(golden, case):
     assert run(case) == golden[case]
+
+
+# analyze --json on (a|b)*a(a|b)^k at orders 511 and 1023, either side of
+# the order up to which associativity used to be checked: (stdout bytes,
+# sha256 of stdout)
+DIGESTS = {
+    7: (3157532, "dcf48b868350279b952ec1faf1d9805227039944ceb130ab0e436d6e4ee9b80b"),
+    8: (12748608, "73e704f354b743a8dd4cb8c4ad38a86a3b0f864ddc2ed174ba038c462a9cd2ff"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(DIGESTS))
+def test_kth_tail_analyze_json_digest(k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", "--json", "--regex", "(a|b)*a" + "(a|b)" * k,
+                         "--alphabet", "ab"])
+    assert code == 0, err.getvalue()
+    stdout = out.getvalue().encode()
+    assert (len(stdout), hashlib.sha256(stdout).hexdigest()) == DIGESTS[k]
 
 
 if __name__ == "__main__":

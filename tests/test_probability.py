@@ -16,6 +16,7 @@ from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa
 from synmon import periods, probability
 from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
 from synmon.oracle import mu_enumerate
+from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.probability import (AccumulationPoint, _solve, basic_verdict,
                                 limit_mu_blocks, limit_vector, maximum_period_of,
                                 residual_verdict)
@@ -50,6 +51,38 @@ def test_mu_series_matches_pointwise(corpus):
 @given(small_dfas())
 def test_mu_series_matches_the_enumeration_oracle_on_random_dfas(dfa):
     assert mu_series(dfa, 8) == [mu_enumerate(dfa, l) for l in range(9)]
+
+
+def forward_series(dfa, upto):
+    """mu(0), ..., mu(upto) by counting forward from the initial state: the
+    number of words of each length that reach each state."""
+    accepting = [i for i, q in enumerate(dfa.states) if q in dfa.accepting]
+    counts = probability._counts(probability._successors(dfa),
+                                 dfa.states.index(dfa.initial), upto)
+    return [Fraction(sum(vector[i] for i in accepting), len(dfa.alphabet) ** length)
+            for length, vector in enumerate(counts)]
+
+
+def test_mu_series_equals_the_forward_count_on_the_corpus(corpus):
+    for name, (dfa, minimal, _) in corpus.items():
+        assert mu_series(dfa, 64) == forward_series(dfa, 64), name
+        assert mu_series(minimal, 64) == forward_series(minimal, 64), name
+
+
+@given(small_dfas())
+def test_mu_series_equals_the_forward_count_on_random_dfas(dfa):
+    assert mu_series(dfa, 64) == forward_series(dfa, 64)
+
+
+def test_mu_series_with_one_letter_or_one_state():
+    # one letter gathers once per step; one state takes the `map` fallback
+    for regex, alphabet in (("a(aa)*", "a"), ("a*", "a"), ("(a|b)*", "ab"), ("a", "a")):
+        dfa = regex_to_dfa(parse_regex(regex), alphabet)
+        assert mu_series(dfa, 64) == forward_series(dfa, 64), regex
+    one_state = regex_to_dfa(parse_regex("a*"), "a")
+    assert one_state.n_states == 1
+    assert mu_series(one_state, 3) == [1, 1, 1, 1]
+    assert mu_series(regex_to_dfa(parse_regex("a(aa)*"), "a"), 3) == [0, 1, 0, 1]
 
 
 def test_markov_matrix_exact(corpus):

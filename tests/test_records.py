@@ -2,13 +2,16 @@
 building them generates no code: neither `import synmon` nor a command
 imports `dataclasses` or `inspect`."""
 
+import copy
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 from synmon import Analysis, lw_quotient, markov_chain, mu_consistency
-from synmon.monoid import FiniteMonoid, transition_monoid
+from synmon.errors import InvalidMonoid
+from synmon.monoid import FiniteMonoid, make_named, transition_monoid
 from synmon.oracle import OracleBudget
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
 
@@ -99,3 +102,33 @@ def test_decomposition_equality_ignores_the_report():
     assert dec.report is not None
     assert dec == dec._replace(report=None) and not dec != dec._replace(report=None)
     assert dec != dec._replace(K=dec.K + 1)
+
+
+def clones(x):
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+def test_dfas_and_monoids_copy_and_pickle():
+    dfa = regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")
+    sm = transition_monoid(dfa)
+    for clone in clones(dfa):
+        assert type(clone) is type(dfa) and clone == dfa
+    for m in (sm.monoid, make_named("symmetric", 3), FiniteMonoid(((0, 1), (1, 0)))):
+        for clone in clones(m):
+            assert type(clone) is FiniteMonoid
+            assert (clone.table, clone.identity, clone.generators, clone.names,
+                    clone.columns) == (m.table, m.identity, m.generators, m.names, m.columns)
+    for clone in clones(sm):
+        assert type(clone) is type(sm) and type(clone.monoid) is FiniteMonoid
+        assert clone.monoid.table == sm.monoid.table
+        assert (clone.eta, clone.accepting_image) == (sm.eta, sm.accepting_image)
+    with pytest.raises(AttributeError):
+        copy.copy(dfa).initial = None
+
+
+def test_a_copy_is_validated_again():
+    # the reduction calls the constructor, so a broken state cannot be copied
+    m = FiniteMonoid(((0, 1), (1, 0)))
+    object.__setattr__(m, "table", ((0, 1), (0, 1)))
+    with pytest.raises(InvalidMonoid, match="identity law"):
+        copy.copy(m)
