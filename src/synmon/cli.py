@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 input error, 3 internal verification failure
 (a failed check of a constructed homomorphism or of a verdict's limit).
+
+Each command imports `regexes`, `decompose`, `probability` and `oracle`
+only when it uses them, so that it pays at start-up only for the modules
+on its path.
 """
 
 from __future__ import annotations
@@ -14,15 +18,11 @@ from collections import Counter
 from itertools import chain
 from operator import itemgetter
 
-from . import decompose as dc
-from . import probability as pr
 from .dfa import load_dfa
 from .errors import FormatError, InvalidArgument, SynmonError, VerificationFailure
 from .monoid import cayley_to_dot, syntactic_to_json
-from .oracle import cycle_gcd, lw_enumerate, mu_enumerate
 from .periods import sink_periods
 from .pipeline import Analysis
-from .regexes import parse_regex, regex_to_dfa, symbols_of
 
 
 def _load_source(args):
@@ -30,6 +30,8 @@ def _load_source(args):
     if bool(args.regex) == bool(args.dfa):
         raise SynmonError("need exactly one of --regex or --dfa")
     if args.regex:
+        from .regexes import parse_regex, regex_to_dfa, symbols_of
+
         ast = parse_regex(args.regex)
         alphabet = sorted(set(args.alphabet) if args.alphabet else symbols_of(ast))
         return regex_to_dfa(ast, alphabet)
@@ -166,16 +168,37 @@ def _row_encoder(report):
 
 
 def _count_rows(value, counts) -> None:
-    """Count, by id, the lists and tuples of scalars in a JSON report."""
+    """Count, by id, the lists and tuples of scalars in a JSON report that
+    `_json_pieces` hands to its row encoder.  A list of dict rows goes to
+    the encoder whole, a slice at a time, so it is not entered."""
     if isinstance(value, dict):
         for item in value.values():
             _count_rows(item, counts)
     elif isinstance(value, _SEQUENCES) and value:
-        if isinstance(value[0], _CONTAINERS):
+        first = value[0]
+        if isinstance(first, dict) and _row_width(first) is not None:
+            return
+        if isinstance(first, _CONTAINERS):
             for item in value:
                 _count_rows(item, counts)
         else:
             counts[id(value)] += 1
+
+
+def _row_width(first):
+    """The number of scalars in `first`, the first item of a list, when the
+    list is encoded a slice of rows at a time: a list or tuple of scalars,
+    or a dict whose values are scalars or lists and tuples of scalars.
+    None when `first` holds deeper containers."""
+    if not isinstance(first, dict):
+        return None if first and isinstance(first[0], _CONTAINERS) else len(first)
+    width = 0
+    for v in first.values():
+        if isinstance(v, dict) or (isinstance(v, _SEQUENCES)
+                                   and any(isinstance(x, _CONTAINERS) for x in v)):
+            return None
+        width += len(v) if isinstance(v, _SEQUENCES) else 1
+    return width
 
 
 def _json_pieces(value, row):
@@ -184,11 +207,12 @@ def _json_pieces(value, row):
     value.  `row` encodes the lists and tuples (`_row_encoder`).
 
     A dict with a container among its values is walked key by key, in
-    sorted order.  A list or tuple whose first item is a container of
-    scalars (a row) is encoded a slice of rows at a time; one whose first
-    item holds containers itself is walked item by item.  Everything else
-    is encoded whole.  Only the first item of a list is looked at, which is
-    enough for the uniform rows of a report.
+    sorted order.  A list or tuple whose first item is a row (`_row_width`:
+    a list of scalars, or a dict of scalars and lists of scalars) is
+    encoded a slice of rows at a time; one whose first item holds deeper
+    containers is walked item by item.  Everything else is encoded whole.
+    Only the first item of a list is looked at, which is enough for the
+    uniform rows of a report.
     """
     if isinstance(value, dict):
         if any(isinstance(v, _CONTAINERS) for v in value.values()):
@@ -200,8 +224,8 @@ def _json_pieces(value, row):
             return
     elif isinstance(value, _SEQUENCES) and value and isinstance(value[0], _CONTAINERS):
         first = value[0]
-        nested = first.values() if isinstance(first, dict) else first[:1]
-        if any(isinstance(v, _CONTAINERS) for v in nested):
+        width = _row_width(first)
+        if width is None:
             yield "["
             for i, item in enumerate(value):
                 if i:
@@ -209,7 +233,7 @@ def _json_pieces(value, row):
                 yield from _json_pieces(item, row)
             yield "]"
             return
-        step = max(1, _SLICE_ITEMS // max(1, len(first)))
+        step = max(1, _SLICE_ITEMS // max(1, width))
         yield "["
         for start in range(0, len(value), step):
             rows = value[start:start + step]
@@ -254,6 +278,9 @@ def _emit(args, report_json, text_lines):
 
 
 def cmd_analyze(args) -> int:
+    from .decompose import decomposition_to_json
+    from .probability import mu_series
+
     analysis = _analysis(args)
     sm, sig, dec = analysis.monoid, analysis.signature, analysis.decomposition
     wreath = analysis.wreath
@@ -267,7 +294,7 @@ def cmd_analyze(args) -> int:
     out = {
         "monoid": syntactic_to_json(sm),
         "signature": _signature_json(sig),
-        "decomposition": dc.decomposition_to_json(dec),
+        "decomposition": decomposition_to_json(dec),
         "wreath": {
             "equivariant": wreath.equivariant,
             "rho_bar_surjective": wreath.rho_bar_surjective,
@@ -280,7 +307,7 @@ def cmd_analyze(args) -> int:
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
         residual_monoids = [analysis.residual_monoid(r) for r in range(sig.periods[0])]
-        series = pr.mu_series(analysis.dfa, args.length)
+        series = mu_series(analysis.dfa, args.length)
         out["probability"] = {
             "mu_series": _mu_series_json(series),
             "period": basic.period,
@@ -346,10 +373,12 @@ def cmd_period(args) -> int:
 
 
 def cmd_prob(args) -> int:
+    from .probability import accumulation_points, mu_series
+
     analysis = _analysis(args)
     period = analysis.max_period
-    series = pr.mu_series(analysis.dfa, args.length)
-    points = pr.accumulation_points(analysis.dfa, period)
+    series = mu_series(analysis.dfa, args.length)
+    points = accumulation_points(analysis.dfa, period)
     out = {
         "mu_series": _mu_series_json(series),
         "period": period,
@@ -361,9 +390,11 @@ def cmd_prob(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decompose import decomposition_to_json
+
     analysis = _analysis(args)
     dec, sig = analysis.decomposition, analysis.signature
-    out = dc.decomposition_to_json(dec)
+    out = decomposition_to_json(dec)
     lines = [
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
         f"homomorphism={dec.report.homomorphism} injective={dec.report.injective} "
@@ -383,6 +414,8 @@ def cmd_zero_one(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import cycle_gcd, lw_enumerate, mu_enumerate
+
     dfa = _load_source(args)
     if args.oracle_op == "mu":
         value = mu_enumerate(dfa, args.length)

@@ -133,13 +133,15 @@ def _cycle_classes(n: int, edges) -> list:
     return classes
 
 
-def max_period(m: SyntacticMonoid, gamma) -> int:
+def max_period(m: SyntacticMonoid, gamma, graph: CayleyGraph | None = None) -> int:
     """Greatest P such that |w|_gamma is a multiple of P for every word w
-    labeling a closed walk of the Cayley graph."""
+    labeling a closed walk of the Cayley graph, `graph` when given."""
     gamma = set(gamma)
     if not gamma or not gamma <= set(m.alphabet):
         raise UnknownSymbol(f"gamma {sorted(gamma)} is not a non-empty subset of the alphabet")
-    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in cayley_graph(m).edges]
+    if graph is None:
+        graph = cayley_graph(m)
+    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in graph.edges]
     g = math.gcd(*(period for _, _, period in _cycle_classes(m.order, edges)))
     if g == 0:
         raise InternalNoPositiveCycle(
@@ -185,18 +187,22 @@ class PeriodSignature(NamedTuple):
         return tuple((x + y) % p for x, y, p in zip(r1, r2, self.periods))
 
 
-def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature:
+def build_signature(m: SyntacticMonoid, gammas, periods=None,
+                    graph: CayleyGraph | None = None) -> PeriodSignature:
     """Compute the residual map rho_bar and the classes N_r.
 
     Omitted periods default to the maximum period of each gamma; supplied
-    periods must divide it (otherwise the classes would clash).
+    periods must divide it (otherwise the classes would clash).  `graph`,
+    the Cayley graph of m, is built once here when not given.
     """
     alphabet = m.alphabet
     gammas = tuple(tuple(sorted(set(g))) for g in gammas)
     for g in gammas:
         if not g or not set(g) <= set(alphabet):
             raise UnknownSymbol(f"gamma {list(g)} is not a non-empty subset of the alphabet")
-    maxima = tuple(max_period(m, g) for g in gammas)
+    if graph is None:
+        graph = cayley_graph(m)
+    maxima = tuple(max_period(m, g, graph) for g in gammas)
     if periods is None:
         periods = maxima
     else:

@@ -11,18 +11,24 @@ so asking for a later stage builds each earlier one exactly once.  The
 block language L_w = {u : wu in L} depends on w only through eta(w), since
 wu is in L iff eta(w).eta(u) is in eta(L); its verdict is therefore computed
 once per distinct eta(w) and shared by every prefix with that image.
+
+The stages import `decompose` and `probability` when they first run, so a
+command loads only the modules of the stages it asks for.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from . import decompose as dc
-from . import probability as pr
 from .dfa import Dfa, Frozen, minimize, words_of_length
 from .errors import ScopeError
 from .monoid import CayleyGraph, SyntacticMonoid, cayley_graph, transition_monoid
 from .periods import PeriodSignature, build_signature, max_period
+
+if TYPE_CHECKING:
+    from . import decompose as dc
+    from . import probability as pr
 
 
 class Analysis(Frozen):
@@ -38,6 +44,10 @@ class Analysis(Frozen):
     def __init__(self, dfa: Dfa, gammas: list | None = None, periods: list | None = None):
         self._set(dfa, gammas, periods, {}, {})
 
+    def __reduce__(self):
+        # a copy starts with no stage computed
+        return Analysis, (self.dfa, self.gammas, self.periods)
+
     @cached_property
     def minimal(self) -> Dfa:
         return minimize(self.dfa)
@@ -52,29 +62,44 @@ class Analysis(Frozen):
 
     @cached_property
     def max_period(self) -> int:
-        """Maximum period with respect to the whole alphabet."""
-        return max_period(self.monoid, self.monoid.alphabet)
+        """Maximum period with respect to the whole alphabet: one of the
+        signature's maxima once the signature is built over the whole
+        alphabet.  It never builds the signature itself, which warns when
+        every period is 1."""
+        alphabet = self.monoid.alphabet
+        sig = self.__dict__.get("signature")
+        if sig is not None and alphabet in sig.gammas:
+            return sig.maxima[sig.gammas.index(alphabet)]
+        return max_period(self.monoid, alphabet, self.cayley)
 
     @cached_property
     def signature(self) -> PeriodSignature:
         return build_signature(self.monoid, self.gammas or [self.monoid.alphabet],
-                               self.periods)
+                               self.periods, self.cayley)
 
     @cached_property
     def decomposition(self) -> dc.CanonicalDecomposition:
         """Verified on construction; the report is `decomposition.report`."""
+        from . import decompose as dc
+
         return dc.canonical_decomposition(self.monoid, self.signature)
 
     @cached_property
     def wreath(self) -> dc.WreathEmbedding:
+        from . import decompose as dc
+
         return dc.wreath_divisor(self.decomposition)
 
     def residual_monoid(self, r: int) -> dc.ResidualMonoid:
+        from . import decompose as dc
+
         if r not in self._residual_monoids:
             self._residual_monoids[r] = dc.residual_monoid(self.decomposition, r)
         return self._residual_monoids[r]
 
     def block_images(self, r: int) -> dict:
+        from . import decompose as dc
+
         if r not in self._block_images:
             self._block_images[r] = dc.block_images(self.decomposition, r)
         return self._block_images[r]
@@ -82,6 +107,8 @@ class Analysis(Frozen):
     def recognizer(self, w: str) -> dc.LwRecognizer:
         """`lw_recognizer(decomposition, w)`, sharing T_r and the block
         images with every other prefix of the same length."""
+        from . import decompose as dc
+
         t_r = self.residual_monoid(len(w))
         return dc.LwRecognizer(w, len(w), t_r, self.block_images(len(w)),
                                dc.lw_accepting(self.decomposition, w, t_r))
@@ -90,21 +117,30 @@ class Analysis(Frozen):
     def limit_vector(self) -> dict:
         """`probability.limit_vector` of the minimal DFA at the maximum
         period, from which every limit and verdict below is read."""
+        from . import probability as pr
+
         return pr.limit_vector(self.minimal, self.max_period)
 
     @cached_property
     def accumulation(self) -> list:
         """Exact limit of mu along each residue class mod the maximum period."""
+        from . import probability as pr
+
         return pr.residue_limits(self.minimal, self.max_period, self.limit_vector)
 
     @cached_property
     def basic_verdict(self) -> pr.BasicZeroOne:
+        from . import probability as pr
+
         return pr.basic_verdict(self.monoid, self.max_period, self.accumulation)
 
     @cached_property
     def residual_verdicts(self) -> tuple:
         """One verdict per prefix w with |w| < P, shortest first and then in
         lexicographic order, each equal to `zero_one_residual` for w."""
+        from . import decompose as dc
+        from . import probability as pr
+
         sig = self.signature
         if not sig.full_alphabet_at_maximum:
             raise ScopeError("zero-one residual verdicts need the maximum period")

@@ -15,14 +15,16 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .decompose import CanonicalDecomposition, ResidualMonoid, lw_recognizer
 from .dfa import Dfa, minimize, words_of_length
 from .errors import InvalidPeriod, ScopeError, VerificationFailure
 from .monoid import (SyntacticMonoid, find_zero, gather, principal_ideal,
                      transition_monoid)
 from .periods import _cycle_classes, max_period
+
+if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs it
+    from .decompose import CanonicalDecomposition, ResidualMonoid
 
 
 class MarkovChain(NamedTuple):
@@ -307,6 +309,8 @@ def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> Residual
     `residual_verdict`."""
     if not dec.signature.full_alphabet_at_maximum:
         raise ScopeError("zero-one residual verdicts need the maximum period")
+    from .decompose import lw_recognizer
+
     period = dec.signature.periods[0]
     rec = lw_recognizer(dec, w)
     return residual_verdict(w, rec.monoid, rec.accepting, limit_mu_blocks(dfa, w, period))

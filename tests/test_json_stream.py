@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -47,12 +48,16 @@ tables = st.integers(1, 6).flatmap(lambda width: st.lists(
     st.lists(st.integers(), min_size=width, max_size=width), max_size=12))
 series = st.lists(st.fixed_dictionaries({"len": st.integers(), "num": st.integers(),
                                          "den": st.integers(1, 9)}), max_size=12)
-reports = st.dictionaries(st.text(max_size=4), st.one_of(values, tables, series),
-                          max_size=5)
+# dicts with a flat list among their values, as the zero-one verdicts
+verdicts = st.lists(st.fixed_dictionaries({"w": st.text(max_size=3),
+                                           "witness": st.lists(scalars, max_size=4),
+                                           "num": st.integers()}), max_size=12)
+reports = st.dictionaries(st.text(max_size=4),
+                          st.one_of(values, tables, series, verdicts), max_size=5)
 
 
 @settings(max_examples=300)
-@given(st.one_of(values, tables, series, reports), st.integers(1, 8))
+@given(st.one_of(values, tables, series, verdicts, reports), st.integers(1, 8))
 def test_streamed_bytes_equal_one_json_dumps(report, slice_items):
     assert streamed(report, slice_items) == one_shot(report)
 
@@ -100,6 +105,23 @@ def test_reports_encoded_one_after_another_share_no_row_text():
         row = tuple(range(n - 1, -1, -1)) if n % 2 else tuple(range(n))
         report = {"f": [row, row], "g": row}
         assert streamed(report) == one_shot(report)
+
+
+def test_dict_rows_are_encoded_a_slice_at_a_time():
+    # 1 + 3 + ... + 3^6 verdicts, each a dict with a flat witness list
+    rows = [{"w": "a" * (i % 7), "verdict": "mixed", "witness": ["e", "a"], "num": i, "den": 3}
+            for i in range(1093)]
+    nested = [{"r": r, "elements": [(r, 1), (1, r)]} for r in range(2)]
+    counts = Counter()
+    cli._count_rows({"residual": rows, "residual_monoids": nested}, counts)
+    assert sorted(counts.values()) == [1, 1, 1, 1]  # the rows of `nested` only
+    for slice_items in (cli._SLICE_ITEMS, 70):
+        with mock.patch.object(cli, "_SLICE_ITEMS", slice_items):
+            pieces = list(cli._json_pieces(rows, cli._row_encoder(rows)))
+        assert "".join(pieces) + "\n" == one_shot(rows)
+        assert len(pieces) == 2 + -(-len(rows) // (slice_items // 6))  # 6 scalars a row
+    # entries that hold nested containers are still walked key by key
+    assert '"elements":' in cli._json_pieces(nested, cli._row_encoder(nested))
 
 
 def test_analyze_json_streams_the_bytes_of_one_dump(tmp_path):

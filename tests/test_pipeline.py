@@ -3,7 +3,7 @@ import itertools
 import json
 import sys
 
-from synmon import (Analysis, cli, lw_recognizer, monoid, probability,
+from synmon import (Analysis, cli, lw_recognizer, monoid, periods, probability,
                     zero_one_residual)
 
 from conftest import DATA
@@ -61,6 +61,20 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     assert cli.main(["analyze", "--json", "--dfa", str(DATA / "a3.json")]) == 0
     assert json.loads(capsys.readouterr().out)["signature"]["periods"] == [2]
     assert len(checks) == 3
+
+
+def test_analyze_builds_one_cayley_graph_and_prob_no_signature(monkeypatch, capsys):
+    graphs = count_calls(monkeypatch, monoid, "cayley_graph")
+    maxima = count_calls(monkeypatch, periods, "max_period")
+    signatures = count_calls(monkeypatch, periods, "build_signature")
+    assert cli.main(["analyze", "--json", "--regex", "((a|b)(a|b))*"]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"]["periods"] == [2]
+    assert (len(graphs), len(maxima), len(signatures)) == (1, 1, 1)
+    # P = 1: building a signature would warn that every period is 1
+    signatures.clear()
+    assert cli.main(["prob", "--regex", "(a|b)*a"]) == 0
+    assert capsys.readouterr().err == ""
+    assert signatures == []
 
 
 def test_residual_verdicts_once_per_prefix_image(monkeypatch, capsys):

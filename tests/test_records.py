@@ -1,32 +1,45 @@
 """The records of every layer are immutable and compare as documented, and
 building them generates no code: neither `import synmon` nor a command
-imports `dataclasses` or `inspect`."""
+imports `dataclasses` or `inspect`.  Start-up loads only what a command
+uses: `import synmon` loads no submodule, and each verb only the modules
+on its own path."""
 
 import copy
+import importlib
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import synmon
 from synmon import Analysis, lw_quotient, markov_chain, mu_consistency
 from synmon.errors import InvalidMonoid
 from synmon.monoid import FiniteMonoid, make_named, transition_monoid
 from synmon.oracle import OracleBudget
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
 
+from conftest import DATA
+
 CODE_GENERATORS = {"dataclasses", "inspect"}
+SUBMODULES = {f"synmon.{path.stem}" for path in Path(synmon.__file__).parent.glob("*.py")
+              if path.stem != "__init__"}
+# `python -m synmon` with the arguments after the script; it must exit 0
+RUN_MAIN = ("import runpy\nsys.argv[0] = 'synmon'\ntry:\n"
+            "    runpy.run_module('synmon', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
 
 
-def imported_by(code: str, *argv) -> set:
-    """The code generators that running `code` in a fresh interpreter
+def imported_by(code: str, *argv, among=CODE_GENERATORS) -> set:
+    """The modules of `among` that running `code` in a fresh interpreter
     imports, besides those the interpreter loads at start-up."""
     script = ("import sys\nbefore = set(sys.modules)\n" + code
               + "\nprint(*sorted(set(sys.modules) - before), file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", script, *argv],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return CODE_GENERATORS & set(result.stderr.splitlines()[-1].split())
+    return among & set(result.stderr.splitlines()[-1].split())
 
 
 def test_import_synmon_generates_no_code():
@@ -34,10 +47,55 @@ def test_import_synmon_generates_no_code():
 
 
 def test_a_command_generates_no_code():
-    run_main = ("import runpy\nsys.argv[0] = 'synmon'\ntry:\n"
-                "    runpy.run_module('synmon', run_name='__main__', alter_sys=True)\n"
-                "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
-    assert imported_by(run_main, "prob", "--json", "--regex", "a", "--alphabet", "ab") == set()
+    assert imported_by(RUN_MAIN, "prob", "--json", "--regex", "a", "--alphabet", "ab") == set()
+
+
+def test_import_synmon_loads_no_submodule():
+    assert imported_by("import synmon", among=SUBMODULES) == set()
+    # a name loads the submodule that defines it, and what that one imports
+    assert imported_by("import synmon\nsynmon.max_period", among=SUBMODULES) == {
+        "synmon.periods", "synmon.monoid", "synmon.dfa", "synmon.errors"}
+
+
+REGEX = ["--json", "--regex", "((a|b)(a|b))*", "--alphabet", "ab"]
+NOT_DECOMPOSING = {"synmon.decompose", "synmon.probability", "synmon.oracle", "fractions"}
+PATHS = [  # (argv, modules the command loads, modules it must not load)
+    (["prob", *REGEX], {"synmon.probability", "synmon.regexes", "fractions"},
+     {"synmon.decompose", "synmon.oracle"}),
+    (["prob", "--json", "--dfa", str(DATA / "a3.json")], {"synmon.probability"},
+     {"synmon.regexes", "synmon.decompose", "synmon.oracle"}),
+    (["decompose", *REGEX], {"synmon.decompose"},
+     {"synmon.probability", "synmon.oracle", "fractions"}),
+    (["monoid", *REGEX], {"synmon.pipeline"}, NOT_DECOMPOSING),
+    (["period", *REGEX], {"synmon.periods"}, NOT_DECOMPOSING),
+    (["analyze", *REGEX], {"synmon.decompose", "synmon.probability"}, {"synmon.oracle"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded,unused", PATHS,
+                         ids=[f"{argv[0]}{argv[2]}" for argv, _, _ in PATHS])
+def test_a_command_loads_only_the_modules_on_its_path(argv, loaded, unused):
+    assert imported_by(RUN_MAIN, *argv, among=loaded | unused) == loaded
+
+
+def test_the_lazy_namespace_serves_the_objects_of_its_submodules():
+    for name in synmon.__all__:
+        value = getattr(synmon, name)
+        if name in ("errors", "oracle"):
+            assert value is importlib.import_module(f"synmon.{name}")
+        else:
+            assert value.__module__.startswith("synmon.")
+            assert value is getattr(sys.modules[value.__module__], name)
+    for module in SUBMODULES - {"synmon.__main__"}:
+        assert getattr(synmon, module.split(".")[1]) is importlib.import_module(module)
+    assert set(synmon.__all__) <= set(dir(synmon))
+    namespace = {}
+    exec("from synmon import *", namespace)
+    assert all(namespace[name] is getattr(synmon, name) for name in synmon.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        synmon.no_such_name
+    with pytest.raises(ImportError):
+        exec("from synmon import no_such_name", {})
 
 
 def every_record() -> list:
@@ -124,6 +182,19 @@ def test_dfas_and_monoids_copy_and_pickle():
         assert (clone.eta, clone.accepting_image) == (sm.eta, sm.accepting_image)
     with pytest.raises(AttributeError):
         copy.copy(dfa).initial = None
+
+
+def test_analyses_copy_and_pickle_without_their_stages():
+    dfa = regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")
+    for analysis in (Analysis(regex_to_dfa(parse_regex("a"), "ab")), Analysis(dfa),
+                     Analysis(dfa, [("a", "b")], [2])):
+        order = analysis.monoid.order
+        for clone in clones(analysis):
+            assert type(clone) is Analysis and clone is not analysis
+            assert (clone.dfa, clone.gammas, clone.periods) == \
+                (analysis.dfa, analysis.gammas, analysis.periods)
+            assert vars(clone) == {}  # the stages are computed again on use
+            assert clone.monoid.order == order
 
 
 def test_a_copy_is_validated_again():
