@@ -129,21 +129,19 @@ _SLICE_ITEMS = 1 << 16  # about this many row items are encoded at once
 _WRITE_CHARS = 1 << 16  # stdout is written about this many characters at a time
 
 
-def _row_encoder(report):
+def _row_encoder(counts):
     """A function that returns `_ENCODER.encode(row)` for the rows of one
     report, at C speed for the n^2 arrays.
 
     A list or tuple of two or more exact non-negative ints (not bools) is
     joined from a table of decimals when every entry is below L, the length
     of the longest such row so far; any other row goes to the encoder.
-    The text of a row that occurs more than once in the report (the same
+    The text of a row whose id `counts` counts more than once (the same
     object, as f_t(0) is both column t of M's table and an element of T_0
     at period 1) is kept for its next use.  Object ids are unique only
     among live objects, so the function must not outlive the report.
     """
     decimals = ()
-    counts = Counter()
-    _count_rows(report, counts)
     memo = dict.fromkeys(key for key, count in counts.items() if count > 1)
 
     def encode(row):
@@ -167,31 +165,12 @@ def _row_encoder(report):
     return encode
 
 
-def _count_rows(value, counts) -> None:
-    """Count, by id, the lists and tuples of scalars in a JSON report that
-    `_json_pieces` hands to its row encoder.  A list of dict rows goes to
-    the encoder whole, a slice at a time, so it is not entered."""
-    if isinstance(value, dict):
-        for item in value.values():
-            _count_rows(item, counts)
-    elif isinstance(value, _SEQUENCES) and value:
-        first = value[0]
-        if isinstance(first, dict) and _row_width(first) is not None:
-            return
-        if isinstance(first, _CONTAINERS):
-            for item in value:
-                _count_rows(item, counts)
-        else:
-            counts[id(value)] += 1
-
-
-def _row_width(first):
-    """The number of scalars in `first`, the first item of a list, when the
-    list is encoded a slice of rows at a time: a list or tuple of scalars,
-    or a dict whose values are scalars or lists and tuples of scalars.
-    None when `first` holds deeper containers."""
+def _dict_row_width(first):
+    """The number of scalars in `first`, the first item of a list, when it
+    is a dict whose values are scalars or lists and tuples of scalars, so
+    that the list is encoded a slice of rows at a time; None otherwise."""
     if not isinstance(first, dict):
-        return None if first and isinstance(first[0], _CONTAINERS) else len(first)
+        return None
     width = 0
     for v in first.values():
         if isinstance(v, dict) or (isinstance(v, _SEQUENCES)
@@ -201,51 +180,45 @@ def _row_width(first):
     return width
 
 
-def _json_pieces(value, row):
-    """Yield the pieces of `_ENCODER.encode(value)` for a JSON report with
-    string keys, so that no piece holds more than a bounded part of a large
-    value.  `row` encodes the lists and tuples (`_row_encoder`).
+def _json_pieces(value):
+    """Yield the plan of `_ENCODER.encode(value)` for a JSON report with
+    string keys: pieces of its text (str), and the lists and tuples of
+    scalars themselves, for a row encoder (`_row_encoder`) to encode.  No
+    piece holds more than a bounded part of a large value.
 
     A dict with a container among its values is walked key by key, in
-    sorted order.  A list or tuple whose first item is a row (`_row_width`:
-    a list of scalars, or a dict of scalars and lists of scalars) is
-    encoded a slice of rows at a time; one whose first item holds deeper
-    containers is walked item by item.  Everything else is encoded whole.
-    Only the first item of a list is looked at, which is enough for the
-    uniform rows of a report.
+    sorted order.  A list or tuple whose first item is a dict row
+    (`_dict_row_width`) is encoded a slice of rows at a time; one whose
+    first item is any other container is walked item by item.  Any other
+    list or tuple is handed on as itself, and everything else is encoded
+    whole.  Only the first item of a list is looked at, which is enough for
+    the uniform rows of a report.
     """
     if isinstance(value, dict):
         if any(isinstance(v, _CONTAINERS) for v in value.values()):
             yield "{"
             for i, key in enumerate(sorted(value)):
                 yield ("," if i else "") + _ENCODER.encode(key) + ":"
-                yield from _json_pieces(value[key], row)
+                yield from _json_pieces(value[key])
             yield "}"
             return
     elif isinstance(value, _SEQUENCES) and value and isinstance(value[0], _CONTAINERS):
-        first = value[0]
-        width = _row_width(first)
+        width = _dict_row_width(value[0])
+        yield "["
         if width is None:
-            yield "["
             for i, item in enumerate(value):
                 if i:
                     yield ","
-                yield from _json_pieces(item, row)
-            yield "]"
-            return
-        step = max(1, _SLICE_ITEMS // max(1, width))
-        yield "["
-        for start in range(0, len(value), step):
-            rows = value[start:start + step]
-            if isinstance(first, dict):
-                text = _ENCODER.encode(rows)[1:-1]
-            else:
-                text = ",".join(map(row, rows))
-            yield ("," if start else "") + text
+                yield from _json_pieces(item)
+        else:
+            step = max(1, _SLICE_ITEMS // max(1, width))
+            for start in range(0, len(value), step):
+                text = _ENCODER.encode(value[start:start + step])[1:-1]
+                yield ("," if start else "") + text
         yield "]"
         return
     elif isinstance(value, _SEQUENCES):
-        yield row(value)
+        yield value
         return
     yield _ENCODER.encode(value)
 
@@ -271,7 +244,9 @@ def _emit(args, report_json, text_lines):
     be a lazy iterable.  Every value that can fail must be computed
     before the call, so that a failure leaves stdout empty."""
     if args.json:
-        pieces = chain(_json_pieces(report_json, _row_encoder(report_json)), ("\n",))
+        plan = list(_json_pieces(report_json))  # holds every row: their ids stay unique
+        row = _row_encoder(Counter(id(p) for p in plan if not isinstance(p, str)))
+        pieces = chain((p if isinstance(p, str) else row(p) for p in plan), ("\n",))
     else:
         pieces = (line + "\n" for line in text_lines)
     sys.stdout.writelines(_batched(pieces))
@@ -406,7 +381,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_zero_one(args) -> int:
     analysis = _analysis(args)
-    basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
+    # the verdicts build the signature first, so that the basic verdict
+    # reads the maximum period off it instead of computing it again
+    verdicts = analysis.residual_verdicts
+    basic = analysis.basic_verdict
     out = _zero_one_json(basic, verdicts)
     lines = [f"basic: {basic.verdict}; " + _residual_zero_one_line(verdicts)]
     _emit(args, out, lines)
@@ -423,10 +401,17 @@ def cmd_oracle(args) -> int:
         return 0
     analysis = Analysis(dfa)
     if args.oracle_op == "cycle-gcd":
-        for gamma in _parse_gammas(args) or [analysis.monoid.alphabet]:
+        gammas = _parse_gammas(args) or [analysis.monoid.alphabet]
+        for gamma in gammas:
+            if not gamma or not set(gamma) <= set(dfa.alphabet):
+                raise InvalidArgument(
+                    f"gamma {list(gamma)} is not a non-empty subset of the alphabet")
+        for gamma in gammas:
             print(f"{{{','.join(gamma)}}} {cycle_gcd(analysis.cayley, gamma)}")
         return 0
     if args.oracle_op == "lw":
+        if args.blocks < 0:
+            raise InvalidArgument(f"--blocks must be non-negative, got {args.blocks}")
         period = analysis.max_period
         if len(args.w) >= period:
             raise InvalidArgument(f"--w {args.w!r} is not shorter than the period {period}")

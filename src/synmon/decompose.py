@@ -113,7 +113,7 @@ def canonical_decomposition(m: SyntacticMonoid,
         restrict[r] = gather(theta[r])
     padding = {r: tuple(range(len(theta[r]), big_k)) for r in residuals}
     can_f = []
-    for t, column in enumerate(m.monoid.columns):
+    for t, column in enumerate(m.columns):
         shift, f = sig.rho_bar[t], {}
         for r in residuals:
             if len(theta[r]) == m.order:

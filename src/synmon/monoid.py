@@ -94,31 +94,16 @@ def _generating_set(rows, identity: int) -> list:
 
 
 class FiniteMonoid(Frozen):
-    """A multiplication table, checked on construction; compared by identity.
+    """A multiplication table, checked on construction; compared by identity."""
+    __slots__ = ("table", "identity", "names")
 
-    `columns`, when given, is the transpose of `table` as a tuple of tuples
-    (the closure kernel builds both); it is not checked."""
-    __slots__ = ("table", "identity", "generators", "names", "_columns")
-
-    def __init__(self, table: tuple, identity: int = 0, generators: dict | None = None,
-                 names: tuple | None = None, columns: tuple | None = None):
-        self._set(table, identity, {} if generators is None else generators, names,
-                  columns)
+    def __init__(self, table: tuple, identity: int = 0, names: tuple | None = None):
+        self._set(table, identity, names)
         check_table(self.table, self.identity)
-        if self.generators:
-            reached = _closure_from(self.table, self.identity, self.generators.values())
-            if len(reached) != self.order:
-                raise InvalidMonoid("generators do not generate the monoid")
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    @property
-    def columns(self) -> tuple:
-        """Column t of the table, (x.t for every x), for every t: the kept
-        transpose, or else one computed on each call."""
-        return tuple(zip(*self.table)) if self._columns is None else self._columns
 
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names else str(i)
@@ -138,12 +123,18 @@ def _closure_from(table, identity, generator_indices):
 
 
 class SyntacticMonoid(Frozen):
-    """Transition monoid of a minimal DFA, with the letter map and the
-    image of the language; compared by identity."""
-    __slots__ = ("monoid", "eta", "accepting_image")
+    """Transition monoid of a minimal DFA, with the letter map, the image of
+    the language and the transpose of the table that the closure kernel
+    built (`columns[t]` is (x.t for every x)); compared by identity.  The
+    letters must generate the monoid; the columns are not checked."""
+    __slots__ = ("monoid", "eta", "accepting_image", "columns")
 
-    def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset):
-        self._set(monoid, eta, accepting_image)
+    def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset,
+                 columns: tuple):
+        self._set(monoid, eta, accepting_image, columns)
+        reached = _closure_from(monoid.table, monoid.identity, eta.values())
+        if len(reached) != monoid.order:
+            raise InvalidMonoid("generators do not generate the monoid")
 
     @property
     def alphabet(self) -> tuple:
@@ -220,22 +211,15 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     initial, accepting = position[dfa.initial], {position[q] for q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
-    monoid = FiniteMonoid(table, 0, dict(eta), tuple(names), columns)
-    return SyntacticMonoid(monoid, eta, accepting_image)
+    return SyntacticMonoid(FiniteMonoid(table, 0, tuple(names)), eta, accepting_image,
+                           columns)
 
 
-def cayley_graph(m: SyntacticMonoid | FiniteMonoid) -> CayleyGraph:
-    """Right Cayley graph over the letter generators."""
-    monoid = m.monoid if isinstance(m, SyntacticMonoid) else m
-    generators = m.eta if isinstance(m, SyntacticMonoid) else monoid.generators
-    if not generators:
-        raise InvalidMonoid("Cayley graph needs letter-labeled generators")
-    edges = tuple(
-        (i, a, monoid.table[i][generators[a]])
-        for i in range(monoid.order)
-        for a in sorted(generators)
-    )
-    return CayleyGraph(tuple(range(monoid.order)), edges)
+def cayley_graph(m: SyntacticMonoid) -> CayleyGraph:
+    """Right Cayley graph over the letters."""
+    table, letters = m.monoid.table, m.alphabet
+    edges = tuple((i, a, table[i][m.eta[a]]) for i in range(m.order) for a in letters)
+    return CayleyGraph(tuple(range(m.order)), edges)
 
 
 def cayley_to_dot(graph: CayleyGraph, names=None) -> str:
@@ -296,7 +280,7 @@ def rees_factor(m: FiniteMonoid, ideal) -> FiniteMonoid:
         names = tuple(m.names[i] for i in survivors) + ("ι",)
     # when ideal == M the sink itself is the identity
     identity = new.get(m.identity, sink)
-    return FiniteMonoid(tuple(tuple(r) for r in table), identity, {}, names)
+    return FiniteMonoid(tuple(tuple(r) for r in table), identity, names)
 
 
 def _check_action(m: FiniteMonoid, n: FiniteMonoid, action) -> None:
@@ -340,7 +324,7 @@ def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid
         f"({m.name_of(i)},{n.name_of(j)})"
         for i in range(m.order) for j in range(n.order)
     )
-    return FiniteMonoid(tuple(tuple(r) for r in table), 0, {}, names)
+    return FiniteMonoid(tuple(tuple(r) for r in table), 0, names)
 
 
 def trivial_action(m: FiniteMonoid, n: FiniteMonoid):
@@ -364,7 +348,7 @@ def function_monoid(m: FiniteMonoid, copies: int, cap: int = 4096) -> FiniteMono
         for f in elements
     )
     names = tuple("[" + ",".join(m.name_of(v) for v in f) + "]" for f in elements)
-    return FiniteMonoid(table, 0, {}, names)
+    return FiniteMonoid(table, 0, names)
 
 
 def make_named(kind: str, k: int) -> FiniteMonoid:
@@ -374,17 +358,17 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
         raise TooLarge("K must be at least 1")
     if kind == "cyclic":
         table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-        return FiniteMonoid(table, 0, {}, tuple(str(i) for i in range(k)))
+        return FiniteMonoid(table, 0, tuple(str(i) for i in range(k)))
     if kind == "right_zero":
         table = tuple(
             tuple(j if j != 0 else i for j in range(k + 1)) for i in range(k + 1)
         )
-        return FiniteMonoid(table, 0, {}, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
+        return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
     if kind == "left_zero":
         table = tuple(
             tuple(i if i != 0 else j for j in range(k + 1)) for i in range(k + 1)
         )
-        return FiniteMonoid(table, 0, {}, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
+        return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
     if kind in ("symmetric", "full_transformation"):
         if k > (6 if kind == "symmetric" else 5):
             raise TooLarge(f"{kind} monoid of degree {k} exceeds the order cap")
@@ -396,7 +380,7 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
                 generators.append((0, 0) + tuple(range(2, k)))
         elements, _, _, table, _ = _close(generators, k ** k)
         names = tuple("".join(map(str, t)) for t in elements)
-        return FiniteMonoid(table, 0, {}, names)
+        return FiniteMonoid(table, 0, names)
     raise ValueError(f"unknown monoid kind {kind!r}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple
@@ -67,33 +68,17 @@ def _successors(dfa: Dfa) -> list:
     return [[position[dfa.delta[(q, a)]] for a in dfa.alphabet] for q in dfa.states]
 
 
-def _counts(successors, start: int, upto: int):
-    """Yield, for the lengths 0, 1, ..., upto, the number of words of that
-    length leading from state `start` to each state."""
-    vector = [0] * len(successors)
-    vector[start] = 1
-    yield vector
-    for _ in range(upto):
-        step = [0] * len(vector)
-        for i, count in enumerate(vector):
-            if count:
-                for j in successors[i]:
-                    step[j] += count
-        vector = step
-        yield vector
-
-
-def _walk_counts(successors, start: int, steps: int) -> dict:
-    """{state: number of words of `steps` letters leading from state
-    `start` to it}, without the zero counts, in ascending order of state."""
+def _walk_counts(successors, start: int):
+    """Yield, for the lengths 0, 1, 2, ..., {state: number of words of that
+    length leading from state `start` to it}, without the zero counts."""
     counts = {start: 1}
-    for _ in range(steps):
+    while True:
+        yield counts
         step = {}
         for i, count in counts.items():
             for j in successors[i]:
                 step[j] = step.get(j, 0) + count
         counts = step
-    return dict(sorted(counts.items()))
 
 
 def mu_exact(dfa: Dfa, length: int) -> Fraction:
@@ -126,8 +111,8 @@ def mu_series(dfa: Dfa, upto: int) -> list:
 def markov_chain(dfa: Dfa) -> MarkovChain:
     """Uniform-transition Markov chain of a complete DFA."""
     successors, size = _successors(dfa), len(dfa.alphabet)
-    matrix = tuple(tuple(Fraction(c, size) for c in list(_counts(successors, i, 1))[1])
-                   for i in range(dfa.n_states))
+    matrix = tuple(tuple(Fraction(targets.count(j), size) for j in range(dfa.n_states))
+                   for targets in successors)
     return MarkovChain(tuple(dfa.states), matrix)
 
 
@@ -207,8 +192,10 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     every reachable state when `period` is a multiple of the maximum period.
     """
     successors, n = _successors(dfa), dfa.n_states
-    # rows of A = size R, A[i][j] the number of words of `period` letters from i to j
-    rows = [_walk_counts(successors, i, period) for i in range(n)]
+    # rows of A = size R, A[i][j] the number of words of `period` letters from i
+    # to j, in ascending order of j
+    rows = [dict(sorted(next(islice(_walk_counts(successors, i), period, None)).items()))
+            for i in range(n)]
     size = len(dfa.alphabet) ** period
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     h = {}
@@ -262,10 +249,10 @@ def residue_limits(dfa: Dfa, period: int, h: dict) -> list:
     period the caller knows to be the maximum period: the limit at residue r
     is the mean of h over the states reached by the words of length r."""
     values = [h[q] for q in dfa.states]
-    counts = _counts(_successors(dfa), dfa.states.index(dfa.initial), period - 1)
-    return [AccumulationPoint(r, Fraction(sum(c * v for c, v in zip(vector, values)),
+    counts = _walk_counts(_successors(dfa), dfa.states.index(dfa.initial))
+    return [AccumulationPoint(r, Fraction(sum(c * values[j] for j, c in vector.items()),
                                           len(dfa.alphabet) ** r))
-            for r, vector in enumerate(counts)]
+            for r, vector in zip(range(period), counts)]
 
 
 def zero_one_basic(m: SyntacticMonoid, dfa: Dfa) -> BasicZeroOne:

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from synmon import load_dfa, make_named, minimize, transition_monoid
 from synmon.errors import InvalidMonoid
-from synmon.monoid import FiniteMonoid, _generating_set, check_table, gather
+from synmon.monoid import (FiniteMonoid, SyntacticMonoid, _generating_set,
+                           check_table, gather)
 
 from conftest import CORPUS_SOURCES, load_corpus_dfa
 
@@ -175,8 +176,12 @@ def test_associativity_is_checked_above_order_512():
 
 
 def test_generators_that_do_not_generate_are_rejected():
+    table = SOURCES["a2"]
+    columns = tuple(zip(*table))
     with pytest.raises(InvalidMonoid, match="do not generate"):
-        FiniteMonoid(SOURCES["a2"], 0, {"a": 1})
+        SyntacticMonoid(FiniteMonoid(table), {"a": 1}, frozenset(), columns)
+    sm = transition_monoid(minimize(load_corpus_dfa("a2")))
+    assert SyntacticMonoid(sm.monoid, sm.eta, frozenset(), sm.columns).order == sm.order
 
 
 def test_commands_do_not_import_numpy():

@@ -136,6 +136,10 @@ def a3_with(change) -> bytes:
                  id="list transition target"),
     pytest.param(("oracle", "lw", "--w", "c"), None, id="oracle lw --w outside the alphabet"),
     pytest.param(("oracle", "lw", "--w", "aaa"), None, id="oracle lw --w past the period"),
+    pytest.param(("oracle", "cycle-gcd", "--gamma", "z"), None,
+                 id="oracle cycle-gcd --gamma outside the alphabet"),
+    pytest.param(("oracle", "cycle-gcd", "--gamma", ""), None, id="oracle cycle-gcd --gamma ''"),
+    pytest.param(("oracle", "lw", "--blocks", "-1"), None, id="oracle lw --blocks -1"),
 ])
 def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_path):
     path = DATA / "a3.json"

@@ -110,15 +110,13 @@ def test_kernel_on_a_degree_one_dfa():
     dfa = minimize(regex_to_dfa(parse_regex("a*"), "a"))
     assert dfa.n_states == 1
     assert_kernel_matches_reference(dfa)
-    m = transition_monoid(dfa).monoid
-    assert m.table == m.columns == ((0,),)
+    sm = transition_monoid(dfa)
+    assert sm.monoid.table == sm.columns == ((0,),)
 
 
 def test_columns_are_the_transpose_of_the_table(corpus):
     for name, (_dfa, _minimal, sm) in corpus.items():
-        assert sm.monoid.columns == tuple(zip(*sm.monoid.table)), name
-    m = make_named("full_transformation", 3)
-    assert m.columns == tuple(zip(*m.table))
+        assert sm.columns == tuple(zip(*sm.monoid.table)), name
 
 
 # --- residual monoids ---

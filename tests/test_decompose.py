@@ -6,6 +6,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given
 
 from synmon import (build_signature, canonical_decomposition, cli, lw_member,
                     lw_quotient, lw_recognizer, make_named, max_period, minimize,
@@ -17,7 +18,7 @@ from synmon.monoid import identity_transformation
 from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 
-from conftest import CORPUS_SOURCES
+from conftest import CORPUS_SOURCES, random_decomposition, small_dfas
 
 
 def divisor_vectors(maxima):
@@ -120,7 +121,7 @@ def test_decomposition_matches_its_definition_at_every_divisor_period(corpus):
 def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
     dec = full_decs["a2"]
     assert dec.signature.periods == (1,)
-    for t, column in enumerate(dec.m.monoid.columns):
+    for t, column in enumerate(dec.m.columns):
         assert dec.can_f[t][(0,)] is column
 
 
@@ -297,6 +298,22 @@ def test_membership_matches_block_enumeration(corpus, full_decs):
            for u in itertools.product(("aa", "ab", "ba", "bb"), repeat=n)
            if lw_member(rec, list(u))}
     assert got == expected
+
+
+@given(small_dfas())
+def test_membership_matches_block_enumeration_on_random_dfas(dfa):
+    """For every prefix w shorter than the period, the recognizer of L_w
+    accepts exactly the block words of at most two blocks that the oracle
+    finds by running the DFA on w + u."""
+    dec = random_decomposition(dfa)
+    period = dec.signature.periods[0]
+    blocks = ["".join(b) for b in itertools.product("ab", repeat=period)]
+    words = [u for n in range(3) for u in itertools.product(blocks, repeat=n)]
+    for r in range(period):
+        for w in map("".join, itertools.product("ab", repeat=r)):
+            rec = lw_recognizer(dec, w)
+            got = {u for u in words if lw_member(rec, u)}
+            assert got == lw_enumerate(dfa, w, period, 2), w
 
 
 # --- syntactic monoids of block languages and the quotient map ---

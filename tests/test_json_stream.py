@@ -7,7 +7,7 @@ import contextlib
 import io
 import json
 import sys
-from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -112,16 +112,30 @@ def test_dict_rows_are_encoded_a_slice_at_a_time():
     rows = [{"w": "a" * (i % 7), "verdict": "mixed", "witness": ["e", "a"], "num": i, "den": 3}
             for i in range(1093)]
     nested = [{"r": r, "elements": [(r, 1), (1, r)]} for r in range(2)]
-    counts = Counter()
-    cli._count_rows({"residual": rows, "residual_monoids": nested}, counts)
-    assert sorted(counts.values()) == [1, 1, 1, 1]  # the rows of `nested` only
+    plan = list(cli._json_pieces({"residual": rows, "residual_monoids": nested}))
+    # only the rows of `nested` are handed to the row encoder
+    assert [p for p in plan if not isinstance(p, str)] == [(0, 1), (1, 0), (1, 1), (1, 1)]
     for slice_items in (cli._SLICE_ITEMS, 70):
         with mock.patch.object(cli, "_SLICE_ITEMS", slice_items):
-            pieces = list(cli._json_pieces(rows, cli._row_encoder(rows)))
+            pieces = list(cli._json_pieces(rows))
         assert "".join(pieces) + "\n" == one_shot(rows)
         assert len(pieces) == 2 + -(-len(rows) // (slice_items // 6))  # 6 scalars a row
     # entries that hold nested containers are still walked key by key
-    assert '"elements":' in cli._json_pieces(nested, cli._row_encoder(nested))
+    assert '"elements":' in cli._json_pieces(nested)
+
+
+def test_a_row_shared_under_two_keys_is_encoded_once():
+    row, other = tuple(range(40)), tuple(range(39, -1, -1))
+    report = {"a": row, "b": {"c": row, "d": [other, row]}}
+    joined = []
+
+    def spy(*items):
+        joined.append(items)
+        return itemgetter(*items)
+
+    with mock.patch.object(cli, "itemgetter", spy):
+        assert streamed(report) == one_shot(report)
+    assert joined == [row, other]
 
 
 def test_analyze_json_streams_the_bytes_of_one_dump(tmp_path):

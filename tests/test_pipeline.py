@@ -70,6 +70,11 @@ def test_analyze_builds_one_cayley_graph_and_prob_no_signature(monkeypatch, caps
     assert cli.main(["analyze", "--json", "--regex", "((a|b)(a|b))*"]) == 0
     assert json.loads(capsys.readouterr().out)["signature"]["periods"] == [2]
     assert (len(graphs), len(maxima), len(signatures)) == (1, 1, 1)
+    graphs.clear()
+    maxima.clear()
+    assert cli.main(["zero-one", "--regex", "((a|b)(a|b))*"]) == 0
+    assert capsys.readouterr().out.startswith("basic: ")
+    assert (len(graphs), len(maxima)) == (1, 1)
     # P = 1: building a signature would warn that every period is 1
     signatures.clear()
     assert cli.main(["prob", "--regex", "(a|b)*a"]) == 0

@@ -56,11 +56,12 @@ def test_mu_series_matches_the_enumeration_oracle_on_random_dfas(dfa):
 def forward_series(dfa, upto):
     """mu(0), ..., mu(upto) by counting forward from the initial state: the
     number of words of each length that reach each state."""
-    accepting = [i for i, q in enumerate(dfa.states) if q in dfa.accepting]
-    counts = probability._counts(probability._successors(dfa),
-                                 dfa.states.index(dfa.initial), upto)
-    return [Fraction(sum(vector[i] for i in accepting), len(dfa.alphabet) ** length)
-            for length, vector in enumerate(counts)]
+    accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
+    counts = probability._walk_counts(probability._successors(dfa),
+                                      dfa.states.index(dfa.initial))
+    return [Fraction(sum(c for i, c in vector.items() if i in accepting),
+                     len(dfa.alphabet) ** length)
+            for length, vector in zip(range(upto + 1), counts)]
 
 
 def test_mu_series_equals_the_forward_count_on_the_corpus(corpus):

@@ -1,8 +1,7 @@
 """The records of every layer are immutable and compare as documented, and
-building them generates no code: neither `import synmon` nor a command
-imports `dataclasses` or `inspect`.  Start-up loads only what a command
-uses: `import synmon` loads no submodule, and each verb only the modules
-on its own path."""
+neither `import synmon` nor a command imports `dataclasses` or `inspect`.
+Start-up loads only what a command uses: `import synmon` loads no
+submodule, and each verb only the modules on its own path."""
 
 import copy
 import importlib
@@ -174,12 +173,12 @@ def test_dfas_and_monoids_copy_and_pickle():
     for m in (sm.monoid, make_named("symmetric", 3), FiniteMonoid(((0, 1), (1, 0)))):
         for clone in clones(m):
             assert type(clone) is FiniteMonoid
-            assert (clone.table, clone.identity, clone.generators, clone.names,
-                    clone.columns) == (m.table, m.identity, m.generators, m.names, m.columns)
+            assert (clone.table, clone.identity, clone.names) == (m.table, m.identity, m.names)
     for clone in clones(sm):
         assert type(clone) is type(sm) and type(clone.monoid) is FiniteMonoid
         assert clone.monoid.table == sm.monoid.table
-        assert (clone.eta, clone.accepting_image) == (sm.eta, sm.accepting_image)
+        assert (clone.eta, clone.accepting_image, clone.columns) == \
+            (sm.eta, sm.accepting_image, sm.columns)
     with pytest.raises(AttributeError):
         copy.copy(dfa).initial = None
 
