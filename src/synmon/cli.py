@@ -279,6 +279,7 @@ def cmd_analyze(args) -> int:
     }
     probability = sig.full_alphabet_at_maximum
     if probability:
+        _check_digits(analysis.dfa.alphabet, args.length)
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
         residual_monoids = [analysis.residual_monoid(r) for r in range(sig.periods[0])]
@@ -351,6 +352,7 @@ def cmd_prob(args) -> int:
     from .probability import accumulation_points, mu_series
 
     analysis = _analysis(args)
+    _check_digits(analysis.dfa.alphabet, args.length)
     period = analysis.max_period
     series = mu_series(analysis.dfa, args.length)
     points = accumulation_points(analysis.dfa, period)
@@ -476,6 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_length(args) -> None:
     if getattr(args, "length", 0) < 0:
         raise InvalidArgument(f"--length must be non-negative, got {args.length}")
+
+
+def _check_digits(alphabet, length: int) -> None:
+    """Refuse a --length at which len(alphabet) ** length, the denominator
+    of mu(length), may pass Python's limit for converting an int to text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    size = len(alphabet)
+    # with size >= 2, length >= 4 * limit gives size ** length >= 16 ** limit
+    if limit and size > 1 and (length >= 4 * limit or size ** length >= 10 ** limit):
+        raise InvalidArgument(f"--length {length} is too long: mu({length}) may have "
+                              f"{size}**{length} as denominator, past Python's limit of "
+                              f"{limit} digits for converting an int to text")
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):

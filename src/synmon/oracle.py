@@ -57,8 +57,8 @@ def _ends(node, word, start):
         return out
     if isinstance(node, Opt):
         return {start} | _ends(node.child, word, start)
-    # Star / Plus: iterate the child to a fixed point
-    out = {start} if isinstance(node, Star) else set()
+    # Star / Plus: iterate the child to a fixed point; Plus takes the empty word from it
+    out = {start} if isinstance(node, Star) else _ends(node.child, word, start) & {start}
     frontier = {start}
     while frontier:
         step = set()

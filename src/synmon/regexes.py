@@ -7,7 +7,11 @@ Grammar (precedence: postfix > concatenation > alternation):
     rep  := atom ('*' | '+' | '?')*
     atom := letter | '&' | '(' alt ')'
 
-Letters are [a-z0-9]; '&' denotes the empty word.
+Letters are [a-z0-9]; '&' denotes the empty word.  The parser recurses
+once per level of parentheses, which nest at most `MAX_NESTING` deep.
+Nothing else recurses on the tree: `regex_to_dfa` runs the subset
+construction on Glushkov's position automaton (Glushkov 1961; Berry and
+Sethi 1986), built in one walk on an explicit stack, and minimizes.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .dfa import Dfa, minimize
 from .errors import AlphabetMismatch, RegexSyntaxError
 
 LETTERS = set("abcdefghijklmnopqrstuvwxyz0123456789")
+MAX_NESTING = 100
 
 
 class Letter(NamedTuple):
@@ -79,6 +84,8 @@ def _check_parens(text: str) -> None:
     stack = []
     for i, c in enumerate(text):
         if c == "(":
+            if len(stack) == MAX_NESTING:
+                raise RegexSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", i)
             stack.append(i)
         elif c == ")":
             if not stack:
@@ -129,101 +136,91 @@ def _parse_atom(text, pos):
     raise RegexSyntaxError(f"illegal character {c!r}", pos)
 
 
+_INNER = (Alt, Cat, Star, Plus, Opt)  # the nodes whose fields are subtrees
+
+
 def symbols_of(ast: RegexAst) -> set[str]:
-    if isinstance(ast, Letter):
-        return {ast.symbol}
-    if isinstance(ast, Epsilon):
-        return set()
-    if isinstance(ast, (Alt, Cat)):
-        return symbols_of(ast.left) | symbols_of(ast.right)
-    return symbols_of(ast.child)
-
-
-# --- Thompson construction ---
-# NFA as: list of dicts state -> {symbol or '' (epsilon) -> set of states}.
-
-def _thompson(ast, edges):
-    """Return (start, end) sub-automaton; appends states to `edges`."""
-    def new_state():
-        edges.append({})
-        return len(edges) - 1
-
-    def link(s, label, t):
-        edges[s].setdefault(label, set()).add(t)
-
-    if isinstance(ast, Letter):
-        s, t = new_state(), new_state()
-        link(s, ast.symbol, t)
-        return s, t
-    if isinstance(ast, Epsilon):
-        s, t = new_state(), new_state()
-        link(s, "", t)
-        return s, t
-    if isinstance(ast, Alt):
-        s, t = new_state(), new_state()
-        ls, lt = _thompson(ast.left, edges)
-        rs, rt = _thompson(ast.right, edges)
-        link(s, "", ls)
-        link(s, "", rs)
-        link(lt, "", t)
-        link(rt, "", t)
-        return s, t
-    if isinstance(ast, Cat):
-        ls, lt = _thompson(ast.left, edges)
-        rs, rt = _thompson(ast.right, edges)
-        link(lt, "", rs)
-        return ls, rt
-    if isinstance(ast, (Star, Plus, Opt)):
-        s, t = new_state(), new_state()
-        cs, ct = _thompson(ast.child, edges)
-        link(s, "", cs)
-        if not isinstance(ast, Plus):
-            link(s, "", t)
-        link(ct, "", t)
-        if not isinstance(ast, Opt):
-            link(ct, "", cs)
-        return s, t
-    raise TypeError(f"not a regex node: {ast!r}")
-
-
-def _eps_closure(edges, states):
-    closure = set(states)
-    stack = list(states)
+    symbols, stack = set(), [ast]
     while stack:
-        q = stack.pop()
-        for t in edges[q].get("", ()):
-            if t not in closure:
-                closure.add(t)
-                stack.append(t)
-    return frozenset(closure)
+        node = stack.pop()
+        if isinstance(node, Letter):
+            symbols.add(node.symbol)
+        elif isinstance(node, _INNER):
+            stack.extend(node)
+        elif not isinstance(node, Epsilon):
+            raise TypeError(f"not a regex node: {node!r}")
+    return symbols
+
+
+def _positions(ast):
+    """Glushkov's position automaton of `ast`, whose positions are its
+    letter occurrences and 0, the start: the letter at each position, the
+    positions that may follow each one, and the accepting positions.
+
+    One post-order walk computes nullable, first and last of every subtree
+    onto a stack of results, so that a node shared by two parents gets its
+    own positions under each.  `ast` must have passed `symbols_of`, which
+    rejects anything that is not a regex node."""
+    letters = [None]
+    follow = [set()]
+    results = []  # (nullable, first, last) of each finished subtree
+    work = [(ast, False)]
+    while work:
+        node, children_done = work.pop()
+        if isinstance(node, Letter):
+            results.append((False, {len(letters)}, {len(letters)}))
+            letters.append(node.symbol)
+            follow.append(set())
+        elif isinstance(node, Epsilon):
+            results.append((True, set(), set()))
+        elif not children_done:
+            work.append((node, True))
+            work.extend((child, False) for child in reversed(node))
+        elif isinstance(node, (Alt, Cat)):
+            n2, f2, l2 = results.pop()
+            n1, f1, l1 = results.pop()
+            if isinstance(node, Alt):
+                results.append((n1 or n2, f1 | f2, l1 | l2))
+            else:
+                for p in l1:
+                    follow[p] |= f2
+                results.append((n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2))
+        else:
+            nullable, first, last = results.pop()
+            if not isinstance(node, Opt):  # Star and Plus repeat the child
+                for p in last:
+                    follow[p] |= first
+            results.append((nullable or not isinstance(node, Plus), first, last))
+    nullable, follow[0], last = results.pop()  # the start is followed by first
+    return letters, follow, last | {0} if nullable else last
 
 
 def regex_to_dfa(ast: RegexAst, alphabet) -> Dfa:
     """Compile to the minimal complete DFA over `alphabet` (subset
-    construction; the empty subset acts as the completion sink)."""
+    construction on the position automaton; the empty subset acts as the
+    completion sink)."""
     alphabet = tuple(sorted(alphabet))
     extra = symbols_of(ast) - set(alphabet)
     if extra:
         raise AlphabetMismatch(f"symbols {sorted(extra)} not in alphabet {list(alphabet)}")
-    edges = []
-    start, end = _thompson(ast, edges)
-    init = _eps_closure(edges, {start})
+    letters, follow, final = _positions(ast)
+    init = frozenset({0})
     subsets = {init: 0}
     order = [init]
     delta = {}
     i = 0
     while i < len(order):
-        current = order[i]
+        moved = {a: set() for a in alphabet}
+        for p in order[i]:
+            for q in follow[p]:
+                moved[letters[q]].add(q)
         for a in alphabet:
-            moved = set()
-            for q in current:
-                moved.update(edges[q].get(a, ()))
-            target = _eps_closure(edges, moved)
+            target = frozenset(moved[a])
             if target not in subsets:
                 subsets[target] = len(order)
                 order.append(target)
-            delta[(subsets[current], a)] = subsets[target]
+            delta[(i, a)] = subsets[target]
         i += 1
-    accepting = frozenset(subsets[s] for s in order if end in s)
+    accepting = frozenset(i for i, s in enumerate(order) if not final.isdisjoint(s))
     dfa = Dfa(alphabet, tuple(range(len(order))), 0, accepting, delta)
     return minimize(dfa)

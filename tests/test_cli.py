@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from synmon import cli
+from synmon.errors import InvalidArgument
 
 from conftest import small_dfas
 
@@ -140,6 +141,11 @@ def a3_with(change) -> bytes:
                  id="oracle cycle-gcd --gamma outside the alphabet"),
     pytest.param(("oracle", "cycle-gcd", "--gamma", ""), None, id="oracle cycle-gcd --gamma ''"),
     pytest.param(("oracle", "lw", "--blocks", "-1"), None, id="oracle lw --blocks -1"),
+    pytest.param(("prob", "--length", "15000"), None, id="prob --length past int-to-text"),
+    pytest.param(("prob", "--length", "15000", "--json"), None,
+                 id="prob --json --length past int-to-text"),
+    pytest.param(("analyze", "--length", "15000", "--json"), None,
+                 id="analyze --json --length past int-to-text"),
 ])
 def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_path):
     path = DATA / "a3.json"
@@ -151,6 +157,21 @@ def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_p
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+def test_length_past_the_int_to_text_limit_is_refused():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert len(str(2 ** 14284)) == 4300
+        cli._check_digits("ab", 14284)
+        with pytest.raises(InvalidArgument, match="--length 14285 .* 4300 digits"):
+            cli._check_digits("ab", 14285)
+        cli._check_digits("a", 10 ** 9)  # mu is 0 or 1
+        sys.set_int_max_str_digits(0)  # no limit
+        cli._check_digits("ab", 10 ** 9)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_and_text_report_same_numbers():

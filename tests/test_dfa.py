@@ -18,25 +18,25 @@ def test_load_well_formed():
     assert dfa.run("ab") == "q3"
 
 
-def test_load_missing_transition():
+@pytest.mark.parametrize("fault, error", [
+    pytest.param(lambda doc: doc["states"].append("q1"), FormatError, id="duplicate state id"),
+    pytest.param(lambda doc: doc["transitions"][0].update(to="q9"), UnknownState,
+                 id="transition to an undeclared state"),
+    pytest.param(lambda doc: doc.update(transitions=doc["transitions"][1:]),
+                 PartialTransitionFunction, id="missing transition"),
+    pytest.param(lambda doc: doc.update(initial="q9"), UnknownState,
+                 id="undeclared initial state"),
+    pytest.param(lambda doc: doc["accepting"].append("q9"), UnknownState,
+                 id="undeclared accepting state"),
+    pytest.param(lambda doc: doc["transitions"][0].update(on="c"), FormatError,
+                 id="unknown symbol"),
+    pytest.param(lambda doc: doc["transitions"][0].update({"from": "q9"}), UnknownState,
+                 id="transition from an undeclared state"),
+])
+def test_load_single_fault_raises_its_class(fault, error):
     doc = data_json("a3.json")
-    doc["transitions"] = [t for t in doc["transitions"]
-                          if not (t["from"] == "q1" and t["on"] == "b")]
-    with pytest.raises(PartialTransitionFunction):
-        load_dfa(json.dumps(doc))
-
-
-def test_load_undeclared_initial():
-    doc = data_json("a3.json")
-    doc["initial"] = "q9"
-    with pytest.raises(UnknownState):
-        load_dfa(json.dumps(doc))
-
-
-def test_load_undeclared_transition_target():
-    doc = data_json("a3.json")
-    doc["transitions"][0]["to"] = "q9"
-    with pytest.raises(UnknownState):
+    fault(doc)
+    with pytest.raises(error):
         load_dfa(json.dumps(doc))
 
 

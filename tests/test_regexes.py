@@ -1,12 +1,16 @@
+import contextlib
+import io
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from synmon import cli
 from synmon.dfa import minimize
 from synmon.errors import AlphabetMismatch, RegexSyntaxError
 from synmon.oracle import regex_match
-from synmon.regexes import (Alt, Cat, Epsilon, Letter, Opt, Plus, Star,
+from synmon.regexes import (MAX_NESTING, Alt, Cat, Epsilon, Letter, Opt, Plus, Star,
                             parse_regex, regex_to_dfa, symbols_of)
 
 PATTERNS = [
@@ -51,6 +55,7 @@ def test_precedence_star_binds_tighter_than_cat():
     ("a|*", 2),
     ("aA", 1),
     ("", 0),
+    pytest.param("(" * 101 + "a" + ")" * 101, 100, id="nested 101 deep"),
 ])
 def test_syntax_errors_carry_offsets(text, offset):
     with pytest.raises(RegexSyntaxError) as err:
@@ -114,3 +119,56 @@ def test_round_trip_random_words(word, pattern):
 
 def test_symbols_of():
     assert symbols_of(parse_regex("a(b|&)*0")) == {"a", "b", "0"}
+
+
+def nested(depth):
+    return "(" * depth + "a" + ")" * depth
+
+
+def run_main(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parentheses_nest_up_to_the_bound():
+    assert parse_regex(nested(MAX_NESTING)) == Letter("a")
+    code, out, err = run_main("prob", "--regex", nested(MAX_NESTING + 1), "--alphabet", "ab")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: parentheses nested deeper than {MAX_NESTING} "
+                                f"at offset {MAX_NESTING}"]
+
+
+@pytest.mark.parametrize("regex, states", [
+    pytest.param("a" + "*" * 1500, 2, id="1500 stars"),
+    pytest.param("(" + "a|" * 1500 + "b)*", 1, id="1501 alternatives"),
+    pytest.param("&" * 1500 + "a", 3, id="1501 concatenated atoms"),
+])
+def test_deep_regexes_compile_without_recursion(regex, states):
+    assert sys.getrecursionlimit() <= 1000  # the interpreter's default
+    code, out, err = run_main("analyze", "--regex", regex, "--alphabet", "ab")
+    assert code == 0, err
+    assert out.splitlines()[0] == f"dfa: {states} states over {{a,b}}"
+
+
+def asts():
+    """Regex ASTs over all seven node kinds, some sharing one subtree
+    object between two parents."""
+    leaves = st.builds(Epsilon) | st.sampled_from("ab").map(Letter)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Alt, children, children), st.builds(Cat, children, children),
+            st.builds(Star, children), st.builds(Plus, children), st.builds(Opt, children),
+            children.map(lambda x: Cat(x, Cat(x, x))), children.map(lambda x: Alt(x, Star(x))))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@given(asts())
+def test_compiled_dfa_agrees_with_the_matcher_on_short_words(ast):
+    dfa = regex_to_dfa(ast, "abc")
+    for n in range(6):
+        for word in map("".join, itertools.product("abc", repeat=n)):
+            assert dfa.accepts(word) == regex_match(ast, word), word
