@@ -30,8 +30,11 @@ def _load_source(args):
     if bool(args.regex) == bool(args.dfa):
         raise SynmonError("need exactly one of --regex or --dfa")
     if args.regex:
-        from .regexes import parse_regex, regex_to_dfa, symbols_of
+        from .regexes import LETTERS, parse_regex, regex_to_dfa, symbols_of
 
+        for a in args.alphabet or "":
+            if a not in LETTERS:
+                raise InvalidArgument(f"--alphabet symbol {a!r} is not a letter [a-z0-9]")
         ast = parse_regex(args.regex)
         alphabet = sorted(set(args.alphabet) if args.alphabet else symbols_of(ast))
         return regex_to_dfa(ast, alphabet)

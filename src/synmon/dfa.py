@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import deque
 from itertools import product
 
 from .errors import FormatError, PartialTransitionFunction, UnknownState
@@ -99,18 +98,16 @@ class Dfa(Frozen):
 
 
 def _reachable(dfa: Dfa) -> list:
-    seen = {dfa.initial}
-    order = [dfa.initial]
-    queue = deque([dfa.initial])
+    """The states reachable from the initial one, in breadth-first
+    discovery order with letters sorted."""
     letters = sorted(dfa.alphabet)
-    while queue:
-        q = queue.popleft()
+    order, seen = [dfa.initial], {dfa.initial}
+    for q in order:  # the loop reads the states appended behind it
         for a in letters:
             t = dfa.delta[(q, a)]
             if t not in seen:
                 seen.add(t)
                 order.append(t)
-                queue.append(t)
     return order
 
 
@@ -126,45 +123,54 @@ def trim(dfa: Dfa) -> Dfa:
                frozenset(q for q in dfa.accepting if q in keep), delta)
 
 
-def canonicalize(dfa: Dfa) -> Dfa:
-    """Renumber states 0..m-1 in BFS discovery order, letters sorted."""
-    order = _reachable(dfa)
-    number = {q: i for i, q in enumerate(order)}
-    alphabet = tuple(sorted(dfa.alphabet))
-    delta = {(number[q], a): number[dfa.delta[(q, a)]]
-             for q in order for a in alphabet}
-    return Dfa(alphabet, tuple(range(len(order))), 0,
-               frozenset(number[q] for q in dfa.accepting if q in number), delta)
-
-
 def minimize(dfa: Dfa) -> Dfa:
-    """Language-equivalent minimal complete DFA with canonical numbering.
+    """Language-equivalent minimal complete DFA with canonical numbering:
+    states 0..m-1 in breadth-first discovery order, letters sorted.
 
-    Moore partition refinement; idempotent up to renaming.
+    Hopcroft's partition refinement (Hopcroft 1971; Valmari and Lehtinen
+    2008) on the reachable states, through inverse transitions.  A
+    worklist holds (block, letter) splitters; a split block keeps its
+    number for its larger half and queues the smaller half under every
+    letter, so a state enters O(log n) splitters per letter.
     """
-    dfa = trim(dfa)
     letters = sorted(dfa.alphabet)
-    block = {q: (q in dfa.accepting) for q in dfa.states}
+    states = _reachable(dfa)
+    index = {q: i for i, q in enumerate(states)}
+    succ = [[index[dfa.delta[(q, a)]] for a in letters] for q in states]
+    inverse = [[[] for _ in states] for _ in letters]
+    for p, row in enumerate(succ):
+        for a, q in enumerate(row):
+            inverse[a][q].append(p)
+    final = {index[q] for q in dfa.accepting if q in index}
+    blocks, block_of, work = [set(range(len(states)))], [0] * len(states), []
+    hits = {0: set(final)} if final else {}  # the first split sets the final states apart
     while True:
-        signature = {q: (block[q], tuple(block[dfa.delta[(q, a)]] for a in letters))
-                     for q in dfa.states}
-        ids = {}
-        new_block = {}
-        for q in dfa.states:
-            new_block[q] = ids.setdefault(signature[q], len(ids))
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        for c, hit in hits.items():
+            members = blocks[c]
+            if len(hit) == len(members):
+                continue
+            if 2 * len(hit) <= len(members):
+                members -= hit
+            else:  # costs |members| < 2 |hit|
+                hit, blocks[c] = members - hit, hit
+            for p in hit:
+                block_of[p] = len(blocks)
+            work += [(len(blocks), a) for a in range(len(letters))]
+            blocks.append(hit)
+        if not work:
             break
-        block = new_block
-    reps = {}
-    for q in dfa.states:
-        reps.setdefault(block[q], q)
-    states = tuple(sorted(reps))
-    delta = {(block[q], a): block[dfa.delta[(reps[block[q]], a)]]
-             for q in dfa.states for a in letters}
-    merged = Dfa(tuple(letters), states, block[dfa.initial],
-                 frozenset(block[q] for q in dfa.accepting), delta)
-    return canonicalize(merged)
+        b, a = work.pop()
+        hits = {}  # block -> its states with an a-move into block b
+        for q in blocks[b]:
+            for p in inverse[a][q]:
+                hits.setdefault(block_of[p], set()).add(p)
+    # blocks numbered as they first occur along `states` are in breadth-first
+    # order: a block's first state is expanded first, and all move alike
+    number = {}
+    label = [number.setdefault(b, len(number)) for b in block_of]
+    delta = {(label[p], a): label[q] for p, row in enumerate(succ) for a, q in zip(letters, row)}
+    return Dfa(tuple(letters), tuple(range(len(number))), 0,
+               frozenset(label[p] for p in final), delta)
 
 
 def load_dfa(document: str) -> Dfa:
@@ -234,18 +240,14 @@ def block_dfa(dfa: Dfa, prefix: str, period: int) -> Dfa:
     """
     blocks = words_of_length(dfa.alphabet, period)
     start = dfa.run(prefix)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
+    order, seen = [start], {start}
     delta = {}
-    while queue:
-        q = queue.popleft()
+    for q in order:  # the loop reads the states appended behind it
         for b in blocks:
             t = dfa.run(b, start=q)
             delta[(q, b)] = t
             if t not in seen:
                 seen.add(t)
                 order.append(t)
-                queue.append(t)
     return Dfa(tuple(blocks), tuple(order), start,
                frozenset(q for q in dfa.accepting if q in seen), delta)

@@ -7,22 +7,22 @@ Grammar (precedence: postfix > concatenation > alternation):
     rep  := atom ('*' | '+' | '?')*
     atom := letter | '&' | '(' alt ')'
 
-Letters are [a-z0-9]; '&' denotes the empty word.  The parser recurses
-once per level of parentheses, which nest at most `MAX_NESTING` deep.
-Nothing else recurses on the tree: `regex_to_dfa` runs the subset
-construction on Glushkov's position automaton (Glushkov 1961; Berry and
-Sethi 1986), built in one walk on an explicit stack, and minimizes.
+Letters are [a-z0-9]; '&' denotes the empty word.  Nothing recurses: the
+parser is one loop with a stack of open groups, so parentheses nest to
+any depth, and `regex_to_dfa` runs the subset construction on Glushkov's
+position automaton (Glushkov 1961; Berry and Sethi 1986), built in one
+walk on an explicit stack, and minimizes.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .dfa import Dfa, minimize
 from .errors import AlphabetMismatch, RegexSyntaxError
 
 LETTERS = set("abcdefghijklmnopqrstuvwxyz0123456789")
-MAX_NESTING = 100
 
 
 class Letter(NamedTuple):
@@ -59,8 +59,16 @@ RegexAst = Letter | Epsilon | Alt | Cat | Star | Plus | Opt
 
 
 def _same_node(self, other) -> bool:
-    """Same kind and equal fields: Star(x) != Plus(x), though both are (x,)."""
-    return type(self) is type(other) and tuple.__eq__(self, other)
+    """Same kind and equal fields, Star(x) != Plus(x) though both are (x,);
+    compared on an explicit stack, so that trees of any depth compare."""
+    pairs = [(self, other)]
+    while pairs:
+        x, y = pairs.pop()
+        if type(x) is not type(y) or (not isinstance(x, tuple) and x != y):
+            return False
+        if isinstance(x, tuple):
+            pairs += zip(x, y)
+    return True
 
 
 for _kind in RegexAst.__args__:
@@ -70,22 +78,48 @@ del _kind
 
 
 def parse_regex(text: str) -> RegexAst:
-    """Parse `text` into an AST; raises RegexSyntaxError with a byte offset."""
+    """Parse `text` into an AST; raises RegexSyntaxError with a byte offset.
+
+    One loop over the text.  Each open group holds its alternatives so far
+    and the factors of its current concatenation, and postfix operators
+    wrap the last factor; '(' pushes the enclosing group and ')' pops it.
+    `reduce` nests Alt and Cat to the left."""
     if not text:
         raise RegexSyntaxError("empty pattern", 0)
     _check_parens(text)
-    ast, pos = _parse_alt(text, 0)
-    if pos != len(text):
-        raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
-    return ast
+    groups = []  # the enclosing groups' (alternatives, factors)
+    alts, factors = [], []  # a factor must start where `factors` is empty
+    for pos, c in enumerate(text):
+        if c == "(":
+            groups.append((alts, factors))
+            alts, factors = [], []
+        elif factors and c in _POSTFIX:
+            factors[-1] = _POSTFIX[c](factors[-1])
+        elif factors and c in "|)":
+            alts.append(reduce(Cat, factors))
+            factors = []
+            if c == ")":  # _check_parens guarantees an open group
+                group = reduce(Alt, alts)
+                alts, factors = groups.pop()
+                factors.append(group)
+        elif c in LETTERS or c == "&":
+            factors.append(Letter(c) if c != "&" else Epsilon())
+        elif c in "*+?|":
+            raise RegexSyntaxError(f"dangling operator {c!r}", pos)
+        else:
+            raise RegexSyntaxError(f"illegal character {c!r}", pos)
+    if not factors:
+        raise RegexSyntaxError("dangling operator", len(text))
+    return reduce(Alt, [*alts, reduce(Cat, factors)])
+
+
+_POSTFIX = {"*": Star, "+": Plus, "?": Opt}
 
 
 def _check_parens(text: str) -> None:
     stack = []
     for i, c in enumerate(text):
         if c == "(":
-            if len(stack) == MAX_NESTING:
-                raise RegexSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", i)
             stack.append(i)
         elif c == ")":
             if not stack:
@@ -93,47 +127,6 @@ def _check_parens(text: str) -> None:
             stack.pop()
     if stack:
         raise RegexSyntaxError("unbalanced '('", stack[0])
-
-
-def _parse_alt(text, pos):
-    node, pos = _parse_cat(text, pos)
-    while pos < len(text) and text[pos] == "|":
-        right, pos = _parse_cat(text, pos + 1)
-        node = Alt(node, right)
-    return node, pos
-
-
-def _parse_cat(text, pos):
-    node, pos = _parse_rep(text, pos)
-    while pos < len(text) and text[pos] not in "|)":
-        right, pos = _parse_rep(text, pos)
-        node = Cat(node, right)
-    return node, pos
-
-
-def _parse_rep(text, pos):
-    node, pos = _parse_atom(text, pos)
-    while pos < len(text) and text[pos] in "*+?":
-        node = {"*": Star, "+": Plus, "?": Opt}[text[pos]](node)
-        pos += 1
-    return node, pos
-
-
-def _parse_atom(text, pos):
-    if pos >= len(text):
-        raise RegexSyntaxError("dangling operator", pos)
-    c = text[pos]
-    if c in LETTERS:
-        return Letter(c), pos + 1
-    if c == "&":
-        return Epsilon(), pos + 1
-    if c == "(":
-        node, inner = _parse_alt(text, pos + 1)
-        # _check_parens guarantees text[inner] == ')'
-        return node, inner + 1
-    if c in "*+?|":
-        raise RegexSyntaxError(f"dangling operator {c!r}", pos)
-    raise RegexSyntaxError(f"illegal character {c!r}", pos)
 
 
 _INNER = (Alt, Cat, Star, Plus, Opt)  # the nodes whose fields are subtrees

@@ -11,6 +11,7 @@ from hypothesis import given
 
 from synmon import cli
 from synmon.errors import InvalidArgument
+from synmon.regexes import LETTERS
 
 from conftest import small_dfas
 
@@ -146,17 +147,25 @@ def a3_with(change) -> bytes:
                  id="prob --json --length past int-to-text"),
     pytest.param(("analyze", "--length", "15000", "--json"), None,
                  id="analyze --json --length past int-to-text"),
+    pytest.param(("prob", "--regex", "((a|b)(a|b))*", "--alphabet", "a,b", "--length", "2"),
+                 None, id="prob --alphabet a,b"),
+    pytest.param(("prob", "--regex", "((a|b)(a|b))*", "--alphabet", "a b"), None,
+                 id="prob --alphabet 'a b'"),
 ])
 def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_path):
     path = DATA / "a3.json"
     if document is not None:
         path = tmp_path / "bad.json"
         path.write_bytes(document)
-    result = run_cli(args[0], "--dfa", str(path), *args[1:])
+    source = () if "--regex" in args else ("--dfa", str(path))
+    result = run_cli(args[0], *source, *args[1:])
     assert result.returncode == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    if "--alphabet" in args:  # the line names the symbol that is not a letter
+        alphabet = args[args.index("--alphabet") + 1]
+        assert repr(next(a for a in alphabet if a not in LETTERS)) in lines[0]
 
 
 def test_length_past_the_int_to_text_limit_is_refused():

@@ -1,13 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given
 
 from synmon.dfa import Dfa, block_dfa, load_dfa, minimize
 from synmon.errors import (FormatError, PartialTransitionFunction,
                            UnknownState)
 from synmon.regexes import parse_regex, regex_to_dfa
 
-from conftest import data_json, data_text
+from conftest import data_json, data_text, small_dfas
+from reference import moore_minimize
 
 
 def test_load_well_formed():
@@ -112,6 +114,11 @@ def _right_languages_distinct(dfa):
             return False
         signatures[sig] = q
     return True
+
+
+@given(small_dfas())
+def test_minimize_equals_moore(dfa):
+    assert minimize(dfa) == moore_minimize(dfa)
 
 
 def test_minimize_output_has_distinct_right_languages():

@@ -2,16 +2,19 @@ import contextlib
 import io
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from synmon import cli
-from synmon.dfa import minimize
+from synmon.dfa import Dfa, minimize
 from synmon.errors import AlphabetMismatch, RegexSyntaxError
 from synmon.oracle import regex_match
-from synmon.regexes import (MAX_NESTING, Alt, Cat, Epsilon, Letter, Opt, Plus, Star,
-                            parse_regex, regex_to_dfa, symbols_of)
+from synmon.regexes import (Alt, Cat, Epsilon, Letter, Opt, Plus, Star, parse_regex,
+                            regex_to_dfa, symbols_of)
+
+from reference import moore_minimize, recursive_parse
 
 PATTERNS = [
     "a(aa)*",
@@ -55,7 +58,7 @@ def test_precedence_star_binds_tighter_than_cat():
     ("a|*", 2),
     ("aA", 1),
     ("", 0),
-    pytest.param("(" * 101 + "a" + ")" * 101, 100, id="nested 101 deep"),
+    pytest.param("(" * 5000 + ")" * 5000, 5000, id="empty group nested 5000 deep"),
 ])
 def test_syntax_errors_carry_offsets(text, offset):
     with pytest.raises(RegexSyntaxError) as err:
@@ -132,12 +135,24 @@ def run_main(*args):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_parentheses_nest_up_to_the_bound():
-    assert parse_regex(nested(MAX_NESTING)) == Letter("a")
-    code, out, err = run_main("prob", "--regex", nested(MAX_NESTING + 1), "--alphabet", "ab")
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [f"error: parentheses nested deeper than {MAX_NESTING} "
-                                f"at offset {MAX_NESTING}"]
+def test_parentheses_nest_to_any_depth():
+    assert sys.getrecursionlimit() <= 1000  # the interpreter's default
+    assert parse_regex(nested(5000)) == Letter("a")
+    code, out, err = run_main("prob", "--regex", nested(5000), "--alphabet", "ab")
+    assert (code, err) == (0, "")
+    stars = Letter("a")
+    for _ in range(1000):
+        stars = Star(stars)
+    ast = parse_regex("(" * 1000 + "a" + ")*" * 1000)
+    assert ast == stars and ast != Star(stars)
+    assert regex_to_dfa(ast, "ab") == regex_to_dfa(parse_regex("a*"), "ab")
+
+
+def test_chain_regex_compiles_in_under_a_second():
+    start = time.perf_counter()
+    dfa = regex_to_dfa(parse_regex("(a|b)" * 1200), "ab")
+    assert time.perf_counter() - start < 1
+    assert dfa.n_states == 1202
 
 
 @pytest.mark.parametrize("regex, states", [
@@ -172,3 +187,51 @@ def test_compiled_dfa_agrees_with_the_matcher_on_short_words(ast):
     for n in range(6):
         for word in map("".join, itertools.product("abc", repeat=n)):
             assert dfa.accepts(word) == regex_match(ast, word), word
+
+
+@given(st.text(alphabet="ab&|*+?()$", max_size=14))
+def test_parser_agrees_with_recursive_descent(text):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except RegexSyntaxError as err:
+            return str(err), err.offset
+
+    assert outcome(parse_regex) == outcome(recursive_parse)
+
+
+POSTFIX = {Star: "*", Plus: "+", Opt: "?"}
+
+
+def parenthesized(ast):
+    """`ast` as text with every inner node in parentheses."""
+    if isinstance(ast, Letter):
+        return ast.symbol
+    if isinstance(ast, Epsilon):
+        return "&"
+    if isinstance(ast, (Alt, Cat)):
+        middle = "|" if isinstance(ast, Alt) else ""
+        return f"({parenthesized(ast.left)}{middle}{parenthesized(ast.right)})"
+    return f"({parenthesized(ast.child)}){POSTFIX[type(ast)]}"
+
+
+@given(asts())
+def test_parenthesized_ast_parses_back(ast):
+    assert parse_regex(parenthesized(ast)) == ast
+
+
+def doubled(dfa):
+    """`dfa` with a bit that counts the a's it reads mod 2: the same
+    language on twice the states, each equivalent to its twin."""
+    bit = {a: int(a == "a") for a in dfa.alphabet}
+    delta = {((q, i), a): (t, i ^ bit[a]) for (q, a), t in dfa.delta.items() for i in (0, 1)}
+    return Dfa(dfa.alphabet, tuple((q, i) for q in dfa.states for i in (0, 1)),
+               (dfa.initial, 0), frozenset((q, i) for q in dfa.accepting for i in (0, 1)),
+               delta)
+
+
+@given(asts())
+def test_minimize_equals_moore_on_compiled_regexes(ast):
+    dfa = regex_to_dfa(ast, "ab")
+    assert minimize(dfa) == moore_minimize(dfa) == dfa
+    assert minimize(doubled(dfa)) == moore_minimize(doubled(dfa)) == dfa
