@@ -1,7 +1,7 @@
 """Command-line surface: ingestion -> analysis -> text/JSON/DOT reports.
 
-Exit codes: 0 success, 2 input error, 3 internal verification failure
-(a failed check of a constructed homomorphism or of a verdict's limit).
+Exit codes: 0 success, 2 input error, 3 internal verification failure: a
+check of a constructed object failed (`verification failure: <stage>: ...`).
 
 Each command imports `regexes`, `decompose`, `probability` and `oracle`
 only when it uses them, so that it pays at start-up only for the modules
@@ -274,7 +274,7 @@ def cmd_analyze(args) -> int:
         "signature": _signature_json(sig),
         "decomposition": decomposition_to_json(dec),
         "wreath": {
-            "equivariant": wreath.equivariant,
+            "equivariant": True,  # the divisor exists only once its check passed
             "rho_bar_surjective": wreath.rho_bar_surjective,
             "phi_domain_size": len(wreath.phi),
         },
@@ -304,9 +304,10 @@ def cmd_analyze(args) -> int:
         yield f"monoid: order {sm.order}"
         for gamma, period in zip(sig.gammas, sig.periods):
             yield f"period w.r.t. {{{','.join(gamma)}}}: {period}"
+        # the decomposition and the divisor exist only once their checks passed
         yield (f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
-               f"verified={dec.report.ok}")
-        yield (f"wreath divisor: equivariant={wreath.equivariant}, "
+               "verified=True")
+        yield ("wreath divisor: equivariant=True, "
                f"G divides monoid={wreath.rho_bar_surjective}")
         for label, sinks in (("dfa", dfa_sinks), ("cayley", cayley_sinks)):
             for comp, period in sinks:
@@ -330,11 +331,9 @@ def cmd_monoid(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(cayley_to_dot(analysis.cayley, sm.monoid.names))
     out = syntactic_to_json(sm)
-    lines = [f"order {sm.order}"]
-    lines += [f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet]
-    lines.append(f"accepting image: {sorted(sm.accepting_image)}")
-    for i, row in enumerate(sm.monoid.table):
-        lines.append(f"{i}: {' '.join(map(str, row))}")
+    lines = chain((f"order {sm.order}",), (f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet),
+                  (f"accepting image: {sorted(sm.accepting_image)}",),
+                  (f"{i}: {' '.join(map(str, row))}" for i, row in enumerate(sm.monoid.table)))
     _emit(args, out, lines)
     return 0
 
@@ -342,11 +341,10 @@ def cmd_monoid(args) -> int:
 def cmd_period(args) -> int:
     sig = _analysis(args).signature
     out = _signature_json(sig)
-    lines = [
-        f"gamma {{{','.join(g)}}}: period {p}" for g, p in zip(sig.gammas, sig.periods)
-    ]
-    for r in sig.residuals():
-        lines.append(f"class ({','.join(map(str, r))}): {list(sig.classes[r])}")
+    lines = chain((f"gamma {{{','.join(g)}}}: period {p}"
+                   for g, p in zip(sig.gammas, sig.periods)),
+                  (f"class ({','.join(map(str, r))}): {list(sig.classes[r])}"
+                   for r in sig.residuals()))
     _emit(args, out, lines)
     return 0
 
@@ -375,10 +373,10 @@ def cmd_decompose(args) -> int:
     analysis = _analysis(args)
     dec, sig = analysis.decomposition, analysis.signature
     out = decomposition_to_json(dec)
+    # a decomposition exists only once every check has passed
     lines = [
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
-        f"homomorphism={dec.report.homomorphism} injective={dec.report.injective} "
-        f"residual={dec.report.residual_condition}",
+        "homomorphism=True injective=True residual=True",
     ]
     _emit(args, out, lines)
     return 0
@@ -434,7 +432,6 @@ def _add_source_flags(sub):
     sub.add_argument("--regex", help="regular expression source")
     sub.add_argument("--dfa", help="path to a DFA JSON document")
     sub.add_argument("--alphabet", help="explicit alphabet for --regex, e.g. 'ab'")
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,9 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in (analyze, period, monoid, prob, decompose_cmd, zero_one, oracle):
         _add_source_flags(sub)
+    for sub in (analyze, period, monoid, prob, decompose_cmd, zero_one):
+        sub.add_argument("--json", action="store_true", help="emit a JSON report")
     for sub in (analyze, period, decompose_cmd, oracle):
         sub.add_argument("--gamma", action="append",
                          help="letter subset, e.g. 'a,b' (repeatable)")
+    for sub in (analyze, period, decompose_cmd):
         sub.add_argument("--periods", help="comma-separated period overrides")
     for sub in (analyze, monoid):
         sub.add_argument("--dot", help="write the Cayley graph as DOT")

@@ -29,14 +29,6 @@ class CanonicalDecomposition(NamedTuple):
     K: int
     theta: dict    # residual -> ascending tuple of element indices (N_r)
     can_f: tuple   # element t -> {residual: Transformation of degree K}
-    # the passing check made by canonical_decomposition; equality ignores it
-    report: VerificationReport | None = None
-
-    def __eq__(self, other):
-        return type(other) is CanonicalDecomposition and self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        return not self == other
 
     @property
     def residuals(self):
@@ -50,16 +42,6 @@ class CanonicalDecomposition(NamedTuple):
         for p in self.signature.periods:
             g *= p
         return (self.K ** self.K) ** g * g
-
-
-class VerificationReport(NamedTuple):
-    homomorphism: bool
-    injective: bool
-    residual_condition: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.homomorphism and self.injective and self.residual_condition
 
 
 class ResidualMonoid(NamedTuple):
@@ -91,14 +73,13 @@ class WreathEmbedding(NamedTuple):
     K: int
     G: tuple                 # cyclic group orders
     phi: dict                # (f_t(0), rho_bar(t)) -> t
-    equivariant: bool
     rho_bar_surjective: bool
 
 
 def canonical_decomposition(m: SyntacticMonoid,
                             sig: PeriodSignature) -> CanonicalDecomposition:
-    """Build Can and verify it is an injective homomorphism before returning;
-    the passing report is kept as `report`."""
+    """Build Can and verify it is an injective homomorphism before returning
+    (`verify_canonical` raises VerificationFailure otherwise)."""
     residuals = sig.residuals()
     theta = {r: sig.classes[r] for r in residuals}
     big_k = max(len(theta[r]) for r in residuals)
@@ -124,10 +105,8 @@ def canonical_decomposition(m: SyntacticMonoid,
                 f[r] = gather(restrict[r](column))(inverse[sig.add(r, shift)]) + padding[r]
         can_f.append(f)
     dec = CanonicalDecomposition(m, sig, big_k, theta, tuple(can_f))
-    report = verify_canonical(dec)
-    if not report.ok:
-        raise VerificationFailure(f"canonical homomorphism check failed: {report}")
-    return dec._replace(report=report)
+    verify_canonical(dec)
+    return dec
 
 
 def can_product(dec: CanonicalDecomposition, s: int, s2: int):
@@ -146,9 +125,10 @@ def _can_key(dec: CanonicalDecomposition, t: int):
     return (tuple(dec.can_f[t][r] for r in dec.residuals), dec.rho(t))
 
 
-def verify_canonical(dec: CanonicalDecomposition) -> VerificationReport:
-    """Homomorphism on generators, injectivity, and the letter residual
-    condition.
+def verify_canonical(dec: CanonicalDecomposition) -> None:
+    """Raise VerificationFailure unless Can is a homomorphism (checked on
+    generators), injective, and meets the letter residual condition, in
+    that order; the message names the failing check and its witness.
 
     The homomorphism identity Can(s.a) = Can(s).Can(a) is checked for every
     element s and every letter a, together with Can(e) = (identity, 0) and
@@ -174,25 +154,36 @@ def verify_canonical(dec: CanonicalDecomposition) -> VerificationReport:
     """
     sig = dec.signature
     m = dec.m
-    injective = len({_can_key(dec, t) for t in range(m.order)}) == m.order
-    residual_condition = all(
-        sig.rho_bar[m.eta[a]] == sig.letter_residual(a) for a in m.alphabet
-    )
-    return VerificationReport(_homomorphic_on_generators(dec), injective,
-                              residual_condition)
+    _homomorphic_on_generators(dec)
+    seen = {}
+    for t in range(m.order):
+        s = seen.setdefault(_can_key(dec, t), t)
+        if s != t:
+            raise VerificationFailure(
+                f"canonical embedding: Can is not injective: Can({s}) = Can({t})")
+    for a in m.alphabet:
+        if sig.rho_bar[m.eta[a]] != sig.letter_residual(a):
+            raise VerificationFailure(
+                f"canonical embedding: residual condition fails at letter {a!r}: "
+                f"rho_bar = {sig.rho_bar[m.eta[a]]}, not {sig.letter_residual(a)}")
 
 
-def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
+def _homomorphic_on_generators(dec: CanonicalDecomposition) -> None:
     sig = dec.signature
     m = dec.m
     table = m.monoid.table
     sizes = {r: len(dec.theta[r]) for r in dec.residuals}
     identity = m.monoid.identity
-    if sig.rho_bar[identity] != tuple(0 for _ in sig.periods) or any(
-            dec.can_f[identity][r][:sizes[r]] != tuple(range(sizes[r]))
-            for r in dec.residuals):
-        return False
-    letters = [m.eta[a] for a in m.alphabet]
+    if sig.rho_bar[identity] != tuple(0 for _ in sig.periods):
+        raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
+                                  f"rho_bar(e) = {sig.rho_bar[identity]}")
+    for r in dec.residuals:
+        f_e = dec.can_f[identity][r]
+        k = next((k for k in range(sizes[r]) if f_e[k] != k), None)
+        if k is not None:
+            raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
+                                      f"f_e({r}) sends slot {k} to {f_e[k]}")
+    letters = [(a, m.eta[a]) for a in m.alphabet]
     for s in range(m.order):
         rho_s = sig.rho_bar[s]
         f_s = dec.can_f[s]
@@ -200,17 +191,26 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> bool:
         for r in dec.residuals:
             image, target = f_s[r][:sizes[r]], sig.add(r, rho_s)
             if max(image, default=-1) >= sizes[target]:
-                return False
+                k = next(k for k, x in enumerate(image) if x >= sizes[target])
+                raise VerificationFailure(
+                    f"canonical embedding: f_s(r) leaves its class at s = {s}, r = {r}: "
+                    f"slot {k} goes to {image[k]}, past the {sizes[target]} of N_{target}")
             moves.append((r, gather(image), target))
-        for g in letters:
+        for a, g in letters:
             t = table[s][g]
             if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
-                return False
+                raise VerificationFailure(
+                    f"canonical embedding: residual of s.a at s = {s}, a = {a!r}: "
+                    f"rho_bar(s.a) = {sig.rho_bar[t]}, not {sig.add(rho_s, sig.rho_bar[g])}")
             f_g, f_t = dec.can_f[g], dec.can_f[t]
             for r, after_s, target in moves:
-                if after_s(f_g[target]) != f_t[r][:sizes[r]]:
-                    return False
-    return True
+                got, want = after_s(f_g[target]), f_t[r][:sizes[r]]
+                if got != want:
+                    k = next(k for k in range(sizes[r]) if got[k] != want[k])
+                    raise VerificationFailure(
+                        f"canonical embedding: Can(s.a) != Can(s).Can(a) at s = {s}, "
+                        f"a = {a!r}, r = {r}, slot {k}: Can(s.a) gives {want[k]}, "
+                        f"Can(s).Can(a) gives {got[k]}")
 
 
 def _require_full_alphabet(dec: CanonicalDecomposition) -> int:
@@ -310,21 +310,11 @@ def syntactic_monoid_of_lw(dfa: Dfa, w: str, period: int,
     return transition_monoid(minimize(block_dfa(dfa, w, period)), cap=cap)
 
 
-class LwQuotientReport(NamedTuple):
-    well_defined: bool
-    surjective: bool
-    homomorphism: bool
-    mapping: tuple | None  # T_r element index -> M_{L_w} element index
-
-    @property
-    def ok(self) -> bool:
-        return self.well_defined and self.surjective and self.homomorphism
-
-
-def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> LwQuotientReport:
-    """Check that eta_w(u) -> eta_{L_w}(u) is a well-defined surjective
-    homomorphism from T_{rho(w)} onto the independently computed syntactic
-    monoid of L_w.
+def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
+    """The map T_{rho(w)} -> M_{L_w}, eta_w(u) -> eta_{L_w}(u), onto the
+    independently computed syntactic monoid of L_w, as a tuple indexed by
+    the elements of T_r.  Raise VerificationFailure unless it is a
+    well-defined surjective homomorphism.
 
     The homomorphism is checked on the block images, which generate T_r
     (see `hom_generator_check`); by induction on the number of blocks that
@@ -335,8 +325,7 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> LwQuotientRepo
     t_m = rec.monoid
     mapping = {0: 0}
     queue = [0]
-    well_defined = True
-    while queue and well_defined:
+    while queue:
         x = queue.pop()
         y = mapping[x]
         for b in sorted(rec.block_images):
@@ -346,15 +335,23 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> LwQuotientRepo
                 mapping[x2] = y2
                 queue.append(x2)
             elif mapping[x2] != y2:
-                well_defined = False
-                break
-    if not well_defined or len(mapping) != t_m.order:
-        return LwQuotientReport(False, False, False, None)
+                raise VerificationFailure(
+                    f"block quotient: the map is not well defined for w = {w!r} at element "
+                    f"{x} of T_{rec.r} and block {b!r}: {x2} goes to {mapping[x2]} and {y2}")
+    if len(mapping) != t_m.order:
+        unreached = min(set(range(t_m.order)) - set(mapping))
+        raise VerificationFailure(f"block quotient: the blocks do not reach element "
+                                  f"{unreached} of T_{rec.r} for w = {w!r}")
     as_list = tuple(mapping[i] for i in range(t_m.order))
-    surjective = set(as_list) == set(range(lw_m.order))
+    missed = set(range(lw_m.order)) - set(as_list)
+    if missed:
+        raise VerificationFailure(f"block quotient: the map misses element {min(missed)} "
+                                  f"of the syntactic monoid of L_w for w = {w!r}")
     generators = {t_m.index[tau] for tau in rec.block_images.values()}
-    homomorphism = hom_generator_check(t_m.monoid, lw_m.monoid, as_list, generators)
-    return LwQuotientReport(well_defined, surjective, homomorphism, as_list)
+    if not hom_generator_check(t_m.monoid, lw_m.monoid, as_list, generators):
+        raise VerificationFailure(f"block quotient: the map is not a homomorphism "
+                                  f"on the block images for w = {w!r}")
+    return as_list
 
 
 def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
@@ -382,24 +379,24 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     for t in range(dec.m.order):
         key = (dec.can_f[t][zero], dec.rho(t))
         if key in phi:
-            raise VerificationFailure("first-coordinate map is not injective")
+            raise VerificationFailure(f"wreath divisor: first-coordinate map is not "
+                                      f"injective: elements {phi[key]} and {t} share a point")
         phi[key] = t
 
     # phi reads only slot e_pos, so x * Can(s) is needed at that slot alone:
     # there (x1 then f_s(c))(e_pos) = f_s(c)(x1(e_pos))
     table = dec.m.monoid.table
-    letters = [dec.m.eta[a] for a in dec.m.alphabet]
+    letters = [(a, dec.m.eta[a]) for a in dec.m.alphabet]
     for (x1, c), t in phi.items():
         k = x1[e_pos]
         if dec.theta[c][k] != t:
-            raise VerificationFailure(f"phi formula disagrees at element {t}")
-        for s in letters:
+            raise VerificationFailure(f"wreath divisor: phi formula disagrees at element {t}")
+        for a, s in letters:
             if dec.theta[sig.add(c, dec.rho(s))][dec.can_f[s][c][k]] != table[t][s]:
-                raise VerificationFailure(
-                    f"wreath action disagrees with multiplication at ({t}, {s})"
-                )
+                raise VerificationFailure(f"wreath divisor: wreath action disagrees with "
+                                          f"multiplication at element {t} and letter {a!r}")
     surjective = set(sig.rho_bar) == set(sig.residuals())
-    return WreathEmbedding(dec.K, sig.periods, phi, True, surjective)
+    return WreathEmbedding(dec.K, sig.periods, phi, surjective)
 
 
 def decomposition_to_json(dec: CanonicalDecomposition) -> dict:
@@ -420,5 +417,6 @@ def decomposition_to_json(dec: CanonicalDecomposition) -> dict:
             }
             for t in range(dec.m.order)
         },
-        "verified": dec.report.ok,
+        # a decomposition exists only once verify_canonical has passed
+        "verified": True,
     }

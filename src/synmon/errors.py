@@ -9,6 +9,13 @@ class InvalidArgument(SynmonError, ValueError):
     """A command-line argument, such as a length, is out of range."""
 
 
+class VerificationFailure(SynmonError):
+    """A check of a constructed object failed: a table, a homomorphism, a
+    period or a verdict against its exact limit.  This would falsify an
+    invariant the code relies on; the message starts with the stage that
+    failed and names the witness."""
+
+
 # --- regex / DFA ingestion ---
 
 class RegexSyntaxError(SynmonError):
@@ -38,8 +45,9 @@ class UnknownState(SynmonError):
 
 # --- monoid core ---
 
-class InvalidMonoid(SynmonError):
-    """Multiplication table violates the monoid laws."""
+class InvalidMonoid(VerificationFailure):
+    """Multiplication table violates the monoid laws: a verification failure
+    for a table the pipeline builds, and a rejection for one handed in."""
 
 
 class MonoidTooLarge(SynmonError):
@@ -73,11 +81,6 @@ class InvalidPeriod(SynmonError):
     classes would clash."""
 
 
-class InternalNoPositiveCycle(SynmonError):
-    """Every closed walk has weight zero; unreachable for non-empty gamma
-    on a Cayley graph."""
-
-
 class PeriodTrivialWarning(UserWarning):
     """All requested periods equal one; the decomposition is degenerate."""
 
@@ -87,11 +90,6 @@ class PeriodTrivialWarning(UserWarning):
 class ScopeError(SynmonError):
     """Operation requires a decomposition over the full alphabet with a
     single period."""
-
-
-class VerificationFailure(SynmonError):
-    """A check of a constructed homomorphism, or of a verdict against its
-    exact limit, failed; this would falsify an invariant the code relies on."""
 
 
 class BlockLengthError(SynmonError):

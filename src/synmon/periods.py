@@ -25,8 +25,8 @@ from itertools import product
 from typing import NamedTuple
 
 from .dfa import Dfa
-from .errors import (InternalNoPositiveCycle, InvalidPeriod,
-                     PeriodTrivialWarning, UnknownSymbol)
+from .errors import (InvalidPeriod, PeriodTrivialWarning, UnknownSymbol,
+                     VerificationFailure)
 from .monoid import CayleyGraph, SyntacticMonoid, cayley_graph
 
 
@@ -144,9 +144,9 @@ def max_period(m: SyntacticMonoid, gamma, graph: CayleyGraph | None = None) -> i
     edges = [(u, 1 if a in gamma else 0, v) for u, a, v in graph.edges]
     g = math.gcd(*(period for _, _, period in _cycle_classes(m.order, edges)))
     if g == 0:
-        raise InternalNoPositiveCycle(
-            "no closed walk with positive gamma-weight; impossible for a Cayley graph"
-        )
+        # unreachable: a letter of gamma repeated from any element ends in a cycle
+        raise VerificationFailure(f"maximum period: no closed walk has a letter of "
+                                  f"gamma {sorted(gamma)}")
     return g
 
 
@@ -230,8 +230,9 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None,
                 rho_bar[y] = r
                 queue.append(y)
             elif rho_bar[y] != r:
-                # cannot happen once divisibility holds
-                raise InvalidPeriod(f"residual clash at element {y}")
+                # cannot happen once the periods divide the maxima
+                raise VerificationFailure(f"signature: residual clash at element {y}: "
+                                          f"{rho_bar[y]} and {r}")
     classes = {r: [] for r in sig.residuals()}
     for i, r in enumerate(rho_bar):
         classes[r].append(i)

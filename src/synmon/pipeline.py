@@ -79,7 +79,7 @@ class Analysis(Frozen):
 
     @cached_property
     def decomposition(self) -> dc.CanonicalDecomposition:
-        """Verified on construction; the report is `decomposition.report`."""
+        """Verified on construction: a failed check raises VerificationFailure."""
         from . import decompose as dc
 
         return dc.canonical_decomposition(self.monoid, self.signature)

@@ -272,15 +272,15 @@ def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
         target = 1 if verdict == "one" else 0
         if any(v != target for v in values):
             raise VerificationFailure(
-                f"zero element predicts mu = {target} but limits are "
-                f"{', '.join(map(str, values))}"
+                f"basic zero-one verdict: zero element {zero} predicts mu = {target} "
+                f"but limits are {', '.join(map(str, values))}"
             )
         return BasicZeroOne(verdict, zero, period, tuple(points))
     if len(set(values)) > 1:
         return BasicZeroOne("oscillating", None, period, tuple(points))
     if values[0] in (0, 1):
         raise VerificationFailure(
-            f"no zero element but the limit {values[0]} is zero or one"
+            f"basic zero-one verdict: no zero element but the limit {values[0]} is zero or one"
         )
     return BasicZeroOne("neither", None, period, tuple(points))
 
@@ -332,7 +332,8 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
     is_zero_or_one = witness is not None
     if (limit in (0, 1)) != is_zero_or_one:
         raise VerificationFailure(
-            f"ideal verdict {is_zero_or_one} disagrees with limit {limit} for w={w!r}"
+            f"residual zero-one verdict: ideal verdict {is_zero_or_one} disagrees with "
+            f"limit {limit} for w={w!r}"
         )
     names = tuple(map(t_r.name_of, witness)) if witness else None
     return ResidualZeroOne(w, t_r.r, is_zero_or_one, witness, names, limit)

@@ -250,6 +250,29 @@ def test_verification_failure_exits_three(monkeypatch):
     assert cli.main([]) == 3
 
 
+def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
+    # a table the pipeline builds that failed check_table would be a bug
+    from synmon import monoid
+    from synmon.errors import InvalidMonoid
+
+    def failing(table, identity):
+        raise InvalidMonoid("identity law fails at element 0")
+
+    monkeypatch.setattr(monoid, "check_table", failing)
+    assert cli.main(["analyze", "--regex", A3_REGEX]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: identity law fails at element 0\n"
+
+
+@pytest.mark.parametrize("flag", [["--json"], ["--periods", "7"]])
+def test_oracle_refuses_report_flags(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["oracle", "mu", "--regex", "a", "--alphabet", "ab", *flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
 def test_oracle_subcommands():
     result = run_cli("oracle", "mu", "--dfa", str(DATA / "a3.json"), "--length", "2")
     assert result.stdout.strip() == "2 1/2"

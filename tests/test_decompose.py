@@ -13,7 +13,7 @@ from synmon import (build_signature, canonical_decomposition, cli, lw_member,
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
 from synmon.decompose import can_product, decomposition_to_json
-from synmon.errors import BlockLengthError, ScopeError
+from synmon.errors import BlockLengthError, ScopeError, VerificationFailure
 from synmon.monoid import identity_transformation
 from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -39,7 +39,7 @@ def test_k_one_and_bijective(corpus):
     sig = build_signature(sm, ["a", "b"], [2, 2])
     dec = canonical_decomposition(sm, sig)
     assert dec.K == 1
-    assert verify_canonical(dec).ok
+    verify_canonical(dec)
     # K = 1 makes the target as small as the monoid itself: Can is onto
     assert dec.target_order() == sm.order == 4
 
@@ -48,13 +48,13 @@ def test_k_three_for_order_six(corpus):
     _, _, sm = corpus["a2"]
     dec = canonical_decomposition(sm, build_signature(sm, ["a"], [2]))
     assert dec.K == 3
-    assert verify_canonical(dec).ok
+    verify_canonical(dec)
 
 
 def test_k_three_for_order_five(full_decs):
     dec = full_decs["a3"]
     assert dec.K == 3
-    assert verify_canonical(dec).ok
+    verify_canonical(dec)
 
 
 def test_verify_passes_for_all_divisor_valid_periods(corpus):
@@ -69,9 +69,7 @@ def test_verify_passes_for_all_divisor_valid_periods(corpus):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     sig = build_signature(sm, gammas, periods)
-                dec = canonical_decomposition(sm, sig)
-                report = verify_canonical(dec)
-                assert report.ok, (name, gammas, periods)
+                verify_canonical(canonical_decomposition(sm, sig))
 
 
 def reference_can_f(sm, sig):
@@ -104,7 +102,7 @@ def test_one_element_classes_at_periods_above_one():
             assert sizes == ([1] * (period - 1) + [2] if periods == (period,) else [sm.order])
             assert dec.K == sizes[-1]
             assert dec.can_f == reference_can_f(sm, sig), (regex, periods)
-            assert dec.report.ok
+            verify_canonical(dec)
 
 
 def test_decomposition_matches_its_definition_at_every_divisor_period(corpus):
@@ -160,7 +158,13 @@ def test_mutated_tables_fail_homomorphism(full_decs):
     f_t[zero] = tuple(tau)
     broken_f[t] = f_t
     mutated = dec._replace(can_f=tuple(broken_f))
-    assert not verify_canonical(mutated).homomorphism
+    # f_a(0) is now (1, 0, 0): then f_a(1) = (1, 2, 2) sends slot 0 to 2,
+    # where f_{a.a}(0) = (1, 1, 2) sends it to 1
+    with pytest.raises(VerificationFailure) as info:
+        verify_canonical(mutated)
+    assert str(info.value) == (
+        "canonical embedding: Can(s.a) != Can(s).Can(a) at s = 1, a = 'a', "
+        "r = (0,), slot 0: Can(s.a) gives 1, Can(s).Can(a) gives 2")
 
 
 def test_pairs_with_fixed_point_force_zero_residual(corpus, full_decs):
@@ -327,8 +331,8 @@ def test_block_monoid_of_empty_prefix_is_left_zero_quotient(corpus, full_decs):
     dfa, _, _ = corpus["a3"]
     sm_lw = syntactic_monoid_of_lw(dfa, "", 2)
     assert sm_lw.order <= 3
-    report = lw_quotient(full_decs["a3"], dfa, "")
-    assert report.ok
+    mapping = lw_quotient(full_decs["a3"], dfa, "")
+    assert set(mapping) == set(range(sm_lw.order))
 
 
 def test_block_monoid_parity_language(corpus):
@@ -343,7 +347,8 @@ def test_quotient_well_defined_and_onto_everywhere(corpus, full_decs):
         period = dec.signature.periods[0]
         for n in range(period):
             for w in map("".join, itertools.product("ab", repeat=n)):
-                assert lw_quotient(dec, dfa, w).ok, (name, w)
+                mapping = lw_quotient(dec, dfa, w)
+                assert len(mapping) == lw_recognizer(dec, w).monoid.order, (name, w)
 
 
 # --- wreath product divisor ---
@@ -351,7 +356,6 @@ def test_quotient_well_defined_and_onto_everywhere(corpus, full_decs):
 def test_wreath_equivariance_on_corpus(full_decs):
     for name, dec in full_decs.items():
         emb = wreath_divisor(dec)
-        assert emb.equivariant, name
         assert emb.rho_bar_surjective, name
         assert len(emb.phi) == dec.m.order, name
 
@@ -360,7 +364,7 @@ def test_wreath_for_two_gamma_signature(corpus):
     _, _, sm = corpus["a1"]
     dec = canonical_decomposition(sm, build_signature(sm, ["a", "b"], [2, 2]))
     emb = wreath_divisor(dec)
-    assert emb.equivariant and emb.rho_bar_surjective
+    assert emb.rho_bar_surjective
     # K = 1: phi is a bijection onto the monoid
     assert len(emb.phi) == sm.order
 

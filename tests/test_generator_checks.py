@@ -4,19 +4,23 @@ the block-language quotients against all-pairs reference versions.
 The library checks each element against each generator, which is
 equivalent to checking all pairs (see the docstrings of verify_canonical,
 wreath_divisor and hom_generator_check).  The references below check all
-pairs; the tests assert that both give the same answer.
+pairs; the tests assert that both give the same answer.  A failed check
+raises VerificationFailure, whose message starts with its stage and names
+its witness; the last tests break each check once on the language a3 and
+read both back.
 """
 
 import itertools
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from synmon import (build_signature, canonical_decomposition,
                     hom_generator_check, hom_image_check, lw_quotient,
                     lw_recognizer, max_period, syntactic_monoid_of_lw,
                     verify_canonical, wreath_divisor)
-from synmon.decompose import LwQuotientReport, VerificationReport, _can_key
+from synmon.decompose import _can_key
 from synmon.errors import VerificationFailure
 from synmon.monoid import compose
 
@@ -26,30 +30,29 @@ from test_decompose import GAMMA_SETS, divisor_vectors
 
 # --- all-pairs references ---
 
-def allpairs_verify(dec) -> VerificationReport:
-    """Homomorphism over all pairs of elements, on class-carrying slots."""
+def allpairs_verify(dec):
+    """The first check of `verify_canonical` to fail when the homomorphism
+    is checked over all pairs of elements on class-carrying slots:
+    "homomorphism", "injectivity" or "residual condition"; None when all
+    pass."""
     sig = dec.signature
     table = dec.m.monoid.table
-    homomorphism = True
     for s, s2 in itertools.product(range(dec.m.order), repeat=2):
         rho_s = sig.rho_bar[s]
         t = table[s][s2]
         if sig.add(rho_s, sig.rho_bar[s2]) != sig.rho_bar[t]:
-            homomorphism = False
-            break
+            return "homomorphism"
         for r in dec.residuals:
             shifted = dec.can_f[s2][sig.add(r, rho_s)]
             left = dec.can_f[s][r]
             expected = dec.can_f[t][r]
             if any(shifted[left[k]] != expected[k] for k in range(len(dec.theta[r]))):
-                homomorphism = False
-        if not homomorphism:
-            break
-    injective = len({_can_key(dec, t) for t in range(dec.m.order)}) == dec.m.order
-    residual_condition = all(
-        sig.rho_bar[dec.m.eta[a]] == sig.letter_residual(a) for a in dec.m.alphabet
-    )
-    return VerificationReport(homomorphism, injective, residual_condition)
+                return "homomorphism"
+    if len({_can_key(dec, t) for t in range(dec.m.order)}) != dec.m.order:
+        return "injectivity"
+    if any(sig.rho_bar[dec.m.eta[a]] != sig.letter_residual(a) for a in dec.m.alphabet):
+        return "residual condition"
+    return None
 
 
 def allpairs_wreath_ok(dec) -> bool:
@@ -72,16 +75,17 @@ def allpairs_wreath_ok(dec) -> bool:
     return True
 
 
-def allpairs_quotient(dec, dfa, w) -> LwQuotientReport:
-    """`lw_quotient` with the homomorphism checked over all pairs."""
+def allpairs_quotient(dec, dfa, w):
+    """`lw_quotient` with the homomorphism checked over all pairs: the
+    mapping, or the first check to fail, "well defined", "surjective" or
+    "homomorphism"."""
     period = dec.signature.periods[0]
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
     t_m = rec.monoid
     mapping = {0: 0}
     queue = [0]
-    well_defined = True
-    while queue and well_defined:
+    while queue:
         x = queue.pop()
         y = mapping[x]
         for b in sorted(rec.block_images):
@@ -91,33 +95,75 @@ def allpairs_quotient(dec, dfa, w) -> LwQuotientReport:
                 mapping[x2] = y2
                 queue.append(x2)
             elif mapping[x2] != y2:
-                well_defined = False
-                break
-    if not well_defined or len(mapping) != t_m.order:
-        return LwQuotientReport(False, False, False, None)
+                return "well defined"
+    if len(mapping) != t_m.order:
+        return "well defined"
     as_list = tuple(mapping[i] for i in range(t_m.order))
-    surjective = set(as_list) == set(range(lw_m.order))
-    homomorphism = hom_image_check(t_m.monoid, lw_m.monoid, as_list)
-    return LwQuotientReport(well_defined, surjective, homomorphism, as_list)
+    if set(as_list) != set(range(lw_m.order)):
+        return "surjective"
+    if not hom_image_check(t_m.monoid, lw_m.monoid, as_list):
+        return "homomorphism"
+    return as_list
 
 
 # --- the checks under test ---
 
+# the start of the detail of each VerificationFailure message -> its check
+CHECKS = {
+    "canonical embedding: Can(e) is not (identity, 0)": "homomorphism",
+    "canonical embedding: f_s(r) leaves its class": "homomorphism",
+    "canonical embedding: residual of s.a": "homomorphism",
+    "canonical embedding: Can(s.a) != Can(s).Can(a)": "homomorphism",
+    "canonical embedding: Can is not injective": "injectivity",
+    "canonical embedding: residual condition fails": "residual condition",
+    "block quotient: the map is not well defined": "well defined",
+    "block quotient: the blocks do not reach": "well defined",
+    "block quotient: the map misses": "surjective",
+    "block quotient: the map is not a homomorphism": "homomorphism",
+}
+
+
+def check_named(exc: VerificationFailure) -> str:
+    """The check that a VerificationFailure message names."""
+    return next(check for start, check in CHECKS.items() if str(exc).startswith(start))
+
+
+def failing_check(dec):
+    """The check named by the VerificationFailure that `verify_canonical`
+    raises, or None when it passes."""
+    try:
+        verify_canonical(dec)
+    except VerificationFailure as exc:
+        return check_named(exc)
+    return None
+
+
+def quotient(dec, dfa, w):
+    """The mapping `lw_quotient` returns, or the check its
+    VerificationFailure names."""
+    try:
+        return lw_quotient(dec, dfa, w)
+    except VerificationFailure as exc:
+        return check_named(exc)
+
+
 def wreath_ok(dec) -> bool:
     try:
-        return wreath_divisor(dec).equivariant
-    except VerificationFailure:
+        wreath_divisor(dec)
+    except VerificationFailure as exc:
+        assert str(exc).startswith("wreath divisor: "), exc
         return False
+    return True
 
 
 def assert_checks_agree(dec, dfa):
-    assert verify_canonical(dec) == allpairs_verify(dec)
+    assert failing_check(dec) == allpairs_verify(dec)
     assert wreath_ok(dec) == allpairs_wreath_ok(dec)
     sig = dec.signature
     if sig.n == 1 and sig.gammas[0] == dec.m.alphabet:
         for r in range(sig.periods[0]):
             for w in map("".join, itertools.product(dec.m.alphabet, repeat=r)):
-                assert lw_quotient(dec, dfa, w) == allpairs_quotient(dec, dfa, w), w
+                assert quotient(dec, dfa, w) == allpairs_quotient(dec, dfa, w), w
 
 
 def quiet_signature(sm, gammas, periods=None):
@@ -156,8 +202,7 @@ def test_agree_on_mutated_letter_tables(full_decs):
     dec = full_decs["a3"]
     for a in dec.m.alphabet:
         broken = mutated(dec, dec.m.eta[a], (0,), dec.K)
-        assert verify_canonical(broken) == allpairs_verify(broken), a
-        assert not verify_canonical(broken).homomorphism, a
+        assert failing_check(broken) == allpairs_verify(broken) == "homomorphism", a
 
 
 def test_agree_on_mutated_non_letter_table(full_decs):
@@ -167,8 +212,7 @@ def test_agree_on_mutated_non_letter_table(full_decs):
                 for r in dec.residuals
                 if len(set(dec.can_f[t][r][:len(dec.theta[r])])) > 1)
     broken = mutated(dec, t, r, len(dec.theta[r]))
-    assert verify_canonical(broken) == allpairs_verify(broken)
-    assert not verify_canonical(broken).homomorphism
+    assert failing_check(broken) == allpairs_verify(broken) == "homomorphism"
 
 
 @settings(max_examples=200)
@@ -193,14 +237,17 @@ def test_verify_on_random_single_slot_mutations(dfa, data):
     target = dec.signature.add(r, dec.rho(t))
     if t == dec.m.monoid.identity and value != k:
         # Can(e) is no longer the identity
-        assert not verify_canonical(broken).homomorphism
+        with pytest.raises(VerificationFailure) as info:
+            verify_canonical(broken)
+        assert str(info.value) == ("canonical embedding: Can(e) is not (identity, 0): "
+                                   f"f_e({r}) sends slot {k} to {value}")
     elif value < len(dec.theta[target]):
         # Can(e) and the class-to-class property still hold, so the
         # generator check must reject exactly when all pairs do
-        assert verify_canonical(broken) == allpairs_verify(broken)
+        assert failing_check(broken) == allpairs_verify(broken)
     else:
         # a class slot sent to padding breaks the induction's premise
-        assert not verify_canonical(broken).homomorphism
+        assert failing_check(broken) == "homomorphism"
 
 
 @settings(max_examples=200)
@@ -213,3 +260,101 @@ def test_hom_generator_check_agrees_with_all_pairs(dfa, data):
     mapping[x] = y
     assert hom_generator_check(sm.monoid, sm.monoid, mapping, sm.eta.values()) \
         == hom_image_check(sm.monoid, sm.monoid, mapping)
+
+
+# --- one broken decomposition of a3 per check ---
+#
+# a3 has order 5 with eta(a) = 1 and eta(b) = 2, period 2, K = 3 and the
+# classes N_0 = (0, 3, 4) and N_1 = (1, 2); f_a(0) = (0, 0, 1),
+# f_a(1) = (1, 2, 2), and a.a = 3.  The homomorphism check proper is
+# broken by test_decompose.test_mutated_tables_fail_homomorphism.
+
+def with_f(dec, t, r, tau):
+    """dec with f_t(r) replaced by tau."""
+    f_t = dict(dec.can_f[t])
+    f_t[r] = tau
+    return dec._replace(can_f=dec.can_f[:t] + (f_t,) + dec.can_f[t + 1:])
+
+
+def failure(check, *args) -> str:
+    with pytest.raises(VerificationFailure) as info:
+        check(*args)
+    return str(info.value)
+
+
+def test_a3_layout(full_decs):
+    dec = full_decs["a3"]
+    assert (dec.m.eta, dec.K, dec.theta) == ({"a": 1, "b": 2}, 3,
+                                             {(0,): (0, 3, 4), (1,): (1, 2)})
+    assert dec.can_f[1] == {(0,): (0, 0, 1), (1,): (1, 2, 2)}
+    assert dec.m.monoid.table[1][1] == 3
+
+
+def test_identity_check_names_the_residual_and_slot(full_decs):
+    broken = with_f(full_decs["a3"], 0, (1,), (1, 0, 2))
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: Can(e) is not (identity, 0): f_e((1,)) sends slot 0 to 1")
+
+
+def test_class_check_names_the_element_residual_and_slot(full_decs):
+    # slot 0 of f_a(0) goes past the two slots of N_1
+    broken = with_f(full_decs["a3"], 1, (0,), (2, 0, 1))
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: f_s(r) leaves its class at s = 1, r = (0,): "
+        "slot 0 goes to 2, past the 2 of N_(1,)")
+
+
+def test_residual_of_a_product_names_the_element_and_letter(full_decs):
+    dec = full_decs["a3"]
+    sig = dec.signature
+    rho_bar = sig.rho_bar[:3] + ((1,),) + sig.rho_bar[4:]  # a.a = 3 moved to N_1
+    broken = dec._replace(signature=sig._replace(rho_bar=rho_bar))
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: residual of s.a at s = 1, a = 'a': "
+        "rho_bar(s.a) = (1,), not (0,)")
+
+
+def test_injectivity_check_names_two_elements(full_decs):
+    # every element fixes the one slot of each class: a homomorphism that
+    # only keeps rho_bar, so a and b, both in N_1, share their image
+    dec = full_decs["a3"]
+    broken = dec._replace(theta={r: theta[:1] for r, theta in dec.theta.items()},
+                          can_f=tuple({r: (0, 1, 2) for r in dec.residuals}
+                                      for _ in dec.can_f))
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: Can is not injective: Can(1) = Can(2)")
+    assert allpairs_verify(broken) == "injectivity"
+
+
+def test_residual_condition_names_the_letter(full_decs):
+    # counting only the a's, b should not move the residual
+    dec = full_decs["a3"]
+    broken = dec._replace(signature=dec.signature._replace(gammas=(("a",),)))
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: residual condition fails at letter 'b': "
+        "rho_bar = (1,), not (0,)")
+    assert allpairs_verify(broken) == "residual condition"
+
+
+def test_wreath_action_check_names_the_element_and_letter(full_decs):
+    # f_a(1) with slots 0 and 1 swapped moves the point of 1 wrongly
+    broken = with_f(full_decs["a3"], 1, (1,), (2, 1, 2))
+    assert failure(wreath_divisor, broken) == (
+        "wreath divisor: wreath action disagrees with multiplication "
+        "at element 1 and letter 'a'")
+    assert not allpairs_wreath_ok(broken)
+
+
+def test_block_quotient_names_the_element_and_block(corpus, full_decs):
+    # every f_t(0) with t in N_0 the identity: T_0 is trivial, so the
+    # block aa cannot reach its image in the block monoid
+    dfa = corpus["a3"][0]
+    dec = full_decs["a3"]
+    for t in dec.theta[(0,)]:
+        dec = with_f(dec, t, (0,), (0, 1, 2))
+    image = syntactic_monoid_of_lw(dfa, "", 2).eta["aa"]
+    assert image != 0
+    assert failure(lw_quotient, dec, dfa, "") == (
+        "block quotient: the map is not well defined for w = '' at element 0 "
+        f"of T_0 and block 'aa': 0 goes to 0 and {image}")
+    assert allpairs_quotient(dec, dfa, "") == "well defined"

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from synmon import (build_signature, cayley_graph, max_period,
+from synmon import (build_signature, cayley_graph, max_period, periods,
                     residual_of_word, sink_periods)
 from synmon.errors import (InvalidPeriod, PeriodTrivialWarning,
-                           UnknownSymbol)
+                           UnknownSymbol, VerificationFailure)
+from synmon.monoid import CayleyGraph
 from synmon.oracle import OracleBudget, cycle_gcd
 from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -119,6 +120,28 @@ def test_signature_keeps_the_maxima_and_decides_the_residual_scope(corpus):
 def test_signature_invalid_period(corpus):
     _, _, sm = corpus["all_words"]
     with pytest.raises(InvalidPeriod):
+        build_signature(sm, ["ab"], [2])
+
+
+def test_max_period_without_a_gamma_cycle_is_a_verification_failure(corpus):
+    # a graph no Cayley graph can be: the a-edges form a path, so no closed
+    # walk reads an a
+    _, _, sm = corpus["head_a"]
+    n = sm.order
+    edges = tuple((u, "a", u + 1) for u in range(n - 1)) + tuple((u, "b", u) for u in range(n))
+    fake = CayleyGraph(tuple(range(n)), tuple(sorted(edges)))
+    with pytest.raises(VerificationFailure,
+                       match=r"^maximum period: no closed walk has a letter of gamma \['a'\]$"):
+        max_period(sm, "a", fake)
+
+
+def test_a_residual_clash_is_a_verification_failure(corpus, monkeypatch):
+    # a wrong maximum lets the period 2 through on a language of period 1:
+    # the identity, reached by a from itself, gets two residuals
+    _, _, sm = corpus["all_words"]
+    monkeypatch.setattr(periods, "max_period", lambda m, gamma, graph=None: 4)
+    with pytest.raises(VerificationFailure,
+                       match=r"^signature: residual clash at element 0: \(0,\) and \(1,\)$"):
         build_signature(sm, ["ab"], [2])
 
 

@@ -282,10 +282,12 @@ def test_verdicts_reject_limits_off_zero_or_one_by_any_amount(corpus):
     near_one = 1 - Fraction(1, 10 ** 9)
     analysis = Analysis(corpus["a3"][0])
     rec = analysis.recognizer("a")
-    with pytest.raises(VerificationFailure):
+    with pytest.raises(VerificationFailure, match=r"^residual zero-one verdict: .* "
+                       r"limit 999999999/1000000000 for w='a'$"):
         residual_verdict("a", rec.monoid, rec.accepting, near_one)
     _, _, has_a = corpus["has_a"]
-    with pytest.raises(VerificationFailure):
+    with pytest.raises(VerificationFailure, match=r"^basic zero-one verdict: zero element "
+                       r"\d+ predicts mu = 1 but limits are 999999999/1000000000$"):
         basic_verdict(has_a, 1, [AccumulationPoint(0, near_one)])
 
 

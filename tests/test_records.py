@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import synmon
-from synmon import Analysis, lw_quotient, markov_chain, mu_consistency
+from synmon import Analysis, markov_chain, mu_consistency
 from synmon.errors import InvalidMonoid
 from synmon.monoid import FiniteMonoid, make_named, transition_monoid
 from synmon.oracle import OracleBudget
@@ -103,10 +103,10 @@ def every_record() -> list:
     dec = analysis.decomposition
     return [
         analysis, analysis.dfa, analysis.monoid, analysis.monoid.monoid, analysis.cayley,
-        analysis.signature, dec, dec.report, analysis.wreath, analysis.residual_monoid(0),
+        analysis.signature, dec, analysis.wreath, analysis.residual_monoid(0),
         analysis.recognizer(""), analysis.basic_verdict, analysis.accumulation[0],
         analysis.residual_verdicts[0], markov_chain(analysis.minimal),
-        mu_consistency(dec, analysis.minimal, 0), lw_quotient(dec, analysis.minimal, ""),
+        mu_consistency(dec, analysis.minimal, 0),
         OracleBudget(), *_nodes(parse_regex("(a|&)*b+c?")),
     ]
 
@@ -121,10 +121,10 @@ def _nodes(ast):
 def test_every_record_class_is_covered():
     assert {type(x).__name__ for x in every_record()} == {
         "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid", "CayleyGraph",
-        "PeriodSignature", "CanonicalDecomposition", "VerificationReport",
+        "PeriodSignature", "CanonicalDecomposition",
         "WreathEmbedding", "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
         "AccumulationPoint", "ResidualZeroOne", "MarkovChain", "MuConsistency",
-        "LwQuotientReport", "OracleBudget",
+        "OracleBudget",
         "Letter", "Epsilon", "Alt", "Cat", "Star", "Plus", "Opt"}
 
 
@@ -154,10 +154,9 @@ def test_monoids_and_analyses_compare_by_identity():
         assert x == x and x != y and len({x, y}) == 2
 
 
-def test_decomposition_equality_ignores_the_report():
+def test_decompositions_compare_by_their_fields():
     dec = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*"), "ab")).decomposition
-    assert dec.report is not None
-    assert dec == dec._replace(report=None) and not dec != dec._replace(report=None)
+    assert dec == dec._replace() and not dec != dec._replace()
     assert dec != dec._replace(K=dec.K + 1)
 
 
