@@ -18,10 +18,10 @@ _EXPORTS = {
         "lw_recognizer", "residual_monoid", "syntactic_monoid_of_lw",
         "verify_canonical", "wreath_divisor"),
     "monoid": (
-        "CayleyGraph", "FiniteMonoid", "SyntacticMonoid", "cayley_graph",
-        "cayley_to_dot", "direct_product", "find_zero", "function_monoid",
-        "hom_generator_check", "hom_image_check", "is_ideal", "make_named",
-        "principal_ideal", "rees_factor", "semidirect_product", "transition_monoid"),
+        "FiniteMonoid", "SyntacticMonoid", "cayley_to_dot", "direct_product",
+        "find_zero", "function_monoid", "hom_generator_check", "hom_image_check",
+        "is_ideal", "make_named", "principal_ideal", "rees_factor",
+        "semidirect_product", "transition_monoid"),
     "periods": ("PeriodSignature", "build_signature", "max_period", "residual_of_word",
                 "sink_periods"),
     "probability": ("MarkovChain", "accumulation_points", "markov_chain", "mu_consistency",

@@ -262,12 +262,11 @@ def cmd_analyze(args) -> int:
     analysis = _analysis(args)
     sm, sig, dec = analysis.monoid, analysis.signature, analysis.decomposition
     wreath = analysis.wreath
-    graph = analysis.cayley
     dfa_sinks = sink_periods(analysis.dfa)
-    cayley_sinks = sink_periods(graph)
+    cayley_sinks = sink_periods(sm)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cayley_to_dot(graph, sm.monoid.names))
+            handle.write(cayley_to_dot(sm))
 
     out = {
         "monoid": syntactic_to_json(sm),
@@ -329,7 +328,7 @@ def cmd_monoid(args) -> int:
     sm = analysis.monoid
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cayley_to_dot(analysis.cayley, sm.monoid.names))
+            handle.write(cayley_to_dot(sm))
     out = syntactic_to_json(sm)
     lines = chain((f"order {sm.order}",), (f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet),
                   (f"accepting image: {sorted(sm.accepting_image)}",),
@@ -410,7 +409,7 @@ def cmd_oracle(args) -> int:
                 raise InvalidArgument(
                     f"gamma {list(gamma)} is not a non-empty subset of the alphabet")
         for gamma in gammas:
-            print(f"{{{','.join(gamma)}}} {cycle_gcd(analysis.cayley, gamma)}")
+            print(f"{{{','.join(gamma)}}} {cycle_gcd(analysis.monoid, gamma)}")
         return 0
     if args.oracle_op == "lw":
         if args.blocks < 0:

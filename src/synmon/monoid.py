@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from itertools import product
 from operator import itemgetter
-from typing import NamedTuple
 
 from .dfa import Dfa, Frozen
 from .errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
@@ -150,10 +149,14 @@ class SyntacticMonoid(Frozen):
             x = self.monoid.table[x][self.eta[a]]
         return x
 
-
-class CayleyGraph(NamedTuple):
-    vertices: tuple
-    edges: tuple  # (from, symbol, to), sorted by (from, symbol)
+    def cayley_edges(self):
+        """The right Cayley graph over the letters, on the vertices
+        0..order-1: every edge (x, a, x.a) in the order of (x, a), read off
+        the checked table."""
+        letters = [(a, self.eta[a]) for a in self.alphabet]
+        for x, row in enumerate(self.monoid.table):
+            for a, g in letters:
+                yield x, a, row[g]
 
 
 def _close(generators, cap: int):
@@ -215,21 +218,13 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
                            columns)
 
 
-def cayley_graph(m: SyntacticMonoid) -> CayleyGraph:
-    """Right Cayley graph over the letters."""
-    table, letters = m.monoid.table, m.alphabet
-    edges = tuple((i, a, table[i][m.eta[a]]) for i in range(m.order) for a in letters)
-    return CayleyGraph(tuple(range(m.order)), edges)
-
-
-def cayley_to_dot(graph: CayleyGraph, names=None) -> str:
-    def label(v):
-        return names[v] if names else str(v)
-
+def cayley_to_dot(m: SyntacticMonoid) -> str:
+    """The right Cayley graph in Graphviz DOT, each vertex labelled with
+    its element's name."""
     lines = ["digraph cayley {"]
-    for v in graph.vertices:
-        lines.append(f'  {v} [label="{label(v)}"];')
-    for src, sym, dst in graph.edges:
+    for v in range(m.order):
+        lines.append(f'  {v} [label="{m.monoid.name_of(v)}"];')
+    for src, sym, dst in m.cayley_edges():
         lines.append(f'  {src} -> {dst} [label="{sym}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .dfa import Dfa
 from .errors import BudgetExceeded
-from .monoid import CayleyGraph, FiniteMonoid
+from .monoid import FiniteMonoid, SyntacticMonoid
 from .regexes import Alt, Cat, Epsilon, Letter, Opt, Plus, RegexAst, Star
 
 ENUMERATION_CAP = 10_000_000
@@ -71,23 +71,24 @@ def _ends(node, word, start):
     return out
 
 
-def cycle_gcd(graph: CayleyGraph, gamma, budget: OracleBudget | None = None) -> int:
-    """gcd of gamma-weights over all simple cycles, found by DFS.
+def cycle_gcd(m: SyntacticMonoid, gamma, budget: OracleBudget | None = None) -> int:
+    """gcd of gamma-weights over all simple cycles of the Cayley graph of m,
+    found by DFS.
 
     Equals the gcd over all closed walks, since every closed walk
     decomposes into simple cycles.
     """
     budget = budget or OracleBudget()
-    n = len(graph.vertices)
+    n = m.order
     if n > budget.max_monoid_order:
         raise BudgetExceeded(f"graph order {n} is past the cycle budget")
     gamma = set(gamma)
-    out_edges = {v: [] for v in graph.vertices}
-    for u, a, v in graph.edges:
+    out_edges = [[] for _ in range(n)]
+    for u, a, v in m.cayley_edges():
         out_edges[u].append((1 if a in gamma else 0, v))
     result = 0
     # enumerate cycles whose minimum vertex is `root`
-    for root in graph.vertices:
+    for root in range(n):
         stack = [(root, 0, frozenset({root}))]
         while stack:
             vertex, weight, visited = stack.pop()

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .dfa import Dfa
 from .errors import (InvalidPeriod, PeriodTrivialWarning, UnknownSymbol,
                      VerificationFailure)
-from .monoid import CayleyGraph, SyntacticMonoid, cayley_graph
+from .monoid import SyntacticMonoid
 
 
 def residual_of_word(word: str, gammas, periods, alphabet=None):
@@ -133,15 +133,13 @@ def _cycle_classes(n: int, edges) -> list:
     return classes
 
 
-def max_period(m: SyntacticMonoid, gamma, graph: CayleyGraph | None = None) -> int:
+def max_period(m: SyntacticMonoid, gamma) -> int:
     """Greatest P such that |w|_gamma is a multiple of P for every word w
-    labeling a closed walk of the Cayley graph, `graph` when given."""
+    labeling a closed walk of the Cayley graph of m."""
     gamma = set(gamma)
     if not gamma or not gamma <= set(m.alphabet):
         raise UnknownSymbol(f"gamma {sorted(gamma)} is not a non-empty subset of the alphabet")
-    if graph is None:
-        graph = cayley_graph(m)
-    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in graph.edges]
+    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in m.cayley_edges()]
     g = math.gcd(*(period for _, _, period in _cycle_classes(m.order, edges)))
     if g == 0:
         # unreachable: a letter of gamma repeated from any element ends in a cycle
@@ -187,22 +185,17 @@ class PeriodSignature(NamedTuple):
         return tuple((x + y) % p for x, y, p in zip(r1, r2, self.periods))
 
 
-def build_signature(m: SyntacticMonoid, gammas, periods=None,
-                    graph: CayleyGraph | None = None) -> PeriodSignature:
+def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature:
     """Compute the residual map rho_bar and the classes N_r.
 
     Omitted periods default to the maximum period of each gamma; supplied
-    periods must divide it (otherwise the classes would clash).  `graph`,
-    the Cayley graph of m, is built once here when not given.
+    periods must divide it (otherwise the classes would clash).  An empty
+    gamma or one with a letter outside the alphabet raises UnknownSymbol
+    from `max_period`.
     """
     alphabet = m.alphabet
     gammas = tuple(tuple(sorted(set(g))) for g in gammas)
-    for g in gammas:
-        if not g or not set(g) <= set(alphabet):
-            raise UnknownSymbol(f"gamma {list(g)} is not a non-empty subset of the alphabet")
-    if graph is None:
-        graph = cayley_graph(m)
-    maxima = tuple(max_period(m, g, graph) for g in gammas)
+    maxima = tuple(max_period(m, g) for g in gammas)
     if periods is None:
         periods = maxima
     else:
@@ -218,13 +211,15 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None,
         warnings.warn("all periods are 1; the decomposition is degenerate",
                       PeriodTrivialWarning, stacklevel=2)
     sig = PeriodSignature(alphabet, gammas, periods, maxima, (), {})
+    moves = [[] for _ in range(m.order)]  # x -> (a, x.a)
+    for x, a, y in m.cayley_edges():
+        moves[x].append((a, y))
     rho_bar = [None] * m.order
     rho_bar[m.monoid.identity] = tuple(0 for _ in periods)
     queue = [m.monoid.identity]
     while queue:
         x = queue.pop()
-        for a in alphabet:
-            y = m.monoid.table[x][m.eta[a]]
+        for a, y in moves[x]:
             r = sig.add(rho_bar[x], sig.letter_residual(a))
             if rho_bar[y] is None:
                 rho_bar[y] = r
@@ -242,16 +237,18 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None,
 
 def sink_periods(graph) -> list:
     """Sinks (SCCs without outgoing edges) with their periods, the gcd of
-    their cycle lengths.  Vertices keep their original ids."""
-    if isinstance(graph, CayleyGraph):
-        vertices, edges = graph.vertices, [(u, 1, v) for u, _, v in graph.edges]
+    their cycle lengths, in the Cayley graph of a SyntacticMonoid or the
+    transition graph of a Dfa.  Vertices keep their original ids."""
+    if isinstance(graph, SyntacticMonoid):
+        vertices = range(graph.order)
+        edges = [(u, 1, v) for u, _, v in graph.cayley_edges()]
     elif isinstance(graph, Dfa):
         vertices = graph.states
         position = {q: i for i, q in enumerate(vertices)}
         edges = [(position[q], 1, position[graph.delta[(q, a)]])
                  for q in vertices for a in sorted(graph.alphabet)]
     else:
-        raise TypeError(f"expected CayleyGraph or Dfa, got {type(graph).__name__}")
+        raise TypeError(f"expected SyntacticMonoid or Dfa, got {type(graph).__name__}")
     return [(tuple(vertices[v] for v in component), period)
             for component, closed, period in _cycle_classes(len(vertices), edges)
             if closed and period]

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .dfa import Dfa, Frozen, minimize, words_of_length
 from .errors import ScopeError
-from .monoid import CayleyGraph, SyntacticMonoid, cayley_graph, transition_monoid
+from .monoid import SyntacticMonoid, transition_monoid
 from .periods import PeriodSignature, build_signature, max_period
 
 if TYPE_CHECKING:
@@ -57,10 +57,6 @@ class Analysis(Frozen):
         return transition_monoid(self.minimal)
 
     @cached_property
-    def cayley(self) -> CayleyGraph:
-        return cayley_graph(self.monoid)
-
-    @cached_property
     def max_period(self) -> int:
         """Maximum period with respect to the whole alphabet: one of the
         signature's maxima once the signature is built over the whole
@@ -70,12 +66,12 @@ class Analysis(Frozen):
         sig = self.__dict__.get("signature")
         if sig is not None and alphabet in sig.gammas:
             return sig.maxima[sig.gammas.index(alphabet)]
-        return max_period(self.monoid, alphabet, self.cayley)
+        return max_period(self.monoid, alphabet)
 
     @cached_property
     def signature(self) -> PeriodSignature:
         return build_signature(self.monoid, self.gammas or [self.monoid.alphabet],
-                               self.periods, self.cayley)
+                               self.periods)
 
     @cached_property
     def decomposition(self) -> dc.CanonicalDecomposition:

@@ -77,6 +77,47 @@ def test_monoid_dot_output(tmp_path):
     assert text.startswith("digraph") and text.count("->") == 10
 
 
+A3_MONOID_DOT = """digraph cayley {
+  0 [label="e"];
+  1 [label="a"];
+  2 [label="b"];
+  3 [label="aa"];
+  4 [label="ba"];
+  0 -> 1 [label="a"];
+  0 -> 2 [label="b"];
+  1 -> 3 [label="a"];
+  1 -> 3 [label="b"];
+  2 -> 4 [label="a"];
+  2 -> 4 [label="b"];
+  3 -> 1 [label="a"];
+  3 -> 1 [label="b"];
+  4 -> 2 [label="a"];
+  4 -> 2 [label="b"];
+}
+"""
+
+PAIRS_ANALYZE_DOT = """digraph cayley {
+  0 [label="e"];
+  1 [label="a"];
+  0 -> 1 [label="a"];
+  0 -> 1 [label="b"];
+  1 -> 0 [label="a"];
+  1 -> 0 [label="b"];
+}
+"""
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("monoid", "--dfa", str(DATA / "a3.json")), A3_MONOID_DOT),
+    (("analyze", "--regex", "((a|b)(a|b))*", "--alphabet", "ab"), PAIRS_ANALYZE_DOT),
+], ids=["monoid a3", "analyze pairs"])
+def test_dot_files_are_byte_identical(args, expected, tmp_path):
+    dot = tmp_path / "cayley.dot"
+    result = run_cli(*args, "--dot", str(dot))
+    assert result.returncode == 0, result.stderr
+    assert dot.read_bytes() == expected.encode()
+
+
 def test_syntax_error_exit_code():
     result = run_cli("monoid", "--regex", "a(")
     assert result.returncode == 2
@@ -166,6 +207,13 @@ def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_p
     if "--alphabet" in args:  # the line names the symbol that is not a letter
         alphabet = args[args.index("--alphabet") + 1]
         assert repr(next(a for a in alphabet if a not in LETTERS)) in lines[0]
+
+
+@pytest.mark.parametrize("gamma, shown", [("z", "['z']"), (",", "[]")])
+def test_period_gamma_outside_the_alphabet_exits_two(gamma, shown):
+    result = run_cli("period", "--dfa", str(DATA / "a3.json"), "--gamma", gamma)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: gamma {shown} is not a non-empty subset of the alphabet\n"
 
 
 def test_length_past_the_int_to_text_limit_is_refused():

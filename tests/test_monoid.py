@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from synmon import (cayley_graph, cayley_to_dot, direct_product, find_zero,
+from synmon import (cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
                     principal_ideal, rees_factor, semidirect_product,
                     transition_monoid)
@@ -129,22 +129,26 @@ def test_monoid_cap():
 
 def test_cayley_counts(corpus):
     _, _, sm1 = corpus["a1"]
-    g = cayley_graph(sm1)
-    assert len(g.vertices) == 4 and len(g.edges) == 8
+    assert sm1.order == 4 and len(list(sm1.cayley_edges())) == 8
     _, _, sm2 = corpus["a2"]
-    g2 = cayley_graph(sm2)
-    assert len(g2.vertices) == 6 and len(g2.edges) == 12
+    assert sm2.order == 6 and len(list(sm2.cayley_edges())) == 12
+
+
+def test_cayley_edges_follow_the_table_in_element_then_letter_order(corpus):
+    for name, (_, _, sm) in corpus.items():
+        assert list(sm.cayley_edges()) == [
+            (x, a, sm.monoid.table[x][sm.eta[a]])
+            for x in range(sm.order) for a in sm.alphabet], name
 
 
 def test_cayley_trivial_self_loop():
     sm = transition_monoid(regex_to_dfa(parse_regex("a*"), "a"))
-    g = cayley_graph(sm)
-    assert g.vertices == (0,) and g.edges == ((0, "a", 0),)
+    assert sm.order == 1 and list(sm.cayley_edges()) == [(0, "a", 0)]
 
 
 def test_cayley_dot_export(corpus):
     _, _, sm = corpus["a3"]
-    dot = cayley_to_dot(cayley_graph(sm), sm.monoid.names)
+    dot = cayley_to_dot(sm)
     assert dot.startswith("digraph")
     assert dot.count("->") == 10
     assert '0 -> 1 [label="a"]' in dot

@@ -1,13 +1,14 @@
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from synmon import (build_signature, cayley_graph, max_period, periods,
-                    residual_of_word, sink_periods)
+from synmon import (build_signature, max_period, periods, residual_of_word,
+                    sink_periods)
 from synmon.errors import (InvalidPeriod, PeriodTrivialWarning,
                            UnknownSymbol, VerificationFailure)
-from synmon.monoid import CayleyGraph
 from synmon.oracle import OracleBudget, cycle_gcd
 from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -69,20 +70,26 @@ def test_max_period_gamma_validation(corpus):
         max_period(sm, "ac")
 
 
+@pytest.mark.parametrize("gamma", [[], ["z"]])
+def test_signature_refuses_a_gamma_that_is_not_a_nonempty_subset(corpus, gamma):
+    _, _, sm = corpus["a1"]
+    with pytest.raises(UnknownSymbol, match=rf"^gamma {re.escape(str(gamma))} is not a "
+                                            r"non-empty subset of the alphabet$"):
+        build_signature(sm, [["a"], gamma])
+
+
 def test_max_period_matches_cycle_oracle(corpus):
     gammas = [("a",), ("b",), ("a", "b")]
     for name, (_, _, sm) in corpus.items():
-        graph = cayley_graph(sm)
         for gamma in gammas:
-            assert max_period(sm, gamma) == cycle_gcd(graph, gamma), (name, gamma)
+            assert max_period(sm, gamma) == cycle_gcd(sm, gamma), (name, gamma)
 
 
 @given(small_dfas())
 def test_max_period_matches_cycle_oracle_on_random_dfas(dfa):
     sm = small_monoid(dfa, cap=OracleBudget().max_monoid_order)
-    graph = cayley_graph(sm)
     for gamma in [("a",), ("b",), ("a", "b")]:
-        assert max_period(sm, gamma) == cycle_gcd(graph, gamma), gamma
+        assert max_period(sm, gamma) == cycle_gcd(sm, gamma), gamma
 
 
 # --- signatures ---
@@ -123,23 +130,22 @@ def test_signature_invalid_period(corpus):
         build_signature(sm, ["ab"], [2])
 
 
-def test_max_period_without_a_gamma_cycle_is_a_verification_failure(corpus):
-    # a graph no Cayley graph can be: the a-edges form a path, so no closed
-    # walk reads an a
-    _, _, sm = corpus["head_a"]
-    n = sm.order
-    edges = tuple((u, "a", u + 1) for u in range(n - 1)) + tuple((u, "b", u) for u in range(n))
-    fake = CayleyGraph(tuple(range(n)), tuple(sorted(edges)))
+def test_max_period_without_a_gamma_cycle_is_a_verification_failure():
+    # a monoid no syntactic monoid can be: its a-edges form a path, so no
+    # closed walk reads an a
+    n = 3
+    edges = sorted([(u, "a", u + 1) for u in range(n - 1)] + [(u, "b", u) for u in range(n)])
+    fake = SimpleNamespace(alphabet=("a", "b"), order=n, cayley_edges=lambda: edges)
     with pytest.raises(VerificationFailure,
                        match=r"^maximum period: no closed walk has a letter of gamma \['a'\]$"):
-        max_period(sm, "a", fake)
+        max_period(fake, "a")
 
 
 def test_a_residual_clash_is_a_verification_failure(corpus, monkeypatch):
     # a wrong maximum lets the period 2 through on a language of period 1:
     # the identity, reached by a from itself, gets two residuals
     _, _, sm = corpus["all_words"]
-    monkeypatch.setattr(periods, "max_period", lambda m, gamma, graph=None: 4)
+    monkeypatch.setattr(periods, "max_period", lambda m, gamma: 4)
     with pytest.raises(VerificationFailure,
                        match=r"^signature: residual clash at element 0: \(0,\) and \(1,\)$"):
         build_signature(sm, ["ab"], [2])
@@ -207,8 +213,14 @@ def test_sinks_of_markov_graph(corpus):
 
 def test_sinks_of_cayley_graph_all_equal(corpus):
     _, _, sm = corpus["a3"]
-    sinks = sink_periods(cayley_graph(sm))
+    sinks = sink_periods(sm)
     assert [p for _, p in sinks] == [2, 2]
+
+
+def test_sink_periods_take_only_a_syntactic_monoid_or_a_dfa(corpus):
+    _, _, sm = corpus["a3"]
+    with pytest.raises(TypeError, match=r"^expected SyntacticMonoid or Dfa, got FiniteMonoid$"):
+        sink_periods(sm.monoid)
 
 
 def test_single_vertex_self_loop():
@@ -221,7 +233,7 @@ def test_sink_periods_divide_max_period(corpus, full_sigs):
     # sink period of the Cayley graph, and all sink periods agree
     for name, (_, _, sm) in corpus.items():
         period = full_sigs[name].periods[0]
-        sinks = sink_periods(cayley_graph(sm))
+        sinks = sink_periods(sm)
         periods = {p for _, p in sinks}
         assert len(periods) == 1, name
         assert period % periods.pop() == 0, name
@@ -233,5 +245,5 @@ def test_sinks_are_the_closed_classes_on_random_dfas(dfa):
     assert sink_periods(dfa) == closed_classes(
         [[dfa.delta[(q, a)] for a in dfa.alphabet] for q in dfa.states])
     sm = small_monoid(dfa)
-    assert sink_periods(cayley_graph(sm)) == closed_classes(
+    assert sink_periods(sm) == closed_classes(
         [[sm.monoid.table[x][sm.eta[a]] for a in sm.alphabet] for x in range(sm.order)])

@@ -102,7 +102,7 @@ def every_record() -> list:
     analysis = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*"), "ab"))
     dec = analysis.decomposition
     return [
-        analysis, analysis.dfa, analysis.monoid, analysis.monoid.monoid, analysis.cayley,
+        analysis, analysis.dfa, analysis.monoid, analysis.monoid.monoid,
         analysis.signature, dec, analysis.wreath, analysis.residual_monoid(0),
         analysis.recognizer(""), analysis.basic_verdict, analysis.accumulation[0],
         analysis.residual_verdicts[0], markov_chain(analysis.minimal),
@@ -120,7 +120,7 @@ def _nodes(ast):
 
 def test_every_record_class_is_covered():
     assert {type(x).__name__ for x in every_record()} == {
-        "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid", "CayleyGraph",
+        "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid",
         "PeriodSignature", "CanonicalDecomposition",
         "WreathEmbedding", "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
         "AccumulationPoint", "ResidualZeroOne", "MarkovChain", "MuConsistency",
