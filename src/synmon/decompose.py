@@ -301,13 +301,12 @@ def lw_member(rec: LwRecognizer, blocks) -> bool:
     return rec.monoid.index[tau] in rec.accepting
 
 
-def syntactic_monoid_of_lw(dfa: Dfa, w: str, period: int,
-                           cap: int = 5000) -> SyntacticMonoid:
+def syntactic_monoid_of_lw(dfa: Dfa, w: str, period: int) -> SyntacticMonoid:
     """Syntactic monoid of L_w over the alphabet of length-`period` blocks,
     via the minimized block DFA."""
     if len(w) >= period:
         raise ScopeError(f"prefix length {len(w)} must be below the period {period}")
-    return transition_monoid(minimize(block_dfa(dfa, w, period)), cap=cap)
+    return transition_monoid(minimize(block_dfa(dfa, w, period)))
 
 
 def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:

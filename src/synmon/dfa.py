@@ -84,9 +84,6 @@ class Dfa(Frozen):
     def n_states(self) -> int:
         return len(self.states)
 
-    def step(self, state, symbol):
-        return self.delta[(state, symbol)]
-
     def run(self, word: str, start=None):
         q = self.initial if start is None else start
         for a in word:

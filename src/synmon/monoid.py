@@ -230,11 +230,22 @@ def cayley_to_dot(m: SyntacticMonoid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def minimal_ideal_element(m: FiniteMonoid) -> int:
+    """z, the product of all elements in ascending order.  It lies in the
+    minimal ideal K(M), since z = s.x.t lies in every ideal that holds an x,
+    so K(M) is the principal ideal of z."""
+    z = m.identity
+    for x in range(m.order):
+        z = m.table[z][x]
+    return z
+
+
 def find_zero(m: FiniteMonoid):
-    """The unique absorbing element, or None."""
-    for i in range(m.order):
-        if all(m.table[i][s] == i and m.table[s][i] == i for s in range(m.order)):
-            return i
+    """The unique absorbing element, or None.  A zero is the minimal ideal
+    {0}, so it exists exactly when `minimal_ideal_element` is absorbing."""
+    z = minimal_ideal_element(m)
+    if all(v == z for v in m.table[z]) and all(row[z] == z for row in m.table):
+        return z
     return None
 
 

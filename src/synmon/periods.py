@@ -1,27 +1,21 @@
 """Periods of regular languages with respect to letter subsets.
 
-A residual is a plain tuple (r_1, ..., r_n) with 0 <= r_i < P_i.  The
-maximum period for a subset gamma is the gcd of the gamma-letter counts
-over all closed walks of the Cayley graph; any divisor of it is a valid
-period.
-
-Every cycle question here (the maximum period, the sink periods of a DFA or
-a Cayley graph, and the closed classes of a Markov chain) is answered by
-one pass over the edges, `_cycle_classes`.  It finds the strongly connected
-components once, groups the edges inside each, and gives every vertex a
-potential p along a spanning tree of its component.  The gcd of the cycle
-weights of a component is then the gcd of p(u) + w - p(v) over its edges
-(u, w, v), as for the period of a Markov chain (Denardo, "Periods of
-connected networks and powers of nonnegative matrices", Math. Oper. Res.
-1977).  Every cycle's weight is the sum of these terms along it, and each
-term is the difference of the weights of two closed walks through the root.
+A residual is a plain tuple (r_1, ..., r_n) with 0 <= r_i < P_i.  L has
+period P for gamma exactly when w -> |w|_gamma mod P factors through eta,
+so that rho_bar : M -> C_P is a homomorphism.  The maximum period is the
+gcd of the gamma-letter counts over all closed walks of the Cayley graph;
+any divisor of it is a period.  One walk from the identity,
+`_letter_counts`, gives every maximum period and rho_bar.  `_cycle_classes`
+finds the closed classes of unweighted graphs: the sinks of a DFA or a
+Cayley graph, and the closed classes of a Markov chain.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from itertools import product
+from math import gcd
+from operator import add, mod
 from typing import NamedTuple
 
 from .dfa import Dfa
@@ -45,107 +39,122 @@ def residual_of_word(word: str, gammas, periods, alphabet=None):
 
 
 def strongly_connected_components(n: int, successors) -> list:
-    """Tarjan's algorithm, iterative.  `successors[v]` lists out-neighbours.
-    Components are returned as sorted vertex lists, in a deterministic order.
+    """Kosaraju's algorithm: a depth-first pass lists the vertices in the
+    order they finish, and a pass over the reversed edges, last finisher
+    first, collects one component per unvisited vertex.  `successors[v]`
+    iterates over the out-neighbours of v.  Components are returned as
+    sorted vertex lists, in the order of their least vertex.
     """
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
+    finished, seen = [], [False] * n
     for root in range(n):
-        if index[root] is not None:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(successors[v])):
-                w = successors[v][i]
-                if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            v, out = stack[-1]
+            for w in out:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(successors[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-    components.sort(key=lambda c: c[0])
+            else:
+                stack.pop()
+                finished.append(v)
+    predecessors = [[] for _ in range(n)]
+    for v in range(n):
+        for w in successors[v]:
+            predecessors[w].append(v)
+    components = []  # the second pass clears the marks the first one set
+    for root in reversed(finished):
+        if not seen[root]:
+            continue
+        seen[root] = False
+        component = [root]
+        for v in component:  # grows while it is read
+            for u in predecessors[v]:
+                if seen[u]:
+                    seen[u] = False
+                    component.append(u)
+        components.append(sorted(component))
+    components.sort()
     return components
 
 
-def _cycle_classes(n: int, edges) -> list:
-    """Every strongly connected component of the graph on 0..n-1 with the
-    weighted edges (u, w, v), as (component, closed, gcd) in the order of
-    `strongly_connected_components`.  `closed` says that no edge leaves the
-    component, and gcd is the gcd of the weights of its cycles, 0 when it
-    has no cycle of nonzero weight."""
-    successors = [[] for _ in range(n)]
-    for u, _, v in edges:
-        successors[u].append(v)
-    components = strongly_connected_components(n, successors)
-    owner = [0] * n
-    for c, component in enumerate(components):
-        for v in component:
-            owner[v] = c
-    closed = [True] * len(components)
-    internal = [[] for _ in range(n)]  # u -> (w, v) for the edges inside owner[u]
-    for u, w, v in edges:
-        if owner[u] == owner[v]:
-            internal[u].append((w, v))
-        else:
-            closed[owner[u]] = False
-    potential = [None] * n
+def _cycle_classes(n: int, successors) -> list:
+    """The closed classes of the graph v -> successors[v] on 0..n-1, the
+    strongly connected components that no edge leaves, as (component, gcd
+    of its cycle lengths) in the order of `strongly_connected_components`.
+
+    With d(v) the distance of v from the least vertex of its class, the gcd
+    is that of d(u) + 1 - d(v) over the edges u -> v of the class, as for
+    the period of a Markov chain (Denardo, "Periods of connected networks
+    and powers of nonnegative matrices", Math. Oper. Res. 1977): a cycle's
+    length is the sum of these terms along it, and each term is the
+    difference of the lengths of two closed walks through the root.
+    """
     classes = []
-    for c, component in enumerate(components):
-        root = component[0]
-        potential[root] = 0
-        stack, g = [root], 0
-        while stack:
-            u = stack.pop()
-            for w, v in internal[u]:
-                if potential[v] is None:
-                    potential[v] = potential[u] + w  # a tree edge adds 0 to g
-                    stack.append(v)
-                else:
-                    g = math.gcd(g, potential[u] + w - potential[v])
-        classes.append((component, closed[c], g))
+    for component in strongly_connected_components(n, successors):
+        members = set(component)
+        if any(v not in members for u in component for v in successors[u]):
+            continue
+        depth = {component[0]: 0}
+        queue, g = [component[0]], 0
+        for u in queue:  # grows while it is read
+            for v in successors[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+                g = gcd(g, depth[u] + 1 - depth[v])  # 0 on a tree edge
+        classes.append((component, g))
     return classes
+
+
+def _letter_counts(m: SyntacticMonoid, gammas: tuple) -> tuple:
+    """(counts, maxima) for `gammas`, a tuple of sorted letter tuples.
+    counts[x] holds |w|_gamma for each gamma, for the word w by which a
+    breadth-first walk from the identity (element 0) first reaches x, and
+    maxima holds the maximum period of each gamma.
+
+    The maximum period is the gcd, over the edges (x, a, x.a), of the
+    defect c(x) + [a in gamma] - c(x.a).  A closed walk's weight is the sum
+    of the defects along it.  Each defect is |u|_gamma - |v|_gamma for two
+    words u, v with the same image y; with y^k idempotent, u^k and
+    u^(k-1) v both lead from y^k back to y^k, so the defect is the
+    difference of two closed-walk weights.
+    """
+    letters = set(m.alphabet)
+    for g in gammas:
+        if not g or not set(g) <= letters:
+            raise UnknownSymbol(f"gamma {list(g)} is not a non-empty subset of the alphabet")
+    step = {a: tuple(int(a in g) for g in gammas) for a in m.alphabet}
+    moves = [[] for _ in range(m.order)]  # x -> (step of a, x.a)
+    for x, a, y in m.cayley_edges():
+        moves[x].append((step[a], y))
+    counts = [None] * m.order
+    counts[0] = (0,) * len(gammas)
+    queue = [0]
+    for x in queue:  # grows while it is read
+        for s, y in moves[x]:
+            if counts[y] is None:
+                counts[y] = tuple(map(add, counts[x], s))
+                queue.append(y)
+    maxima = []
+    for i, g in enumerate(gammas):
+        period = gcd(*(counts[x][i] + s[i] - counts[y][i]
+                       for x, row in enumerate(moves) for s, y in row))
+        if period == 0:
+            # unreachable: a letter of gamma repeated from any element ends in a cycle
+            raise VerificationFailure(f"maximum period: no closed walk has a letter of "
+                                      f"gamma {list(g)}")
+        maxima.append(period)
+    return counts, tuple(maxima)
 
 
 def max_period(m: SyntacticMonoid, gamma) -> int:
     """Greatest P such that |w|_gamma is a multiple of P for every word w
     labeling a closed walk of the Cayley graph of m."""
-    gamma = set(gamma)
-    if not gamma or not gamma <= set(m.alphabet):
-        raise UnknownSymbol(f"gamma {sorted(gamma)} is not a non-empty subset of the alphabet")
-    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in m.cayley_edges()]
-    g = math.gcd(*(period for _, _, period in _cycle_classes(m.order, edges)))
-    if g == 0:
-        # unreachable: a letter of gamma repeated from any element ends in a cycle
-        raise VerificationFailure(f"maximum period: no closed walk has a letter of "
-                                  f"gamma {sorted(gamma)}")
-    return g
+    return _letter_counts(m, (tuple(sorted(set(gamma))),))[1][0]
 
 
 class PeriodSignature(NamedTuple):
@@ -186,16 +195,17 @@ class PeriodSignature(NamedTuple):
 
 
 def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature:
-    """Compute the residual map rho_bar and the classes N_r.
+    """Compute the maxima, the residual map rho_bar and the classes N_r
+    from one `_letter_counts` walk: rho_bar(x) is the letter counts of x
+    modulo the periods.
 
     Omitted periods default to the maximum period of each gamma; supplied
-    periods must divide it (otherwise the classes would clash).  An empty
-    gamma or one with a letter outside the alphabet raises UnknownSymbol
-    from `max_period`.
+    periods must divide it (otherwise rho_bar would not be well defined).
+    An empty gamma or one with a letter outside the alphabet raises
+    UnknownSymbol.
     """
-    alphabet = m.alphabet
     gammas = tuple(tuple(sorted(set(g))) for g in gammas)
-    maxima = tuple(max_period(m, g) for g in gammas)
+    counts, maxima = _letter_counts(m, gammas)
     if periods is None:
         periods = maxima
     else:
@@ -210,29 +220,12 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
     if all(p == 1 for p in periods):
         warnings.warn("all periods are 1; the decomposition is degenerate",
                       PeriodTrivialWarning, stacklevel=2)
-    sig = PeriodSignature(alphabet, gammas, periods, maxima, (), {})
-    moves = [[] for _ in range(m.order)]  # x -> (a, x.a)
-    for x, a, y in m.cayley_edges():
-        moves[x].append((a, y))
-    rho_bar = [None] * m.order
-    rho_bar[m.monoid.identity] = tuple(0 for _ in periods)
-    queue = [m.monoid.identity]
-    while queue:
-        x = queue.pop()
-        for a, y in moves[x]:
-            r = sig.add(rho_bar[x], sig.letter_residual(a))
-            if rho_bar[y] is None:
-                rho_bar[y] = r
-                queue.append(y)
-            elif rho_bar[y] != r:
-                # cannot happen once the periods divide the maxima
-                raise VerificationFailure(f"signature: residual clash at element {y}: "
-                                          f"{rho_bar[y]} and {r}")
-    classes = {r: [] for r in sig.residuals()}
+    rho_bar = tuple(tuple(map(mod, c, periods)) for c in counts)
+    classes = {r: [] for r in product(*map(range, periods))}
     for i, r in enumerate(rho_bar):
         classes[r].append(i)
     classes = {r: tuple(v) for r, v in classes.items()}
-    return PeriodSignature(alphabet, gammas, periods, maxima, tuple(rho_bar), classes)
+    return PeriodSignature(m.alphabet, gammas, periods, maxima, rho_bar, classes)
 
 
 def sink_periods(graph) -> list:
@@ -241,14 +234,16 @@ def sink_periods(graph) -> list:
     transition graph of a Dfa.  Vertices keep their original ids."""
     if isinstance(graph, SyntacticMonoid):
         vertices = range(graph.order)
-        edges = [(u, 1, v) for u, _, v in graph.cayley_edges()]
+        successors = [[] for _ in vertices]
+        for u, _, v in graph.cayley_edges():
+            successors[u].append(v)
     elif isinstance(graph, Dfa):
         vertices = graph.states
         position = {q: i for i, q in enumerate(vertices)}
-        edges = [(position[q], 1, position[graph.delta[(q, a)]])
-                 for q in vertices for a in sorted(graph.alphabet)]
+        successors = [[position[graph.delta[(q, a)]] for a in sorted(graph.alphabet)]
+                      for q in vertices]
     else:
         raise TypeError(f"expected SyntacticMonoid or Dfa, got {type(graph).__name__}")
     return [(tuple(vertices[v] for v in component), period)
-            for component, closed, period in _cycle_classes(len(vertices), edges)
-            if closed and period]
+            for component, period in _cycle_classes(len(vertices), successors)
+            if period]

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .dfa import Dfa, minimize, words_of_length
 from .errors import InvalidPeriod, ScopeError, VerificationFailure
-from .monoid import (SyntacticMonoid, find_zero, gather, principal_ideal,
-                     transition_monoid)
+from .monoid import (SyntacticMonoid, find_zero, gather, minimal_ideal_element,
+                     principal_ideal, transition_monoid)
 from .periods import _cycle_classes, max_period
 
 if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs it
@@ -199,10 +199,7 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     size = len(dfa.alphabet) ** period
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     h = {}
-    edges = [(i, 1, j) for i, row in enumerate(rows) for j in row]
-    for component, closed, _ in _cycle_classes(n, edges):
-        if not closed:
-            continue
+    for component, _ in _cycle_classes(n, rows):  # a row's keys are its successors
         # the stationary distribution pi of the closed class solves
         # pi A = size pi, with one balance equation replaced by sum(pi) = 1
         balance = {j: {j: -size} for j in component}
@@ -314,16 +311,11 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
 
     The minimal ideal K(T_r) decides whether a witness exists (Sin'ya,
     GandALF 2015): it lies in every ideal, so some ideal is a witness if
-    and only if K(T_r) is.  K(T_r) is the principal ideal of the product z
-    of all elements, since z = s.x.t lies in every ideal that holds an x.
+    and only if K(T_r) is, the principal ideal of `minimal_ideal_element`.
     The ascending scan runs only when K(T_r) is a witness, to report the
     first one."""
-    table = t_r.monoid.table
-    z = t_r.monoid.identity
-    for x in range(t_r.order):
-        z = table[z][x]
     witness = None
-    if _decides(principal_ideal(t_r.monoid, z), accepting):
+    if _decides(principal_ideal(t_r.monoid, minimal_ideal_element(t_r.monoid)), accepting):
         for tau in range(t_r.order):
             ideal = principal_ideal(t_r.monoid, tau)
             if _decides(ideal, accepting):

@@ -4,8 +4,15 @@
 state's signature once per round; `recursive_parse` is the
 recursive-descent regex parser, one function per grammar rule.  Both are
 slow or bounded by the recursion limit, and both are plain enough to
-check by eye.
+check by eye.  `tarjan_components` is Tarjan's strongly connected
+components; `scc_max_period` takes the maximum period component by
+component, with potentials along a spanning tree of each; and
+`bfs_signature` rebuilds rho_bar by a second walk that adds the letter
+residuals, each from its own definition.
 """
+
+import math
+from itertools import product
 
 from synmon.dfa import Dfa, trim
 from synmon.errors import RegexSyntaxError
@@ -114,3 +121,113 @@ def _parse_atom(text, pos):
     if c in "*+?|":
         raise RegexSyntaxError(f"dangling operator {c!r}", pos)
     raise RegexSyntaxError(f"illegal character {c!r}", pos)
+
+
+def tarjan_components(n: int, successors) -> list:
+    """Tarjan's algorithm, iterative.  `successors[v]` lists out-neighbours.
+    Components are returned as sorted vertex lists, in the order of their
+    least vertex."""
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(successors[v])):
+                w = successors[v][i]
+                if index[w] is None:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(component))
+    components.sort(key=lambda c: c[0])
+    return components
+
+
+def scc_max_period(m, gamma) -> int:
+    """The gcd of the gamma-letter counts of the cycles of the Cayley graph
+    of m: per strongly connected component, the gcd of p(u) + w - p(v) over
+    its edges (u, w, v), with p a potential along a spanning tree."""
+    gamma = set(gamma)
+    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in m.cayley_edges()]
+    successors = [[] for _ in range(m.order)]
+    for u, _, v in edges:
+        successors[u].append(v)
+    owner = [0] * m.order
+    components = tarjan_components(m.order, successors)
+    for c, component in enumerate(components):
+        for v in component:
+            owner[v] = c
+    internal = [[] for _ in range(m.order)]  # u -> (w, v) for the edges inside owner[u]
+    for u, w, v in edges:
+        if owner[u] == owner[v]:
+            internal[u].append((w, v))
+    potential = [None] * m.order
+    g = 0
+    for component in components:
+        root = component[0]
+        potential[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w, v in internal[u]:
+                if potential[v] is None:
+                    potential[v] = potential[u] + w
+                    stack.append(v)
+                else:
+                    g = math.gcd(g, potential[u] + w - potential[v])
+    return g
+
+
+def bfs_signature(m, gammas, periods=None) -> tuple:
+    """(maxima, rho_bar, classes) for the sorted letter tuples `gammas`:
+    the maxima from `scc_max_period`, and rho_bar by a walk from the
+    identity that adds the residual of each letter read."""
+    maxima = tuple(scc_max_period(m, g) for g in gammas)
+    periods = tuple(periods or maxima)
+    moves = [[] for _ in range(m.order)]
+    for x, a, y in m.cayley_edges():
+        moves[x].append((a, y))
+    rho_bar = [None] * m.order
+    rho_bar[m.monoid.identity] = tuple(0 for _ in periods)
+    queue = [m.monoid.identity]
+    while queue:
+        x = queue.pop()
+        for a, y in moves[x]:
+            r = tuple((c + (a in g)) % p for c, g, p in zip(rho_bar[x], gammas, periods))
+            if rho_bar[y] is None:
+                rho_bar[y] = r
+                queue.append(y)
+            assert rho_bar[y] == r, (y, rho_bar[y], r)
+    classes = {r: tuple(x for x in range(m.order) if rho_bar[x] == r)
+               for r in product(*(range(p) for p in periods))}
+    return maxima, tuple(rho_bar), classes

@@ -8,7 +8,7 @@ from synmon import (cayley_to_dot, direct_product, find_zero,
                     transition_monoid)
 from synmon.errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
                            NotAnIdeal, NotDistributive, TooLarge)
-from synmon.monoid import FiniteMonoid
+from synmon.monoid import FiniteMonoid, minimal_ideal_element
 from synmon.oracle import brute_isomorphic
 from synmon.regexes import parse_regex, regex_to_dfa
 
@@ -230,6 +230,26 @@ def test_rees_factor_always_has_zero(corpus):
     for x in range(sm.order):
         ideal = principal_ideal(sm.monoid, x)
         assert find_zero(rees_factor(sm.monoid, ideal)) is not None
+
+
+def brute_zero(m):
+    """The absorbing element by definition, or None."""
+    return next((z for z in range(m.order)
+                 if all(m.table[z][s] == z == m.table[s][z] for s in range(m.order))), None)
+
+
+def test_find_zero_and_the_minimal_ideal_by_definition(corpus):
+    monoids = [make_named(kind, k) for kind in ("cyclic", "right_zero", "left_zero",
+                                                "symmetric", "full_transformation")
+               for k in range(1, 5)]
+    for _, _, sm in corpus.values():
+        monoids.append(sm.monoid)
+        monoids.extend(rees_factor(sm.monoid, principal_ideal(sm.monoid, x))
+                       for x in range(sm.order))
+    for m in monoids:
+        assert find_zero(m) == brute_zero(m), m.names
+        z = minimal_ideal_element(m)
+        assert all(z in principal_ideal(m, x) for x in range(m.order)), m.names
 
 
 # --- products ---

@@ -1,12 +1,17 @@
+import json
 import random
 import re
+import sys
+import warnings
+from itertools import combinations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from synmon import (build_signature, max_period, periods, residual_of_word,
-                    sink_periods)
+from synmon import (build_signature, load_dfa, max_period, minimize,
+                    residual_of_word, sink_periods, transition_monoid)
 from synmon.errors import (InvalidPeriod, PeriodTrivialWarning,
                            UnknownSymbol, VerificationFailure)
 from synmon.oracle import OracleBudget, cycle_gcd
@@ -14,6 +19,10 @@ from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import CORPUS_SOURCES, closed_classes, small_dfas, small_monoid
+from reference import bfs_signature, tarjan_components
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import counter, kth_tail, mod_length  # noqa: E402
 
 
 def test_residual_of_word_mixed_gammas():
@@ -39,6 +48,28 @@ def test_scc_basics():
     successors = [[1], [2], [1, 3], [3]]
     components = strongly_connected_components(4, successors)
     assert sorted(map(tuple, components)) == [(0,), (1, 2), (3,)]
+
+
+@st.composite
+def graphs(draw):
+    """Successor lists on 0..n-1 with some self-loops and some isolated
+    vertices, which have no edge in or out."""
+    n = draw(st.integers(0, 12))
+    isolated = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)) if n else set()
+    others = [v for v in range(n) if v not in isolated]
+    loops = draw(st.sets(st.sampled_from(others), max_size=3)) if others else set()
+    successors = [[] for _ in range(n)]
+    for v in others:
+        successors[v] = draw(st.lists(st.sampled_from(others), max_size=3))
+        if v in loops:
+            successors[v].append(v)
+    return successors
+
+
+@given(graphs())
+def test_scc_equal_tarjans_on_random_graphs(successors):
+    n = len(successors)
+    assert strongly_connected_components(n, successors) == tarjan_components(n, successors)
 
 
 # --- maximum periods ---
@@ -94,6 +125,46 @@ def test_max_period_matches_cycle_oracle_on_random_dfas(dfa):
 
 # --- signatures ---
 
+def nonempty_gammas(alphabet):
+    return [g for k in range(1, len(alphabet) + 1) for g in combinations(alphabet, k)]
+
+
+def assert_signatures_match_reference(sm):
+    """build_signature against `reference.bfs_signature`: at the maxima
+    for every non-empty gamma and every pair of them, and for each gamma
+    alone at every divisor of its maximum."""
+    gammas = nonempty_gammas(sm.alphabet)
+    for chosen in [[g] for g in gammas] + [list(pair) for pair in product(gammas, repeat=2)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PeriodTrivialWarning)
+            sig = build_signature(sm, chosen)
+        assert (sig.maxima, sig.rho_bar, sig.classes) == bfs_signature(sm, sig.gammas), chosen
+        assert sig.periods == sig.maxima, chosen
+    for gamma in gammas:  # and at every divisor of the maximum
+        maximum = max_period(sm, gamma)
+        for p in (d for d in range(1, maximum + 1) if maximum % d == 0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PeriodTrivialWarning)
+                sig = build_signature(sm, [gamma], [p])
+            assert (sig.maxima, sig.rho_bar, sig.classes) == \
+                bfs_signature(sm, sig.gammas, [p]), (gamma, p)
+
+
+@given(small_dfas())
+def test_signature_matches_reference_on_random_dfas(dfa):
+    assert_signatures_match_reference(small_monoid(dfa))
+
+
+@pytest.mark.parametrize("language", [kth_tail(k) for k in range(1, 7)]
+                         + [counter(n) for n in range(1, 9)]
+                         + [mod_length(p) for p in range(1, 8)],
+                         ids=lambda language: language.name)
+def test_signature_matches_reference_on_families(language):
+    # kth_tail k = 6 has order 255, past the cycle oracle's budget
+    assert_signatures_match_reference(
+        transition_monoid(minimize(load_dfa(json.dumps(language.dfa)))))
+
+
 def test_signature_classes_sizes(corpus):
     _, _, sm = corpus["a3"]
     sig = build_signature(sm, ["ab"], [2])
@@ -139,16 +210,6 @@ def test_max_period_without_a_gamma_cycle_is_a_verification_failure():
     with pytest.raises(VerificationFailure,
                        match=r"^maximum period: no closed walk has a letter of gamma \['a'\]$"):
         max_period(fake, "a")
-
-
-def test_a_residual_clash_is_a_verification_failure(corpus, monkeypatch):
-    # a wrong maximum lets the period 2 through on a language of period 1:
-    # the identity, reached by a from itself, gets two residuals
-    _, _, sm = corpus["all_words"]
-    monkeypatch.setattr(periods, "max_period", lambda m, gamma: 4)
-    with pytest.raises(VerificationFailure,
-                       match=r"^signature: residual clash at element 0: \(0,\) and \(1,\)$"):
-        build_signature(sm, ["ab"], [2])
 
 
 def test_signature_divisor_period_allowed(corpus):

@@ -64,16 +64,17 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
 
 
 def test_analyze_runs_max_period_once_and_prob_no_signature(monkeypatch, capsys):
-    maxima = count_calls(monkeypatch, periods, "max_period")
+    # the letter-count walk gives the maxima and rho_bar together
+    walks = count_calls(monkeypatch, periods, "_letter_counts")
     signatures = count_calls(monkeypatch, periods, "build_signature")
     assert cli.main(["analyze", "--json", "--regex", "((a|b)(a|b))*"]) == 0
     assert json.loads(capsys.readouterr().out)["signature"]["periods"] == [2]
-    assert (len(maxima), len(signatures)) == (1, 1)
-    maxima.clear()
+    assert (len(walks), len(signatures)) == (1, 1)
+    walks.clear()
     signatures.clear()
     assert cli.main(["zero-one", "--regex", "((a|b)(a|b))*"]) == 0
     assert capsys.readouterr().out.startswith("basic: ")
-    assert (len(maxima), len(signatures)) == (1, 1)
+    assert (len(walks), len(signatures)) == (1, 1)
     # P = 1: building a signature would warn that every period is 1
     signatures.clear()
     assert cli.main(["prob", "--regex", "(a|b)*a"]) == 0

@@ -401,9 +401,9 @@ def test_limit_vector_closed_classes_on_random_dfas(dfa, period):
     # `period` letters a step; small_dfas numbers the states 0..n-1
     solved = []
 
-    def recording(n, edges):
-        classes = periods._cycle_classes(n, edges)
-        solved.extend(component for component, closed, _ in classes if closed)
+    def recording(n, successors):
+        classes = periods._cycle_classes(n, successors)
+        solved.extend(component for component, _ in classes)
         return classes
 
     with mock.patch.object(probability, "_cycle_classes", recording):
