@@ -24,8 +24,8 @@ _EXPORTS = {
         "semidirect_product", "transition_monoid"),
     "periods": ("PeriodSignature", "build_signature", "max_period", "residual_of_word",
                 "sink_periods"),
-    "probability": ("MarkovChain", "accumulation_points", "markov_chain", "mu_consistency",
-                    "mu_exact", "mu_series", "zero_one_basic", "zero_one_residual"),
+    "probability": ("MarkovChain", "accumulation_points", "markov_chain", "mu_exact",
+                    "mu_series", "zero_one_basic", "zero_one_residual"),
     "regexes": ("parse_regex", "regex_to_dfa"),
 }
 

@@ -13,6 +13,7 @@ pointwise left-to-right composition in the first component.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .dfa import Dfa, block_dfa, minimize, words_of_length
@@ -83,26 +84,29 @@ def canonical_decomposition(m: SyntacticMonoid,
     residuals = sig.residuals()
     theta = {r: sig.classes[r] for r in residuals}
     big_k = max(len(theta[r]) for r in residuals)
-    # f_t(r) is theta_{r+rho_bar(t)}^{-1} after column t of the table after
-    # theta_r, padded.  theta^{-1} is dense: an element outside the class
-    # reads `m.order`, a slot that verify_canonical rejects.
-    inverse, restrict = {}, {}
+    # f_t(r) is theta_{r+rho_bar(t)}^{-1} after column t of the table
+    # restricted to N_r, padded.  theta^{-1} is dense: an element outside the
+    # class reads `m.order`, a slot that verify_canonical rejects.
+    inverse, columns = {}, {}
     for r in residuals:
         inverse[r] = [m.order] * m.order
         for k, x in enumerate(theta[r]):
             inverse[r][x] = k
-        restrict[r] = gather(theta[r])
+        # the rows of N_r transposed lazily, one column t at a time; an
+        # empty class has an empty column at every t
+        columns[r] = zip(*gather(theta[r])(m.monoid.table)) if theta[r] else repeat(())
     padding = {r: tuple(range(len(theta[r]), big_k)) for r in residuals}
     can_f = []
-    for t, column in enumerate(m.columns):
+    for t in range(m.order):
         shift, f = sig.rho_bar[t], {}
         for r in residuals:
+            column = next(columns[r])
             if len(theta[r]) == m.order:
                 # N_r is M, so theta_r and rho_bar are trivial: f_t(r) is
-                # column t itself, shared and not copied
+                # column t itself
                 f[r] = column
             else:
-                f[r] = gather(restrict[r](column))(inverse[sig.add(r, shift)]) + padding[r]
+                f[r] = gather(column)(inverse[sig.add(r, shift)]) + padding[r]
         can_f.append(f)
     dec = CanonicalDecomposition(m, sig, big_k, theta, tuple(can_f))
     verify_canonical(dec)

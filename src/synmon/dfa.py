@@ -11,7 +11,8 @@ import json
 import warnings
 from itertools import product
 
-from .errors import FormatError, PartialTransitionFunction, UnknownState
+from .errors import (FormatError, InvalidPeriod, PartialTransitionFunction,
+                     UnknownState, UnknownSymbol)
 
 State = str | int
 
@@ -235,6 +236,11 @@ def block_dfa(dfa: Dfa, prefix: str, period: int) -> Dfa:
     Block symbols are the concatenated letters, enumerated in lexicographic
     order.  The result is trimmed but not minimized.
     """
+    if period < 1:
+        raise InvalidPeriod(f"period {period} must be at least 1")
+    for a in prefix:
+        if a not in dfa.alphabet:
+            raise UnknownSymbol(f"letter {a!r} not in alphabet")
     blocks = words_of_length(dfa.alphabet, period)
     start = dfa.run(prefix)
     order, seen = [start], {start}

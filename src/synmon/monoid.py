@@ -122,15 +122,13 @@ def _closure_from(table, identity, generator_indices):
 
 
 class SyntacticMonoid(Frozen):
-    """Transition monoid of a minimal DFA, with the letter map, the image of
-    the language and the transpose of the table that the closure kernel
-    built (`columns[t]` is (x.t for every x)); compared by identity.  The
-    letters must generate the monoid; the columns are not checked."""
-    __slots__ = ("monoid", "eta", "accepting_image", "columns")
+    """Transition monoid of a minimal DFA, with the letter map and the image
+    of the language; compared by identity.  The letters must generate the
+    monoid."""
+    __slots__ = ("monoid", "eta", "accepting_image")
 
-    def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset,
-                 columns: tuple):
-        self._set(monoid, eta, accepting_image, columns)
+    def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset):
+        self._set(monoid, eta, accepting_image)
         reached = _closure_from(monoid.table, monoid.identity, eta.values())
         if len(reached) != monoid.order:
             raise InvalidMonoid("generators do not generate the monoid")
@@ -166,9 +164,10 @@ def _close(generators, cap: int):
     Returns the elements (tuples in BFS order from the identity at 0,
     generators tried in order), the right Cayley graph right[i][g], the
     tree of first arrivals (element j is tree[j] = (parent, last generator)),
-    and the table both as a tuple of rows and as a tuple of columns.
-    Column j of the table is column parent[j] mapped through the Cayley
-    graph of generator last[j], so filling the table composes no two
+    and the table as a tuple of rows.  The row of generator g is read off
+    the Cayley graph along the tree, g.y = (g.parent(y)).last(y), and row j
+    is row parent(j) gathered at the points of the row of last(j), since
+    j.y = parent(j).(last(j).y); so filling the table composes no two
     elements.  MonoidTooLarge is raised once the order would exceed cap.
     """
     gens = [tuple(g) for g in generators]
@@ -189,12 +188,16 @@ def _close(generators, cap: int):
             row.append(j)
         right.append(row)
     del index
-    by_generator = list(zip(*right))  # by_generator[g][i] = right[i][g]
-    columns = [tuple(range(len(elements)))]
+    times = []  # times[g]: row x -> row x.g, which is row x at the points of row g
+    for g in range(len(gens)):
+        row_g = [right[0][g]]
+        for parent, last in tree[1:]:
+            row_g.append(right[row_g[parent]][last])
+        times.append(gather(row_g))
+    rows = [tuple(range(len(elements)))]
     for parent, last in tree[1:]:
-        columns.append(gather(columns[parent])(by_generator[last]))
-    columns = tuple(columns)
-    return elements, right, tree, tuple(zip(*columns)), columns
+        rows.append(times[last](rows[parent]))
+    return elements, right, tree, tuple(rows)
 
 
 def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
@@ -205,7 +208,7 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     """
     position = {q: i for i, q in enumerate(dfa.states)}
     letters = sorted(dfa.alphabet)
-    elements, right, tree, table, columns = _close(
+    elements, right, tree, table = _close(
         [[position[dfa.delta[(q, a)]] for q in dfa.states] for a in letters], cap)
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
@@ -214,8 +217,7 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     initial, accepting = position[dfa.initial], {position[q] for q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
-    return SyntacticMonoid(FiniteMonoid(table, 0, tuple(names)), eta, accepting_image,
-                           columns)
+    return SyntacticMonoid(FiniteMonoid(table, 0, tuple(names)), eta, accepting_image)
 
 
 def cayley_to_dot(m: SyntacticMonoid) -> str:
@@ -384,7 +386,7 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
             generators.append((1, 0) + tuple(range(2, k)))
             if kind == "full_transformation":
                 generators.append((0, 0) + tuple(range(2, k)))
-        elements, _, _, table, _ = _close(generators, k ** k)
+        elements, _, _, table = _close(generators, k ** k)
         names = tuple("".join(map(str, t)) for t in elements)
         return FiniteMonoid(table, 0, names)
     raise ValueError(f"unknown monoid kind {kind!r}")

@@ -20,13 +20,12 @@ ENUMERATION_CAP = 10_000_000
 
 
 class OracleBudget(NamedTuple):
-    max_word_length: int = 12
     max_cycle_length: int = 64
     max_monoid_order: int = 30
     iso_order_cap: int = 16
 
 
-def mu_enumerate(dfa: Dfa, length: int, budget: OracleBudget | None = None) -> Fraction:
+def mu_enumerate(dfa: Dfa, length: int) -> Fraction:
     """Count acceptance over every word of the given length."""
     size = len(dfa.alphabet)
     if size ** length > ENUMERATION_CAP:
@@ -161,8 +160,7 @@ def brute_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid,
     return False
 
 
-def lw_enumerate(dfa: Dfa, w: str, period: int, max_blocks: int,
-                 budget: OracleBudget | None = None) -> set:
+def lw_enumerate(dfa: Dfa, w: str, period: int, max_blocks: int) -> set:
     """All block words u with at most max_blocks blocks and w+u accepted,
     by direct DFA runs."""
     size = len(dfa.alphabet)

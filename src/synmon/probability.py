@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dfa import Dfa, minimize, words_of_length
+from .dfa import Dfa, minimize
 from .errors import InvalidPeriod, ScopeError, VerificationFailure
 from .monoid import (SyntacticMonoid, find_zero, gather, minimal_ideal_element,
                      principal_ideal, transition_monoid)
@@ -52,14 +52,6 @@ class ResidualZeroOne(NamedTuple):
     witness: tuple | None      # element indices of the witness ideal in T_r
     witness_names: tuple | None
     mu_lw: Fraction
-
-
-class MuConsistency(NamedTuple):
-    r: int
-    mu_r: Fraction
-    per_word: tuple            # (w, limit) pairs
-    average: Fraction
-    ok: bool
 
 
 def _successors(dfa: Dfa) -> list:
@@ -335,16 +327,3 @@ def _decides(ideal: frozenset, accepting: frozenset) -> bool:
     """Whether the ideal lies inside or outside the accepting elements."""
     return not (ideal & accepting) or ideal <= accepting
 
-
-def mu_consistency(dec: CanonicalDecomposition, dfa: Dfa, r: int) -> MuConsistency:
-    """Check mu_r = average of mu_{L_w} over w in Sigma^r, exactly."""
-    if not dec.signature.full_alphabet_at_maximum:
-        raise ScopeError("consistency checks need the maximum period")
-    period = dec.signature.periods[0]
-    if not 0 <= r < period:
-        raise ScopeError(f"residue {r} out of range for period {period}")
-    h = limit_vector(dfa, period)
-    mu_r = residue_limits(dfa, period, h)[r].value
-    per_word = tuple((w, h[dfa.run(w)]) for w in words_of_length(dfa.alphabet, r))
-    average = Fraction(sum(v for _, v in per_word), len(per_word))
-    return MuConsistency(r, mu_r, per_word, average, average == mu_r)

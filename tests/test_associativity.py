@@ -177,11 +177,10 @@ def test_associativity_is_checked_above_order_512():
 
 def test_generators_that_do_not_generate_are_rejected():
     table = SOURCES["a2"]
-    columns = tuple(zip(*table))
     with pytest.raises(InvalidMonoid, match="do not generate"):
-        SyntacticMonoid(FiniteMonoid(table), {"a": 1}, frozenset(), columns)
+        SyntacticMonoid(FiniteMonoid(table), {"a": 1}, frozenset())
     sm = transition_monoid(minimize(load_corpus_dfa("a2")))
-    assert SyntacticMonoid(sm.monoid, sm.eta, frozenset(), sm.columns).order == sm.order
+    assert SyntacticMonoid(sm.monoid, sm.eta, frozenset()).order == sm.order
 
 
 def test_commands_do_not_import_numpy():

@@ -3,12 +3,14 @@ import io
 import itertools
 import json
 import random
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from synmon import (build_signature, canonical_decomposition, cli, lw_member,
+from synmon import (build_signature, canonical_decomposition, cli, load_dfa, lw_member,
                     lw_quotient, lw_recognizer, make_named, max_period, minimize,
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
@@ -19,6 +21,9 @@ from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import CORPUS_SOURCES, random_decomposition, small_dfas
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import kth_tail  # noqa: E402
 
 
 def divisor_vectors(maxima):
@@ -119,8 +124,35 @@ def test_decomposition_matches_its_definition_at_every_divisor_period(corpus):
 def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
     dec = full_decs["a2"]
     assert dec.signature.periods == (1,)
-    for t, column in enumerate(dec.m.columns):
-        assert dec.can_f[t][(0,)] is column
+    t_0 = residual_monoid(dec, 0)
+    for t, column in enumerate(zip(*dec.m.monoid.table)):
+        assert dec.can_f[t][(0,)] == column
+        assert dec.can_f[t][(0,)] is t_0.transformations[t]
+
+
+def even_length_kth_tail(k: int):
+    """kth_tail(k) times a length-mod-2 counter: the words of even length
+    whose (k+1)-th letter from the end is an a."""
+    language = kth_tail(k).dfa
+    step = {(edge["from"], edge["on"]): edge["to"] for edge in language["transitions"]}
+    states = [q + parity for q in language["states"] for parity in "01"]
+    return minimize(load_dfa(json.dumps({
+        "alphabet": language["alphabet"], "states": states,
+        "initial": language["initial"] + "0",
+        "accepting": [q + "0" for q in language["accepting"]],
+        "transitions": [{"from": q, "on": a, "to": step[(q[:-1], a)] + "10"[int(q[-1])]}
+                        for q in states for a in language["alphabet"]]})))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_decomposition_matches_its_definition_on_even_length_kth_tail(k):
+    """Orders 11 to 95 at P = 2 with K below the order: f_t(r) is read from
+    the transposed rows of each class, past the sizes of the corpus."""
+    sm = transition_monoid(even_length_kth_tail(k))
+    sig = build_signature(sm, [("a", "b")])
+    dec = canonical_decomposition(sm, sig)
+    assert sig.periods == (2,) and dec.K < sm.order
+    assert dec.can_f == reference_can_f(sm, sig)
 
 
 def test_cli_decompose_with_divisor_periods():

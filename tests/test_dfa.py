@@ -3,9 +3,10 @@ import json
 import pytest
 from hypothesis import given
 
+from synmon.decompose import syntactic_monoid_of_lw
 from synmon.dfa import Dfa, block_dfa, load_dfa, minimize
-from synmon.errors import (FormatError, PartialTransitionFunction,
-                           UnknownState)
+from synmon.errors import (FormatError, InvalidPeriod, PartialTransitionFunction,
+                           UnknownState, UnknownSymbol)
 from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import data_json, data_text, small_dfas
@@ -136,3 +137,15 @@ def test_block_dfa_matches_prefixed_membership():
     for b in ["ab", "ba", "aa"]:
         q = blocks.delta[(q, b)]
     assert q == dfa.run("a" + "abbaaa")
+
+
+@pytest.mark.parametrize("build, prefix, period, error, text", [
+    (block_dfa, "z", 2, UnknownSymbol, "letter 'z' not in alphabet"),
+    (syntactic_monoid_of_lw, "z", 2, UnknownSymbol, "letter 'z' not in alphabet"),
+    (block_dfa, "a", 0, InvalidPeriod, "period 0 must be at least 1"),
+], ids=["block_dfa-letter", "syntactic_monoid_of_lw-letter", "block_dfa-period"])
+def test_block_dfa_rejects_foreign_prefixes_and_periods_below_one(
+        build, prefix, period, error, text):
+    dfa = load_dfa(data_text("a3.json"))
+    with pytest.raises(error, match=f"^{text}$"):
+        build(dfa, prefix, period)

@@ -11,15 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa,
                     lw_recognizer, mu_exact, principal_ideal,
-                    mu_series, markov_chain, mu_consistency,
+                    mu_series, markov_chain,
                     accumulation_points, zero_one_basic, zero_one_residual)
 from synmon import periods, probability
+from synmon.dfa import words_of_length
 from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
 from synmon.oracle import mu_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.probability import (AccumulationPoint, _solve, basic_verdict,
                                 limit_mu_blocks, limit_vector, maximum_period_of,
-                                residual_verdict)
+                                residual_verdict, residue_limits)
 
 from conftest import closed_classes, random_decomposition, small_dfas
 
@@ -216,8 +217,6 @@ def test_residual_scope_needs_max_period(corpus):
     for out_of_scope in (dec, dec_a):
         with pytest.raises(ScopeError):
             zero_one_residual(out_of_scope, dfa, "")
-        with pytest.raises(ScopeError):
-            mu_consistency(out_of_scope, dfa, 0)
 
 
 def test_verdicts_match_limits_both_ways(corpus, full_decs):
@@ -291,24 +290,32 @@ def test_verdicts_reject_limits_off_zero_or_one_by_any_amount(corpus):
         basic_verdict(has_a, 1, [AccumulationPoint(0, near_one)])
 
 
-def test_mu_consistency_examples(corpus, full_decs):
+def limits_by_residue_and_by_word(dfa, period: int, r: int):
+    """The limit at residue r from `residue_limits`' forward counts, and the
+    limit of each word of length r read off h at the state it reaches."""
+    h = limit_vector(dfa, period)
+    return (residue_limits(dfa, period, h)[r].value,
+            [h[dfa.run(w)] for w in words_of_length(dfa.alphabet, r)])
+
+
+def test_residue_limits_average_h_examples(corpus):
     dfa, _, _ = corpus["a3"]
-    dec = full_decs["a3"]
-    c1 = mu_consistency(dec, dfa, 1)
-    assert c1.ok and c1.mu_r == 1
-    c0 = mu_consistency(dec, dfa, 0)
-    assert c0.ok and c0.mu_r == Fraction(1, 2)
     dfa1, _, _ = corpus["a1"]
-    cp = mu_consistency(full_decs["a1"], dfa1, 1)
-    assert cp.ok and cp.mu_r == 0
-    assert all(v == 0 for _, v in cp.per_word)
+    assert maximum_period_of(dfa) == maximum_period_of(dfa1) == 2
+    for r, limit in ((1, 1), (0, Fraction(1, 2))):
+        mu_r, per_word = limits_by_residue_and_by_word(dfa, 2, r)
+        assert mu_r == Fraction(sum(per_word), len(per_word)) == limit
+    mu_r, per_word = limits_by_residue_and_by_word(dfa1, 2, 1)
+    assert mu_r == 0 and per_word == [0, 0]
 
 
-def test_mu_consistency_everywhere(corpus, full_decs):
+def test_residue_limits_average_h_everywhere(corpus, full_decs):
     for name, dec in full_decs.items():
         dfa = corpus[name][0]
-        for r in range(dec.signature.periods[0]):
-            assert mu_consistency(dec, dfa, r).ok, (name, r)
+        period = dec.signature.periods[0]
+        for r in range(period):
+            mu_r, per_word = limits_by_residue_and_by_word(dfa, period, r)
+            assert mu_r == Fraction(sum(per_word), len(per_word)), (name, r)
 
 
 def test_limit_mu_blocks_converges(corpus):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import synmon
-from synmon import Analysis, markov_chain, mu_consistency
+from synmon import Analysis, markov_chain
 from synmon.errors import InvalidMonoid
 from synmon.monoid import FiniteMonoid, make_named, transition_monoid
 from synmon.oracle import OracleBudget
@@ -106,7 +106,6 @@ def every_record() -> list:
         analysis.signature, dec, analysis.wreath, analysis.residual_monoid(0),
         analysis.recognizer(""), analysis.basic_verdict, analysis.accumulation[0],
         analysis.residual_verdicts[0], markov_chain(analysis.minimal),
-        mu_consistency(dec, analysis.minimal, 0),
         OracleBudget(), *_nodes(parse_regex("(a|&)*b+c?")),
     ]
 
@@ -123,7 +122,7 @@ def test_every_record_class_is_covered():
         "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid",
         "PeriodSignature", "CanonicalDecomposition",
         "WreathEmbedding", "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
-        "AccumulationPoint", "ResidualZeroOne", "MarkovChain", "MuConsistency",
+        "AccumulationPoint", "ResidualZeroOne", "MarkovChain",
         "OracleBudget",
         "Letter", "Epsilon", "Alt", "Cat", "Star", "Plus", "Opt"}
 
@@ -176,8 +175,7 @@ def test_dfas_and_monoids_copy_and_pickle():
     for clone in clones(sm):
         assert type(clone) is type(sm) and type(clone.monoid) is FiniteMonoid
         assert clone.monoid.table == sm.monoid.table
-        assert (clone.eta, clone.accepting_image, clone.columns) == \
-            (sm.eta, sm.accepting_image, sm.columns)
+        assert (clone.eta, clone.accepting_image) == (sm.eta, sm.accepting_image)
     with pytest.raises(AttributeError):
         copy.copy(dfa).initial = None
 
