@@ -20,8 +20,8 @@ from .dfa import Dfa, block_dfa, minimize, words_of_length
 from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
                      VerificationFailure)
 from .monoid import (FiniteMonoid, SyntacticMonoid, compose, gather,
-                     hom_generator_check, identity_transformation, transition_monoid)
-from .periods import PeriodSignature
+                     identity_transformation, transition_monoid)
+from .periods import PeriodSignature, residual_of_word
 
 
 class CanonicalDecomposition(NamedTuple):
@@ -166,10 +166,11 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
             raise VerificationFailure(
                 f"canonical embedding: Can is not injective: Can({s}) = Can({t})")
     for a in m.alphabet:
-        if sig.rho_bar[m.eta[a]] != sig.letter_residual(a):
+        want = residual_of_word(a, sig.gammas, sig.periods)
+        if sig.rho_bar[m.eta[a]] != want:
             raise VerificationFailure(
                 f"canonical embedding: residual condition fails at letter {a!r}: "
-                f"rho_bar = {sig.rho_bar[m.eta[a]]}, not {sig.letter_residual(a)}")
+                f"rho_bar = {sig.rho_bar[m.eta[a]]}, not {want}")
 
 
 def _homomorphic_on_generators(dec: CanonicalDecomposition) -> None:
@@ -319,9 +320,12 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
     the elements of T_r.  Raise VerificationFailure unless it is a
     well-defined surjective homomorphism.
 
-    The homomorphism is checked on the block images, which generate T_r
-    (see `hom_generator_check`); by induction on the number of blocks that
-    is equivalent to checking all pairs of elements."""
+    The walk from the identity is the homomorphism check: it tries every
+    block b at every element x it reaches and requires mapping(x.g_b) =
+    mapping(x).eta_w(b), with mapping(g_b) = eta_w(b) read at the identity.
+    That is `hom_generator_check` on the block images, which generate T_r
+    once the walk reaches every element; by induction on the number of
+    blocks it is equivalent to checking all pairs of elements."""
     period = _require_full_alphabet(dec)
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
@@ -350,10 +354,6 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
     if missed:
         raise VerificationFailure(f"block quotient: the map misses element {min(missed)} "
                                   f"of the syntactic monoid of L_w for w = {w!r}")
-    generators = {t_m.index[tau] for tau in rec.block_images.values()}
-    if not hom_generator_check(t_m.monoid, lw_m.monoid, as_list, generators):
-        raise VerificationFailure(f"block quotient: the map is not a homomorphism "
-                                  f"on the block images for w = {w!r}")
     return as_list
 
 
@@ -367,8 +367,12 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     wreath action (tau, c) * (g, r) = (tau then g(c), c + r) must agree
     with right multiplication: phi(x * Can(m)) = phi(x) . m.
 
-    The action is checked at every point x_t = (f_t(0), rho_bar(t)) for
-    every letter a.  That is equivalent to checking every element m, by
+    One pass over t in ascending order checks that phi reads the point
+    x_t = (f_t(0), rho_bar(t)) back as t, then the action at x_t for every
+    letter a.  The first check also makes phi well defined: were x_s = x_t
+    for s < t, phi(x_t) would read s back, so the check fails at t.
+
+    Checking the letters is equivalent to checking every element m, by
     induction on the length of a word for m = m'.a: phi reads one
     class-carrying slot, on which Can(m'.a) = Can(m').Can(a)
     (verify_canonical) and on which x_t * Can(m') agrees with x_{t.m'} once
@@ -378,19 +382,13 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     sig = dec.signature
     zero = tuple(0 for _ in sig.periods)
     e_pos = dec.theta[zero].index(dec.m.monoid.identity)
-    phi = {}
-    for t in range(dec.m.order):
-        key = (dec.can_f[t][zero], dec.rho(t))
-        if key in phi:
-            raise VerificationFailure(f"wreath divisor: first-coordinate map is not "
-                                      f"injective: elements {phi[key]} and {t} share a point")
-        phi[key] = t
-
     # phi reads only slot e_pos, so x * Can(s) is needed at that slot alone:
     # there (x1 then f_s(c))(e_pos) = f_s(c)(x1(e_pos))
     table = dec.m.monoid.table
     letters = [(a, dec.m.eta[a]) for a in dec.m.alphabet]
-    for (x1, c), t in phi.items():
+    phi = {}
+    for t in range(dec.m.order):
+        x1, c = dec.can_f[t][zero], dec.rho(t)
         k = x1[e_pos]
         if dec.theta[c][k] != t:
             raise VerificationFailure(f"wreath divisor: phi formula disagrees at element {t}")
@@ -398,6 +396,7 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
             if dec.theta[sig.add(c, dec.rho(s))][dec.can_f[s][c][k]] != table[t][s]:
                 raise VerificationFailure(f"wreath divisor: wreath action disagrees with "
                                           f"multiplication at element {t} and letter {a!r}")
+        phi[(x1, c)] = t
     surjective = set(sig.rho_bar) == set(sig.residuals())
     return WreathEmbedding(dec.K, sig.periods, phi, surjective)
 

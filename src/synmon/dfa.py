@@ -94,6 +94,13 @@ class Dfa(Frozen):
     def accepts(self, word: str) -> bool:
         return self.run(word) in self.accepting
 
+    def targets(self) -> list:
+        """The DFA in index form: per state, in `states` order, the
+        position in `states` of the target of each letter, letters sorted."""
+        position = {q: i for i, q in enumerate(self.states)}
+        letters = sorted(self.alphabet)
+        return [[position[self.delta[(q, a)]] for a in letters] for q in self.states]
+
 
 def _reachable(dfa: Dfa) -> list:
     """The states reachable from the initial one, in breadth-first

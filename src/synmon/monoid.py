@@ -206,15 +206,15 @@ def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
     sorted).  The caller must pass a minimal DFA for the result to be the
     syntactic monoid.
     """
-    position = {q: i for i, q in enumerate(dfa.states)}
     letters = sorted(dfa.alphabet)
-    elements, right, tree, table = _close(
-        [[position[dfa.delta[(q, a)]] for q in dfa.states] for a in letters], cap)
+    # the letters' transformations are the columns of the DFA's index form
+    elements, right, tree, table = _close(zip(*dfa.targets()), cap)
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
         names.append((names[parent] if parent else "") + letters[last])
     eta = {a: right[0][g] for g, a in enumerate(letters)}
-    initial, accepting = position[dfa.initial], {position[q] for q in dfa.accepting}
+    initial = dfa.states.index(dfa.initial)
+    accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
     return SyntacticMonoid(FiniteMonoid(table, 0, tuple(names)), eta, accepting_image)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import NamedTuple
 
 from .dfa import Dfa
 from .errors import BudgetExceeded
@@ -17,12 +16,8 @@ from .monoid import FiniteMonoid, SyntacticMonoid
 from .regexes import Alt, Cat, Epsilon, Letter, Opt, Plus, RegexAst, Star
 
 ENUMERATION_CAP = 10_000_000
-
-
-class OracleBudget(NamedTuple):
-    max_cycle_length: int = 64
-    max_monoid_order: int = 30
-    iso_order_cap: int = 16
+CYCLE_ORDER_CAP = 30  # largest monoid whose Cayley graph `cycle_gcd` searches
+ISOMORPHISM_ORDER_CAP = 16  # largest order `brute_isomorphic` backtracks over
 
 
 def mu_enumerate(dfa: Dfa, length: int) -> Fraction:
@@ -70,16 +65,16 @@ def _ends(node, word, start):
     return out
 
 
-def cycle_gcd(m: SyntacticMonoid, gamma, budget: OracleBudget | None = None) -> int:
+def cycle_gcd(m: SyntacticMonoid, gamma) -> int:
     """gcd of gamma-weights over all simple cycles of the Cayley graph of m,
     found by DFS.
 
     Equals the gcd over all closed walks, since every closed walk
-    decomposes into simple cycles.
+    decomposes into simple cycles.  A monoid past CYCLE_ORDER_CAP elements
+    is refused, which also bounds the length of every simple cycle.
     """
-    budget = budget or OracleBudget()
     n = m.order
-    if n > budget.max_monoid_order:
+    if n > CYCLE_ORDER_CAP:
         raise BudgetExceeded(f"graph order {n} is past the cycle budget")
     gamma = set(gamma)
     out_edges = [[] for _ in range(n)]
@@ -91,8 +86,6 @@ def cycle_gcd(m: SyntacticMonoid, gamma, budget: OracleBudget | None = None) -> 
         stack = [(root, 0, frozenset({root}))]
         while stack:
             vertex, weight, visited = stack.pop()
-            if len(visited) > budget.max_cycle_length:
-                raise BudgetExceeded("simple cycle length past the budget")
             for w, target in out_edges[vertex]:
                 if target == root:
                     result = gcd(result, weight + w)
@@ -120,14 +113,12 @@ def _greedy_generators(m: FiniteMonoid) -> list:
     return gens
 
 
-def brute_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid,
-                     budget: OracleBudget | None = None) -> bool:
+def brute_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid) -> bool:
     """Backtracking over generator images; True iff a table-preserving
     bijection exists."""
-    budget = budget or OracleBudget()
     if m1.order != m2.order:
         return False
-    if m1.order > budget.iso_order_cap:
+    if m1.order > ISOMORPHISM_ORDER_CAP:
         raise BudgetExceeded(f"order {m1.order} is past the isomorphism cap")
     gens = _greedy_generators(m1)
     if not gens:  # trivial monoid

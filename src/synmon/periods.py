@@ -185,11 +185,6 @@ class PeriodSignature(NamedTuple):
         """All residual vectors in lexicographic order."""
         return list(product(*(range(p) for p in self.periods)))
 
-    def letter_residual(self, a: str):
-        return tuple(
-            (1 if a in set(g) else 0) % p for g, p in zip(self.gammas, self.periods)
-        )
-
     def add(self, r1, r2):
         return tuple((x + y) % p for x, y, p in zip(r1, r2, self.periods))
 
@@ -200,7 +195,8 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
     modulo the periods.
 
     Omitted periods default to the maximum period of each gamma; supplied
-    periods must divide it (otherwise rho_bar would not be well defined).
+    periods must be at least 1 and divide it (otherwise rho_bar would not
+    be well defined).
     An empty gamma or one with a letter outside the alphabet raises
     UnknownSymbol.
     """
@@ -213,7 +209,9 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
         if len(periods) != len(gammas):
             raise InvalidPeriod("need one period per gamma")
         for p, pmax, g in zip(periods, maxima, gammas):
-            if p < 1 or pmax % p != 0:
+            if p < 1:
+                raise InvalidPeriod(f"period {p} for gamma {list(g)} must be at least 1")
+            if pmax % p != 0:
                 raise InvalidPeriod(
                     f"period {p} for gamma {list(g)} does not divide the maximum period {pmax}"
                 )
@@ -238,10 +236,7 @@ def sink_periods(graph) -> list:
         for u, _, v in graph.cayley_edges():
             successors[u].append(v)
     elif isinstance(graph, Dfa):
-        vertices = graph.states
-        position = {q: i for i, q in enumerate(vertices)}
-        successors = [[position[graph.delta[(q, a)]] for a in sorted(graph.alphabet)]
-                      for q in vertices]
+        vertices, successors = graph.states, graph.targets()
     else:
         raise TypeError(f"expected SyntacticMonoid or Dfa, got {type(graph).__name__}")
     return [(tuple(vertices[v] for v in component), period)

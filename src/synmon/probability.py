@@ -54,12 +54,6 @@ class ResidualZeroOne(NamedTuple):
     mu_lw: Fraction
 
 
-def _successors(dfa: Dfa) -> list:
-    """Per state index, the index of the target of each letter."""
-    position = {q: i for i, q in enumerate(dfa.states)}
-    return [[position[dfa.delta[(q, a)]] for a in dfa.alphabet] for q in dfa.states]
-
-
 def _walk_counts(successors, start: int):
     """Yield, for the lengths 0, 1, 2, ..., {state: number of words of that
     length leading from state `start` to it}, without the zero counts."""
@@ -86,7 +80,7 @@ def mu_series(dfa: Dfa, upto: int) -> list:
     b_0 is the indicator of the accepting states and b_{l+1}[q] is the sum
     over the letters a of b_l[delta(q, a)], so b_l[q] counts the words of
     length l accepted from q.  Each step gathers b_l once per letter."""
-    by_letter = [gather(targets) for targets in zip(*_successors(dfa))]
+    by_letter = [gather(targets) for targets in zip(*dfa.targets())]
     initial = dfa.states.index(dfa.initial)
     b = tuple(int(q in dfa.accepting) for q in dfa.states)
     counts = [b[initial]]
@@ -102,7 +96,7 @@ def mu_series(dfa: Dfa, upto: int) -> list:
 
 def markov_chain(dfa: Dfa) -> MarkovChain:
     """Uniform-transition Markov chain of a complete DFA."""
-    successors, size = _successors(dfa), len(dfa.alphabet)
+    successors, size = dfa.targets(), len(dfa.alphabet)
     matrix = tuple(tuple(Fraction(targets.count(j), size) for j in range(dfa.n_states))
                    for targets in successors)
     return MarkovChain(tuple(dfa.states), matrix)
@@ -183,7 +177,7 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     The Cesaro limit is the limit wherever that exists, which it does at
     every reachable state when `period` is a multiple of the maximum period.
     """
-    successors, n = _successors(dfa), dfa.n_states
+    successors, n = dfa.targets(), dfa.n_states
     # rows of A = size R, A[i][j] the number of words of `period` letters from i
     # to j, in ascending order of j
     rows = [dict(sorted(next(islice(_walk_counts(successors, i), period, None)).items()))
@@ -238,7 +232,7 @@ def residue_limits(dfa: Dfa, period: int, h: dict) -> list:
     period the caller knows to be the maximum period: the limit at residue r
     is the mean of h over the states reached by the words of length r."""
     values = [h[q] for q in dfa.states]
-    counts = _walk_counts(_successors(dfa), dfa.states.index(dfa.initial))
+    counts = _walk_counts(dfa.targets(), dfa.states.index(dfa.initial))
     return [AccumulationPoint(r, Fraction(sum(c * values[j] for j, c in vector.items()),
                                           len(dfa.alphabet) ** r))
             for r, vector in zip(range(period), counts)]

@@ -216,6 +216,13 @@ def test_period_gamma_outside_the_alphabet_exits_two(gamma, shown):
     assert result.stderr == f"error: gamma {shown} is not a non-empty subset of the alphabet\n"
 
 
+@pytest.mark.parametrize("period", ["0", "-2"])
+def test_period_below_one_exits_two(period):
+    result = run_cli("period", "--regex", "(aa)*", "--alphabet", "a", "--periods", period)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: period {period} for gamma ['a'] must be at least 1\n"
+
+
 def test_length_past_the_int_to_text_limit_is_refused():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)

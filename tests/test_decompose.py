@@ -130,17 +130,18 @@ def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
         assert dec.can_f[t][(0,)] is t_0.transformations[t]
 
 
-def even_length_kth_tail(k: int):
-    """kth_tail(k) times a length-mod-2 counter: the words of even length
-    whose (k+1)-th letter from the end is an a."""
+def kth_tail_of_length_mod(k: int, period: int):
+    """kth_tail(k) times a length-mod-`period` counter: the words of length
+    a multiple of `period` whose (k+1)-th letter from the end is an a."""
     language = kth_tail(k).dfa
     step = {(edge["from"], edge["on"]): edge["to"] for edge in language["transitions"]}
-    states = [q + parity for q in language["states"] for parity in "01"]
+    states = [f"{q}{c}" for q in language["states"] for c in range(period)]
     return minimize(load_dfa(json.dumps({
         "alphabet": language["alphabet"], "states": states,
         "initial": language["initial"] + "0",
         "accepting": [q + "0" for q in language["accepting"]],
-        "transitions": [{"from": q, "on": a, "to": step[(q[:-1], a)] + "10"[int(q[-1])]}
+        "transitions": [{"from": q, "on": a,
+                         "to": f"{step[(q[:-1], a)]}{(int(q[-1]) + 1) % period}"}
                         for q in states for a in language["alphabet"]]})))
 
 
@@ -148,11 +149,32 @@ def even_length_kth_tail(k: int):
 def test_decomposition_matches_its_definition_on_even_length_kth_tail(k):
     """Orders 11 to 95 at P = 2 with K below the order: f_t(r) is read from
     the transposed rows of each class, past the sizes of the corpus."""
-    sm = transition_monoid(even_length_kth_tail(k))
+    sm = transition_monoid(kth_tail_of_length_mod(k, 2))
     sig = build_signature(sm, [("a", "b")])
     dec = canonical_decomposition(sm, sig)
     assert sig.periods == (2,) and dec.K < sm.order
     assert dec.can_f == reference_can_f(sm, sig)
+
+
+# k -> K for kth_tail_of_length_mod(k, 3), of order 2^(k+3) - 1
+K_AT_PERIOD_THREE = {1: 6, 2: 12, 3: 25, 4: 50}
+
+
+@pytest.mark.parametrize("k", sorted(K_AT_PERIOD_THREE))
+def test_decomposition_checks_pass_at_period_three(k):
+    """At P = 3, Can matches its definition, and the wreath divisor and the
+    block quotient of every prefix shorter than the period verify."""
+    dfa = kth_tail_of_length_mod(k, 3)
+    sm = transition_monoid(dfa)
+    sig = build_signature(sm, [("a", "b")])
+    dec = canonical_decomposition(sm, sig)
+    assert (sig.periods, sm.order, dec.K) == ((3,), 2 ** (k + 3) - 1, K_AT_PERIOD_THREE[k])
+    assert dec.can_f == reference_can_f(sm, sig)
+    assert len(wreath_divisor(dec).phi) == sm.order
+    for length in range(3):
+        for w in map("".join, itertools.product("ab", repeat=length)):
+            quotient = lw_quotient(dec, dfa, w)
+            assert len(quotient) == residual_monoid(dec, length).order, w
 
 
 def test_cli_decompose_with_divisor_periods():

@@ -23,6 +23,7 @@ from synmon import (build_signature, canonical_decomposition,
 from synmon.decompose import _can_key
 from synmon.errors import VerificationFailure
 from synmon.monoid import compose
+from synmon.periods import residual_of_word
 
 from conftest import random_decomposition, small_dfas
 from test_decompose import GAMMA_SETS, divisor_vectors
@@ -50,7 +51,8 @@ def allpairs_verify(dec):
                 return "homomorphism"
     if len({_can_key(dec, t) for t in range(dec.m.order)}) != dec.m.order:
         return "injectivity"
-    if any(sig.rho_bar[dec.m.eta[a]] != sig.letter_residual(a) for a in dec.m.alphabet):
+    if any(sig.rho_bar[dec.m.eta[a]] != residual_of_word(a, sig.gammas, sig.periods)
+           for a in dec.m.alphabet):
         return "residual condition"
     return None
 
@@ -119,7 +121,6 @@ CHECKS = {
     "block quotient: the map is not well defined": "well defined",
     "block quotient: the blocks do not reach": "well defined",
     "block quotient: the map misses": "surjective",
-    "block quotient: the map is not a homomorphism": "homomorphism",
 }
 
 
@@ -342,6 +343,16 @@ def test_wreath_action_check_names_the_element_and_letter(full_decs):
     assert failure(wreath_divisor, broken) == (
         "wreath divisor: wreath action disagrees with multiplication "
         "at element 1 and letter 'a'")
+    assert not allpairs_wreath_ok(broken)
+
+
+def test_wreath_formula_check_names_the_second_of_two_elements_on_one_point(full_decs):
+    # 3 and 4 both lie in N_0 and neither is a letter's image, so with
+    # f_4 = f_3 they share a point of phi, which reads 3 back at element 4
+    dec = full_decs["a3"]
+    broken = dec._replace(can_f=dec.can_f[:4] + (dec.can_f[3],) + dec.can_f[5:])
+    assert failure(wreath_divisor, broken) == (
+        "wreath divisor: phi formula disagrees at element 4")
     assert not allpairs_wreath_ok(broken)
 
 

@@ -62,15 +62,27 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k", sorted(DIGESTS))
-def test_kth_tail_analyze_json_digest(k):
+def analyze_json_digest(regex: str) -> tuple:
+    """(stdout bytes, sha256 of stdout) of `analyze --json` on a regex over ab."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["analyze", "--json", "--regex", "(a|b)*a" + "(a|b)" * k,
-                         "--alphabet", "ab"])
+        code = cli.main(["analyze", "--json", "--regex", regex, "--alphabet", "ab"])
     assert code == 0, err.getvalue()
     stdout = out.getvalue().encode()
-    assert (len(stdout), hashlib.sha256(stdout).hexdigest()) == DIGESTS[k]
+    return len(stdout), hashlib.sha256(stdout).hexdigest()
+
+
+@pytest.mark.parametrize("k", sorted(DIGESTS))
+def test_kth_tail_analyze_json_digest(k):
+    assert analyze_json_digest("(a|b)*a" + "(a|b)" * k) == DIGESTS[k]
+
+
+def test_even_length_kth_tail_analyze_json_digest():
+    # (a|b)((a|b)(a|b))*a(a|b)^8, the even-length words whose ninth letter
+    # from the end is an a: order 1535 at P = 2, with K = 853
+    regex = "(a|b)((a|b)(a|b))*a" + "(a|b)" * 8
+    assert analyze_json_digest(regex) == (
+        32861985, "bc1994554e87373735acf9381725443eb0cc07b42fd64e89a6b1212acc4bcd78")
 
 
 if __name__ == "__main__":

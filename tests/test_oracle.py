@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from synmon import direct_product, make_named, mu_exact, semidirect_product
+from synmon import (direct_product, make_named, minimize, mu_exact,
+                    semidirect_product, transition_monoid)
 from synmon.errors import BudgetExceeded
-from synmon.oracle import (OracleBudget, brute_isomorphic, cycle_gcd,
+from synmon.oracle import (CYCLE_ORDER_CAP, brute_isomorphic, cycle_gcd,
                            lw_enumerate, mu_enumerate)
+from synmon.regexes import parse_regex, regex_to_dfa
 
 
 def test_mu_enumerate_examples(corpus):
@@ -38,10 +40,13 @@ def test_cycle_gcd_examples(corpus):
     assert cycle_gcd(sm2, "ab") == 1
 
 
-def test_cycle_gcd_budget(corpus):
-    _, _, sm = corpus["a2"]
-    with pytest.raises(BudgetExceeded):
-        cycle_gcd(sm, "a", OracleBudget(max_monoid_order=2))
+def test_cycle_gcd_budget():
+    # the fourth letter from the end is an a: order 31, one past the cap
+    dfa = regex_to_dfa(parse_regex("(a|b)*a(a|b)(a|b)(a|b)"), "ab")
+    sm = transition_monoid(minimize(dfa))
+    assert sm.order == CYCLE_ORDER_CAP + 1
+    with pytest.raises(BudgetExceeded, match="^graph order 31 is past the cycle budget$"):
+        cycle_gcd(sm, "a")
 
 
 def test_brute_isomorphic_parity_monoid(corpus):

@@ -14,7 +14,7 @@ from synmon import (build_signature, load_dfa, max_period, minimize,
                     residual_of_word, sink_periods, transition_monoid)
 from synmon.errors import (InvalidPeriod, PeriodTrivialWarning,
                            UnknownSymbol, VerificationFailure)
-from synmon.oracle import OracleBudget, cycle_gcd
+from synmon.oracle import CYCLE_ORDER_CAP, cycle_gcd
 from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
 
@@ -118,7 +118,7 @@ def test_max_period_matches_cycle_oracle(corpus):
 
 @given(small_dfas())
 def test_max_period_matches_cycle_oracle_on_random_dfas(dfa):
-    sm = small_monoid(dfa, cap=OracleBudget().max_monoid_order)
+    sm = small_monoid(dfa, cap=CYCLE_ORDER_CAP)
     for gamma in [("a",), ("b",), ("a", "b")]:
         assert max_period(sm, gamma) == cycle_gcd(sm, gamma), gamma
 

@@ -58,8 +58,7 @@ def forward_series(dfa, upto):
     """mu(0), ..., mu(upto) by counting forward from the initial state: the
     number of words of each length that reach each state."""
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
-    counts = probability._walk_counts(probability._successors(dfa),
-                                      dfa.states.index(dfa.initial))
+    counts = probability._walk_counts(dfa.targets(), dfa.states.index(dfa.initial))
     return [Fraction(sum(c for i, c in vector.items() if i in accepting),
                      len(dfa.alphabet) ** length)
             for length, vector in zip(range(upto + 1), counts)]

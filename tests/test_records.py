@@ -16,7 +16,6 @@ import synmon
 from synmon import Analysis, markov_chain
 from synmon.errors import InvalidMonoid
 from synmon.monoid import FiniteMonoid, make_named, transition_monoid
-from synmon.oracle import OracleBudget
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
 
 from conftest import DATA
@@ -106,7 +105,7 @@ def every_record() -> list:
         analysis.signature, dec, analysis.wreath, analysis.residual_monoid(0),
         analysis.recognizer(""), analysis.basic_verdict, analysis.accumulation[0],
         analysis.residual_verdicts[0], markov_chain(analysis.minimal),
-        OracleBudget(), *_nodes(parse_regex("(a|&)*b+c?")),
+        *_nodes(parse_regex("(a|&)*b+c?")),
     ]
 
 
@@ -123,7 +122,6 @@ def test_every_record_class_is_covered():
         "PeriodSignature", "CanonicalDecomposition",
         "WreathEmbedding", "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
         "AccumulationPoint", "ResidualZeroOne", "MarkovChain",
-        "OracleBudget",
         "Letter", "Epsilon", "Alt", "Cat", "Star", "Plus", "Opt"}
 
 
