@@ -14,9 +14,9 @@ _EXPORTS = {
     "dfa": ("Dfa", "block_dfa", "load_dfa", "minimize"),
     "decompose": (
         "CanonicalDecomposition", "LwRecognizer", "ResidualMonoid",
-        "WreathEmbedding", "canonical_decomposition", "lw_member", "lw_quotient",
-        "lw_recognizer", "residual_monoid", "syntactic_monoid_of_lw",
-        "verify_canonical", "wreath_divisor"),
+        "canonical_decomposition", "lw_member", "lw_quotient", "lw_recognizer",
+        "residual_monoid", "syntactic_monoid_of_lw", "verify_canonical",
+        "wreath_divisor"),
     "monoid": (
         "FiniteMonoid", "SyntacticMonoid", "cayley_to_dot", "direct_product",
         "find_zero", "function_monoid", "hom_generator_check", "hom_image_check",

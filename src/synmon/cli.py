@@ -261,7 +261,7 @@ def cmd_analyze(args) -> int:
 
     analysis = _analysis(args)
     sm, sig, dec = analysis.monoid, analysis.signature, analysis.decomposition
-    wreath = analysis.wreath
+    phi = analysis.wreath
     dfa_sinks = sink_periods(analysis.dfa)
     cayley_sinks = sink_periods(sm)
     if args.dot:
@@ -274,8 +274,8 @@ def cmd_analyze(args) -> int:
         "decomposition": decomposition_to_json(dec),
         "wreath": {
             "equivariant": True,  # the divisor exists only once its check passed
-            "rho_bar_surjective": wreath.rho_bar_surjective,
-            "phi_domain_size": len(wreath.phi),
+            "rho_bar_surjective": sig.surjective,
+            "phi_domain_size": len(phi),
         },
         "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
     }
@@ -284,7 +284,6 @@ def cmd_analyze(args) -> int:
         _check_digits(analysis.dfa.alphabet, args.length)
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
-        residual_monoids = [analysis.residual_monoid(r) for r in range(sig.periods[0])]
         series = mu_series(analysis.dfa, args.length)
         out["probability"] = {
             "mu_series": _mu_series_json(series),
@@ -295,7 +294,7 @@ def cmd_analyze(args) -> int:
         }
         out["residual_monoids"] = [
             {"r": t.r, "order": t.order, "elements": t.transformations}
-            for t in residual_monoids
+            for t in analysis.residual_monoids
         ]
 
     def lines():
@@ -307,12 +306,12 @@ def cmd_analyze(args) -> int:
         yield (f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
                "verified=True")
         yield ("wreath divisor: equivariant=True, "
-               f"G divides monoid={wreath.rho_bar_surjective}")
+               f"G divides monoid={sig.surjective}")
         for label, sinks in (("dfa", dfa_sinks), ("cayley", cayley_sinks)):
             for comp, period in sinks:
                 yield f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}"
         if probability:
-            for t in residual_monoids:
+            for t in analysis.residual_monoids:
                 yield f"residual monoid T_{t.r}: order {t.order}"
             yield "accumulation: " + ", ".join(
                 f"r={p.r}: {p.value}" for p in basic.accumulation)

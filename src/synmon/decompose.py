@@ -27,9 +27,18 @@ from .periods import PeriodSignature, residual_of_word
 class CanonicalDecomposition(NamedTuple):
     m: SyntacticMonoid
     signature: PeriodSignature
-    K: int
-    theta: dict    # residual -> ascending tuple of element indices (N_r)
     can_f: tuple   # element t -> {residual: Transformation of degree K}
+
+    @property
+    def theta(self) -> dict:
+        """Residual -> ascending tuple of element indices (N_r): the
+        signature's classes."""
+        return self.signature.classes
+
+    @property
+    def K(self) -> int:
+        """The degree of T_K: the size of the largest class."""
+        return max(map(len, self.signature.classes.values()))
 
     @property
     def residuals(self):
@@ -70,20 +79,12 @@ class LwRecognizer(NamedTuple):
     accepting: frozenset     # indices into `monoid`
 
 
-class WreathEmbedding(NamedTuple):
-    K: int
-    G: tuple                 # cyclic group orders
-    phi: dict                # (f_t(0), rho_bar(t)) -> t
-    rho_bar_surjective: bool
-
-
 def canonical_decomposition(m: SyntacticMonoid,
                             sig: PeriodSignature) -> CanonicalDecomposition:
     """Build Can and verify it is an injective homomorphism before returning
     (`verify_canonical` raises VerificationFailure otherwise)."""
-    residuals = sig.residuals()
-    theta = {r: sig.classes[r] for r in residuals}
-    big_k = max(len(theta[r]) for r in residuals)
+    residuals, theta = sig.residuals(), sig.classes
+    big_k = max(map(len, theta.values()))
     # f_t(r) is theta_{r+rho_bar(t)}^{-1} after column t of the table
     # restricted to N_r, padded.  theta^{-1} is dense: an element outside the
     # class reads `m.order`, a slot that verify_canonical rejects.
@@ -108,7 +109,7 @@ def canonical_decomposition(m: SyntacticMonoid,
             else:
                 f[r] = gather(column)(inverse[sig.add(r, shift)]) + padding[r]
         can_f.append(f)
-    dec = CanonicalDecomposition(m, sig, big_k, theta, tuple(can_f))
+    dec = CanonicalDecomposition(m, sig, tuple(can_f))
     verify_canonical(dec)
     return dec
 
@@ -235,7 +236,9 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
     zero = tuple(0 for _ in dec.signature.periods)
-    index, slot, representatives = {}, {}, []  # slot: t in N_0 -> index of f_t(r)
+    index, representatives = {}, []
+    # slot: t in N_0 -> index of f_t(r); -1 outside N_0, which check_table rejects
+    slot = [-1] * dec.m.order
     for t in dec.signature.classes[zero]:
         tau = dec.can_f[t][(r,)]
         if tau not in index:
@@ -244,9 +247,9 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
         slot[t] = index[tau]
     monoid = dec.m.monoid
     if len(representatives) < dec.m.order:
-        rows = (monoid.table[x] for x in representatives)
-        monoid = FiniteMonoid(
-            tuple(tuple(slot[row[y]] for y in representatives) for row in rows), 0)
+        # row i of T_r is row x of M read at the representatives y, then slotted
+        pick = gather(representatives)
+        monoid = FiniteMonoid(tuple(gather(pick(row))(slot) for row in pick(monoid.table)), 0)
     return ResidualMonoid(r, tuple(index), monoid, index)
 
 
@@ -357,10 +360,11 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
     return as_list
 
 
-def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
+def wreath_divisor(dec: CanonicalDecomposition) -> dict:
     """The map phi witnessing that the syntactic monoid, acting on itself,
     divides the wreath product of T_K with the residual group, with
-    elements m acting through Can(m); verified on generators.
+    elements m acting through Can(m); verified on generators.  Returned as
+    a dict (f_t(0), rho_bar(t)) -> t over the points x_t below.
 
     phi reads a point of T_K x G back into the monoid:
     phi(tau, c) = theta_c(tau(position of the identity in N_0)), and the
@@ -370,7 +374,8 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     One pass over t in ascending order checks that phi reads the point
     x_t = (f_t(0), rho_bar(t)) back as t, then the action at x_t for every
     letter a.  The first check also makes phi well defined: were x_s = x_t
-    for s < t, phi(x_t) would read s back, so the check fails at t.
+    for s < t, phi(x_t) would read s back, so the check fails at t.  A slot
+    past the end of its class reads nothing back, and fails its check.
 
     Checking the letters is equivalent to checking every element m, by
     induction on the length of a word for m = m'.a: phi reads one
@@ -379,9 +384,13 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     phi(x_t * Can(m')) = t.m', so phi(x_t * Can(m'.a)) =
     phi(x_{t.m'} * Can(a)) = t.m'.a.
     """
-    sig = dec.signature
+    sig, theta = dec.signature, dec.theta
     zero = tuple(0 for _ in sig.periods)
-    e_pos = dec.theta[zero].index(dec.m.monoid.identity)
+    identity = dec.m.monoid.identity
+    if identity not in theta[zero]:
+        raise VerificationFailure(f"wreath divisor: the identity {identity} is not "
+                                  f"in N_{zero}")
+    e_pos = theta[zero].index(identity)
     # phi reads only slot e_pos, so x * Can(s) is needed at that slot alone:
     # there (x1 then f_s(c))(e_pos) = f_s(c)(x1(e_pos))
     table = dec.m.monoid.table
@@ -389,16 +398,16 @@ def wreath_divisor(dec: CanonicalDecomposition) -> WreathEmbedding:
     phi = {}
     for t in range(dec.m.order):
         x1, c = dec.can_f[t][zero], dec.rho(t)
-        k = x1[e_pos]
-        if dec.theta[c][k] != t:
+        k, n_c = x1[e_pos], theta[c]
+        if not (0 <= k < len(n_c) and n_c[k] == t):
             raise VerificationFailure(f"wreath divisor: phi formula disagrees at element {t}")
         for a, s in letters:
-            if dec.theta[sig.add(c, dec.rho(s))][dec.can_f[s][c][k]] != table[t][s]:
+            j, n_cs = dec.can_f[s][c][k], theta[sig.add(c, dec.rho(s))]
+            if not (0 <= j < len(n_cs) and n_cs[j] == table[t][s]):
                 raise VerificationFailure(f"wreath divisor: wreath action disagrees with "
                                           f"multiplication at element {t} and letter {a!r}")
         phi[(x1, c)] = t
-    surjective = set(sig.rho_bar) == set(sig.residuals())
-    return WreathEmbedding(dec.K, sig.periods, phi, surjective)
+    return phi
 
 
 def decomposition_to_json(dec: CanonicalDecomposition) -> dict:

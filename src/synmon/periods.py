@@ -181,6 +181,12 @@ class PeriodSignature(NamedTuple):
         residue and of zero-one verdicts."""
         return self.full_alphabet and self.periods == self.maxima
 
+    @property
+    def surjective(self) -> bool:
+        """rho_bar is onto C_{P_1} x ... x C_{P_n}: the residual group
+        divides the monoid."""
+        return set(self.rho_bar) == set(self.residuals())
+
     def residuals(self):
         """All residual vectors in lexicographic order."""
         return list(product(*(range(p) for p in self.periods)))

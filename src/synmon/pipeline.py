@@ -3,9 +3,9 @@
 `Analysis(dfa)` computes each stage on first use and keeps it:
 
     minimal DFA -> syntactic monoid -> maximum period, signature
-    -> canonical decomposition (verified once) -> wreath divisor
-    -> residual monoids T_r and block images per r -> recognizers of L_w
-    -> limits and zero-one verdicts
+    -> canonical decomposition (verified once) -> wreath divisor phi
+    -> residual monoids T_r for every r below the period
+    -> limits and zero-one verdicts, one per prefix w shorter than the period
 
 so asking for a later stage builds each earlier one exactly once.  The
 block language L_w = {u : wu in L} depends on w only through eta(w), since
@@ -36,13 +36,12 @@ class Analysis(Frozen):
 
     `gammas` (letter subsets) and `periods` (one per subset) choose the
     signature, by default the whole alphabet at its maximum period.  Stages
-    are attributes (in `__dict__`), or methods per r and per prefix, computed
-    on first use.
+    are attributes (in `__dict__`), computed on first use.
     """
-    __slots__ = ("dfa", "gammas", "periods", "_residual_monoids", "_block_images", "__dict__")
+    __slots__ = ("dfa", "gammas", "periods", "__dict__")
 
     def __init__(self, dfa: Dfa, gammas: list | None = None, periods: list | None = None):
-        self._set(dfa, gammas, periods, {}, {})
+        self._set(dfa, gammas, periods)
 
     def __reduce__(self):
         # a copy starts with no stage computed
@@ -81,33 +80,19 @@ class Analysis(Frozen):
         return dc.canonical_decomposition(self.monoid, self.signature)
 
     @cached_property
-    def wreath(self) -> dc.WreathEmbedding:
+    def wreath(self) -> dict:
+        """The verified wreath divisor phi: (f_t(0), rho_bar(t)) -> t."""
         from . import decompose as dc
 
         return dc.wreath_divisor(self.decomposition)
 
-    def residual_monoid(self, r: int) -> dc.ResidualMonoid:
+    @cached_property
+    def residual_monoids(self) -> tuple:
+        """T_r for every r below the period, indexed by r."""
         from . import decompose as dc
 
-        if r not in self._residual_monoids:
-            self._residual_monoids[r] = dc.residual_monoid(self.decomposition, r)
-        return self._residual_monoids[r]
-
-    def block_images(self, r: int) -> dict:
-        from . import decompose as dc
-
-        if r not in self._block_images:
-            self._block_images[r] = dc.block_images(self.decomposition, r)
-        return self._block_images[r]
-
-    def recognizer(self, w: str) -> dc.LwRecognizer:
-        """`lw_recognizer(decomposition, w)`, sharing T_r and the block
-        images with every other prefix of the same length."""
-        from . import decompose as dc
-
-        t_r = self.residual_monoid(len(w))
-        return dc.LwRecognizer(w, len(w), t_r, self.block_images(len(w)),
-                               dc.lw_accepting(self.decomposition, w, t_r))
+        return tuple(dc.residual_monoid(self.decomposition, r)
+                     for r in range(self.signature.periods[0]))
 
     @cached_property
     def limit_vector(self) -> dict:
@@ -143,8 +128,7 @@ class Analysis(Frozen):
         dec = self.decomposition
         by_image = {}
         rows = []
-        for r in range(sig.periods[0]):
-            t_r = self.residual_monoid(r)
+        for r, t_r in enumerate(self.residual_monoids):
             for w in words_of_length(self.monoid.alphabet, r):
                 image = self.monoid.image_of_word(w)
                 if image not in by_image:

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from synmon import cli
+from synmon import Analysis, cli
 from synmon.errors import InvalidArgument
-from synmon.regexes import LETTERS
+from synmon.regexes import LETTERS, parse_regex, regex_to_dfa
 
 from conftest import small_dfas
 
@@ -44,6 +44,20 @@ def test_analyze_two_gammas():
     assert "period w.r.t. {a}: 2" in result.stdout
     assert "period w.r.t. {b}: 2" in result.stdout
     assert "K=1" in result.stdout
+
+
+def test_analyze_reports_a_residual_map_that_is_not_onto(capsys):
+    # two gammas over the same letters count |w| mod 2 twice, so rho_bar
+    # reaches only (0,0) and (1,1), and C2 x C2 does not divide the monoid
+    source = ["--regex", "((a|b)(a|b))*", "--alphabet", "ab", "--gamma", "a,b", "--gamma", "a,b"]
+    sig = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*"), "ab"),
+                   [("a", "b"), ("a", "b")]).signature
+    assert set(sig.rho_bar) == {(0, 0), (1, 1)} and not sig.surjective
+    assert cli.main(["analyze", *source]) == 0
+    assert ("wreath divisor: equivariant=True, G divides monoid=False"
+            in capsys.readouterr().out.splitlines())
+    assert cli.main(["analyze", "--json", *source]) == 0
+    assert json.loads(capsys.readouterr().out)["wreath"]["rho_bar_surjective"] is False
 
 
 def test_analyze_trivial_period_warns_but_succeeds():

@@ -170,7 +170,7 @@ def test_decomposition_checks_pass_at_period_three(k):
     dec = canonical_decomposition(sm, sig)
     assert (sig.periods, sm.order, dec.K) == ((3,), 2 ** (k + 3) - 1, K_AT_PERIOD_THREE[k])
     assert dec.can_f == reference_can_f(sm, sig)
-    assert len(wreath_divisor(dec).phi) == sm.order
+    assert len(wreath_divisor(dec)) == sm.order
     for length in range(3):
         for w in map("".join, itertools.product("ab", repeat=length)):
             quotient = lw_quotient(dec, dfa, w)
@@ -409,18 +409,16 @@ def test_quotient_well_defined_and_onto_everywhere(corpus, full_decs):
 
 def test_wreath_equivariance_on_corpus(full_decs):
     for name, dec in full_decs.items():
-        emb = wreath_divisor(dec)
-        assert emb.rho_bar_surjective, name
-        assert len(emb.phi) == dec.m.order, name
+        assert dec.signature.surjective, name
+        assert len(wreath_divisor(dec)) == dec.m.order, name
 
 
 def test_wreath_for_two_gamma_signature(corpus):
     _, _, sm = corpus["a1"]
     dec = canonical_decomposition(sm, build_signature(sm, ["a", "b"], [2, 2]))
-    emb = wreath_divisor(dec)
-    assert emb.rho_bar_surjective
+    assert dec.signature.surjective
     # K = 1: phi is a bijection onto the monoid
-    assert len(emb.phi) == sm.order
+    assert len(wreath_divisor(dec)) == sm.order
 
 
 def test_decomposition_json_shape(full_decs):

@@ -319,7 +319,8 @@ def test_injectivity_check_names_two_elements(full_decs):
     # every element fixes the one slot of each class: a homomorphism that
     # only keeps rho_bar, so a and b, both in N_1, share their image
     dec = full_decs["a3"]
-    broken = dec._replace(theta={r: theta[:1] for r, theta in dec.theta.items()},
+    classes = {r: theta[:1] for r, theta in dec.theta.items()}
+    broken = dec._replace(signature=dec.signature._replace(classes=classes),
                           can_f=tuple({r: (0, 1, 2) for r in dec.residuals}
                                       for _ in dec.can_f))
     assert failure(verify_canonical, broken) == (
@@ -344,6 +345,23 @@ def test_wreath_action_check_names_the_element_and_letter(full_decs):
         "wreath divisor: wreath action disagrees with multiplication "
         "at element 1 and letter 'a'")
     assert not allpairs_wreath_ok(broken)
+
+
+def test_wreath_action_check_reads_no_slot_past_its_class(full_decs):
+    # f_a(0) sends the identity's slot 0 to slot 2, past the two of N_1
+    broken = with_f(full_decs["a3"], 1, (0,), (2, 0, 1))
+    assert failure(wreath_divisor, broken) == (
+        "wreath divisor: wreath action disagrees with multiplication "
+        "at element 0 and letter 'a'")
+    assert failure(verify_canonical, broken).startswith("canonical embedding: ")
+
+
+def test_wreath_divisor_names_an_identity_outside_the_zero_class(full_decs):
+    dec = full_decs["a3"]
+    classes = {**dec.theta, (0,): (3, 4)}
+    broken = dec._replace(signature=dec.signature._replace(classes=classes))
+    assert failure(wreath_divisor, broken) == (
+        "wreath divisor: the identity 0 is not in N_(0,)")
 
 
 def test_wreath_formula_check_names_the_second_of_two_elements_on_one_point(full_decs):

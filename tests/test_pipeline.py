@@ -3,7 +3,7 @@ import itertools
 import json
 import sys
 
-from synmon import (Analysis, cli, lw_recognizer, monoid, periods, probability,
+from synmon import (Analysis, cli, decompose, monoid, periods, probability,
                     zero_one_residual)
 
 from conftest import DATA
@@ -103,11 +103,41 @@ def test_deduplicated_rows_equal_per_prefix_recomputation(corpus):
         assert list(analysis.residual_verdicts) == direct, name
 
 
-def test_shared_recognizers_equal_fresh_ones(corpus):
+def test_shared_residual_monoids_equal_fresh_ones(corpus):
     analysis = Analysis(corpus["a3"][0])
-    assert analysis.recognizer("a").monoid is analysis.recognizer("b").monoid
-    for w in ("", "a", "b"):
-        shared, fresh = analysis.recognizer(w), lw_recognizer(analysis.decomposition, w)
-        assert shared.monoid.transformations == fresh.monoid.transformations
-        assert shared.block_images == fresh.block_images
-        assert shared.accepting == fresh.accepting
+    assert len(analysis.residual_monoids) == 2
+    for r, shared in enumerate(analysis.residual_monoids):
+        fresh = decompose.residual_monoid(analysis.decomposition, r)
+        assert shared.r == fresh.r == r
+        assert shared.transformations == fresh.transformations
+        assert shared.monoid.table == fresh.monoid.table
+        assert shared.index == fresh.index
+
+
+def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):
+    builds = count_calls(monkeypatch, decompose, "residual_monoid")
+    seen = []  # the analysis, then the report
+    build, emit = cli._analysis, cli._emit
+
+    def analysis(args):
+        seen.append(build(args))
+        return seen[-1]
+
+    def report(args, out, lines):
+        seen.append(out)
+        emit(args, out, lines)
+
+    monkeypatch.setattr(cli, "_analysis", analysis)
+    monkeypatch.setattr(cli, "_emit", report)
+    for source, period in ((["--dfa", str(DATA / "a3.json")], 2),
+                           (["--regex", "((a|b)(a|b)(a|b))*"], 3)):
+        builds.clear()
+        seen.clear()
+        assert cli.main(["analyze", *source]) == 0
+        assert capsys.readouterr().out.startswith("dfa: ")
+        done, out = seen
+        assert [r for _, r in builds] == list(range(period))
+        # the report's rows are the stage's own tuples, not copies
+        assert len(out["residual_monoids"]) == period
+        for row, t_r in zip(out["residual_monoids"], done.residual_monoids):
+            assert row["elements"] is t_r.transformations

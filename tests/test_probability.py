@@ -247,7 +247,7 @@ def scan_witness(t_r, accepting):
 
 def assert_verdicts_match_scan(analysis):
     for verdict in analysis.residual_verdicts:
-        rec = analysis.recognizer(verdict.w)
+        rec = lw_recognizer(analysis.decomposition, verdict.w)
         assert verdict.witness == scan_witness(rec.monoid, rec.accepting), verdict.w
 
 
@@ -279,7 +279,7 @@ def test_verdicts_reject_limits_off_zero_or_one_by_any_amount(corpus):
     # the algebra says 1; a limit 1e-9 below it is a verification failure
     near_one = 1 - Fraction(1, 10 ** 9)
     analysis = Analysis(corpus["a3"][0])
-    rec = analysis.recognizer("a")
+    rec = lw_recognizer(analysis.decomposition, "a")
     with pytest.raises(VerificationFailure, match=r"^residual zero-one verdict: .* "
                        r"limit 999999999/1000000000 for w='a'$"):
         residual_verdict("a", rec.monoid, rec.accepting, near_one)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import synmon
-from synmon import Analysis, markov_chain
+from synmon import Analysis, CanonicalDecomposition, lw_recognizer, markov_chain
 from synmon.errors import InvalidMonoid
 from synmon.monoid import FiniteMonoid, make_named, transition_monoid
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
@@ -102,8 +102,8 @@ def every_record() -> list:
     dec = analysis.decomposition
     return [
         analysis, analysis.dfa, analysis.monoid, analysis.monoid.monoid,
-        analysis.signature, dec, analysis.wreath, analysis.residual_monoid(0),
-        analysis.recognizer(""), analysis.basic_verdict, analysis.accumulation[0],
+        analysis.signature, dec, analysis.residual_monoids[0],
+        lw_recognizer(dec, ""), analysis.basic_verdict, analysis.accumulation[0],
         analysis.residual_verdicts[0], markov_chain(analysis.minimal),
         *_nodes(parse_regex("(a|&)*b+c?")),
     ]
@@ -120,7 +120,7 @@ def test_every_record_class_is_covered():
     assert {type(x).__name__ for x in every_record()} == {
         "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid",
         "PeriodSignature", "CanonicalDecomposition",
-        "WreathEmbedding", "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
+        "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
         "AccumulationPoint", "ResidualZeroOne", "MarkovChain",
         "Letter", "Epsilon", "Alt", "Cat", "Star", "Plus", "Opt"}
 
@@ -154,7 +154,14 @@ def test_monoids_and_analyses_compare_by_identity():
 def test_decompositions_compare_by_their_fields():
     dec = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*"), "ab")).decomposition
     assert dec == dec._replace() and not dec != dec._replace()
-    assert dec != dec._replace(K=dec.K + 1)
+    assert dec != dec._replace(can_f=dec.can_f[:1])
+
+
+def test_decompositions_read_theta_and_k_off_their_signature():
+    dec = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")).decomposition
+    assert CanonicalDecomposition._fields == ("m", "signature", "can_f")
+    assert dec.theta is dec.signature.classes
+    assert dec.K == max(len(n_r) for n_r in dec.signature.classes.values())
 
 
 def clones(x):
