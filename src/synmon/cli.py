@@ -264,16 +264,13 @@ def cmd_analyze(args) -> int:
     phi = analysis.wreath
     dfa_sinks = sink_periods(analysis.dfa)
     cayley_sinks = sink_periods(sm)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cayley_to_dot(sm))
 
     out = {
         "monoid": syntactic_to_json(sm),
         "signature": _signature_json(sig),
         "decomposition": decomposition_to_json(dec),
         "wreath": {
-            "equivariant": True,  # the divisor exists only once its check passed
+            "equivariant": True,  # verify_canonical passed, which implies it
             "rho_bar_surjective": sig.surjective,
             "phi_domain_size": len(phi),
         },
@@ -302,7 +299,7 @@ def cmd_analyze(args) -> int:
         yield f"monoid: order {sm.order}"
         for gamma, period in zip(sig.gammas, sig.periods):
             yield f"period w.r.t. {{{','.join(gamma)}}}: {period}"
-        # the decomposition and the divisor exist only once their checks passed
+        # the decomposition, and the divisor read off it, exist only once verified
         yield (f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
                "verified=True")
         yield ("wreath divisor: equivariant=True, "
@@ -318,6 +315,10 @@ def cmd_analyze(args) -> int:
             yield (f"zero-one: basic: {basic.verdict}; "
                    + _residual_zero_one_line(verdicts))
 
+    # written last, so that a failing analyze leaves no DOT file behind
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(cayley_to_dot(sm))
     _emit(args, out, lines())
     return 0
 

@@ -126,14 +126,11 @@ def can_product(dec: CanonicalDecomposition, s: int, s2: int):
     return f, sig.add(rho_s, sig.rho_bar[s2])
 
 
-def _can_key(dec: CanonicalDecomposition, t: int):
-    return (tuple(dec.can_f[t][r] for r in dec.residuals), dec.rho(t))
-
-
 def verify_canonical(dec: CanonicalDecomposition) -> None:
     """Raise VerificationFailure unless Can is a homomorphism (checked on
-    generators), injective, and meets the letter residual condition, in
-    that order; the message names the failing check and its witness.
+    generators), reads every element back by its definition, and meets the
+    letter residual condition, in that order; the message names the
+    failing check and its witness.
 
     The homomorphism identity Can(s.a) = Can(s).Can(a) is checked for every
     element s and every letter a, together with Can(e) = (identity, 0) and
@@ -148,24 +145,39 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
     monoid.  Conversely the letter cases are among all pairs, and Can(e) and
     the class-to-class property hold by construction.
 
+    The read-back checks Can against its definition at the identity's slot
+    e of N_0: theta_{rho_bar(t)}(f_t(0)(e)) = t for every t, which is the
+    definition f_t(0)(e) = theta_{rho_bar(t)}^{-1}(e.t).  It implies that
+    Can is injective, since t is read off Can(t): were Can(s) = Can(t) for
+    s < t, the read-back at t would find s.
+
     Only the class-carrying slots k < |N_r| of every residual r are
     compared; those slots determine the embedding (the identity pins the
-    image of each class, and injectivity reads slot 0 of the zero residual).
-    The inert k -> k padding above |N_r| is a fixed convention, not part of
-    the class action, and is excluded: composing across residuals whose
-    classes differ in size drags padding slots of one class through
-    class-carrying slots of another, so raw equality of the padded
-    transformations is unattainable in general.
+    image of each class, and the read-back reads slot e of N_0).  The inert
+    k -> k padding above |N_r| is a fixed convention, not part of the class
+    action, and is excluded: composing across residuals whose classes
+    differ in size drags padding slots of one class through class-carrying
+    slots of another, so raw equality of the padded transformations is
+    unattainable in general.
     """
     sig = dec.signature
     m = dec.m
     _homomorphic_on_generators(dec)
-    seen = {}
-    for t in range(m.order):
-        s = seen.setdefault(_can_key(dec, t), t)
-        if s != t:
+    zero, theta = tuple(0 for _ in sig.periods), dec.theta
+    identity = m.monoid.identity
+    if identity not in theta[zero]:
+        raise VerificationFailure(f"canonical embedding: the identity {identity} is not "
+                                  f"in N_{zero}")
+    e_pos = theta[zero].index(identity)
+    for t, f_t in enumerate(dec.can_f):
+        c = sig.rho_bar[t]
+        k, n_c = f_t[zero][e_pos], theta[c]
+        if not (0 <= k < len(n_c) and n_c[k] == t):
+            there = (f"which holds {n_c[k]} in" if 0 <= k < len(n_c)
+                     else f"past the {len(n_c)} of")
             raise VerificationFailure(
-                f"canonical embedding: Can is not injective: Can({s}) = Can({t})")
+                f"canonical embedding: Can(t) does not read t back at t = {t}: "
+                f"f_t({zero}) sends the identity's slot to {k}, {there} N_{c}")
     for a in m.alphabet:
         want = residual_of_word(a, sig.gammas, sig.periods)
         if sig.rho_bar[m.eta[a]] != want:
@@ -363,51 +375,27 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
 def wreath_divisor(dec: CanonicalDecomposition) -> dict:
     """The map phi witnessing that the syntactic monoid, acting on itself,
     divides the wreath product of T_K with the residual group, with
-    elements m acting through Can(m); verified on generators.  Returned as
-    a dict (f_t(0), rho_bar(t)) -> t over the points x_t below.
+    elements m acting through Can(m): phi(tau, c) = theta_c(tau(e)), with e
+    the identity's slot in N_0, returned as a dict x_t -> t over the points
+    x_t = (f_t(0), rho_bar(t)).
 
-    phi reads a point of T_K x G back into the monoid:
-    phi(tau, c) = theta_c(tau(position of the identity in N_0)), and the
-    wreath action (tau, c) * (g, r) = (tau then g(c), c + r) must agree
-    with right multiplication: phi(x * Can(m)) = phi(x) . m.
-
-    One pass over t in ascending order checks that phi reads the point
-    x_t = (f_t(0), rho_bar(t)) back as t, then the action at x_t for every
-    letter a.  The first check also makes phi well defined: were x_s = x_t
-    for s < t, phi(x_t) would read s back, so the check fails at t.  A slot
-    past the end of its class reads nothing back, and fails its check.
-
-    Checking the letters is equivalent to checking every element m, by
-    induction on the length of a word for m = m'.a: phi reads one
-    class-carrying slot, on which Can(m'.a) = Can(m').Can(a)
-    (verify_canonical) and on which x_t * Can(m') agrees with x_{t.m'} once
-    phi(x_t * Can(m')) = t.m', so phi(x_t * Can(m'.a)) =
-    phi(x_{t.m'} * Can(a)) = t.m'.a.
+    `dec` must have passed `verify_canonical` (every decomposition that
+    `canonical_decomposition` returns has), whose checks imply both facts
+    about phi, so phi is read off and checked nowhere else.  phi(x_t) = t
+    is the read-back at t, which makes phi well defined.  The wreath action
+    (tau, c) * (g, r) = (tau then g(c), c + r) agrees with right
+    multiplication, phi(x_t * Can(a)) = t.a for every letter a: the
+    homomorphism check at (t, a), residual 0 and slot e gives
+    f_a(rho_bar(t))(f_t(0)(e)) = f_{t.a}(0)(e), inside its class, and the
+    residual check gives rho_bar(t.a) = rho_bar(t) + rho_bar(a), so phi
+    reads x_t * Can(a) as it reads x_{t.a}, which is t.a by the read-back
+    at t.a.  Every other element m = m'.a follows by induction on the
+    length of a word for m: phi reads one class-carrying slot, on which
+    Can(m'.a) = Can(m').Can(a) and x_t * Can(m') agrees with x_{t.m'}, so
+    phi(x_t * Can(m'.a)) = phi(x_{t.m'} * Can(a)) = t.m'.a.
     """
-    sig, theta = dec.signature, dec.theta
-    zero = tuple(0 for _ in sig.periods)
-    identity = dec.m.monoid.identity
-    if identity not in theta[zero]:
-        raise VerificationFailure(f"wreath divisor: the identity {identity} is not "
-                                  f"in N_{zero}")
-    e_pos = theta[zero].index(identity)
-    # phi reads only slot e_pos, so x * Can(s) is needed at that slot alone:
-    # there (x1 then f_s(c))(e_pos) = f_s(c)(x1(e_pos))
-    table = dec.m.monoid.table
-    letters = [(a, dec.m.eta[a]) for a in dec.m.alphabet]
-    phi = {}
-    for t in range(dec.m.order):
-        x1, c = dec.can_f[t][zero], dec.rho(t)
-        k, n_c = x1[e_pos], theta[c]
-        if not (0 <= k < len(n_c) and n_c[k] == t):
-            raise VerificationFailure(f"wreath divisor: phi formula disagrees at element {t}")
-        for a, s in letters:
-            j, n_cs = dec.can_f[s][c][k], theta[sig.add(c, dec.rho(s))]
-            if not (0 <= j < len(n_cs) and n_cs[j] == table[t][s]):
-                raise VerificationFailure(f"wreath divisor: wreath action disagrees with "
-                                          f"multiplication at element {t} and letter {a!r}")
-        phi[(x1, c)] = t
-    return phi
+    zero = tuple(0 for _ in dec.signature.periods)
+    return {(f_t[zero], dec.rho(t)): t for t, f_t in enumerate(dec.can_f)}
 
 
 def decomposition_to_json(dec: CanonicalDecomposition) -> dict:

@@ -17,6 +17,9 @@ from .errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
 
 Transformation = tuple
 
+# order x degree points the closure may hold: the default cap at degree 4096
+CLOSURE_BUDGET = 5000 * 4096
+
 
 def gather(indices):
     """A callable seq -> tuple(seq[k] for k in indices) that runs at C speed.
@@ -168,10 +171,13 @@ def _close(generators, cap: int):
     the Cayley graph along the tree, g.y = (g.parent(y)).last(y), and row j
     is row parent(j) gathered at the points of the row of last(j), since
     j.y = parent(j).(last(j).y); so filling the table composes no two
-    elements.  MonoidTooLarge is raised once the order would exceed cap.
+    elements.  MonoidTooLarge is raised once the order would exceed cap,
+    or else once order x degree would exceed CLOSURE_BUDGET.
     """
     gens = [tuple(g) for g in generators]
-    elements = [tuple(range(len(gens[0])))]
+    degree = len(gens[0])
+    room = CLOSURE_BUDGET // degree  # the largest order the budget holds
+    elements = [tuple(range(degree))]
     index = {elements[0]: 0}
     tree, right = [(-1, -1)], []
     for x in elements:  # grows while it is read: a BFS queue
@@ -183,6 +189,10 @@ def _close(generators, cap: int):
             if j == len(elements):
                 if j >= cap:
                     raise MonoidTooLarge(f"transition monoid exceeds cap {cap}")
+                if j >= room:
+                    raise MonoidTooLarge(
+                        f"transition monoid of degree {degree} exceeds the closure budget "
+                        f"of {CLOSURE_BUDGET} points (order x degree) at order {j + 1}")
                 elements.append(y)
                 tree.append((len(right), g))
             row.append(j)

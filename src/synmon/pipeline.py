@@ -81,7 +81,7 @@ class Analysis(Frozen):
 
     @cached_property
     def wreath(self) -> dict:
-        """The verified wreath divisor phi: (f_t(0), rho_bar(t)) -> t."""
+        """phi, (f_t(0), rho_bar(t)) -> t, read off the verified decomposition."""
         from . import decompose as dc
 
         return dc.wreath_divisor(self.decomposition)

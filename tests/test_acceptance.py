@@ -26,6 +26,7 @@ from synmon.monoid import function_monoid
 from synmon.oracle import brute_isomorphic, cycle_gcd, mu_enumerate
 
 from conftest import CORPUS_SOURCES
+from test_generator_checks import allpairs_wreath_ok
 
 DATA = Path(__file__).parent / "data"
 INVERSION = [[0, 1, 2], [0, 2, 1]]
@@ -178,12 +179,16 @@ def test_quotients_onto_block_monoids(corpus, full_decs):
 
 
 def test_wreath_divisor_everywhere(corpus, full_decs):
+    # wreath_divisor reads phi off a verified decomposition; the all-pairs
+    # reference checks the action against every element
     for name, dec in full_decs.items():
         assert len(wreath_divisor(dec)) == dec.m.order, name
+        assert allpairs_wreath_ok(dec), name
         assert dec.signature.surjective, name
     _, _, sm1 = corpus["a1"]
     dec1 = canonical_decomposition(sm1, build_signature(sm1, ["a", "b"], [2, 2]))
-    wreath_divisor(dec1)
+    assert len(wreath_divisor(dec1)) == sm1.order
+    assert allpairs_wreath_ok(dec1)
     assert dec1.signature.surjective
     check("wreath action equivariance holds exhaustively; residual map "
           "is onto the group", True)

@@ -334,6 +334,40 @@ def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
     assert captured.err == "verification failure: identity law fails at element 0\n"
 
 
+def test_closure_budget_exits_two(monkeypatch, capsys):
+    from synmon import monoid
+
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 19)  # a3: degree 4, order 5
+    assert cli.main(["period", "--regex", A3_REGEX]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: transition monoid of degree 4 exceeds the closure "
+                            "budget of 19 points (order x degree) at order 5\n")
+
+
+def test_a_failing_analyze_writes_no_dot_file(tmp_path):
+    dot = tmp_path / "o.dot"
+    result = run_cli("analyze", "--regex", "(a|b)*", "--alphabet", "ab",
+                     "--length", "15000", "--dot", str(dot))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "error: --length 15000 is too long" in result.stderr
+    assert not dot.exists()
+
+
+def test_a_failing_verdict_writes_no_dot_file(monkeypatch, capsys, tmp_path):
+    from synmon import probability
+    from synmon.errors import VerificationFailure
+
+    def failing(*args):
+        raise VerificationFailure("zero-one verdict: injected")
+
+    monkeypatch.setattr(probability, "residual_verdict", failing)
+    dot = tmp_path / "o.dot"
+    assert cli.main(["analyze", "--regex", A3_REGEX, "--dot", str(dot)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not dot.exists()
+
+
 @pytest.mark.parametrize("flag", [["--json"], ["--periods", "7"]])
 def test_oracle_refuses_report_flags(flag, capsys):
     with pytest.raises(SystemExit) as info:

@@ -1,13 +1,16 @@
-"""The generator-based checks of the decomposition, the wreath divisor and
-the block-language quotients against all-pairs reference versions.
+"""The generator-based checks of the decomposition and the block-language
+quotients against all-pairs reference versions, and the wreath divisor
+read off a verified decomposition.
 
 The library checks each element against each generator, which is
-equivalent to checking all pairs (see the docstrings of verify_canonical,
-wreath_divisor and hom_generator_check).  The references below check all
-pairs; the tests assert that both give the same answer.  A failed check
-raises VerificationFailure, whose message starts with its stage and names
-its witness; the last tests break each check once on the language a3 and
-read both back.
+equivalent to checking all pairs (see the docstrings of verify_canonical
+and hom_generator_check).  The references below check all pairs; the tests
+assert that both give the same answer, and that the wreath divisor of every
+decomposition that verify_canonical passes meets the all-pairs wreath
+check (see the docstring of wreath_divisor).  A failed check raises
+VerificationFailure, whose message starts with its stage and names its
+witness; the last tests break each check once on the language a3 and read
+both back.
 """
 
 import itertools
@@ -18,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from synmon import (build_signature, canonical_decomposition,
                     hom_generator_check, hom_image_check, lw_quotient,
-                    lw_recognizer, max_period, syntactic_monoid_of_lw,
+                    lw_recognizer, max_period, minimize, parse_regex,
+                    regex_to_dfa, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
-from synmon.decompose import _can_key
 from synmon.errors import VerificationFailure
 from synmon.monoid import compose
 from synmon.periods import residual_of_word
@@ -31,11 +34,32 @@ from test_decompose import GAMMA_SETS, divisor_vectors
 
 # --- all-pairs references ---
 
+def _can_key(dec, t):
+    """Can(t) on every residual, padding included, with rho_bar(t)."""
+    return (tuple(dec.can_f[t][r] for r in dec.residuals), dec.rho(t))
+
+
+def reads_back(dec) -> bool:
+    """The identity lies in N_0, and theta_{rho_bar(t)}(f_t(0)(e)) = t for
+    every t, with e the identity's slot in N_0."""
+    zero = tuple(0 for _ in dec.signature.periods)
+    if dec.m.monoid.identity not in dec.theta[zero]:
+        return False
+    e_pos = dec.theta[zero].index(dec.m.monoid.identity)
+    for t in range(dec.m.order):
+        k, n_c = dec.can_f[t][zero][e_pos], dec.theta[dec.rho(t)]
+        if not (0 <= k < len(n_c) and n_c[k] == t):
+            return False
+    return True
+
+
 def allpairs_verify(dec):
     """The first check of `verify_canonical` to fail when the homomorphism
     is checked over all pairs of elements on class-carrying slots:
-    "homomorphism", "injectivity" or "residual condition"; None when all
-    pass."""
+    "homomorphism", "read-back" or "residual condition"; None when all
+    pass.  Can failing to be injective, checked over all pairs, is a
+    "read-back" failure, since the read-back fails whenever injectivity
+    does."""
     sig = dec.signature
     table = dec.m.monoid.table
     for s, s2 in itertools.product(range(dec.m.order), repeat=2):
@@ -49,8 +73,9 @@ def allpairs_verify(dec):
             expected = dec.can_f[t][r]
             if any(shifted[left[k]] != expected[k] for k in range(len(dec.theta[r]))):
                 return "homomorphism"
-    if len({_can_key(dec, t) for t in range(dec.m.order)}) != dec.m.order:
-        return "injectivity"
+    if (not reads_back(dec)
+            or len({_can_key(dec, t) for t in range(dec.m.order)}) != dec.m.order):
+        return "read-back"
     if any(sig.rho_bar[dec.m.eta[a]] != residual_of_word(a, sig.gammas, sig.periods)
            for a in dec.m.alphabet):
         return "residual condition"
@@ -75,6 +100,15 @@ def allpairs_wreath_ok(dec) -> bool:
             if dec.theta[sig.add(c, dec.rho(s))][moved[e_pos]] != table[t][s]:
                 return False
     return True
+
+
+def reference_phi(dec) -> dict:
+    """phi by its formula, phi(tau, c) = theta_c(tau(e)) with e the
+    identity's slot in N_0, at every point (f_t(0), rho_bar(t))."""
+    zero = tuple(0 for _ in dec.signature.periods)
+    e_pos = dec.theta[zero].index(dec.m.monoid.identity)
+    points = ((dec.can_f[t][zero], dec.rho(t)) for t in range(dec.m.order))
+    return {(tau, c): dec.theta[c][tau[e_pos]] for tau, c in points}
 
 
 def allpairs_quotient(dec, dfa, w):
@@ -116,7 +150,8 @@ CHECKS = {
     "canonical embedding: f_s(r) leaves its class": "homomorphism",
     "canonical embedding: residual of s.a": "homomorphism",
     "canonical embedding: Can(s.a) != Can(s).Can(a)": "homomorphism",
-    "canonical embedding: Can is not injective": "injectivity",
+    "canonical embedding: the identity": "read-back",
+    "canonical embedding: Can(t) does not read t back": "read-back",
     "canonical embedding: residual condition fails": "residual condition",
     "block quotient: the map is not well defined": "well defined",
     "block quotient: the blocks do not reach": "well defined",
@@ -148,18 +183,20 @@ def quotient(dec, dfa, w):
         return check_named(exc)
 
 
-def wreath_ok(dec) -> bool:
-    try:
-        wreath_divisor(dec)
-    except VerificationFailure as exc:
-        assert str(exc).startswith("wreath divisor: "), exc
-        return False
-    return True
+def assert_wreath_read_off(dec):
+    """The wreath divisor of a decomposition that verify_canonical passes
+    meets the all-pairs wreath check and is phi by its formula."""
+    assert allpairs_wreath_ok(dec)
+    phi = wreath_divisor(dec)
+    assert len(phi) == dec.m.order
+    assert phi == reference_phi(dec)
 
 
 def assert_checks_agree(dec, dfa):
-    assert failing_check(dec) == allpairs_verify(dec)
-    assert wreath_ok(dec) == allpairs_wreath_ok(dec)
+    check = failing_check(dec)
+    assert check == allpairs_verify(dec)
+    if check is None:
+        assert_wreath_read_off(dec)
     sig = dec.signature
     if sig.n == 1 and sig.gammas[0] == dec.m.alphabet:
         for r in range(sig.periods[0]):
@@ -185,17 +222,20 @@ def test_agree_on_corpus_at_every_divisor_period(corpus):
     assert count >= 20
 
 
+def with_f(dec, t, r, tau):
+    """dec with f_t(r) replaced by tau."""
+    f_t = dict(dec.can_f[t])
+    f_t[r] = tau
+    return dec._replace(can_f=dec.can_f[:t] + (f_t,) + dec.can_f[t + 1:])
+
+
 def mutated(dec, t, r, size):
     """dec with the first two differing values among slots < size of
     f_t(r) swapped."""
-    f_t = dict(dec.can_f[t])
-    tau = list(f_t[r])
+    tau = list(dec.can_f[t][r])
     i, j = next((i, j) for i in range(size) for j in range(size) if tau[i] != tau[j])
     tau[i], tau[j] = tau[j], tau[i]
-    f_t[r] = tuple(tau)
-    can_f = list(dec.can_f)
-    can_f[t] = f_t
-    return dec._replace(can_f=tuple(can_f))
+    return with_f(dec, t, r, tuple(tau))
 
 
 def test_agree_on_mutated_letter_tables(full_decs):
@@ -222,19 +262,23 @@ def test_agree_on_random_dfas(dfa):
     assert_checks_agree(random_decomposition(dfa), dfa)
 
 
-@settings(max_examples=200)
-@given(small_dfas(), st.data())
-def test_verify_on_random_single_slot_mutations(dfa, data):
-    # one class-carrying slot of one f_t gets a new value
+def single_slot_mutant(dfa, data):
+    """A random decomposition of `dfa`, and a copy in which one
+    class-carrying slot k of one f_t(r) gets a drawn value: (dec, broken,
+    t, r, k, value)."""
     dec = random_decomposition(dfa)
     t = data.draw(st.integers(0, dec.m.order - 1))
     r = data.draw(st.sampled_from(dec.residuals))
     k = data.draw(st.integers(0, len(dec.theta[r]) - 1))
     value = data.draw(st.integers(0, dec.K - 1))
-    f_t = dict(dec.can_f[t])
-    f_t[r] = f_t[r][:k] + (value,) + f_t[r][k + 1:]
-    can_f = dec.can_f[:t] + (f_t,) + dec.can_f[t + 1:]
-    broken = dec._replace(can_f=can_f)
+    tau = dec.can_f[t][r]
+    return dec, with_f(dec, t, r, tau[:k] + (value,) + tau[k + 1:]), t, r, k, value
+
+
+@settings(max_examples=200)
+@given(small_dfas(), st.data())
+def test_verify_on_random_single_slot_mutations(dfa, data):
+    dec, broken, t, r, k, value = single_slot_mutant(dfa, data)
     target = dec.signature.add(r, dec.rho(t))
     if t == dec.m.monoid.identity and value != k:
         # Can(e) is no longer the identity
@@ -249,6 +293,17 @@ def test_verify_on_random_single_slot_mutations(dfa, data):
     else:
         # a class slot sent to padding breaks the induction's premise
         assert failing_check(broken) == "homomorphism"
+
+
+@settings(max_examples=200)
+@given(small_dfas(), st.data())
+def test_wreath_divisor_of_a_verified_single_slot_mutant(dfa, data):
+    # verify_canonical checks Can against its definition, so the only
+    # mutant it passes leaves the slot as it was, and phi is read off it
+    dec, broken, t, r, k, value = single_slot_mutant(dfa, data)
+    if failing_check(broken) is None:
+        assert value == dec.can_f[t][r][k]
+        assert_wreath_read_off(broken)
 
 
 @settings(max_examples=200)
@@ -269,13 +324,6 @@ def test_hom_generator_check_agrees_with_all_pairs(dfa, data):
 # classes N_0 = (0, 3, 4) and N_1 = (1, 2); f_a(0) = (0, 0, 1),
 # f_a(1) = (1, 2, 2), and a.a = 3.  The homomorphism check proper is
 # broken by test_decompose.test_mutated_tables_fail_homomorphism.
-
-def with_f(dec, t, r, tau):
-    """dec with f_t(r) replaced by tau."""
-    f_t = dict(dec.can_f[t])
-    f_t[r] = tau
-    return dec._replace(can_f=dec.can_f[:t] + (f_t,) + dec.can_f[t + 1:])
-
 
 def failure(check, *args) -> str:
     with pytest.raises(VerificationFailure) as info:
@@ -323,9 +371,11 @@ def test_injectivity_check_names_two_elements(full_decs):
     broken = dec._replace(signature=dec.signature._replace(classes=classes),
                           can_f=tuple({r: (0, 1, 2) for r in dec.residuals}
                                       for _ in dec.can_f))
+    # the read-back finds 1 at the slot of 2
     assert failure(verify_canonical, broken) == (
-        "canonical embedding: Can is not injective: Can(1) = Can(2)")
-    assert allpairs_verify(broken) == "injectivity"
+        "canonical embedding: Can(t) does not read t back at t = 2: f_t((0,)) "
+        "sends the identity's slot to 0, which holds 1 in N_(1,)")
+    assert allpairs_verify(broken) == "read-back"
 
 
 def test_residual_condition_names_the_letter(full_decs):
@@ -339,39 +389,67 @@ def test_residual_condition_names_the_letter(full_decs):
 
 
 def test_wreath_action_check_names_the_element_and_letter(full_decs):
-    # f_a(1) with slots 0 and 1 swapped moves the point of 1 wrongly
+    # f_a(1) with slots 0 and 1 swapped moves the point of 1 wrongly; the
+    # homomorphism check meets it at the same element and letter
     broken = with_f(full_decs["a3"], 1, (1,), (2, 1, 2))
-    assert failure(wreath_divisor, broken) == (
-        "wreath divisor: wreath action disagrees with multiplication "
-        "at element 1 and letter 'a'")
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: Can(s.a) != Can(s).Can(a) at s = 1, a = 'a', r = (0,), "
+        "slot 0: Can(s.a) gives 1, Can(s).Can(a) gives 2")
     assert not allpairs_wreath_ok(broken)
 
 
 def test_wreath_action_check_reads_no_slot_past_its_class(full_decs):
     # f_a(0) sends the identity's slot 0 to slot 2, past the two of N_1
     broken = with_f(full_decs["a3"], 1, (0,), (2, 0, 1))
-    assert failure(wreath_divisor, broken) == (
-        "wreath divisor: wreath action disagrees with multiplication "
-        "at element 0 and letter 'a'")
-    assert failure(verify_canonical, broken).startswith("canonical embedding: ")
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: f_s(r) leaves its class at s = 1, r = (0,): "
+        "slot 0 goes to 2, past the 2 of N_(1,)")
 
 
 def test_wreath_divisor_names_an_identity_outside_the_zero_class(full_decs):
     dec = full_decs["a3"]
+    # N_0 shrunk to (3, 4): f_a(1) sends slot 1 past its two slots
     classes = {**dec.theta, (0,): (3, 4)}
     broken = dec._replace(signature=dec.signature._replace(classes=classes))
-    assert failure(wreath_divisor, broken) == (
-        "wreath divisor: the identity 0 is not in N_(0,)")
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: f_s(r) leaves its class at s = 1, r = (1,): "
+        "slot 1 goes to 2, past the 2 of N_(0,)")
+    # N_0 = (2, 3, 4) keeps the sizes, so only the read-back sees it
+    classes = {**dec.theta, (0,): (2, 3, 4)}
+    broken = dec._replace(signature=dec.signature._replace(classes=classes))
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: the identity 0 is not in N_(0,)")
 
 
 def test_wreath_formula_check_names_the_second_of_two_elements_on_one_point(full_decs):
     # 3 and 4 both lie in N_0 and neither is a letter's image, so with
-    # f_4 = f_3 they share a point of phi, which reads 3 back at element 4
+    # f_4 = f_3 they share a point of phi; 4 = b.a, so the homomorphism
+    # check meets it first, at element 2 and letter a
     dec = full_decs["a3"]
     broken = dec._replace(can_f=dec.can_f[:4] + (dec.can_f[3],) + dec.can_f[5:])
-    assert failure(wreath_divisor, broken) == (
-        "wreath divisor: phi formula disagrees at element 4")
+    assert dec.m.monoid.table[2][1] == 4
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: Can(s.a) != Can(s).Can(a) at s = 2, a = 'a', r = (0,), "
+        "slot 0: Can(s.a) gives 1, Can(s).Can(a) gives 2")
     assert not allpairs_wreath_ok(broken)
+
+
+def test_relabelled_can_fails_the_read_back():
+    # a(a|b)* has order 3, K = 3 and P = 1; conjugating every f_t(0) by
+    # the swap of slots 1 and 2 keeps an injective homomorphism that is
+    # not Can: the identity's slot of element 1 goes to slot 2
+    sm = transition_monoid(minimize(regex_to_dfa(parse_regex("a(a|b)*"), "ab")))
+    dec = canonical_decomposition(sm, quiet_signature(sm, [sm.alphabet]))
+    assert (sm.order, dec.K, dec.signature.periods) == (3, 3, (1,))
+    swap = (0, 2, 1)
+    relabelled = tuple({r: tuple(swap[f[r][swap[k]]] for k in range(3)) for r in f}
+                       for f in dec.can_f)
+    broken = dec._replace(can_f=relabelled)
+    assert allpairs_verify(broken) == "read-back"
+    assert not allpairs_wreath_ok(broken)
+    assert failure(verify_canonical, broken) == (
+        "canonical embedding: Can(t) does not read t back at t = 1: f_t((0,)) "
+        "sends the identity's slot to 2, which holds 2 in N_(0,)")
 
 
 def test_block_quotient_names_the_element_and_block(corpus, full_decs):

@@ -4,7 +4,7 @@ import pytest
 
 from synmon import (cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
-                    principal_ideal, rees_factor, semidirect_product,
+                    minimize, principal_ideal, rees_factor, semidirect_product,
                     transition_monoid)
 from synmon.errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
                            NotAnIdeal, NotDistributive, TooLarge)
@@ -123,6 +123,24 @@ def test_monoid_cap():
     assert transition_monoid(dfa, cap=5).order == 5
     with pytest.raises(MonoidTooLarge):
         transition_monoid(dfa, cap=4)
+
+
+def test_closure_budget_bounds_order_times_degree(monkeypatch):
+    # a3's minimal DFA has degree 4 and order 5: a budget of 20 points holds it
+    from synmon import monoid
+
+    dfa = minimize(regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab"))
+    assert dfa.n_states == 4
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 20)
+    assert transition_monoid(dfa).order == 5
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 19)
+    with pytest.raises(MonoidTooLarge) as info:
+        transition_monoid(dfa)
+    assert str(info.value) == ("transition monoid of degree 4 exceeds the closure budget "
+                               "of 19 points (order x degree) at order 5")
+    # the cap is checked first
+    with pytest.raises(MonoidTooLarge, match="exceeds cap 3$"):
+        transition_monoid(dfa, cap=3)
 
 
 # --- Cayley graphs ---
