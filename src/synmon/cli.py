@@ -68,6 +68,14 @@ def _analysis(args) -> Analysis:
     return Analysis(_load_source(args), _parse_gammas(args), _parse_periods(args))
 
 
+def _signature(analysis):
+    """The signature stage, after the notice that every period 1 is degenerate."""
+    sig = analysis.signature
+    if all(p == 1 for p in sig.periods):
+        print("warning: all periods are 1; the decomposition is degenerate", file=sys.stderr)
+    return sig
+
+
 def _signature_json(sig):
     return {
         "gammas": [list(g) for g in sig.gammas],
@@ -260,8 +268,8 @@ def cmd_analyze(args) -> int:
     from .probability import mu_series
 
     analysis = _analysis(args)
-    sm, sig, dec = analysis.monoid, analysis.signature, analysis.decomposition
-    phi = analysis.wreath
+    sm, sig = analysis.monoid, _signature(analysis)
+    dec = analysis.decomposition
     dfa_sinks = sink_periods(analysis.dfa)
     cayley_sinks = sink_periods(sm)
 
@@ -272,7 +280,7 @@ def cmd_analyze(args) -> int:
         "wreath": {
             "equivariant": True,  # verify_canonical passed, which implies it
             "rho_bar_surjective": sig.surjective,
-            "phi_domain_size": len(phi),
+            "phi_domain_size": sm.order,  # the read-back makes Can injective
         },
         "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
     }
@@ -299,7 +307,7 @@ def cmd_analyze(args) -> int:
         yield f"monoid: order {sm.order}"
         for gamma, period in zip(sig.gammas, sig.periods):
             yield f"period w.r.t. {{{','.join(gamma)}}}: {period}"
-        # the decomposition, and the divisor read off it, exist only once verified
+        # the decomposition exists only once verified, and its checks imply the divisor's
         yield (f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
                "verified=True")
         yield ("wreath divisor: equivariant=True, "
@@ -338,7 +346,7 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_period(args) -> int:
-    sig = _analysis(args).signature
+    sig = _signature(_analysis(args))
     out = _signature_json(sig)
     lines = chain((f"gamma {{{','.join(g)}}}: period {p}"
                    for g, p in zip(sig.gammas, sig.periods)),
@@ -370,7 +378,8 @@ def cmd_decompose(args) -> int:
     from .decompose import decomposition_to_json
 
     analysis = _analysis(args)
-    dec, sig = analysis.decomposition, analysis.signature
+    sig = _signature(analysis)
+    dec = analysis.decomposition
     out = decomposition_to_json(dec)
     # a decomposition exists only once every check has passed
     lines = [
@@ -383,8 +392,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_zero_one(args) -> int:
     analysis = _analysis(args)
-    # the verdicts build the signature first, so that the basic verdict
-    # reads the maximum period off it instead of computing it again
+    _signature(analysis)
     verdicts = analysis.residual_verdicts
     basic = analysis.basic_verdict
     out = _zero_one_json(basic, verdicts)

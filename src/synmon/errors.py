@@ -55,7 +55,8 @@ class MonoidTooLarge(SynmonError):
 
 
 class TooLarge(SynmonError):
-    """Requested named monoid exceeds its order cap."""
+    """A requested object exceeds its budget: a named monoid past its order
+    cap, or more zero-one verdict rows than `pipeline.PREFIX_ROWS`."""
 
 
 class NotAnIdeal(SynmonError):
@@ -79,10 +80,6 @@ class UnknownSymbol(SynmonError):
 class InvalidPeriod(SynmonError):
     """Supplied period does not divide the maximum period, so the residual
     classes would clash."""
-
-
-class PeriodTrivialWarning(UserWarning):
-    """All requested periods equal one; the decomposition is degenerate."""
 
 
 # --- decomposition ---

@@ -20,11 +20,22 @@ CYCLE_ORDER_CAP = 30  # largest monoid whose Cayley graph `cycle_gcd` searches
 ISOMORPHISM_ORDER_CAP = 16  # largest order `brute_isomorphic` backtracks over
 
 
+def _past_cap(size: int, exponent: int) -> bool:
+    """size ** exponent > ENUMERATION_CAP for size >= 2, decided before a
+    power past the cap is built: 2 ** exponent is past it once exponent
+    reaches ENUMERATION_CAP.bit_length()."""
+    return exponent >= ENUMERATION_CAP.bit_length() or size ** exponent > ENUMERATION_CAP
+
+
 def mu_enumerate(dfa: Dfa, length: int) -> Fraction:
-    """Count acceptance over every word of the given length."""
+    """Count acceptance over every word of the given length.  Over two or
+    more letters the budget counts words; over one, with one word of each
+    length, it counts that word's letters."""
     size = len(dfa.alphabet)
-    if size ** length > ENUMERATION_CAP:
+    if size > 1 and _past_cap(size, length):
         raise BudgetExceeded(f"{size}^{length} words is past the enumeration cap")
+    if size < 2 and length > ENUMERATION_CAP:
+        raise BudgetExceeded(f"{length} letters is past the enumeration cap")
     letters = sorted(dfa.alphabet)
     hits = sum(1 for w in product(letters, repeat=length) if dfa.accepts("".join(w)))
     return Fraction(hits, size ** length)
@@ -153,9 +164,15 @@ def brute_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid) -> bool:
 
 def lw_enumerate(dfa: Dfa, w: str, period: int, max_blocks: int) -> set:
     """All block words u with at most max_blocks blocks and w+u accepted,
-    by direct DFA runs."""
+    by direct DFA runs.  Over two or more letters the budget counts the
+    longest block words; over one, with one block word per count, it counts
+    the letters of every w+u run."""
     size = len(dfa.alphabet)
-    if size ** (period * max_blocks) > ENUMERATION_CAP:
+    if size > 1:
+        past = _past_cap(size, period * max_blocks)
+    else:  # sum over count <= max_blocks of len(w) + period * count
+        past = (max_blocks + 1) * (2 * len(w) + period * max_blocks) // 2 > ENUMERATION_CAP
+    if past:
         raise BudgetExceeded("block enumeration past the cap")
     letters = sorted(dfa.alphabet)
     blocks = ["".join(p) for p in product(letters, repeat=period)]

@@ -12,15 +12,13 @@ Cayley graph, and the closed classes of a Markov chain.
 
 from __future__ import annotations
 
-import warnings
 from itertools import product
 from math import gcd
 from operator import add, mod
 from typing import NamedTuple
 
 from .dfa import Dfa
-from .errors import (InvalidPeriod, PeriodTrivialWarning, UnknownSymbol,
-                     VerificationFailure)
+from .errors import InvalidPeriod, UnknownSymbol, VerificationFailure
 from .monoid import SyntacticMonoid
 
 
@@ -221,9 +219,6 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
                 raise InvalidPeriod(
                     f"period {p} for gamma {list(g)} does not divide the maximum period {pmax}"
                 )
-    if all(p == 1 for p in periods):
-        warnings.warn("all periods are 1; the decomposition is degenerate",
-                      PeriodTrivialWarning, stacklevel=2)
     rho_bar = tuple(tuple(map(mod, c, periods)) for c in counts)
     classes = {r: [] for r in product(*map(range, periods))}
     for i, r in enumerate(rho_bar):

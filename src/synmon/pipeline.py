@@ -2,8 +2,8 @@
 
 `Analysis(dfa)` computes each stage on first use and keeps it:
 
-    minimal DFA -> syntactic monoid -> maximum period, signature
-    -> canonical decomposition (verified once) -> wreath divisor phi
+    minimal DFA -> syntactic monoid -> signature -> maximum period
+    -> canonical decomposition (verified once)
     -> residual monoids T_r for every r below the period
     -> limits and zero-one verdicts, one per prefix w shorter than the period
 
@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .dfa import Dfa, Frozen, minimize, words_of_length
-from .errors import ScopeError
+from .errors import ScopeError, TooLarge
 from .monoid import SyntacticMonoid, transition_monoid
 from .periods import PeriodSignature, build_signature, max_period
 
@@ -30,13 +30,16 @@ if TYPE_CHECKING:
     from . import decompose as dc
     from . import probability as pr
 
+PREFIX_ROWS = 1 << 20  # the most zero-one rows, one per prefix, that are built
+
 
 class Analysis(Frozen):
     """Every stage of the pipeline for one DFA, compared by identity.
 
     `gammas` (letter subsets) and `periods` (one per subset) choose the
     signature, by default the whole alphabet at its maximum period.  Stages
-    are attributes (in `__dict__`), computed on first use.
+    are cached attributes, each computed on first use; none has a side
+    effect, so no value depends on the order in which they are read.
     """
     __slots__ = ("dfa", "gammas", "periods", "__dict__")
 
@@ -57,13 +60,12 @@ class Analysis(Frozen):
 
     @cached_property
     def max_period(self) -> int:
-        """Maximum period with respect to the whole alphabet: one of the
-        signature's maxima once the signature is built over the whole
-        alphabet.  It never builds the signature itself, which warns when
-        every period is 1."""
+        """Maximum period with respect to the whole alphabet: the
+        signature's maximum for it when the signature counts the whole
+        alphabet, and a walk of its own otherwise."""
         alphabet = self.monoid.alphabet
-        sig = self.__dict__.get("signature")
-        if sig is not None and alphabet in sig.gammas:
+        sig = self.signature
+        if alphabet in sig.gammas:
             return sig.maxima[sig.gammas.index(alphabet)]
         return max_period(self.monoid, alphabet)
 
@@ -78,13 +80,6 @@ class Analysis(Frozen):
         from . import decompose as dc
 
         return dc.canonical_decomposition(self.monoid, self.signature)
-
-    @cached_property
-    def wreath(self) -> dict:
-        """phi, (f_t(0), rho_bar(t)) -> t, read off the verified decomposition."""
-        from . import decompose as dc
-
-        return dc.wreath_divisor(self.decomposition)
 
     @cached_property
     def residual_monoids(self) -> tuple:
@@ -125,6 +120,11 @@ class Analysis(Frozen):
         sig = self.signature
         if not sig.full_alphabet_at_maximum:
             raise ScopeError("zero-one residual verdicts need the maximum period")
+        size, period = len(self.monoid.alphabet), sig.periods[0]
+        n_rows = sum(size ** r for r in range(period))
+        if n_rows > PREFIX_ROWS:
+            raise TooLarge(f"{n_rows} prefix rows of zero-one verdicts (every word shorter "
+                           f"than the period {period}) exceed the budget of {PREFIX_ROWS}")
         dec = self.decomposition
         by_image = {}
         rows = []

@@ -1,5 +1,4 @@
 import json
-import warnings
 from math import gcd
 from pathlib import Path
 
@@ -55,9 +54,7 @@ def full_sigs(corpus):
     """Full-alphabet signatures at the maximum period, per language."""
     out = {}
     for name, (_dfa, _minimal, sm) in corpus.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out[name] = build_signature(sm, [sm.alphabet])
+        out[name] = build_signature(sm, [sm.alphabet])
     return out
 
 
@@ -96,9 +93,7 @@ def random_decomposition(dfa):
     `small_dfas`; examples whose monoid has more than 64 elements are
     skipped."""
     sm = small_monoid(dfa)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return canonical_decomposition(sm, build_signature(sm, [sm.alphabet]))
+    return canonical_decomposition(sm, build_signature(sm, [sm.alphabet]))
 
 
 def closed_classes(successors) -> list:

@@ -70,6 +70,39 @@ def test_analyze_trivial_period_warns_but_succeeds():
     assert "cli.py" not in result.stderr
 
 
+NOTICE = "warning: all periods are 1; the decomposition is degenerate"
+
+
+@pytest.mark.parametrize("argv, notice", [
+    (["period"], True), (["decompose"], True), (["analyze"], True), (["zero-one"], True),
+    (["prob"], False), (["oracle", "cycle-gcd"], False),
+])
+def test_degenerate_period_notice_once_per_signature_verb(argv, notice, capsys):
+    assert cli.main([*argv, "--regex", "(a|b)*", "--alphabet", "ab"]) == 0
+    assert capsys.readouterr().err == (NOTICE + "\n" if notice else "")
+
+
+def test_notice_follows_the_unreachable_warning_and_precedes_a_failure(
+        monkeypatch, tmp_path, capsys):
+    from synmon import decompose
+    from synmon.errors import VerificationFailure
+
+    def failing(dec):
+        raise VerificationFailure("canonical embedding: injected")
+
+    monkeypatch.setattr(decompose, "verify_canonical", failing)
+    path = tmp_path / "all.json"  # (a|b)*, with state 1 unreachable
+    path.write_text(json.dumps({
+        "alphabet": ["a", "b"], "states": ["0", "1"], "initial": "0", "accepting": ["0"],
+        "transitions": [{"from": q, "on": a, "to": "0"} for q in "01" for a in "ab"]}))
+    assert cli.main(["decompose", "--dfa", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: removed unreachable states: ['1']", NOTICE,
+        "verification failure: canonical embedding: injected"]
+
+
 def test_prob_last_line():
     result = run_cli("prob", "--dfa", str(DATA / "a3.json"), "--length", "2")
     assert result.returncode == 0
@@ -383,6 +416,38 @@ def test_oracle_subcommands():
     assert result.stdout.strip() == "{a,b} 2"
     result = run_cli("oracle", "lw", "--dfa", str(DATA / "a3.json"), "--blocks", "1")
     assert result.stdout.split() == ["ba", "bb"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "--regex", "((a|b)(a|b))*", "--alphabet", "ab", "--length", "1000000000000"],
+    ["mu", "--regex", "a*", "--alphabet", "a", "--length", "1000000000000"],
+    ["lw", "--regex", "((a|b)(a|b))*", "--alphabet", "ab", "--w", "a",
+     "--blocks", "1000000000000"],
+])
+def test_oracle_budgets_refuse_before_enumerating(argv):
+    # each budget is decided before anything proportional to it is built
+    result = subprocess.run([sys.executable, "-m", "synmon", "oracle", *argv],
+                            capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "past the" in result.stderr and "cap" in result.stderr
+
+
+@pytest.mark.parametrize("verb", ["analyze", "zero-one"])
+def test_prefix_row_budget(verb, monkeypatch, capsys):
+    from synmon import pipeline
+
+    argv = [verb, "--regex", "((a|b|c)(a|b|c)(a|b|c))*"]  # P = 3: 1 + 3 + 9 rows
+    monkeypatch.setattr(pipeline, "PREFIX_ROWS", 12)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 13 prefix rows of zero-one verdicts (every word "
+                            "shorter than the period 3) exceed the budget of 12\n")
+    monkeypatch.setattr(pipeline, "PREFIX_ROWS", 13)
+    assert cli.main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    verdicts = report["probability"]["zero_one"] if verb == "analyze" else report
+    assert len(verdicts["residual"]) == 13
 
 
 VERBS = ("analyze", "monoid", "period", "prob", "decompose", "zero-one")

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -63,17 +62,13 @@ def test_k_three_for_order_five(full_decs):
 
 
 def test_verify_passes_for_all_divisor_valid_periods(corpus):
-    import warnings
-
     for name, (_, _, sm) in corpus.items():
         for gammas in [GAMMA_SETS[name]]:
             maxima = [None] * len(gammas)
             from synmon import max_period
             maxima = [max_period(sm, g) for g in gammas]
             for periods in divisor_vectors(maxima):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    sig = build_signature(sm, gammas, periods)
+                sig = build_signature(sm, gammas, periods)
                 verify_canonical(canonical_decomposition(sm, sig))
 
 
@@ -99,9 +94,7 @@ def test_one_element_classes_at_periods_above_one():
     for period, regex in ONE_ELEMENT_CLASSES.items():
         sm = transition_monoid(minimize(regex_to_dfa(parse_regex(regex), "ab")))
         for periods in divisor_vectors([period]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sig = build_signature(sm, [("a", "b")], periods)
+            sig = build_signature(sm, [("a", "b")], periods)
             dec = canonical_decomposition(sm, sig)
             sizes = sorted(len(sig.classes[r]) for r in sig.residuals())
             assert sizes == ([1] * (period - 1) + [2] if periods == (period,) else [sm.order])
@@ -114,9 +107,7 @@ def test_decomposition_matches_its_definition_at_every_divisor_period(corpus):
     for name, (_, _, sm) in corpus.items():
         gammas = GAMMA_SETS[name]
         for periods in divisor_vectors([max_period(sm, g) for g in gammas]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sig = build_signature(sm, gammas, periods)
+            sig = build_signature(sm, gammas, periods)
             dec = canonical_decomposition(sm, sig)
             assert dec.can_f == reference_can_f(sm, sig), (name, periods)
 
@@ -187,9 +178,7 @@ def test_cli_decompose_with_divisor_periods():
                              "--periods", periods])
         assert code == 0, err.getvalue()
         report = json.loads(out.getvalue())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sig = build_signature(sm, [("a", "b")], [int(periods)])
+        sig = build_signature(sm, [("a", "b")], [int(periods)])
         expected = reference_can_f(sm, sig)
         assert report["verified"] is True
         assert {t: {k: tuple(f) for k, f in can["f"].items()}
@@ -313,12 +302,8 @@ def test_recognizer_block_length_error(full_decs):
 
 
 def test_recognizer_degenerate_period_one(corpus):
-    import warnings
-
     _, minimal, sm = corpus["has_a"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sig = build_signature(sm, ["ab"])
+    sig = build_signature(sm, ["ab"])
     dec = canonical_decomposition(sm, sig)
     rec = lw_recognizer(dec, "")
     # blocks are single letters; recognizer equals plain DFA membership

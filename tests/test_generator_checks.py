@@ -14,7 +14,6 @@ both back.
 """
 
 import itertools
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,19 +203,13 @@ def assert_checks_agree(dec, dfa):
                 assert quotient(dec, dfa, w) == allpairs_quotient(dec, dfa, w), w
 
 
-def quiet_signature(sm, gammas, periods=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_signature(sm, gammas, periods)
-
-
 def test_agree_on_corpus_at_every_divisor_period(corpus):
     count = 0
     for name, (dfa, _, sm) in corpus.items():
         for gammas in (GAMMA_SETS[name], [sm.alphabet]):
             maxima = [max_period(sm, g) for g in gammas]
             for periods in divisor_vectors(maxima):
-                dec = canonical_decomposition(sm, quiet_signature(sm, gammas, periods))
+                dec = canonical_decomposition(sm, build_signature(sm, gammas, periods))
                 assert_checks_agree(dec, dfa)
                 count += 1
     assert count >= 20
@@ -439,7 +432,7 @@ def test_relabelled_can_fails_the_read_back():
     # the swap of slots 1 and 2 keeps an injective homomorphism that is
     # not Can: the identity's slot of element 1 goes to slot 2
     sm = transition_monoid(minimize(regex_to_dfa(parse_regex("a(a|b)*"), "ab")))
-    dec = canonical_decomposition(sm, quiet_signature(sm, [sm.alphabet]))
+    dec = canonical_decomposition(sm, build_signature(sm, [sm.alphabet]))
     assert (sm.order, dec.K, dec.signature.periods) == (3, 3, (1,))
     swap = (0, 2, 1)
     relabelled = tuple({r: tuple(swap[f[r][swap[k]]] for k in range(3)) for r in f}

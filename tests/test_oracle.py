@@ -4,9 +4,10 @@ import pytest
 
 from synmon import (direct_product, make_named, minimize, mu_exact,
                     semidirect_product, transition_monoid)
+from synmon import oracle
 from synmon.errors import BudgetExceeded
-from synmon.oracle import (CYCLE_ORDER_CAP, brute_isomorphic, cycle_gcd,
-                           lw_enumerate, mu_enumerate)
+from synmon.oracle import (CYCLE_ORDER_CAP, ENUMERATION_CAP, brute_isomorphic,
+                           cycle_gcd, lw_enumerate, mu_enumerate)
 from synmon.regexes import parse_regex, regex_to_dfa
 
 
@@ -24,6 +25,31 @@ def test_mu_enumerate_budget(corpus):
     dfa, _, _ = corpus["a3"]
     with pytest.raises(BudgetExceeded):
         mu_enumerate(dfa, 64)
+
+
+def test_enumeration_budget_is_decided_exactly():
+    assert ENUMERATION_CAP == 10_000_000
+    # 2^23 <= cap < 2^24 and 10^7 <= cap < 10^8
+    assert not oracle._past_cap(2, 23) and oracle._past_cap(2, 24)
+    assert not oracle._past_cap(10, 7) and oracle._past_cap(10, 8)
+    for size in range(2, 12):
+        for exponent in range(40):
+            assert oracle._past_cap(size, exponent) == (size ** exponent > ENUMERATION_CAP)
+
+
+def test_one_letter_enumeration_is_budgeted(monkeypatch):
+    # one word per length: the budget counts the letters read
+    dfa = regex_to_dfa(parse_regex("(aa)*"), "a")
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 20)
+    assert mu_enumerate(dfa, 20) == 1
+    with pytest.raises(BudgetExceeded, match="^21 letters is past the enumeration cap$"):
+        mu_enumerate(dfa, 21)
+    # |w| + 2c letters for each count c <= 3: 1 + 3 + 5 + 7 = 16
+    assert lw_enumerate(dfa, "a", 2, 3) == set()
+    assert lw_enumerate(dfa, "", 2, 3) == {(), ("aa",), ("aa", "aa"), ("aa", "aa", "aa")}
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 15)
+    with pytest.raises(BudgetExceeded, match="^block enumeration past the cap$"):
+        lw_enumerate(dfa, "a", 2, 3)
 
 
 def test_mu_exact_agrees_with_enumeration(corpus):

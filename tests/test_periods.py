@@ -10,10 +10,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from synmon import (build_signature, load_dfa, max_period, minimize,
+from synmon import (Analysis, build_signature, load_dfa, max_period, minimize,
                     residual_of_word, sink_periods, transition_monoid)
-from synmon.errors import (InvalidPeriod, PeriodTrivialWarning,
-                           UnknownSymbol, VerificationFailure)
+from synmon.errors import InvalidPeriod, UnknownSymbol, VerificationFailure
 from synmon.oracle import CYCLE_ORDER_CAP, cycle_gcd
 from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -135,17 +134,13 @@ def assert_signatures_match_reference(sm):
     alone at every divisor of its maximum."""
     gammas = nonempty_gammas(sm.alphabet)
     for chosen in [[g] for g in gammas] + [list(pair) for pair in product(gammas, repeat=2)]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PeriodTrivialWarning)
-            sig = build_signature(sm, chosen)
+        sig = build_signature(sm, chosen)
         assert (sig.maxima, sig.rho_bar, sig.classes) == bfs_signature(sm, sig.gammas), chosen
         assert sig.periods == sig.maxima, chosen
     for gamma in gammas:  # and at every divisor of the maximum
         maximum = max_period(sm, gamma)
         for p in (d for d in range(1, maximum + 1) if maximum % d == 0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PeriodTrivialWarning)
-                sig = build_signature(sm, [gamma], [p])
+            sig = build_signature(sm, [gamma], [p])
             assert (sig.maxima, sig.rho_bar, sig.classes) == \
                 bfs_signature(sm, sig.gammas, [p]), (gamma, p)
 
@@ -184,8 +179,7 @@ def test_signature_keeps_the_maxima_and_decides_the_residual_scope(corpus):
     full = build_signature(sm, ["ab"])
     assert full.periods == full.maxima == (2,)
     assert full.full_alphabet and full.full_alphabet_at_maximum
-    with pytest.warns(PeriodTrivialWarning):
-        below = build_signature(sm, ["ab"], [1])
+    below = build_signature(sm, ["ab"], [1])
     assert below.maxima == (2,) and below.full_alphabet
     assert not below.full_alphabet_at_maximum
     split = build_signature(sm, ["a", "b"], [2, 1])
@@ -214,16 +208,18 @@ def test_max_period_without_a_gamma_cycle_is_a_verification_failure():
 
 def test_signature_divisor_period_allowed(corpus):
     _, _, sm = corpus["a1"]
-    with pytest.warns(PeriodTrivialWarning):
-        sig = build_signature(sm, ["a"], [1])
+    sig = build_signature(sm, ["a"], [1])
     assert sig.periods == (1,)
     assert len(sig.classes[(0,)]) == 4
 
 
-def test_signature_trivial_warning(corpus):
+def test_signature_at_period_one_is_silent(corpus):
+    # the degenerate-period notice is the CLI's to print, not a warning
     _, _, sm = corpus["all_words"]
-    with pytest.warns(PeriodTrivialWarning):
-        build_signature(sm, ["ab"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_signature(sm, ["ab"]).periods == (1,)
+        assert Analysis(regex_to_dfa(parse_regex("(a|b)*"), "ab")).signature.periods == (1,)
 
 
 def test_classes_partition_monoid(corpus, full_sigs):

@@ -6,6 +6,8 @@ import sys
 from synmon import (Analysis, cli, decompose, monoid, periods, probability,
                     zero_one_residual)
 
+from synmon.regexes import parse_regex, regex_to_dfa
+
 from conftest import DATA
 
 
@@ -63,7 +65,7 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     assert len(checks) == 3
 
 
-def test_analyze_runs_max_period_once_and_prob_no_signature(monkeypatch, capsys):
+def test_analyze_runs_max_period_once_and_prob_one_signature(monkeypatch, capsys):
     # the letter-count walk gives the maxima and rho_bar together
     walks = count_calls(monkeypatch, periods, "_letter_counts")
     signatures = count_calls(monkeypatch, periods, "build_signature")
@@ -75,11 +77,32 @@ def test_analyze_runs_max_period_once_and_prob_no_signature(monkeypatch, capsys)
     assert cli.main(["zero-one", "--regex", "((a|b)(a|b))*"]) == 0
     assert capsys.readouterr().out.startswith("basic: ")
     assert (len(walks), len(signatures)) == (1, 1)
-    # P = 1: building a signature would warn that every period is 1
+    # P = 1: prob reads the maximum period off the signature and prints no
+    # notice; `accumulation_points` walks once more on a monoid of its own
+    walks.clear()
     signatures.clear()
     assert cli.main(["prob", "--regex", "(a|b)*a"]) == 0
     assert capsys.readouterr().err == ""
-    assert signatures == []
+    assert (len(walks), len(signatures)) == (2, 1)
+
+
+def test_stage_values_do_not_depend_on_the_order_they_are_read(monkeypatch):
+    walks = count_calls(monkeypatch, periods, "_letter_counts")
+    dfa = regex_to_dfa(parse_regex("((a|b)(a|b))*"), "ab")
+    first, second = Analysis(dfa), Analysis(dfa)
+    basic, rows = first.basic_verdict, first.residual_verdicts
+    assert len(walks) == 1
+    assert (second.residual_verdicts, second.basic_verdict) == (rows, basic)
+    assert len(walks) == 2
+
+
+def test_analyze_reads_no_wreath_divisor(monkeypatch, capsys):
+    phis = count_calls(monkeypatch, decompose, "wreath_divisor")
+    assert cli.main(["analyze", "--json", "--dfa", str(DATA / "a3.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the read-back makes Can injective, so phi has one point per element
+    assert report["wreath"]["phi_domain_size"] == report["monoid"]["order"] == 5
+    assert phis == []
 
 
 def test_residual_verdicts_once_per_prefix_image(monkeypatch, capsys):

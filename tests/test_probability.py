@@ -205,12 +205,8 @@ def test_residual_verdict_parity_prefix(corpus, full_decs):
 
 
 def test_residual_scope_needs_max_period(corpus):
-    import warnings
-
     dfa, _, sm = corpus["a1"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dec = canonical_decomposition(sm, build_signature(sm, ["ab"], [1]))
+    dec = canonical_decomposition(sm, build_signature(sm, ["ab"], [1]))
     # a single letter subset at its own maximum period is out of scope too
     dec_a = canonical_decomposition(sm, build_signature(sm, ["a"]))
     for out_of_scope in (dec, dec_a):
@@ -251,13 +247,11 @@ def assert_verdicts_match_scan(analysis):
         assert verdict.witness == scan_witness(rec.monoid, rec.accepting), verdict.w
 
 
-@pytest.mark.filterwarnings("ignore:all periods are 1")
 def test_minimal_ideal_verdicts_match_the_scan_on_the_corpus(corpus):
     for name, (dfa, _, _) in corpus.items():
         assert_verdicts_match_scan(Analysis(dfa))
 
 
-@pytest.mark.filterwarnings("ignore:all periods are 1")
 @pytest.mark.parametrize("language", [kth_tail(k) for k in range(1, 6)]
                          + [counter(n) for n in (4, 6, 8)], ids=lambda lang: lang.name)
 def test_minimal_ideal_verdicts_match_the_scan_on_families(language):
