@@ -5,7 +5,6 @@ import sys
 
 from synmon import (Analysis, cli, decompose, monoid, periods, probability,
                     zero_one_residual)
-
 from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import DATA
