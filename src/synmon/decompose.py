@@ -16,18 +16,16 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
-from .dfa import Dfa, block_dfa, minimize, words_of_length
-from .errors import (BlockLengthError, ScopeError, UnknownSymbol,
-                     VerificationFailure)
-from .monoid import (FiniteMonoid, SyntacticMonoid, compose, gather,
-                     identity_transformation, transition_monoid)
+from .dfa import words_of_length
+from .errors import ScopeError, UnknownSymbol, VerificationFailure
+from .monoid import FiniteMonoid, SyntacticMonoid, gather
 from .periods import PeriodSignature, residual_of_word
 
 
 class CanonicalDecomposition(NamedTuple):
     m: SyntacticMonoid
     signature: PeriodSignature
-    can_f: tuple   # element t -> {residual: Transformation of degree K}
+    can_f: tuple   # element t -> {residual: transformation tuple of degree K}
 
     @property
     def theta(self) -> dict:
@@ -47,18 +45,12 @@ class CanonicalDecomposition(NamedTuple):
     def rho(self, t: int):
         return self.signature.rho_bar[t]
 
-    def target_order(self) -> int:
-        g = 1
-        for p in self.signature.periods:
-            g *= p
-        return (self.K ** self.K) ** g * g
-
 
 class ResidualMonoid(NamedTuple):
     r: int
     transformations: tuple
     monoid: FiniteMonoid
-    index: dict  # Transformation -> element index
+    index: dict  # transformation tuple -> element index
 
     @property
     def order(self) -> int:
@@ -75,7 +67,7 @@ class LwRecognizer(NamedTuple):
     w: str
     r: int
     monoid: ResidualMonoid
-    block_images: dict       # block string -> Transformation
+    block_images: dict       # block string -> transformation tuple
     accepting: frozenset     # indices into `monoid`
 
 
@@ -112,18 +104,6 @@ def canonical_decomposition(m: SyntacticMonoid,
     dec = CanonicalDecomposition(m, sig, tuple(can_f))
     verify_canonical(dec)
     return dec
-
-
-def can_product(dec: CanonicalDecomposition, s: int, s2: int):
-    """Semidirect product Can(s).Can(s2) computed in the target monoid:
-    first component (r, k) -> f_{s2}(r + rho(s))(f_s(r)(k))."""
-    sig = dec.signature
-    rho_s = sig.rho_bar[s]
-    f = {
-        r: compose(dec.can_f[s][r], dec.can_f[s2][sig.add(r, rho_s)])
-        for r in dec.residuals
-    }
-    return f, sig.add(rho_s, sig.rho_bar[s2])
 
 
 def verify_canonical(dec: CanonicalDecomposition) -> None:
@@ -306,70 +286,6 @@ def lw_recognizer(dec: CanonicalDecomposition, w: str) -> LwRecognizer:
     monoid = residual_monoid(dec, r)
     return LwRecognizer(w, r, monoid, block_images(dec, r),
                         lw_accepting(dec, w, monoid))
-
-
-def lw_member(rec: LwRecognizer, blocks) -> bool:
-    """Membership of a block word; equals DFA membership of w + blocks."""
-    tau = identity_transformation(len(next(iter(rec.block_images.values()))))
-    length = len(next(iter(rec.block_images)))
-    for b in blocks:
-        if len(b) != length:
-            raise BlockLengthError(f"block {b!r} does not have length {length}")
-        if b not in rec.block_images:
-            raise UnknownSymbol(f"{b!r} is not a block over the alphabet")
-        tau = compose(tau, rec.block_images[b])
-    return rec.monoid.index[tau] in rec.accepting
-
-
-def syntactic_monoid_of_lw(dfa: Dfa, w: str, period: int) -> SyntacticMonoid:
-    """Syntactic monoid of L_w over the alphabet of length-`period` blocks,
-    via the minimized block DFA."""
-    if len(w) >= period:
-        raise ScopeError(f"prefix length {len(w)} must be below the period {period}")
-    return transition_monoid(minimize(block_dfa(dfa, w, period)))
-
-
-def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
-    """The map T_{rho(w)} -> M_{L_w}, eta_w(u) -> eta_{L_w}(u), onto the
-    independently computed syntactic monoid of L_w, as a tuple indexed by
-    the elements of T_r.  Raise VerificationFailure unless it is a
-    well-defined surjective homomorphism.
-
-    The walk from the identity is the homomorphism check: it tries every
-    block b at every element x it reaches and requires mapping(x.g_b) =
-    mapping(x).eta_w(b), with mapping(g_b) = eta_w(b) read at the identity.
-    That is `hom_generator_check` on the block images, which generate T_r
-    once the walk reaches every element; by induction on the number of
-    blocks it is equivalent to checking all pairs of elements."""
-    period = _require_full_alphabet(dec)
-    rec = lw_recognizer(dec, w)
-    lw_m = syntactic_monoid_of_lw(dfa, w, period)
-    t_m = rec.monoid
-    mapping = {0: 0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        y = mapping[x]
-        for b in sorted(rec.block_images):
-            x2 = t_m.monoid.table[x][t_m.index[rec.block_images[b]]]
-            y2 = lw_m.monoid.table[y][lw_m.eta[b]]
-            if x2 not in mapping:
-                mapping[x2] = y2
-                queue.append(x2)
-            elif mapping[x2] != y2:
-                raise VerificationFailure(
-                    f"block quotient: the map is not well defined for w = {w!r} at element "
-                    f"{x} of T_{rec.r} and block {b!r}: {x2} goes to {mapping[x2]} and {y2}")
-    if len(mapping) != t_m.order:
-        unreached = min(set(range(t_m.order)) - set(mapping))
-        raise VerificationFailure(f"block quotient: the blocks do not reach element "
-                                  f"{unreached} of T_{rec.r} for w = {w!r}")
-    as_list = tuple(mapping[i] for i in range(t_m.order))
-    missed = set(range(lw_m.order)) - set(as_list)
-    if missed:
-        raise VerificationFailure(f"block quotient: the map misses element {min(missed)} "
-                                  f"of the syntactic monoid of L_w for w = {w!r}")
-    return as_list
 
 
 def wreath_divisor(dec: CanonicalDecomposition) -> dict:

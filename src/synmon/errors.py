@@ -51,12 +51,12 @@ class InvalidMonoid(VerificationFailure):
 
 
 class MonoidTooLarge(SynmonError):
-    """Closure exceeded the configured element cap."""
+    """Closure passed `monoid.ORDER_CAP` or `monoid.CLOSURE_BUDGET`."""
 
 
 class TooLarge(SynmonError):
-    """A requested object exceeds its budget: a named monoid past its order
-    cap, or more zero-one verdict rows than `pipeline.PREFIX_ROWS`."""
+    """A requested object exceeds its budget: a named monoid or a power past
+    its order cap, or more zero-one verdict rows than `pipeline.PREFIX_ROWS`."""
 
 
 class NotAnIdeal(SynmonError):

@@ -8,17 +8,15 @@ left to right: (x . y)(k) = y(x(k)).
 
 from __future__ import annotations
 
-from itertools import product
 from operator import itemgetter
 
 from .dfa import Dfa, Frozen
-from .errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
-                     NotAnIdeal, NotDistributive, TooLarge)
+from .errors import InvalidMonoid, MonoidTooLarge
 
-Transformation = tuple
-
-# order x degree points the closure may hold: the default cap at degree 4096
-CLOSURE_BUDGET = 5000 * 4096
+# the largest order a transition monoid may have
+ORDER_CAP = 5000
+# order x degree points the closure may hold: the order cap at degree 4096
+CLOSURE_BUDGET = ORDER_CAP * 4096
 
 
 def gather(indices):
@@ -30,15 +28,6 @@ def gather(indices):
     if len(indices) > 1:
         return itemgetter(*indices)
     return lambda seq: tuple(map(seq.__getitem__, indices))
-
-
-def identity_transformation(degree: int) -> Transformation:
-    return tuple(range(degree))
-
-
-def compose(x: Transformation, y: Transformation) -> Transformation:
-    """Apply x first, then y."""
-    return gather(x)(y)
 
 
 def check_table(table, identity: int) -> None:
@@ -210,15 +199,15 @@ def _close(generators, cap: int):
     return elements, right, tree, tuple(rows)
 
 
-def transition_monoid(dfa: Dfa, cap: int = 5000) -> SyntacticMonoid:
+def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     """Word-induced transformations on the states of `dfa`, closed under
     composition and numbered in BFS order from the identity (letters
-    sorted).  The caller must pass a minimal DFA for the result to be the
-    syntactic monoid.
+    sorted), at most ORDER_CAP of them.  The caller must pass a minimal DFA
+    for the result to be the syntactic monoid.
     """
     letters = sorted(dfa.alphabet)
     # the letters' transformations are the columns of the DFA's index form
-    elements, right, tree, table = _close(zip(*dfa.targets()), cap)
+    elements, right, tree, table = _close(zip(*dfa.targets()), ORDER_CAP)
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
         names.append((names[parent] if parent else "") + letters[last])
@@ -265,168 +254,6 @@ def principal_ideal(m: FiniteMonoid, x: int) -> frozenset:
     """Two-sided principal ideal {s.x.t : s, t in M}."""
     left = {row[x] for row in m.table}
     return frozenset().union(*(m.table[a] for a in left))
-
-
-def is_ideal(m: FiniteMonoid, candidate) -> bool:
-    """True iff non-empty and closed under multiplication by M on both sides."""
-    ideal = set(candidate)
-    if not ideal or not ideal <= set(range(m.order)):
-        return False
-    return all(
-        m.table[i][s] in ideal and m.table[s][i] in ideal
-        for i in ideal for s in range(m.order)
-    )
-
-
-def rees_factor(m: FiniteMonoid, ideal) -> FiniteMonoid:
-    """Collapse a two-sided ideal to a single zero element."""
-    if not is_ideal(m, ideal):
-        raise NotAnIdeal(f"{sorted(ideal)} is not an ideal")
-    ideal = set(ideal)
-    survivors = [i for i in range(m.order) if i not in ideal]
-    new = {old: k for k, old in enumerate(survivors)}
-    sink = len(survivors)
-
-    def image(i, j):
-        p = m.table[i][j]
-        return new[p] if p not in ideal else sink
-
-    table = [[image(i, j) for j in survivors] + [sink] for i in survivors]
-    table.append([sink] * (sink + 1))
-    names = None
-    if m.names:
-        names = tuple(m.names[i] for i in survivors) + ("ι",)
-    # when ideal == M the sink itself is the identity
-    identity = new.get(m.identity, sink)
-    return FiniteMonoid(tuple(tuple(r) for r in table), identity, names)
-
-
-def _check_action(m: FiniteMonoid, n: FiniteMonoid, action) -> None:
-    if len(action) != n.order or any(len(row) != m.order for row in action):
-        raise NotAnAction("action table must be |N| x |M|")
-    for x in range(m.order):
-        if action[n.identity][x] != x:
-            raise NotAnAction(f"identity of N moves element {x}")
-    for j1 in range(n.order):
-        for j2 in range(n.order):
-            for x in range(m.order):
-                if action[j1][action[j2][x]] != action[n.table[j1][j2]][x]:
-                    raise NotAnAction(f"action law fails at ({j1}, {j2}, {x})")
-    for j in range(n.order):
-        # non-unitary actions break the right identity law of the product
-        if action[j][m.identity] != m.identity:
-            raise NotAnAction(f"element {j} of N does not fix the identity of M")
-        for x in range(m.order):
-            for y in range(m.order):
-                if action[j][m.table[x][y]] != m.table[action[j][x]][action[j][y]]:
-                    raise NotDistributive(f"distributivity fails at ({j}, {x}, {y})")
-
-
-def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid:
-    """Semidirect product on M x N:
-    (m1, n1).(m2, n2) = (m1 . (n1 * m2), n1 . n2),
-    where action[n][m] tabulates n * m.  Pair (i, j) gets index i*|N| + j,
-    so the identity lands at 0."""
-    _check_action(m, n, action)
-
-    def idx(i, j):
-        return i * n.order + j
-
-    table = [[0] * (m.order * n.order) for _ in range(m.order * n.order)]
-    for i1, j1 in product(range(m.order), range(n.order)):
-        for i2, j2 in product(range(m.order), range(n.order)):
-            table[idx(i1, j1)][idx(i2, j2)] = idx(
-                m.table[i1][action[j1][i2]], n.table[j1][j2]
-            )
-    names = tuple(
-        f"({m.name_of(i)},{n.name_of(j)})"
-        for i in range(m.order) for j in range(n.order)
-    )
-    return FiniteMonoid(tuple(tuple(r) for r in table), 0, names)
-
-
-def trivial_action(m: FiniteMonoid, n: FiniteMonoid):
-    return [list(range(m.order)) for _ in range(n.order)]
-
-
-def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
-    return semidirect_product(m, n, trivial_action(m, n))
-
-
-def function_monoid(m: FiniteMonoid, copies: int, cap: int = 4096) -> FiniteMonoid:
-    """Pointwise power M^copies; elements are value tuples in lexicographic
-    order, so the constant identity lands at index 0."""
-    order = m.order ** copies
-    if order > cap:
-        raise TooLarge(f"|M|^{copies} = {order} exceeds cap {cap}")
-    elements = list(product(range(m.order), repeat=copies))
-    index = {f: i for i, f in enumerate(elements)}
-    table = tuple(
-        tuple(index[tuple(m.table[f[y]][g[y]] for y in range(copies))] for g in elements)
-        for f in elements
-    )
-    names = tuple("[" + ",".join(m.name_of(v) for v in f) + "]" for f in elements)
-    return FiniteMonoid(table, 0, names)
-
-
-def make_named(kind: str, k: int) -> FiniteMonoid:
-    """Standard families: cyclic C_K, right/left zero adjunctions U_K and
-    Ū_K, symmetric S_K, full transformation T_K."""
-    if k < 1:
-        raise TooLarge("K must be at least 1")
-    if kind == "cyclic":
-        table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-        return FiniteMonoid(table, 0, tuple(str(i) for i in range(k)))
-    if kind == "right_zero":
-        table = tuple(
-            tuple(j if j != 0 else i for j in range(k + 1)) for i in range(k + 1)
-        )
-        return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
-    if kind == "left_zero":
-        table = tuple(
-            tuple(i if i != 0 else j for j in range(k + 1)) for i in range(k + 1)
-        )
-        return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
-    if kind in ("symmetric", "full_transformation"):
-        if k > (6 if kind == "symmetric" else 5):
-            raise TooLarge(f"{kind} monoid of degree {k} exceeds the order cap")
-        # a k-cycle and a transposition generate S_k; a map of rank k-1 adds T_k
-        generators = [tuple(range(1, k)) + (0,)]
-        if k > 1:
-            generators.append((1, 0) + tuple(range(2, k)))
-            if kind == "full_transformation":
-                generators.append((0, 0) + tuple(range(2, k)))
-        elements, _, _, table = _close(generators, k ** k)
-        names = tuple("".join(map(str, t)) for t in elements)
-        return FiniteMonoid(table, 0, names)
-    raise ValueError(f"unknown monoid kind {kind!r}")
-
-
-def hom_image_check(src: FiniteMonoid, dst: FiniteMonoid, mapping) -> bool:
-    """True iff `mapping` (element index -> element index) is a monoid
-    homomorphism from src to dst."""
-    if mapping[src.identity] != dst.identity:
-        return False
-    return all(
-        mapping[src.table[x][y]] == dst.table[mapping[x]][mapping[y]]
-        for x in range(src.order) for y in range(src.order)
-    )
-
-
-def hom_generator_check(src: FiniteMonoid, dst: FiniteMonoid, mapping,
-                        generators) -> bool:
-    """True iff `mapping` sends the identity to the identity and
-    mapping(x.g) = mapping(x).mapping(g) for every element x and every g in
-    `generators`.  When the generators generate src this is equivalent to
-    `hom_image_check`, by induction on the length of a product of
-    generators: mapping(x.y.g) = mapping(x.y).mapping(g) =
-    mapping(x).mapping(y).mapping(g) = mapping(x).mapping(y.g)."""
-    if mapping[src.identity] != dst.identity:
-        return False
-    return all(
-        mapping[src.table[x][g]] == dst.table[mapping[x]][mapping[g]]
-        for x in range(src.order) for g in generators
-    )
 
 
 def syntactic_to_json(sm: SyntacticMonoid) -> dict:

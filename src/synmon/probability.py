@@ -28,11 +28,6 @@ if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs 
     from .decompose import CanonicalDecomposition, ResidualMonoid
 
 
-class MarkovChain(NamedTuple):
-    states: tuple
-    matrix: tuple  # row-stochastic, exact Fractions
-
-
 class AccumulationPoint(NamedTuple):
     r: int
     value: Fraction
@@ -67,13 +62,6 @@ def _walk_counts(successors, start: int):
         counts = step
 
 
-def mu_exact(dfa: Dfa, length: int) -> Fraction:
-    """|L intersect Sigma^length| / |Sigma|^length, exactly."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    return mu_series(dfa, length)[length]
-
-
 def mu_series(dfa: Dfa, upto: int) -> list:
     """[mu(0), ..., mu(upto)] by a backward gather.
 
@@ -92,14 +80,6 @@ def mu_series(dfa: Dfa, upto: int) -> list:
         counts.append(b[initial])
     return [Fraction(count, len(dfa.alphabet) ** length)
             for length, count in enumerate(counts)]
-
-
-def markov_chain(dfa: Dfa) -> MarkovChain:
-    """Uniform-transition Markov chain of a complete DFA."""
-    successors, size = dfa.targets(), len(dfa.alphabet)
-    matrix = tuple(tuple(Fraction(targets.count(j), size) for j in range(dfa.n_states))
-                   for targets in successors)
-    return MarkovChain(tuple(dfa.states), matrix)
 
 
 def _solve(equations) -> dict:

@@ -8,14 +8,19 @@ check by eye.  `tarjan_components` is Tarjan's strongly connected
 components; `scc_max_period` takes the maximum period component by
 component, with potentials along a spanning tree of each; and
 `bfs_signature` rebuilds rho_bar by a second walk that adds the letter
-residuals, each from its own definition.
+residuals, each from its own definition.  `markov_chain` and `mu_exact`
+are the uniform-transition chain of a DFA and one term of `mu_series`,
+which only the tests read.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from synmon.dfa import Dfa, trim
 from synmon.errors import RegexSyntaxError
+from synmon.probability import mu_series
 from synmon.regexes import LETTERS, Alt, Cat, Epsilon, Letter, Opt, Plus, Star
 
 
@@ -231,3 +236,23 @@ def bfs_signature(m, gammas, periods=None) -> tuple:
     classes = {r: tuple(x for x in range(m.order) if rho_bar[x] == r)
                for r in product(*(range(p) for p in periods))}
     return maxima, tuple(rho_bar), classes
+
+
+class MarkovChain(NamedTuple):
+    states: tuple
+    matrix: tuple  # row-stochastic, exact Fractions
+
+
+def markov_chain(dfa: Dfa) -> MarkovChain:
+    """Uniform-transition Markov chain of a complete DFA."""
+    successors, size = dfa.targets(), len(dfa.alphabet)
+    matrix = tuple(tuple(Fraction(targets.count(j), size) for j in range(dfa.n_states))
+                   for targets in successors)
+    return MarkovChain(tuple(dfa.states), matrix)
+
+
+def mu_exact(dfa: Dfa, length: int) -> Fraction:
+    """|L intersect Sigma^length| / |Sigma|^length, exactly."""
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    return mu_series(dfa, length)[length]

@@ -17,14 +17,15 @@ import pytest
 from synmon import (accumulation_points, build_signature,
                     canonical_decomposition, direct_product, hom_image_check,
                     lw_member, lw_quotient, lw_recognizer, make_named,
-                    max_period, mu_exact, residual_monoid,
+                    max_period, residual_monoid,
                     semidirect_product, sink_periods,
                     verify_canonical, wreath_divisor, zero_one_basic,
                     zero_one_residual)
-from synmon.monoid import function_monoid
 from synmon.oracle import brute_isomorphic, cycle_gcd, mu_enumerate
+from synmon.theory import function_monoid, target_order
 
 from conftest import CORPUS_SOURCES
+from reference import mu_exact
 from test_generator_checks import allpairs_wreath_ok
 
 DATA = Path(__file__).parent / "data"
@@ -51,7 +52,7 @@ def test_parity_language_monoid(corpus):
     verify_canonical(dec)
     check("a1: K = 1", dec.K == 1)
     check("a1: embedding bijective onto the K=1 target",
-          dec.target_order() == sm.order)
+          target_order(dec) == sm.order)
 
 
 def test_permutation_language_monoid(corpus):

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from synmon import load_dfa, make_named, minimize, residual_monoid, transition_monoid
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.errors import MonoidTooLarge
-from synmon.monoid import _close, compose, identity_transformation
+from synmon.monoid import _close
+from synmon.theory import compose, identity_transformation
 
 from conftest import random_decomposition, small_dfas
 

@@ -13,11 +13,11 @@ from synmon import (build_signature, canonical_decomposition, cli, load_dfa, lw_
                     lw_quotient, lw_recognizer, make_named, max_period, minimize,
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
-from synmon.decompose import can_product, decomposition_to_json
+from synmon.decompose import decomposition_to_json
 from synmon.errors import BlockLengthError, ScopeError, VerificationFailure
-from synmon.monoid import identity_transformation
 from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
+from synmon.theory import can_product, identity_transformation, target_order
 
 from conftest import CORPUS_SOURCES, random_decomposition, small_dfas
 
@@ -45,7 +45,7 @@ def test_k_one_and_bijective(corpus):
     assert dec.K == 1
     verify_canonical(dec)
     # K = 1 makes the target as small as the monoid itself: Can is onto
-    assert dec.target_order() == sm.order == 4
+    assert target_order(dec) == sm.order == 4
 
 
 def test_k_three_for_order_six(corpus):

@@ -3,11 +3,11 @@ import json
 import pytest
 from hypothesis import given
 
-from synmon.decompose import syntactic_monoid_of_lw
 from synmon.dfa import Dfa, block_dfa, load_dfa, minimize
 from synmon.errors import (FormatError, InvalidPeriod, PartialTransitionFunction,
                            UnknownState, UnknownSymbol)
 from synmon.regexes import parse_regex, regex_to_dfa
+from synmon.theory import syntactic_monoid_of_lw
 
 from conftest import data_json, data_text, small_dfas
 from reference import moore_minimize

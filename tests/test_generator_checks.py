@@ -20,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from synmon import (build_signature, canonical_decomposition,
                     hom_generator_check, hom_image_check, lw_quotient,
-                    lw_recognizer, max_period, minimize, parse_regex,
+                    lw_recognizer, make_named, max_period, minimize, parse_regex,
                     regex_to_dfa, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
 from synmon.errors import VerificationFailure
-from synmon.monoid import compose
 from synmon.periods import residual_of_word
+from synmon.theory import compose
 
 from conftest import random_decomposition, small_dfas
 from test_decompose import GAMMA_SETS, divisor_vectors
@@ -309,6 +309,12 @@ def test_hom_generator_check_agrees_with_all_pairs(dfa, data):
     mapping[x] = y
     assert hom_generator_check(sm.monoid, sm.monoid, mapping, sm.eta.values()) \
         == hom_image_check(sm.monoid, sm.monoid, mapping)
+
+
+def test_hom_generator_check_rejects_maps_outside_the_monoids():
+    c2 = make_named("cyclic", 2)
+    for mapping in ([0, 2], [0, -1], [0], [0, 1, 0]):
+        assert hom_generator_check(c2, c2, mapping, [1]) is False, mapping
 
 
 # --- one broken decomposition of a3 per check ---

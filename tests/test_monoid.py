@@ -4,8 +4,8 @@ import pytest
 
 from synmon import (cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
-                    minimize, principal_ideal, rees_factor, semidirect_product,
-                    transition_monoid)
+                    minimize, monoid, principal_ideal, rees_factor,
+                    semidirect_product, transition_monoid)
 from synmon.errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
                            NotAnIdeal, NotDistributive, TooLarge)
 from synmon.monoid import FiniteMonoid, minimal_ideal_element
@@ -62,7 +62,8 @@ def test_named_caps():
         make_named("symmetric", 7)
     with pytest.raises(TooLarge):
         make_named("full_transformation", 6)
-    with pytest.raises(TooLarge):
+    # K < 1 is no budget but an invalid argument
+    with pytest.raises(ValueError, match="^K must be at least 1$"):
         make_named("cyclic", 0)
 
 
@@ -115,20 +116,22 @@ def test_order_invariant_under_presentation():
     assert orders == {2}
 
 
-def test_monoid_cap():
+def test_monoid_cap(monkeypatch):
     dfa = regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab")
-    with pytest.raises(MonoidTooLarge):
-        transition_monoid(dfa, cap=3)
+    assert monoid.ORDER_CAP == 5000 and monoid.CLOSURE_BUDGET == 5000 * 4096
+    monkeypatch.setattr(monoid, "ORDER_CAP", 3)
+    with pytest.raises(MonoidTooLarge, match="^transition monoid exceeds cap 3$"):
+        transition_monoid(dfa)
     # the cap is the largest order that builds
-    assert transition_monoid(dfa, cap=5).order == 5
+    monkeypatch.setattr(monoid, "ORDER_CAP", 5)
+    assert transition_monoid(dfa).order == 5
+    monkeypatch.setattr(monoid, "ORDER_CAP", 4)
     with pytest.raises(MonoidTooLarge):
-        transition_monoid(dfa, cap=4)
+        transition_monoid(dfa)
 
 
 def test_closure_budget_bounds_order_times_degree(monkeypatch):
     # a3's minimal DFA has degree 4 and order 5: a budget of 20 points holds it
-    from synmon import monoid
-
     dfa = minimize(regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab"))
     assert dfa.n_states == 4
     monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 20)
@@ -139,8 +142,9 @@ def test_closure_budget_bounds_order_times_degree(monkeypatch):
     assert str(info.value) == ("transition monoid of degree 4 exceeds the closure budget "
                                "of 19 points (order x degree) at order 5")
     # the cap is checked first
+    monkeypatch.setattr(monoid, "ORDER_CAP", 3)
     with pytest.raises(MonoidTooLarge, match="exceeds cap 3$"):
-        transition_monoid(dfa, cap=3)
+        transition_monoid(dfa)
 
 
 # --- Cayley graphs ---
@@ -305,10 +309,24 @@ def test_semidirect_rejects_bad_actions():
     assert semidirect_product(u2, c2, swap).order == 6
 
 
+def test_semidirect_rejects_action_entries_outside_the_monoid():
+    c2 = make_named("cyclic", 2)
+    with pytest.raises(NotAnAction, match=r"^action entry \(1, 1\) is 2, not an element of M$"):
+        semidirect_product(c2, c2, [[0, 1], [0, 2]])
+    with pytest.raises(NotAnAction, match=r"^action entry \(1, 1\) is -1, "):
+        semidirect_product(c2, c2, [[0, 1], [0, -1]])
+
+
 def test_hom_image_check_identity_map():
     c2 = make_named("cyclic", 2)
     assert hom_image_check(c2, c2, [0, 1])
     assert not hom_image_check(c2, c2, [1, 0])
+
+
+def test_hom_image_check_rejects_maps_outside_the_monoids():
+    c2 = make_named("cyclic", 2)
+    for mapping in ([0, 2], [0, -1], [0], [0, 1, 0]):
+        assert hom_image_check(c2, c2, mapping) is False, mapping
 
 
 def test_rho_bar_is_homomorphism_onto_c2(corpus, full_sigs):

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from synmon import (direct_product, make_named, minimize, mu_exact,
-                    semidirect_product, transition_monoid)
+from synmon import (direct_product, make_named, minimize, semidirect_product,
+                    transition_monoid)
 from synmon import oracle
 from synmon.errors import BudgetExceeded
 from synmon.oracle import (CYCLE_ORDER_CAP, ENUMERATION_CAP, brute_isomorphic,
                            cycle_gcd, lw_enumerate, mu_enumerate)
 from synmon.regexes import parse_regex, regex_to_dfa
+
+from reference import mu_exact
 
 
 def test_mu_enumerate_examples(corpus):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa,
-                    lw_recognizer, mu_exact, principal_ideal,
-                    mu_series, markov_chain,
+                    lw_recognizer, principal_ideal, mu_series,
                     accumulation_points, zero_one_basic, zero_one_residual)
 from synmon import periods, probability
 from synmon.dfa import words_of_length
@@ -23,6 +22,7 @@ from synmon.probability import (AccumulationPoint, _solve, basic_verdict,
                                 residual_verdict, residue_limits)
 
 from conftest import closed_classes, random_decomposition, small_dfas
+from reference import markov_chain, mu_exact
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import counter, kth_tail  # noqa: E402

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import synmon
-from synmon import Analysis, CanonicalDecomposition, lw_recognizer, markov_chain
+from synmon import Analysis, CanonicalDecomposition, lw_recognizer
 from synmon.errors import InvalidMonoid
-from synmon.monoid import FiniteMonoid, make_named, transition_monoid
+from synmon.monoid import FiniteMonoid, transition_monoid
+from synmon.theory import make_named
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
 
 from conftest import DATA
@@ -56,17 +57,21 @@ def test_import_synmon_loads_no_submodule():
 
 
 REGEX = ["--json", "--regex", "((a|b)(a|b))*", "--alphabet", "ab"]
-NOT_DECOMPOSING = {"synmon.decompose", "synmon.probability", "synmon.oracle", "fractions"}
+NOT_DECOMPOSING = {"synmon.decompose", "synmon.probability", "synmon.oracle", "fractions",
+                   "synmon.theory"}
 PATHS = [  # (argv, modules the command loads, modules it must not load)
     (["prob", *REGEX], {"synmon.probability", "synmon.regexes", "fractions"},
-     {"synmon.decompose", "synmon.oracle"}),
+     {"synmon.decompose", "synmon.oracle", "synmon.theory"}),
     (["prob", "--json", "--dfa", str(DATA / "a3.json")], {"synmon.probability"},
-     {"synmon.regexes", "synmon.decompose", "synmon.oracle"}),
+     {"synmon.regexes", "synmon.decompose", "synmon.oracle", "synmon.theory"}),
     (["decompose", *REGEX], {"synmon.decompose"},
-     {"synmon.probability", "synmon.oracle", "fractions"}),
+     {"synmon.probability", "synmon.oracle", "fractions", "synmon.theory"}),
     (["monoid", *REGEX], {"synmon.pipeline"}, NOT_DECOMPOSING),
     (["period", *REGEX], {"synmon.periods"}, NOT_DECOMPOSING),
-    (["analyze", *REGEX], {"synmon.decompose", "synmon.probability"}, {"synmon.oracle"}),
+    (["analyze", *REGEX], {"synmon.decompose", "synmon.probability"},
+     {"synmon.oracle", "synmon.theory"}),
+    (["oracle", "cycle-gcd", *REGEX[1:]], {"synmon.oracle"},
+     {"synmon.decompose", "synmon.probability", "synmon.theory"}),
 ]
 
 
@@ -104,7 +109,7 @@ def every_record() -> list:
         analysis, analysis.dfa, analysis.monoid, analysis.monoid.monoid,
         analysis.signature, dec, analysis.residual_monoids[0],
         lw_recognizer(dec, ""), analysis.basic_verdict, analysis.accumulation[0],
-        analysis.residual_verdicts[0], markov_chain(analysis.minimal),
+        analysis.residual_verdicts[0],
         *_nodes(parse_regex("(a|&)*b+c?")),
     ]
 
@@ -121,7 +126,7 @@ def test_every_record_class_is_covered():
         "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid",
         "PeriodSignature", "CanonicalDecomposition",
         "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
-        "AccumulationPoint", "ResidualZeroOne", "MarkovChain",
+        "AccumulationPoint", "ResidualZeroOne",
         "Letter", "Epsilon", "Alt", "Cat", "Star", "Plus", "Opt"}
 
 
