@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # submodule -> the names of __all__ it defines, in the order of __all__
 _EXPORTS = {
     "pipeline": ("Analysis",),
-    "dfa": ("Dfa", "block_dfa", "load_dfa", "minimize"),
+    "dfa": ("Dfa", "block_dfa", "load_dfa", "minimize", "trim"),
     "decompose": (
         "CanonicalDecomposition", "LwRecognizer", "ResidualMonoid",
         "canonical_decomposition", "lw_recognizer", "residual_monoid",

@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from collections import Counter
 from itertools import chain
 from operator import itemgetter
 
-from .dfa import load_dfa
+from .dfa import load_dfa, trim
 from .errors import FormatError, InvalidArgument, SynmonError, VerificationFailure
 from .monoid import cayley_to_dot, syntactic_to_json
 from .periods import sink_periods
@@ -26,7 +25,8 @@ from .pipeline import Analysis
 
 
 def _load_source(args):
-    """DFA from --regex or --dfa (exactly one)."""
+    """DFA from --regex or --dfa (exactly one); a DFA file's unreachable
+    states are dropped with a warning."""
     if bool(args.regex) == bool(args.dfa):
         raise SynmonError("need exactly one of --regex or --dfa")
     if args.regex:
@@ -43,7 +43,12 @@ def _load_source(args):
             document = handle.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{args.dfa} is not UTF-8: {exc}") from None
-    return load_dfa(document)
+    declared = load_dfa(document)
+    dfa = trim(declared)
+    if dfa.n_states < declared.n_states:
+        dropped = sorted(set(declared.states) - set(dfa.states))
+        print(f"warning: removed unreachable states: {dropped}", file=sys.stderr)
+    return dfa
 
 
 def _parse_gammas(args):
@@ -91,9 +96,9 @@ def _sinks_json(sinks):
     return [{"states": [str(q) for q in comp], "period": p} for comp, p in sinks]
 
 
-def _accumulation_json(points):
-    return [{"r": p.r, "num": p.value.numerator, "den": p.value.denominator}
-            for p in points]
+def _accumulation_json(limits):
+    return [{"r": r, "num": v.numerator, "den": v.denominator}
+            for r, v in enumerate(limits)]
 
 
 def _mu_series_json(series):
@@ -319,7 +324,7 @@ def cmd_analyze(args) -> int:
             for t in analysis.residual_monoids:
                 yield f"residual monoid T_{t.r}: order {t.order}"
             yield "accumulation: " + ", ".join(
-                f"r={p.r}: {p.value}" for p in basic.accumulation)
+                f"r={r}: {v}" for r, v in enumerate(basic.accumulation))
             yield (f"zero-one: basic: {basic.verdict}; "
                    + _residual_zero_one_line(verdicts))
 
@@ -363,11 +368,11 @@ def cmd_prob(args) -> int:
     _check_digits(analysis.dfa.alphabet, args.length)
     period = analysis.max_period
     series = mu_series(analysis.dfa, args.length)
-    points = accumulation_points(analysis.dfa, period)
+    limits = accumulation_points(analysis.dfa, period)
     out = {
         "mu_series": _mu_series_json(series),
         "period": period,
-        "accumulation": _accumulation_json(points),
+        "accumulation": _accumulation_json(limits),
         "sinks": _sinks_json(sink_periods(analysis.dfa)),
     }
     _emit(args, out, (f"{i} {v}" for i, v in enumerate(series)))
@@ -502,23 +507,17 @@ def _check_digits(alphabet, length: int) -> None:
                               f"{limit} digits for converting an int to text")
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            _check_length(args)
-            return args.handler(args)
-        except VerificationFailure as exc:
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return 3
-        except (SynmonError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        _check_length(args)
+        return args.handler(args)
+    except VerificationFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 3
+    except (SynmonError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

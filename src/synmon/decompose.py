@@ -48,9 +48,8 @@ class CanonicalDecomposition(NamedTuple):
 
 class ResidualMonoid(NamedTuple):
     r: int
-    transformations: tuple
+    transformations: tuple  # element index -> transformation tuple
     monoid: FiniteMonoid
-    index: dict  # transformation tuple -> element index
 
     @property
     def order(self) -> int:
@@ -65,10 +64,13 @@ class ResidualMonoid(NamedTuple):
 
 class LwRecognizer(NamedTuple):
     w: str
-    r: int
     monoid: ResidualMonoid
     block_images: dict       # block string -> transformation tuple
     accepting: frozenset     # indices into `monoid`
+
+    @property
+    def r(self) -> int:
+        return len(self.w)
 
 
 def canonical_decomposition(m: SyntacticMonoid,
@@ -242,7 +244,7 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
         # row i of T_r is row x of M read at the representatives y, then slotted
         pick = gather(representatives)
         monoid = FiniteMonoid(tuple(gather(pick(row))(slot) for row in pick(monoid.table)), 0)
-    return ResidualMonoid(r, tuple(index), monoid, index)
+    return ResidualMonoid(r, tuple(index), monoid)
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:
@@ -284,8 +286,7 @@ def lw_recognizer(dec: CanonicalDecomposition, w: str) -> LwRecognizer:
     """Recognizer for the block language L_w = {u in (Sigma^P)* : wu in L}."""
     r = _prefix_residual(dec, w)
     monoid = residual_monoid(dec, r)
-    return LwRecognizer(w, r, monoid, block_images(dec, r),
-                        lw_accepting(dec, w, monoid))
+    return LwRecognizer(w, monoid, block_images(dec, r), lw_accepting(dec, w, monoid))
 
 
 def wreath_divisor(dec: CanonicalDecomposition) -> dict:

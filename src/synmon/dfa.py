@@ -8,7 +8,6 @@ plain dict keyed by (state, symbol) and must be total.
 from __future__ import annotations
 
 import json
-import warnings
 from itertools import product
 
 from .errors import (FormatError, InvalidPeriod, PartialTransitionFunction,
@@ -181,7 +180,8 @@ def minimize(dfa: Dfa) -> Dfa:
 def load_dfa(document: str) -> Dfa:
     """Parse and validate a DFA document in the JSON file format: the
     schema, types, symbols, sources and duplicate transitions here, the rest
-    in `Dfa`.  Unreachable states are removed with a warning."""
+    in `Dfa`.  The automaton is returned as declared, unreachable states
+    included; `trim` drops those."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -221,13 +221,8 @@ def load_dfa(document: str) -> Dfa:
         if (src, sym) in delta:
             raise FormatError(f"duplicate transition ({src!r}, {sym!r})")
         delta[(src, sym)] = dst
-    dfa = Dfa(tuple(alphabet), tuple(states), data["initial"],
-              frozenset(data["accepting"]), delta)
-    trimmed = trim(dfa)
-    if trimmed.n_states < dfa.n_states:
-        dropped = sorted(set(dfa.states) - set(trimmed.states))
-        warnings.warn(f"removed unreachable states: {dropped}", stacklevel=2)
-    return trimmed
+    return Dfa(tuple(alphabet), tuple(states), data["initial"],
+               frozenset(data["accepting"]), delta)
 
 
 def words_of_length(alphabet, length: int) -> list:

@@ -50,13 +50,8 @@ class InvalidMonoid(VerificationFailure):
     for a table the pipeline builds, and a rejection for one handed in."""
 
 
-class MonoidTooLarge(SynmonError):
-    """Closure passed `monoid.ORDER_CAP` or `monoid.CLOSURE_BUDGET`."""
-
-
 class TooLarge(SynmonError):
-    """A requested object exceeds its budget: a named monoid or a power past
-    its order cap, or more zero-one verdict rows than `pipeline.PREFIX_ROWS`."""
+    """A requested object exceeds its budget."""
 
 
 class NotAnIdeal(SynmonError):
@@ -91,9 +86,3 @@ class ScopeError(SynmonError):
 
 class BlockLengthError(SynmonError):
     """A block word contains a block whose length differs from the period."""
-
-
-# --- oracles ---
-
-class BudgetExceeded(SynmonError):
-    """Brute-force oracle input exceeds its enumeration budget."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .dfa import Dfa, Frozen
-from .errors import InvalidMonoid, MonoidTooLarge
+from .errors import InvalidMonoid, TooLarge
 
 # the largest order a transition monoid may have
 ORDER_CAP = 5000
@@ -160,7 +160,7 @@ def _close(generators, cap: int):
     the Cayley graph along the tree, g.y = (g.parent(y)).last(y), and row j
     is row parent(j) gathered at the points of the row of last(j), since
     j.y = parent(j).(last(j).y); so filling the table composes no two
-    elements.  MonoidTooLarge is raised once the order would exceed cap,
+    elements.  TooLarge is raised once the order would exceed cap,
     or else once order x degree would exceed CLOSURE_BUDGET.
     """
     gens = [tuple(g) for g in generators]
@@ -177,9 +177,9 @@ def _close(generators, cap: int):
             j = index.setdefault(y, len(elements))
             if j == len(elements):
                 if j >= cap:
-                    raise MonoidTooLarge(f"transition monoid exceeds cap {cap}")
+                    raise TooLarge(f"transition monoid exceeds cap {cap}")
                 if j >= room:
-                    raise MonoidTooLarge(
+                    raise TooLarge(
                         f"transition monoid of degree {degree} exceeds the closure budget "
                         f"of {CLOSURE_BUDGET} points (order x degree) at order {j + 1}")
                 elements.append(y)

@@ -11,7 +11,7 @@ from itertools import product
 from math import gcd
 
 from .dfa import Dfa
-from .errors import BudgetExceeded
+from .errors import TooLarge
 from .monoid import FiniteMonoid, SyntacticMonoid
 from .regexes import Alt, Cat, Epsilon, Letter, Opt, Plus, RegexAst, Star
 
@@ -33,9 +33,9 @@ def mu_enumerate(dfa: Dfa, length: int) -> Fraction:
     length, it counts that word's letters."""
     size = len(dfa.alphabet)
     if size > 1 and _past_cap(size, length):
-        raise BudgetExceeded(f"{size}^{length} words is past the enumeration cap")
+        raise TooLarge(f"{size}^{length} words is past the enumeration cap")
     if size < 2 and length > ENUMERATION_CAP:
-        raise BudgetExceeded(f"{length} letters is past the enumeration cap")
+        raise TooLarge(f"{length} letters is past the enumeration cap")
     letters = sorted(dfa.alphabet)
     hits = sum(1 for w in product(letters, repeat=length) if dfa.accepts("".join(w)))
     return Fraction(hits, size ** length)
@@ -86,7 +86,7 @@ def cycle_gcd(m: SyntacticMonoid, gamma) -> int:
     """
     n = m.order
     if n > CYCLE_ORDER_CAP:
-        raise BudgetExceeded(f"graph order {n} is past the cycle budget")
+        raise TooLarge(f"graph order {n} is past the cycle budget")
     gamma = set(gamma)
     out_edges = [[] for _ in range(n)]
     for u, a, v in m.cayley_edges():
@@ -130,7 +130,7 @@ def brute_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid) -> bool:
     if m1.order != m2.order:
         return False
     if m1.order > ISOMORPHISM_ORDER_CAP:
-        raise BudgetExceeded(f"order {m1.order} is past the isomorphism cap")
+        raise TooLarge(f"order {m1.order} is past the isomorphism cap")
     gens = _greedy_generators(m1)
     if not gens:  # trivial monoid
         return m2.order == 1
@@ -173,7 +173,7 @@ def lw_enumerate(dfa: Dfa, w: str, period: int, max_blocks: int) -> set:
     else:  # sum over count <= max_blocks of len(w) + period * count
         past = (max_blocks + 1) * (2 * len(w) + period * max_blocks) // 2 > ENUMERATION_CAP
     if past:
-        raise BudgetExceeded("block enumeration past the cap")
+        raise TooLarge("block enumeration past the cap")
     letters = sorted(dfa.alphabet)
     blocks = ["".join(p) for p in product(letters, repeat=period)]
     accepted = set()

@@ -99,7 +99,7 @@ class Analysis(Frozen):
 
     @cached_property
     def accumulation(self) -> list:
-        """Exact limit of mu along each residue class mod the maximum period."""
+        """Exact limit of mu at each residue r mod the maximum period, by r."""
         from . import probability as pr
 
         return pr.residue_limits(self.minimal, self.max_period, self.limit_vector)

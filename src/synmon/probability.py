@@ -28,25 +28,26 @@ if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs 
     from .decompose import CanonicalDecomposition, ResidualMonoid
 
 
-class AccumulationPoint(NamedTuple):
-    r: int
-    value: Fraction
-
-
 class BasicZeroOne(NamedTuple):
     verdict: str               # zero | one | neither | oscillating
     zero_element: int | None
     period: int
-    accumulation: tuple
+    accumulation: tuple        # the limits, indexed by the residue r
 
 
 class ResidualZeroOne(NamedTuple):
     w: str
-    r: int
-    is_zero_or_one: bool
     witness: tuple | None      # element indices of the witness ideal in T_r
     witness_names: tuple | None
     mu_lw: Fraction
+
+    @property
+    def r(self) -> int:
+        return len(self.w)
+
+    @property
+    def is_zero_or_one(self) -> bool:
+        return self.witness is not None
 
 
 def _walk_counts(successors, start: int):
@@ -196,7 +197,7 @@ def maximum_period_of(dfa: Dfa) -> int:
 
 
 def accumulation_points(dfa: Dfa, period: int) -> list:
-    """Per residue r, the exact limit of mu(r + k*period) as k grows.
+    """The exact limit of mu(r + k*period) as k grows, indexed by r.
 
     `period` must be the maximum period of the language with respect to the
     whole alphabet.
@@ -213,8 +214,7 @@ def residue_limits(dfa: Dfa, period: int, h: dict) -> list:
     is the mean of h over the states reached by the words of length r."""
     values = [h[q] for q in dfa.states]
     counts = _walk_counts(dfa.targets(), dfa.states.index(dfa.initial))
-    return [AccumulationPoint(r, Fraction(sum(c * values[j] for j, c in vector.items()),
-                                          len(dfa.alphabet) ** r))
+    return [Fraction(sum(c * values[j] for j, c in vector.items()), len(dfa.alphabet) ** r)
             for r, vector in zip(range(period), counts)]
 
 
@@ -229,7 +229,7 @@ def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
     """`zero_one_basic` for accumulation points already computed at the
     maximum period."""
     zero = find_zero(m.monoid)
-    values = [p.value for p in points]
+    values = tuple(points)
     if zero is not None:
         verdict = "one" if zero in m.accepting_image else "zero"
         target = 1 if verdict == "one" else 0
@@ -238,14 +238,14 @@ def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
                 f"basic zero-one verdict: zero element {zero} predicts mu = {target} "
                 f"but limits are {', '.join(map(str, values))}"
             )
-        return BasicZeroOne(verdict, zero, period, tuple(points))
+        return BasicZeroOne(verdict, zero, period, values)
     if len(set(values)) > 1:
-        return BasicZeroOne("oscillating", None, period, tuple(points))
+        return BasicZeroOne("oscillating", None, period, values)
     if values[0] in (0, 1):
         raise VerificationFailure(
             f"basic zero-one verdict: no zero element but the limit {values[0]} is zero or one"
         )
-    return BasicZeroOne("neither", None, period, tuple(points))
+    return BasicZeroOne("neither", None, period, values)
 
 
 def limit_mu_blocks(dfa: Dfa, w: str, period: int) -> Fraction:
@@ -294,7 +294,7 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
             f"limit {limit} for w={w!r}"
         )
     names = tuple(map(t_r.name_of, witness)) if witness else None
-    return ResidualZeroOne(w, t_r.r, is_zero_or_one, witness, names, limit)
+    return ResidualZeroOne(w, witness, names, limit)
 
 
 def _decides(ideal: frozenset, accepting: frozenset) -> bool:

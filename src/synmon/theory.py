@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
+from numbers import Integral
 
 from .decompose import (CanonicalDecomposition, LwRecognizer, _require_full_alphabet,
                         lw_recognizer)
@@ -68,7 +69,7 @@ def _check_action(m: FiniteMonoid, n: FiniteMonoid, action) -> None:
         raise NotAnAction("action table must be |N| x |M|")
     for j, row in enumerate(action):
         for x, y in enumerate(row):
-            if not 0 <= y < m.order:
+            if not _is_element(m, y):
                 raise NotAnAction(f"action entry ({j}, {x}) is {y}, not an element of M")
     for x in range(m.order):
         if action[n.identity][x] != x:
@@ -164,8 +165,13 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
     raise ValueError(f"unknown monoid kind {kind!r}")
 
 
+def _is_element(m: FiniteMonoid, x) -> bool:
+    """Whether x is an integer 0..|m|-1, an element of m."""
+    return isinstance(x, Integral) and 0 <= x < m.order
+
+
 def _maps_into(src: FiniteMonoid, dst: FiniteMonoid, mapping) -> bool:
-    return len(mapping) == src.order and all(0 <= y < dst.order for y in mapping)
+    return len(mapping) == src.order and all(_is_element(dst, y) for y in mapping)
 
 
 def hom_image_check(src: FiniteMonoid, dst: FiniteMonoid, mapping) -> bool:
@@ -186,8 +192,10 @@ def hom_generator_check(src: FiniteMonoid, dst: FiniteMonoid, mapping,
     x and every g in `generators`.  When the generators generate src this
     is equivalent to `hom_image_check`, by induction on the length of a
     product of generators: mapping(x.y.g) = mapping(x.y).mapping(g) =
-    mapping(x).mapping(y).mapping(g) = mapping(x).mapping(y.g)."""
-    if not _maps_into(src, dst, mapping) or mapping[src.identity] != dst.identity:
+    mapping(x).mapping(y).mapping(g) = mapping(x).mapping(y.g).  False
+    unless every generator is an element of src."""
+    if (not _maps_into(src, dst, mapping) or mapping[src.identity] != dst.identity
+            or not all(_is_element(src, g) for g in generators)):
         return False
     return all(
         mapping[src.table[x][g]] == dst.table[mapping[x]][mapping[g]]
@@ -223,7 +231,7 @@ def lw_member(rec: LwRecognizer, blocks) -> bool:
         if b not in rec.block_images:
             raise UnknownSymbol(f"{b!r} is not a block over the alphabet")
         tau = compose(tau, rec.block_images[b])
-    return rec.monoid.index[tau] in rec.accepting
+    return rec.monoid.transformations.index(tau) in rec.accepting
 
 
 def syntactic_monoid_of_lw(dfa: Dfa, w: str, period: int) -> SyntacticMonoid:
@@ -250,13 +258,15 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
     t_m = rec.monoid
+    index = {tau: i for i, tau in enumerate(t_m.transformations)}
+    element = {b: index[rec.block_images[b]] for b in sorted(rec.block_images)}
     mapping = {0: 0}
     queue = [0]
     while queue:
         x = queue.pop()
         y = mapping[x]
-        for b in sorted(rec.block_images):
-            x2 = t_m.monoid.table[x][t_m.index[rec.block_images[b]]]
+        for b, g in element.items():
+            x2 = t_m.monoid.table[x][g]
             y2 = lw_m.monoid.table[y][lw_m.eta[b]]
             if x2 not in mapping:
                 mapping[x2] = y2

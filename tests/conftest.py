@@ -8,7 +8,7 @@ from hypothesis import assume, settings, strategies as st
 
 from synmon import (Dfa, build_signature, canonical_decomposition, load_dfa,
                     minimize, monoid, transition_monoid)
-from synmon.errors import MonoidTooLarge
+from synmon.errors import TooLarge
 from synmon.regexes import parse_regex, regex_to_dfa
 
 DATA = Path(__file__).parent / "data"
@@ -87,7 +87,7 @@ def small_monoid(dfa, cap=64):
     with mock.patch.object(monoid, "ORDER_CAP", cap):
         try:
             return transition_monoid(minimize(dfa))
-        except MonoidTooLarge:
+        except TooLarge:
             assume(False)
 
 

@@ -86,7 +86,7 @@ def test_oscillating_language_monoid(corpus, full_decs):
     check("a3: mu(2) = 1/2 exactly", mu_exact(dfa, 2) == Fraction(1, 2))
     points = accumulation_points(dfa, 2)
     check("a3: accumulation points (0.5, 1.0) within 1e-6",
-          abs(points[0].value - 0.5) < 1e-6 and abs(points[1].value - 1.0) < 1e-6)
+          abs(points[0] - 0.5) < 1e-6 and abs(points[1] - 1.0) < 1e-6)
     r1 = [zero_one_residual(dec, dfa, w) for w in ("a", "b")]
     r0 = zero_one_residual(dec, dfa, "")
     check("a3: residual zero-one verdicts r=1 true, r=0 false",
@@ -105,8 +105,8 @@ def test_remaining_example_languages(corpus):
     points = accumulation_points(dfa_half, 2)
     check("alt_half: max period 2 with accumulation (0.5, 0.5) within 1e-6",
           max_period(sm_half, "ab") == 2
-          and abs(points[0].value - 0.5) < 1e-6
-          and abs(points[1].value - 0.5) < 1e-6)
+          and abs(points[0] - 0.5) < 1e-6
+          and abs(points[1] - 0.5) < 1e-6)
 
 
 # --- 2. exhaustive structural suites ---
@@ -214,8 +214,7 @@ def test_zero_one_verdicts_match_numeric_limits(corpus, full_decs):
 
     for name, (dfa, _, sm) in corpus.items():
         basic = zero_one_basic(sm, dfa)
-        points = accumulation_points(dfa, basic.period)
-        limits = [p.value for p in points]
+        limits = accumulation_points(dfa, basic.period)
         binary = all(min(abs(v), abs(v - 1)) < 1e-6 for v in limits) \
             and max(limits) - min(limits) < 1e-6
         assert (find_zero(sm.monoid) is not None) == binary, name
@@ -251,8 +250,8 @@ def test_graph_period_matches_cycle_oracle(corpus):
 def test_parity_accumulation_reproduced_both_ways(corpus):
     dfa, _, _ = corpus["a1"]
     points = accumulation_points(dfa, 2)
-    direct = (abs(points[0].value - 0.5) < 1e-6
-              and abs(points[1].value - 0.0) < 1e-6)
+    direct = (abs(points[0] - 0.5) < 1e-6
+              and abs(points[1] - 0.0) < 1e-6)
     enumerated = (mu_enumerate(dfa, 12) == Fraction(1, 2)
                   and mu_enumerate(dfa, 11) == 0
                   and mu_enumerate(dfa, 10) == Fraction(1, 2))

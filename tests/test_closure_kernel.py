@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 from synmon import load_dfa, make_named, minimize, residual_monoid, transition_monoid
 from synmon.regexes import parse_regex, regex_to_dfa
-from synmon.errors import MonoidTooLarge
+from synmon.errors import TooLarge
 from synmon.monoid import _close
 from synmon.theory import compose, identity_transformation
 
@@ -50,7 +50,7 @@ def compose_transition_monoid(dfa, cap=5000):
             t = compose(x, letter_trans[a])
             if t not in index:
                 if len(elements) >= cap:
-                    raise MonoidTooLarge(f"transition monoid exceeds cap {cap}")
+                    raise TooLarge(f"transition monoid exceeds cap {cap}")
                 index[t] = len(elements)
                 elements.append(t)
                 words.append(words[i] + a)
@@ -66,7 +66,8 @@ def compose_transition_monoid(dfa, cap=5000):
 
 def compose_residual_table(t_r):
     """The table of T_r by composing every pair of its transformations."""
-    return tuple(tuple(t_r.index[compose(x, y)] for y in t_r.transformations)
+    index = {tau: i for i, tau in enumerate(t_r.transformations)}
+    return tuple(tuple(index[compose(x, y)] for y in t_r.transformations)
                  for x in t_r.transformations)
 
 

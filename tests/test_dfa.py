@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given
 
-from synmon.dfa import Dfa, block_dfa, load_dfa, minimize
+from synmon.dfa import Dfa, block_dfa, load_dfa, minimize, trim
 from synmon.errors import (FormatError, InvalidPeriod, PartialTransitionFunction,
                            UnknownState, UnknownSymbol)
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -72,13 +73,18 @@ def test_load_bad_schema():
             load_dfa(json.dumps(doc))
 
 
-def test_load_drops_unreachable_with_warning():
+def test_load_keeps_unreachable_states_and_trim_drops_them():
+    # the library warns nothing; the CLI trims and prints the notice
     doc = data_json("a3.json")
     doc["states"].append("q9")
     doc["transitions"] += [{"from": "q9", "on": a, "to": "q9"} for a in "ab"]
-    with pytest.warns(UserWarning, match="unreachable"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         dfa = load_dfa(json.dumps(doc))
-    assert dfa.n_states == 4 and "q9" not in dfa.states
+    assert dfa.n_states == 5 and "q9" in dfa.states
+    trimmed = trim(dfa)
+    assert trimmed.n_states == 4 and "q9" not in trimmed.states
+    assert trim(trimmed) is trimmed
 
 
 def test_minimize_collapses_equivalent_states():

@@ -118,13 +118,14 @@ def allpairs_quotient(dec, dfa, w):
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
     t_m = rec.monoid
+    index = {tau: i for i, tau in enumerate(t_m.transformations)}
     mapping = {0: 0}
     queue = [0]
     while queue:
         x = queue.pop()
         y = mapping[x]
         for b in sorted(rec.block_images):
-            x2 = t_m.monoid.table[x][t_m.index[rec.block_images[b]]]
+            x2 = t_m.monoid.table[x][index[rec.block_images[b]]]
             y2 = lw_m.monoid.table[y][lw_m.eta[b]]
             if x2 not in mapping:
                 mapping[x2] = y2
@@ -315,6 +316,9 @@ def test_hom_generator_check_rejects_maps_outside_the_monoids():
     c2 = make_named("cyclic", 2)
     for mapping in ([0, 2], [0, -1], [0], [0, 1, 0]):
         assert hom_generator_check(c2, c2, mapping, [1]) is False, mapping
+    assert hom_generator_check(c2, c2, [0, 1], [1]) is True
+    for generators in ([2], [-1], [1, 2], [None], [1.0]):
+        assert hom_generator_check(c2, c2, [0, 1], generators) is False, generators
 
 
 # --- one broken decomposition of a3 per check ---

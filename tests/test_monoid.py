@@ -6,8 +6,8 @@ from synmon import (cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
                     minimize, monoid, principal_ideal, rees_factor,
                     semidirect_product, transition_monoid)
-from synmon.errors import (InvalidMonoid, MonoidTooLarge, NotAnAction,
-                           NotAnIdeal, NotDistributive, TooLarge)
+from synmon.errors import (InvalidMonoid, NotAnAction, NotAnIdeal, NotDistributive,
+                           TooLarge)
 from synmon.monoid import FiniteMonoid, minimal_ideal_element
 from synmon.oracle import brute_isomorphic
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -120,13 +120,13 @@ def test_monoid_cap(monkeypatch):
     dfa = regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab")
     assert monoid.ORDER_CAP == 5000 and monoid.CLOSURE_BUDGET == 5000 * 4096
     monkeypatch.setattr(monoid, "ORDER_CAP", 3)
-    with pytest.raises(MonoidTooLarge, match="^transition monoid exceeds cap 3$"):
+    with pytest.raises(TooLarge, match="^transition monoid exceeds cap 3$"):
         transition_monoid(dfa)
     # the cap is the largest order that builds
     monkeypatch.setattr(monoid, "ORDER_CAP", 5)
     assert transition_monoid(dfa).order == 5
     monkeypatch.setattr(monoid, "ORDER_CAP", 4)
-    with pytest.raises(MonoidTooLarge):
+    with pytest.raises(TooLarge):
         transition_monoid(dfa)
 
 
@@ -137,13 +137,13 @@ def test_closure_budget_bounds_order_times_degree(monkeypatch):
     monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 20)
     assert transition_monoid(dfa).order == 5
     monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 19)
-    with pytest.raises(MonoidTooLarge) as info:
+    with pytest.raises(TooLarge) as info:
         transition_monoid(dfa)
     assert str(info.value) == ("transition monoid of degree 4 exceeds the closure budget "
                                "of 19 points (order x degree) at order 5")
     # the cap is checked first
     monkeypatch.setattr(monoid, "ORDER_CAP", 3)
-    with pytest.raises(MonoidTooLarge, match="exceeds cap 3$"):
+    with pytest.raises(TooLarge, match="exceeds cap 3$"):
         transition_monoid(dfa)
 
 
@@ -315,6 +315,10 @@ def test_semidirect_rejects_action_entries_outside_the_monoid():
         semidirect_product(c2, c2, [[0, 1], [0, 2]])
     with pytest.raises(NotAnAction, match=r"^action entry \(1, 1\) is -1, "):
         semidirect_product(c2, c2, [[0, 1], [0, -1]])
+    for entry in (None, 1.0, "1"):
+        with pytest.raises(NotAnAction,
+                           match=rf"^action entry \(1, 1\) is {entry}, not an element of M$"):
+            semidirect_product(c2, c2, [[0, 1], [0, entry]])
 
 
 def test_hom_image_check_identity_map():

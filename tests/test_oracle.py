@@ -5,7 +5,7 @@ import pytest
 from synmon import (direct_product, make_named, minimize, semidirect_product,
                     transition_monoid)
 from synmon import oracle
-from synmon.errors import BudgetExceeded
+from synmon.errors import TooLarge
 from synmon.oracle import (CYCLE_ORDER_CAP, ENUMERATION_CAP, brute_isomorphic,
                            cycle_gcd, lw_enumerate, mu_enumerate)
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -25,7 +25,7 @@ def test_mu_enumerate_examples(corpus):
 
 def test_mu_enumerate_budget(corpus):
     dfa, _, _ = corpus["a3"]
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(TooLarge):
         mu_enumerate(dfa, 64)
 
 
@@ -44,13 +44,13 @@ def test_one_letter_enumeration_is_budgeted(monkeypatch):
     dfa = regex_to_dfa(parse_regex("(aa)*"), "a")
     monkeypatch.setattr(oracle, "ENUMERATION_CAP", 20)
     assert mu_enumerate(dfa, 20) == 1
-    with pytest.raises(BudgetExceeded, match="^21 letters is past the enumeration cap$"):
+    with pytest.raises(TooLarge, match="^21 letters is past the enumeration cap$"):
         mu_enumerate(dfa, 21)
     # |w| + 2c letters for each count c <= 3: 1 + 3 + 5 + 7 = 16
     assert lw_enumerate(dfa, "a", 2, 3) == set()
     assert lw_enumerate(dfa, "", 2, 3) == {(), ("aa",), ("aa", "aa"), ("aa", "aa", "aa")}
     monkeypatch.setattr(oracle, "ENUMERATION_CAP", 15)
-    with pytest.raises(BudgetExceeded, match="^block enumeration past the cap$"):
+    with pytest.raises(TooLarge, match="^block enumeration past the cap$"):
         lw_enumerate(dfa, "a", 2, 3)
 
 
@@ -73,7 +73,7 @@ def test_cycle_gcd_budget():
     dfa = regex_to_dfa(parse_regex("(a|b)*a(a|b)(a|b)(a|b)"), "ab")
     sm = transition_monoid(minimize(dfa))
     assert sm.order == CYCLE_ORDER_CAP + 1
-    with pytest.raises(BudgetExceeded, match="^graph order 31 is past the cycle budget$"):
+    with pytest.raises(TooLarge, match="^graph order 31 is past the cycle budget$"):
         cycle_gcd(sm, "a")
 
 
@@ -97,7 +97,7 @@ def test_brute_isomorphic_order_mismatch():
 
 def test_brute_isomorphic_budget():
     t3 = make_named("full_transformation", 3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(TooLarge):
         brute_isomorphic(t3, t3)
 
 
@@ -111,5 +111,5 @@ def test_lw_enumerate_examples(corpus):
 
 def test_lw_enumerate_budget(corpus):
     dfa, _, _ = corpus["a3"]
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(TooLarge):
         lw_enumerate(dfa, "", 4, 8)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 from synmon import (Analysis, cli, decompose, monoid, periods, probability,
                     zero_one_residual)
@@ -133,7 +134,6 @@ def test_shared_residual_monoids_equal_fresh_ones(corpus):
         assert shared.r == fresh.r == r
         assert shared.transformations == fresh.transformations
         assert shared.monoid.table == fresh.monoid.table
-        assert shared.index == fresh.index
 
 
 def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):
@@ -163,3 +163,51 @@ def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):
         assert len(out["residual_monoids"]) == period
         for row, t_r in zip(out["residual_monoids"], done.residual_monoids):
             assert row["elements"] is t_r.transformations
+
+
+def test_stages_match_closed_forms_past_the_oracle_caps():
+    """Two monoids too large for the oracles, checked against values derived
+    by hand.  With k = 8, L = (a|b)*a(a|b)^k holds the words whose (k+1)-th
+    letter from the end is a, and x.u.y is in L iff that letter of xuy is a.
+    So the class of u is fixed by its last min(|u|, k+1) letters, and all of
+    them matter: the words shorter than k+1 are distinct elements, 2^(k+1)-1
+    of them, and the longer ones fall into 2^(k+1) classes by their last k+1
+    letters, so the order is 2^(k+2)-1 = 1023.  The minimal DFA keeps the
+    last k+1 letters, a missing letter read as b: 2^(k+1) = 512 states.  The
+    class of a^(k+1) is fixed by a, a Cayley cycle of weight 1, so P = 1,
+    N_0 = M and K = |M|.  mu(l) is 0 for l <= k and 1/2 after, the chance that
+    one letter is a, so the one limit is 1/2.  A zero z would have
+    z.a^(k+1) = z = z.b^(k+1), but those two end in different letters; so
+    there is none, and a limit strictly between 0 and 1 makes the basic
+    verdict `neither` and the verdict of the one prefix '' mixed.
+
+    L' = (a|b)((a|b)(a|b))*a(a|b)^k adds that |w| is even (and so >= k+2).
+    The class of u is then its last min(|u|, k+1) letters and, once
+    |u| >= k+1, the parity of |u|: 2^(k+1)-1 short words and 2 . 2^(k+1)
+    long classes, so the order is 3 . 2^(k+1)-1 = 1535.  Every Cayley edge
+    flips the parity, and a^(k+2).aa = a^(k+2), so P = 2.  mu(l) is 1/2 for
+    even l >= k+2 and 0 otherwise: the limits are (1/2, 0), there is no zero
+    element (as for L), and the basic verdict is `oscillating`.  A block word after the prefix '' is in L' half of the
+    time, so '' is mixed; after a or b it has odd length and is never in L',
+    so a and b are zero-one."""
+    from synmon.oracle import CYCLE_ORDER_CAP, ISOMORPHISM_ORDER_CAP
+
+    k, half = 8, Fraction(1, 2)
+    tail = "a" + "(a|b)" * k
+    for regex, order, limits, basic, verdicts, mu in (
+            ("(a|b)*" + tail, 2 ** (k + 2) - 1, (half,), "neither", {"": False},
+             lambda l: half if l > k else 0),
+            ("(a|b)((a|b)(a|b))*" + tail, 3 * 2 ** (k + 1) - 1, (half, 0), "oscillating",
+             {"": False, "a": True, "b": True},
+             lambda l: half if l >= k + 2 and l % 2 == 0 else 0)):
+        analysis = Analysis(regex_to_dfa(parse_regex(regex), "ab"))
+        assert analysis.monoid.order == order > max(CYCLE_ORDER_CAP, ISOMORPHISM_ORDER_CAP)
+        assert analysis.max_period == len(limits)
+        assert tuple(analysis.accumulation) == limits
+        assert analysis.basic_verdict.verdict == basic
+        assert analysis.basic_verdict.zero_element is None
+        assert {v.w: v.is_zero_or_one for v in analysis.residual_verdicts} == verdicts
+        assert probability.mu_series(analysis.dfa, 2 * k) == [mu(l) for l in range(2 * k + 1)]
+        if len(limits) == 1:
+            assert analysis.minimal.n_states == 2 ** (k + 1)
+            assert analysis.decomposition.K == order

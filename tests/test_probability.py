@@ -17,9 +17,8 @@ from synmon.dfa import words_of_length
 from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
 from synmon.oracle import mu_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
-from synmon.probability import (AccumulationPoint, _solve, basic_verdict,
-                                limit_mu_blocks, limit_vector, maximum_period_of,
-                                residual_verdict, residue_limits)
+from synmon.probability import (_solve, basic_verdict, limit_mu_blocks, limit_vector,
+                                maximum_period_of, residual_verdict, residue_limits)
 
 from conftest import closed_classes, random_decomposition, small_dfas
 from reference import markov_chain, mu_exact
@@ -130,19 +129,19 @@ def test_mu_equals_markov_power(corpus):
 def test_accumulation_oscillating(corpus):
     dfa, _, _ = corpus["a3"]
     points = accumulation_points(dfa, 2)
-    assert [p.value for p in points] == [Fraction(1, 2), 1]
+    assert points == [Fraction(1, 2), 1]
 
 
 def test_accumulation_equal_halves(corpus):
     dfa, _, _ = corpus["alt_half"]
     points = accumulation_points(dfa, 2)
-    assert [p.value for p in points] == [Fraction(1, 2), Fraction(1, 2)]
+    assert points == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_accumulation_parity(corpus):
     dfa, _, _ = corpus["a1"]
     points = accumulation_points(dfa, 2)
-    assert [p.value for p in points] == [Fraction(1, 2), 0]
+    assert points == [Fraction(1, 2), 0]
 
 
 def test_accumulation_requires_max_period(corpus):
@@ -164,7 +163,7 @@ def test_accumulation_sequences_settle(corpus, full_sigs):
     for name, (dfa, _, _) in corpus.items():
         period = full_sigs[name].periods[0]
         points = accumulation_points(dfa, period)
-        assert [p.value for p in points] == CORPUS_LIMITS[name], name
+        assert points == CORPUS_LIMITS[name], name
 
 
 # --- zero-one verdicts ---
@@ -280,14 +279,14 @@ def test_verdicts_reject_limits_off_zero_or_one_by_any_amount(corpus):
     _, _, has_a = corpus["has_a"]
     with pytest.raises(VerificationFailure, match=r"^basic zero-one verdict: zero element "
                        r"\d+ predicts mu = 1 but limits are 999999999/1000000000$"):
-        basic_verdict(has_a, 1, [AccumulationPoint(0, near_one)])
+        basic_verdict(has_a, 1, [near_one])
 
 
 def limits_by_residue_and_by_word(dfa, period: int, r: int):
     """The limit at residue r from `residue_limits`' forward counts, and the
     limit of each word of length r read off h at the state it reaches."""
     h = limit_vector(dfa, period)
-    return (residue_limits(dfa, period, h)[r].value,
+    return (residue_limits(dfa, period, h)[r],
             [h[dfa.run(w)] for w in words_of_length(dfa.alphabet, r)])
 
 
@@ -433,9 +432,9 @@ def test_exact_limits_match_float_powers_on_random_dfas(dfa):
     acc = np.array([float(q in dfa.accepting) for q in dfa.states])
     tail = np.linalg.matrix_power(np.linalg.matrix_power(chain, period), 2000) @ acc
     start = np.eye(dfa.n_states)[index[dfa.initial]]
-    for point in accumulation_points(dfa, period):
-        expected = start @ np.linalg.matrix_power(chain, point.r) @ tail
-        assert abs(float(point.value) - expected) < 1e-9, point
+    for r, limit in enumerate(accumulation_points(dfa, period)):
+        expected = start @ np.linalg.matrix_power(chain, r) @ tail
+        assert abs(float(limit) - expected) < 1e-9, r
     zero_one_basic(dec.m, dfa)
     for r in range(period):
         for w in map("".join, itertools.product("ab", repeat=r)):

@@ -8,14 +8,17 @@ import importlib
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import synmon
-from synmon import Analysis, CanonicalDecomposition, lw_recognizer
+from synmon import (Analysis, CanonicalDecomposition, LwRecognizer, ResidualMonoid,
+                    lw_recognizer)
 from synmon.errors import InvalidMonoid
 from synmon.monoid import FiniteMonoid, transition_monoid
+from synmon.probability import ResidualZeroOne
 from synmon.theory import make_named
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
 
@@ -108,8 +111,7 @@ def every_record() -> list:
     return [
         analysis, analysis.dfa, analysis.monoid, analysis.monoid.monoid,
         analysis.signature, dec, analysis.residual_monoids[0],
-        lw_recognizer(dec, ""), analysis.basic_verdict, analysis.accumulation[0],
-        analysis.residual_verdicts[0],
+        lw_recognizer(dec, ""), analysis.basic_verdict, analysis.residual_verdicts[0],
         *_nodes(parse_regex("(a|&)*b+c?")),
     ]
 
@@ -125,8 +127,7 @@ def test_every_record_class_is_covered():
     assert {type(x).__name__ for x in every_record()} == {
         "Analysis", "Dfa", "SyntacticMonoid", "FiniteMonoid",
         "PeriodSignature", "CanonicalDecomposition",
-        "ResidualMonoid", "LwRecognizer", "BasicZeroOne",
-        "AccumulationPoint", "ResidualZeroOne",
+        "ResidualMonoid", "LwRecognizer", "BasicZeroOne", "ResidualZeroOne",
         "Letter", "Epsilon", "Alt", "Cat", "Star", "Plus", "Opt"}
 
 
@@ -167,6 +168,22 @@ def test_decompositions_read_theta_and_k_off_their_signature():
     assert CanonicalDecomposition._fields == ("m", "signature", "can_f")
     assert dec.theta is dec.signature.classes
     assert dec.K == max(len(n_r) for n_r in dec.signature.classes.values())
+
+
+def test_records_store_no_field_that_their_others_determine():
+    analysis = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab"))
+    assert ResidualZeroOne._fields == ("w", "witness", "witness_names", "mu_lw")
+    assert LwRecognizer._fields == ("w", "monoid", "block_images", "accepting")
+    assert ResidualMonoid._fields == ("r", "transformations", "monoid")
+    # the residual is read off the prefix, so it moves with it
+    v = analysis.residual_verdicts[0]
+    assert (v.w, v.r) == ("", 0) and v._replace(w="ab").r == 2
+    assert v.is_zero_or_one == (v.witness is not None)
+    rec = lw_recognizer(analysis.decomposition, "a")
+    assert rec.r == 1 and rec._replace(w="").r == 0
+    # the limits are plain fractions, indexed by the residue
+    assert all(type(x) is Fraction for x in analysis.accumulation)
+    assert analysis.basic_verdict.accumulation == tuple(analysis.accumulation)
 
 
 def clones(x):
