@@ -292,9 +292,9 @@ def cmd_analyze(args) -> int:
     probability = sig.full_alphabet_at_maximum
     if probability:
         _check_digits(analysis.dfa.alphabet, args.length)
+        series = mu_series(analysis.dfa, args.length)
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
-        series = mu_series(analysis.dfa, args.length)
         out["probability"] = {
             "mu_series": _mu_series_json(series),
             "period": basic.period,

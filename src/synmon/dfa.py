@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .errors import (FormatError, InvalidPeriod, PartialTransitionFunction,
-                     UnknownState, UnknownSymbol)
+from .errors import FormatError, InvalidPeriod, UnknownSymbol
 
 State = str | int
 
@@ -57,17 +56,17 @@ class Dfa(Frozen):
             raise FormatError("duplicate state ids")
         declared = set(self.states)
         if self.initial not in declared:
-            raise UnknownState(f"initial state {self.initial!r} is not declared")
+            raise FormatError(f"initial state {self.initial!r} is not declared")
         for q in self.accepting:
             if q not in declared:
-                raise UnknownState(f"accepting state {q!r} is not declared")
+                raise FormatError(f"accepting state {q!r} is not declared")
         for q in self.states:
             for a in self.alphabet:
                 target = self.delta.get((q, a))
                 if target is None:
-                    raise PartialTransitionFunction(f"missing transition ({q!r}, {a!r})")
+                    raise FormatError(f"missing transition ({q!r}, {a!r})")
                 if target not in declared:
-                    raise UnknownState(f"transition ({q!r}, {a!r}) -> undeclared {target!r}")
+                    raise FormatError(f"transition ({q!r}, {a!r}) -> undeclared {target!r}")
         if len(self.delta) != len(self.states) * len(self.alphabet):
             raise FormatError("transition table has extraneous entries")
 
@@ -217,7 +216,7 @@ def load_dfa(document: str) -> Dfa:
         if sym not in alphabet:
             raise FormatError(f"transition on unknown symbol {sym!r}")
         if src not in declared:
-            raise UnknownState(f"transition from undeclared state {src!r}")
+            raise FormatError(f"transition from undeclared state {src!r}")
         if (src, sym) in delta:
             raise FormatError(f"duplicate transition ({src!r}, {sym!r})")
         delta[(src, sym)] = dst

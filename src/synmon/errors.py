@@ -6,7 +6,7 @@ class SynmonError(Exception):
 
 
 class InvalidArgument(SynmonError, ValueError):
-    """A command-line argument, such as a length, is out of range."""
+    """An argument, such as a length or a count, is out of range."""
 
 
 class VerificationFailure(SynmonError):
@@ -26,21 +26,11 @@ class RegexSyntaxError(SynmonError):
         self.offset = offset
 
 
-class AlphabetMismatch(SynmonError):
-    """Regex uses a symbol outside the declared alphabet."""
-
-
 class FormatError(SynmonError):
-    """DFA document does not match the expected JSON schema."""
-
-
-class PartialTransitionFunction(SynmonError):
-    """A (state, symbol) pair has no transition."""
-
-
-class UnknownState(SynmonError):
-    """A transition, the initial state, or an accepting state references
-    an undeclared state."""
+    """A malformed automaton: the DFA document does not match the expected
+    JSON schema, or the automaton it declares is not a complete DFA (a
+    missing transition, or an undeclared state as a target, the initial
+    state or an accepting state)."""
 
 
 # --- monoid core ---
@@ -59,17 +49,17 @@ class NotAnIdeal(SynmonError):
 
 
 class NotAnAction(SynmonError):
-    """Supplied table is not a (unitary) left monoid action."""
-
-
-class NotDistributive(SynmonError):
-    """Action does not distribute over the acted-on monoid's operation."""
+    """Supplied table is not a unitary left monoid action by endomorphisms:
+    the action laws fail, or an element does not distribute over the
+    acted-on monoid's operation."""
 
 
 # --- period analysis ---
 
 class UnknownSymbol(SynmonError):
-    """Word contains a letter outside the alphabet."""
+    """A symbol outside the alphabet: a letter of a word, a gamma or a
+    regex, or a block that is not a word of the period's length over the
+    alphabet."""
 
 
 class InvalidPeriod(SynmonError):
@@ -82,7 +72,3 @@ class InvalidPeriod(SynmonError):
 class ScopeError(SynmonError):
     """Operation requires a decomposition over the full alphabet with a
     single period."""
-
-
-class BlockLengthError(SynmonError):
-    """A block word contains a block whose length differs from the period."""

@@ -149,7 +149,7 @@ class SyntacticMonoid(Frozen):
                 yield x, a, row[g]
 
 
-def _close(generators, cap: int):
+def _close(generators):
     """Froidure-Pin closure of transformations of one degree (Froidure &
     Pin, "Algorithms for computing finite semigroups", 1997).
 
@@ -160,8 +160,9 @@ def _close(generators, cap: int):
     the Cayley graph along the tree, g.y = (g.parent(y)).last(y), and row j
     is row parent(j) gathered at the points of the row of last(j), since
     j.y = parent(j).(last(j).y); so filling the table composes no two
-    elements.  TooLarge is raised once the order would exceed cap,
-    or else once order x degree would exceed CLOSURE_BUDGET.
+    elements.  TooLarge is raised once the order would exceed ORDER_CAP,
+    read at call time, or else once order x degree would exceed
+    CLOSURE_BUDGET.
     """
     gens = [tuple(g) for g in generators]
     degree = len(gens[0])
@@ -176,8 +177,8 @@ def _close(generators, cap: int):
             y = then(gen)
             j = index.setdefault(y, len(elements))
             if j == len(elements):
-                if j >= cap:
-                    raise TooLarge(f"transition monoid exceeds cap {cap}")
+                if j >= ORDER_CAP:
+                    raise TooLarge(f"transition monoid exceeds cap {ORDER_CAP}")
                 if j >= room:
                     raise TooLarge(
                         f"transition monoid of degree {degree} exceeds the closure budget "
@@ -207,7 +208,7 @@ def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     """
     letters = sorted(dfa.alphabet)
     # the letters' transformations are the columns of the DFA's index form
-    elements, right, tree, table = _close(zip(*dfa.targets()), ORDER_CAP)
+    elements, right, tree, table = _close(zip(*dfa.targets()))
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
         names.append((names[parent] if parent else "") + letters[last])
@@ -219,14 +220,19 @@ def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     return SyntacticMonoid(FiniteMonoid(table, 0, tuple(names)), eta, accepting_image)
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string: backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cayley_to_dot(m: SyntacticMonoid) -> str:
     """The right Cayley graph in Graphviz DOT, each vertex labelled with
     its element's name."""
     lines = ["digraph cayley {"]
     for v in range(m.order):
-        lines.append(f'  {v} [label="{m.monoid.name_of(v)}"];')
+        lines.append(f"  {v} [label={_dot_string(m.monoid.name_of(v))}];")
     for src, sym, dst in m.cayley_edges():
-        lines.append(f'  {src} -> {dst} [label="{sym}"];')
+        lines.append(f"  {src} -> {dst} [label={_dot_string(sym)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

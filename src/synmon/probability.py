@@ -19,13 +19,15 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dfa import Dfa, minimize
-from .errors import InvalidPeriod, ScopeError, VerificationFailure
+from .errors import InvalidPeriod, ScopeError, TooLarge, VerificationFailure
 from .monoid import (SyntacticMonoid, find_zero, gather, minimal_ideal_element,
                      principal_ideal, transition_monoid)
 from .periods import _cycle_classes, max_period
 
 if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs it
     from .decompose import CanonicalDecomposition, ResidualMonoid
+
+SERIES_LENGTH = 1 << 16  # the longest series, in letters, that `mu_series` counts
 
 
 class BasicZeroOne(NamedTuple):
@@ -68,7 +70,12 @@ def mu_series(dfa: Dfa, upto: int) -> list:
 
     b_0 is the indicator of the accepting states and b_{l+1}[q] is the sum
     over the letters a of b_l[delta(q, a)], so b_l[q] counts the words of
-    length l accepted from q.  Each step gathers b_l once per letter."""
+    length l accepted from q.  Each step gathers b_l once per letter.
+    TooLarge is raised before the first step when upto passes
+    SERIES_LENGTH."""
+    if upto > SERIES_LENGTH:
+        raise TooLarge(f"a mu series to length {upto} exceeds the budget of "
+                       f"{SERIES_LENGTH} letters")
     by_letter = [gather(targets) for targets in zip(*dfa.targets())]
     initial = dfa.states.index(dfa.initial)
     b = tuple(int(q in dfa.accepting) for q in dfa.states)

@@ -20,7 +20,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from .dfa import Dfa, minimize
-from .errors import AlphabetMismatch, RegexSyntaxError
+from .errors import RegexSyntaxError, UnknownSymbol
 
 LETTERS = set("abcdefghijklmnopqrstuvwxyz0123456789")
 
@@ -195,7 +195,7 @@ def regex_to_dfa(ast: RegexAst, alphabet) -> Dfa:
     alphabet = tuple(sorted(alphabet))
     extra = symbols_of(ast) - set(alphabet)
     if extra:
-        raise AlphabetMismatch(f"symbols {sorted(extra)} not in alphabet {list(alphabet)}")
+        raise UnknownSymbol(f"symbols {sorted(extra)} not in alphabet {list(alphabet)}")
     letters, follow, final = _positions(ast)
     init = frozenset({0})
     subsets = {init: 0}

@@ -1,24 +1,38 @@
 """The paper's constructions, built only to check its statements: monoid
 products and actions, Rees quotients, named families, homomorphism checks,
-the target of Can and the block quotient T_r -> M_{L_w}.  No command
-imports this module; it reads `monoid` and `decompose`, never the reverse."""
+the target of Can and the block quotient T_r -> M_{L_w}.  Every builder
+decides the order it would build against monoid.ORDER_CAP before it
+builds anything.  No command imports this module; it reads `monoid` and
+`decompose`, never the reverse."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from numbers import Integral
 
+from . import monoid
 from .decompose import (CanonicalDecomposition, LwRecognizer, _require_full_alphabet,
                         lw_recognizer)
 from .dfa import Dfa, block_dfa, minimize
-from .errors import (BlockLengthError, NotAnAction, NotAnIdeal, NotDistributive,
-                     ScopeError, TooLarge, UnknownSymbol, VerificationFailure)
+from .errors import (InvalidArgument, NotAnAction, NotAnIdeal, ScopeError, TooLarge,
+                     UnknownSymbol, VerificationFailure)
 from .monoid import FiniteMonoid, SyntacticMonoid, _close, gather, transition_monoid
 
 Transformation = tuple
 
-FUNCTION_ORDER_CAP = 4096
+
+def _require_order(what: str, factors) -> None:
+    """Raise TooLarge unless the product of `factors`, positive ints, the
+    order of a monoid about to be built, is at most monoid.ORDER_CAP.  The
+    product stops at the first factor that takes it past the cap, so no
+    number much past the cap is built, and a factorial or a power of two or
+    more stops after about ORDER_CAP.bit_length() factors."""
+    order = 1
+    for factor in factors:
+        order *= factor
+        if order > monoid.ORDER_CAP:
+            raise TooLarge(f"{what} exceeds the order cap")
 
 
 def identity_transformation(degree: int) -> Transformation:
@@ -86,7 +100,7 @@ def _check_action(m: FiniteMonoid, n: FiniteMonoid, action) -> None:
         for x in range(m.order):
             for y in range(m.order):
                 if action[j][m.table[x][y]] != m.table[action[j][x]][action[j][y]]:
-                    raise NotDistributive(f"distributivity fails at ({j}, {x}, {y})")
+                    raise NotAnAction(f"distributivity fails at ({j}, {x}, {y})")
 
 
 def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid:
@@ -94,6 +108,8 @@ def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid
     (m1, n1).(m2, n2) = (m1 . (n1 * m2), n1 . n2),
     where action[n][m] tabulates n * m.  Pair (i, j) gets index i*|N| + j,
     so the identity lands at 0."""
+    _require_order(f"semidirect product of orders {m.order} and {n.order}",
+                   (m.order, n.order))
     _check_action(m, n, action)
 
     def idx(i, j):
@@ -113,15 +129,16 @@ def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
+    _require_order(f"direct product of orders {m.order} and {n.order}", (m.order, n.order))
     return semidirect_product(m, n, [list(range(m.order)) for _ in range(n.order)])
 
 
 def function_monoid(m: FiniteMonoid, copies: int) -> FiniteMonoid:
     """Pointwise power M^copies; elements are value tuples in lexicographic
     order, so the constant identity lands at index 0."""
-    order = m.order ** copies
-    if order > FUNCTION_ORDER_CAP:
-        raise TooLarge(f"|M|^{copies} = {order} exceeds cap {FUNCTION_ORDER_CAP}")
+    if copies < 0:
+        raise InvalidArgument(f"copies must be non-negative, got {copies}")
+    _require_order(f"|M|^{copies} with |M| = {m.order}", repeat(m.order, copies))
     elements = list(product(range(m.order), repeat=copies))
     index = {f: i for i, f in enumerate(elements)}
     table = tuple(
@@ -134,9 +151,15 @@ def function_monoid(m: FiniteMonoid, copies: int) -> FiniteMonoid:
 
 def make_named(kind: str, k: int) -> FiniteMonoid:
     """Standard families: cyclic C_K, right/left zero adjunctions U_K and
-    Ū_K, symmetric S_K, full transformation T_K."""
+    Ū_K, symmetric S_K, full transformation T_K, of orders K, K + 1, K + 1,
+    K! and K^K."""
     if k < 1:
-        raise ValueError("K must be at least 1")
+        raise InvalidArgument("K must be at least 1")
+    orders = {"cyclic": (k,), "right_zero": (k + 1,), "left_zero": (k + 1,),
+              "symmetric": range(1, k + 1), "full_transformation": repeat(k, k)}
+    if kind not in orders:
+        raise InvalidArgument(f"unknown monoid kind {kind!r}")
+    _require_order(f"{kind} monoid of degree {k}", orders[kind])
     if kind == "cyclic":
         table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
         return FiniteMonoid(table, 0, tuple(str(i) for i in range(k)))
@@ -150,19 +173,15 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
             tuple(i if i != 0 else j for j in range(k + 1)) for i in range(k + 1)
         )
         return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
-    if kind in ("symmetric", "full_transformation"):
-        if k > (6 if kind == "symmetric" else 5):
-            raise TooLarge(f"{kind} monoid of degree {k} exceeds the order cap")
-        # a k-cycle and a transposition generate S_k; a map of rank k-1 adds T_k
-        generators = [tuple(range(1, k)) + (0,)]
-        if k > 1:
-            generators.append((1, 0) + tuple(range(2, k)))
-            if kind == "full_transformation":
-                generators.append((0, 0) + tuple(range(2, k)))
-        elements, _, _, table = _close(generators, k ** k)
-        names = tuple("".join(map(str, t)) for t in elements)
-        return FiniteMonoid(table, 0, names)
-    raise ValueError(f"unknown monoid kind {kind!r}")
+    # a k-cycle and a transposition generate S_k; a map of rank k-1 adds T_k
+    generators = [tuple(range(1, k)) + (0,)]
+    if k > 1:
+        generators.append((1, 0) + tuple(range(2, k)))
+        if kind == "full_transformation":
+            generators.append((0, 0) + tuple(range(2, k)))
+    elements, _, _, table = _close(generators)
+    names = tuple("".join(map(str, t)) for t in elements)
+    return FiniteMonoid(table, 0, names)
 
 
 def _is_element(m: FiniteMonoid, x) -> bool:
@@ -227,7 +246,7 @@ def lw_member(rec: LwRecognizer, blocks) -> bool:
     length = len(next(iter(rec.block_images)))
     for b in blocks:
         if len(b) != length:
-            raise BlockLengthError(f"block {b!r} does not have length {length}")
+            raise UnknownSymbol(f"block {b!r} does not have length {length}")
         if b not in rec.block_images:
             raise UnknownSymbol(f"{b!r} is not a block over the alphabet")
         tau = compose(tau, rec.block_images[b])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from synmon import Analysis, cli
+from synmon import Analysis, cli, errors
 from synmon.errors import InvalidArgument
 from synmon.regexes import LETTERS, parse_regex, regex_to_dfa
 
@@ -165,6 +165,38 @@ def test_dot_files_are_byte_identical(args, expected, tmp_path):
     assert dot.read_bytes() == expected.encode()
 
 
+# over the letters " and \, which the DFA file format allows: " swaps the
+# two states and \ sends both to state 0
+QUOTE_DFA = {"alphabet": ['"', "\\"], "states": ["0", "1"], "initial": "0", "accepting": ["1"],
+             "transitions": [{"from": "0", "on": '"', "to": "1"},
+                             {"from": "1", "on": '"', "to": "0"},
+                             {"from": "0", "on": "\\", "to": "0"},
+                             {"from": "1", "on": "\\", "to": "0"}]}
+
+QUOTE_MONOID_DOT = r"""digraph cayley {
+  0 [label="e"];
+  1 [label="\""];
+  2 [label="\\"];
+  3 [label="\\\""];
+  0 -> 1 [label="\""];
+  0 -> 2 [label="\\"];
+  1 -> 0 [label="\""];
+  1 -> 2 [label="\\"];
+  2 -> 3 [label="\""];
+  2 -> 2 [label="\\"];
+  3 -> 2 [label="\""];
+  3 -> 2 [label="\\"];
+}
+"""
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    source, dot = tmp_path / "quote.json", tmp_path / "cayley.dot"
+    source.write_text(json.dumps(QUOTE_DFA))
+    assert cli.main(["monoid", "--dfa", str(source), "--dot", str(dot)]) == 0
+    assert dot.read_text() == QUOTE_MONOID_DOT
+
+
 def test_syntax_error_exit_code():
     result = run_cli("monoid", "--regex", "a(")
     assert result.returncode == 2
@@ -181,6 +213,15 @@ def test_bad_dfa_file_exit_code(tmp_path):
     doc.write_text('{"alphabet": ["a"]}')
     result = run_cli("monoid", "--dfa", str(doc))
     assert result.returncode == 2
+
+
+def test_errors_define_one_class_per_refusal():
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert classes == {
+        "SynmonError", "InvalidArgument", "VerificationFailure", "RegexSyntaxError",
+        "FormatError", "InvalidMonoid", "TooLarge", "NotAnIdeal", "NotAnAction",
+        "UnknownSymbol", "InvalidPeriod", "ScopeError"}
+    assert all(issubclass(getattr(errors, name), errors.SynmonError) for name in classes)
 
 
 def test_invalid_period_exit_code():
@@ -448,6 +489,22 @@ def test_prefix_row_budget(verb, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     verdicts = report["probability"]["zero_one"] if verb == "analyze" else report
     assert len(verdicts["residual"]) == 13
+
+
+@pytest.mark.parametrize("verb", ["prob", "analyze"])
+def test_series_length_budget(verb, monkeypatch, capsys):
+    from synmon import probability
+
+    # one letter: mu is 0 or 1, so the int-to-text check lets any length through
+    argv = [verb, "--regex", "(aa)*", "--alphabet", "a", "--json", "--length"]
+    monkeypatch.setattr(probability, "SERIES_LENGTH", 10)
+    assert cli.main([*argv, "11"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a mu series to length 11 exceeds the budget of 10 letters\n")
+    assert cli.main([*argv, "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    series = report["probability"]["mu_series"] if verb == "analyze" else report["mu_series"]
+    assert len(series) == 11
 
 
 VERBS = ("analyze", "monoid", "period", "prob", "decompose", "zero-one")

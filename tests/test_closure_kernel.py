@@ -76,7 +76,7 @@ def assert_kernel_matches_reference(dfa):
     letters = sorted(dfa.alphabet)
     position = {q: i for i, q in enumerate(dfa.states)}
     closed = _close([[position[dfa.delta[(q, a)]] for q in dfa.states]
-                     for a in letters], 5000)
+                     for a in letters])
     assert closed[0] == elements
     assert closed[3] == table
     sm = transition_monoid(dfa)

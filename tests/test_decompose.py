@@ -14,7 +14,7 @@ from synmon import (build_signature, canonical_decomposition, cli, load_dfa, lw_
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
 from synmon.decompose import decomposition_to_json
-from synmon.errors import BlockLengthError, ScopeError, VerificationFailure
+from synmon.errors import ScopeError, UnknownSymbol, VerificationFailure
 from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.theory import can_product, identity_transformation, target_order
@@ -298,7 +298,7 @@ def test_recognizer_after_one_letter_accepts_everything(full_decs):
 
 def test_recognizer_block_length_error(full_decs):
     rec = lw_recognizer(full_decs["a3"], "")
-    with pytest.raises(BlockLengthError):
+    with pytest.raises(UnknownSymbol, match="^block 'a' does not have length 2$"):
         lw_member(rec, ["a"])
 
 

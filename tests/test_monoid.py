@@ -6,8 +6,7 @@ from synmon import (cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
                     minimize, monoid, principal_ideal, rees_factor,
                     semidirect_product, transition_monoid)
-from synmon.errors import (InvalidMonoid, NotAnAction, NotAnIdeal, NotDistributive,
-                           TooLarge)
+from synmon.errors import InvalidArgument, InvalidMonoid, NotAnAction, NotAnIdeal, TooLarge
 from synmon.monoid import FiniteMonoid, minimal_ideal_element
 from synmon.oracle import brute_isomorphic
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -65,6 +64,51 @@ def test_named_caps():
     # K < 1 is no budget but an invalid argument
     with pytest.raises(ValueError, match="^K must be at least 1$"):
         make_named("cyclic", 0)
+
+
+# at an order cap of 6, the largest K of each kind: orders K, K + 1, K + 1, K!, K^K
+@pytest.mark.parametrize("kind, largest", [
+    ("cyclic", 6), ("right_zero", 5), ("left_zero", 5), ("symmetric", 3),
+    ("full_transformation", 2)])
+def test_named_monoids_refuse_past_the_order_cap(kind, largest, monkeypatch):
+    monkeypatch.setattr(monoid, "ORDER_CAP", 6)
+    assert make_named(kind, largest).order <= 6
+    with pytest.raises(TooLarge,
+                       match=f"^{kind} monoid of degree {largest + 1} exceeds the order cap$"):
+        make_named(kind, largest + 1)
+
+
+def test_products_and_powers_refuse_past_the_order_cap(monkeypatch):
+    c3, c2 = make_named("cyclic", 3), make_named("cyclic", 2)
+    monkeypatch.setattr(monoid, "ORDER_CAP", 6)
+    assert semidirect_product(c3, c2, INVERSION).order == 6
+    assert direct_product(c3, c2).order == 6
+    assert function_monoid(c2, 2).order == 4
+    monkeypatch.setattr(monoid, "ORDER_CAP", 5)
+    for action in (INVERSION, []):  # the order is refused before the action is read
+        with pytest.raises(TooLarge,
+                           match="^semidirect product of orders 3 and 2 exceeds the order cap$"):
+            semidirect_product(c3, c2, action)
+    with pytest.raises(TooLarge, match="^direct product of orders 3 and 2 exceeds the order cap$"):
+        direct_product(c3, c2)
+    with pytest.raises(TooLarge, match=r"^\|M\|\^3 with \|M\| = 2 exceeds the order cap$"):
+        function_monoid(c2, 3)
+
+
+def test_builders_refuse_huge_orders_before_they_allocate():
+    # each order is decided before its table, its elements or its number is
+    # built: built, these would take hours or all the memory there is
+    for kind in ("cyclic", "right_zero", "left_zero", "symmetric", "full_transformation"):
+        with pytest.raises(TooLarge, match=f"^{kind} monoid of degree 1000000 exceeds"):
+            make_named(kind, 10 ** 6)
+    c80 = make_named("cyclic", 80)
+    with pytest.raises(TooLarge, match="^direct product of orders 80 and 80 exceeds"):
+        direct_product(c80, c80)
+    c2 = make_named("cyclic", 2)
+    with pytest.raises(TooLarge, match=r"^\|M\|\^20000 with \|M\| = 2 exceeds"):
+        function_monoid(c2, 20000)  # 2^20000 has 6021 digits
+    with pytest.raises(InvalidArgument, match="^copies must be non-negative, got -1$"):
+        function_monoid(c2, -1)
 
 
 def test_bad_table_rejected():
@@ -302,7 +346,7 @@ def test_semidirect_rejects_bad_actions():
         semidirect_product(c3, c2, [[1, 2, 0], [0, 2, 1]])  # e_N must act as id
     # involution swapping 1 and 2 of C4 satisfies the action laws but is
     # not distributive: it sends 1+1 to 1 while images sum to 0
-    with pytest.raises(NotDistributive):
+    with pytest.raises(NotAnAction, match=r"^distributivity fails at \(1, 1, 1\)$"):
         semidirect_product(c4, c2, [[0, 1, 2, 3], [0, 2, 1, 3]])
     swap = [[0, 1, 2], [0, 2, 1]]
     u2 = make_named("left_zero", 2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from synmon import (Analysis, cli, decompose, monoid, periods, probability,
                     zero_one_residual)
+from synmon.dfa import Dfa
 from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import DATA
@@ -211,3 +212,79 @@ def test_stages_match_closed_forms_past_the_oracle_caps():
         if len(limits) == 1:
             assert analysis.minimal.n_states == 2 ** (k + 1)
             assert analysis.decomposition.K == order
+
+
+def symmetric_dfa(n):
+    """S_n on the points 0..n-1: a = (0 1), b the n-cycle i -> i + 1 mod n;
+    0 is the start and the only accepting state."""
+    delta = {}
+    for q in range(n):
+        delta[(q, "a")] = {0: 1, 1: 0}.get(q, q)
+        delta[(q, "b")] = (q + 1) % n
+    return Dfa(("a", "b"), tuple(range(n)), 0, frozenset({0}), delta)
+
+
+def signed_shift_dfa(n):
+    """Signed shifts on the 2n states (i, s): a flips s at i = 0 and fixes
+    every other state, b sends i to i + 1 mod n; (0, 0) is the start and
+    the only accepting state."""
+    states = tuple((i, s) for i in range(n) for s in (0, 1))
+    delta = {}
+    for i, s in states:
+        delta[((i, s), "a")] = (i, 1 - s) if i == 0 else (i, s)
+        delta[((i, s), "b")] = ((i + 1) % n, s)
+    return Dfa(("a", "b"), states, (0, 0), frozenset({(0, 0)}), delta)
+
+
+def test_group_stages_match_closed_forms_past_the_oracle_caps():
+    """Two permutation groups too large for the oracles, checked against
+    values derived by hand.  Both DFAs are minimal: the letters generate a
+    transitive group, so every state reaches the accepting one, and a
+    permutation sends only one state there.  So the monoid is the group:
+    S_6 of order 6! = 720, and the signed shifts, Z_2^n x| Z_n of order
+    2^n . n = 2048 at n = 8.
+
+    P = 2 exactly when n is even.  In S_n at even n, a and the n-cycle b
+    are both odd permutations, so the sign of the image of w fixes |w| mod
+    2: every Cayley cycle has even length, and aa = e is one of length 2.
+    In the signed shifts the image of w fixes #a mod 2 (the parity of its
+    flips) and #b mod n (its shift), so at even n it fixes |w| mod 2, and
+    aa = e again.  At odd n, b^n = e is a cycle of odd length, so P = 1:
+    S_5 has order 120 and the signed shifts at n = 5 order 160.
+
+    At P = 2 the kernel N_0 is the half of the group of even length, so
+    K = |T_0| = |T_1| = |G| / 2.  Read two letters at a time, a uniform
+    random word is a random walk on the kernel whose steps generate it and
+    include aa = e, so it tends to the uniform distribution: in the limit
+    the words of length l = r mod 2 spread evenly over one coset of the
+    kernel.  The kernel acts transitively on the states (A_6 on 6 points;
+    the even-length half of the signed shifts on the 16 pairs), so each
+    coset sends the start to every state equally often, and every limit,
+    and mu_{L_w} for each prefix w shorter than P, is 1/(number of states).
+    A group of order above 1 has no zero, and a limit strictly between 0
+    and 1 makes the basic verdict `neither` and every residual verdict
+    mixed.
+
+    `oracle.cycle_gcd` confirms P = 2 on S_4, whose order 24 is within its
+    cap."""
+    from synmon.oracle import CYCLE_ORDER_CAP, ISOMORPHISM_ORDER_CAP, cycle_gcd
+
+    s4 = Analysis(symmetric_dfa(4))
+    assert s4.monoid.order == 24 <= CYCLE_ORDER_CAP
+    assert cycle_gcd(s4.monoid, "ab") == s4.max_period == 2
+    for dfa, order in ((symmetric_dfa(5), 120), (signed_shift_dfa(5), 160)):
+        analysis = Analysis(dfa)
+        assert (analysis.monoid.order, analysis.max_period) == (order, 1)
+    for dfa, order, states in ((symmetric_dfa(6), 720, 6), (signed_shift_dfa(8), 2048, 16)):
+        analysis = Analysis(dfa)
+        limit = Fraction(1, states)
+        assert analysis.minimal.n_states == states
+        assert analysis.monoid.order == order > max(CYCLE_ORDER_CAP, ISOMORPHISM_ORDER_CAP)
+        assert analysis.max_period == 2
+        assert analysis.decomposition.K == order // 2
+        assert [t.order for t in analysis.residual_monoids] == [order // 2] * 2
+        assert tuple(analysis.accumulation) == (limit, limit)
+        assert analysis.basic_verdict.verdict == "neither"
+        assert analysis.basic_verdict.zero_element is None
+        assert [(v.w, v.is_zero_or_one, v.mu_lw) for v in analysis.residual_verdicts] == [
+            ("", False, limit), ("a", False, limit), ("b", False, limit)]

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from synmon import cli
 from synmon.dfa import Dfa, minimize
-from synmon.errors import AlphabetMismatch, RegexSyntaxError
+from synmon.errors import RegexSyntaxError, UnknownSymbol
 from synmon.oracle import regex_match
 from synmon.regexes import (Alt, Cat, Epsilon, Letter, Opt, Plus, Star, parse_regex,
                             regex_to_dfa, symbols_of)
@@ -67,7 +67,7 @@ def test_syntax_errors_carry_offsets(text, offset):
 
 
 def test_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(UnknownSymbol, match=r"^symbols \['c'\] not in alphabet \['a', 'b'\]$"):
         regex_to_dfa(parse_regex("abc"), "ab")
 
 
