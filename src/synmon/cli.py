@@ -366,13 +366,12 @@ def cmd_prob(args) -> int:
 
     analysis = _analysis(args)
     _check_digits(analysis.dfa.alphabet, args.length)
-    period = analysis.max_period
+    period = analysis.max_period  # before the series: its failures come first
     series = mu_series(analysis.dfa, args.length)
-    limits = accumulation_points(analysis.dfa, period)
     out = {
         "mu_series": _mu_series_json(series),
         "period": period,
-        "accumulation": _accumulation_json(limits),
+        "accumulation": _accumulation_json(accumulation_points(analysis.dfa)),
         "sinks": _sinks_json(sink_periods(analysis.dfa)),
     }
     _emit(args, out, (f"{i} {v}" for i, v in enumerate(series)))

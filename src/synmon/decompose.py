@@ -146,14 +146,12 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
     m = dec.m
     _homomorphic_on_generators(dec)
     zero, theta = tuple(0 for _ in sig.periods), dec.theta
-    identity = m.monoid.identity
-    if identity not in theta[zero]:
-        raise VerificationFailure(f"canonical embedding: the identity {identity} is not "
-                                  f"in N_{zero}")
-    e_pos = theta[zero].index(identity)
+    # N_0 is ascending, so the identity, element 0, has slot 0 in it
+    if 0 not in theta[zero]:
+        raise VerificationFailure(f"canonical embedding: the identity 0 is not in N_{zero}")
     for t, f_t in enumerate(dec.can_f):
         c = sig.rho_bar[t]
-        k, n_c = f_t[zero][e_pos], theta[c]
+        k, n_c = f_t[zero][0], theta[c]
         if not (0 <= k < len(n_c) and n_c[k] == t):
             there = (f"which holds {n_c[k]} in" if 0 <= k < len(n_c)
                      else f"past the {len(n_c)} of")
@@ -173,12 +171,11 @@ def _homomorphic_on_generators(dec: CanonicalDecomposition) -> None:
     m = dec.m
     table = m.monoid.table
     sizes = {r: len(dec.theta[r]) for r in dec.residuals}
-    identity = m.monoid.identity
-    if sig.rho_bar[identity] != tuple(0 for _ in sig.periods):
+    if sig.rho_bar[0] != tuple(0 for _ in sig.periods):
         raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
-                                  f"rho_bar(e) = {sig.rho_bar[identity]}")
+                                  f"rho_bar(e) = {sig.rho_bar[0]}")
     for r in dec.residuals:
-        f_e = dec.can_f[identity][r]
+        f_e = dec.can_f[0][r]
         k = next((k for k in range(sizes[r]) if f_e[k] != k), None)
         if k is not None:
             raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
@@ -243,7 +240,7 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     if len(representatives) < dec.m.order:
         # row i of T_r is row x of M read at the representatives y, then slotted
         pick = gather(representatives)
-        monoid = FiniteMonoid(tuple(gather(pick(row))(slot) for row in pick(monoid.table)), 0)
+        monoid = FiniteMonoid(tuple(gather(pick(row))(slot) for row in pick(monoid.table)))
     return ResidualMonoid(r, tuple(index), monoid)
 
 

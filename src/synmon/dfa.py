@@ -41,13 +41,17 @@ class Frozen:
 
 
 class Dfa(Frozen):
-    """A complete DFA, validated on construction.  Two are equal when every
-    field is; `delta` is left out of the repr."""
+    """A complete DFA, validated on construction.  The alphabet is stored
+    sorted, so every letter order in the package is this one.  Two are
+    equal when every field is; `delta` is left out of the repr."""
     __slots__ = ("alphabet", "states", "initial", "accepting", "delta")
 
     def __init__(self, alphabet: tuple[str, ...], states: tuple, initial,
                  accepting: frozenset, delta: dict):
-        self._set(alphabet, states, initial, accepting, delta)
+        for a in alphabet:
+            if not isinstance(a, str):
+                raise FormatError(f"letter {a!r} is not a string")
+        self._set(tuple(sorted(alphabet)), states, initial, accepting, delta)
         if not self.alphabet:
             raise FormatError("alphabet is empty")
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -96,17 +100,15 @@ class Dfa(Frozen):
         """The DFA in index form: per state, in `states` order, the
         position in `states` of the target of each letter, letters sorted."""
         position = {q: i for i, q in enumerate(self.states)}
-        letters = sorted(self.alphabet)
-        return [[position[self.delta[(q, a)]] for a in letters] for q in self.states]
+        return [[position[self.delta[(q, a)]] for a in self.alphabet] for q in self.states]
 
 
 def _reachable(dfa: Dfa) -> list:
     """The states reachable from the initial one, in breadth-first
     discovery order with letters sorted."""
-    letters = sorted(dfa.alphabet)
     order, seen = [dfa.initial], {dfa.initial}
     for q in order:  # the loop reads the states appended behind it
-        for a in letters:
+        for a in dfa.alphabet:
             t = dfa.delta[(q, a)]
             if t not in seen:
                 seen.add(t)
@@ -136,7 +138,7 @@ def minimize(dfa: Dfa) -> Dfa:
     number for its larger half and queues the smaller half under every
     letter, so a state enters O(log n) splitters per letter.
     """
-    letters = sorted(dfa.alphabet)
+    letters = dfa.alphabet
     states = _reachable(dfa)
     index = {q: i for i, q in enumerate(states)}
     succ = [[index[dfa.delta[(q, a)]] for a in letters] for q in states]
@@ -172,7 +174,7 @@ def minimize(dfa: Dfa) -> Dfa:
     number = {}
     label = [number.setdefault(b, len(number)) for b in block_of]
     delta = {(label[p], a): label[q] for p, row in enumerate(succ) for a, q in zip(letters, row)}
-    return Dfa(tuple(letters), tuple(range(len(number))), 0,
+    return Dfa(letters, tuple(range(len(number))), 0,
                frozenset(label[p] for p in final), delta)
 
 
@@ -180,10 +182,12 @@ def load_dfa(document: str) -> Dfa:
     """Parse and validate a DFA document in the JSON file format: the
     schema, types, symbols, sources and duplicate transitions here, the rest
     in `Dfa`.  The automaton is returned as declared, unreachable states
-    included; `trim` drops those."""
+    included and letters sorted; `trim` drops those states."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError holds JSONDecodeError and an int past Python's digit
+        # limit; RecursionError is nesting past the recursion limit
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("top-level value must be an object")
@@ -225,9 +229,9 @@ def load_dfa(document: str) -> Dfa:
 
 
 def words_of_length(alphabet, length: int) -> list:
-    """Every word of `length` letters over `alphabet`, as strings in
-    lexicographic order."""
-    return list(map("".join, product(sorted(alphabet), repeat=length)))
+    """Every word of `length` letters over `alphabet`, whose letters are
+    sorted as a Dfa's are, as strings in lexicographic order."""
+    return list(map("".join, product(alphabet, repeat=length)))
 
 
 def block_dfa(dfa: Dfa, prefix: str, period: int) -> Dfa:

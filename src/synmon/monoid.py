@@ -1,9 +1,8 @@
 """Finite monoids as explicit multiplication tables.
 
-Elements are dense indices 0..order-1 with the identity at 0 for every
-monoid this package constructs; names are display-only.  Transformations
-are plain tuples `t` with `t[k]` the image of point k; products compose
-left to right: (x . y)(k) = y(x(k)).
+Elements are dense indices 0..order-1 with the identity at 0; names are
+display-only.  Transformations are plain tuples `t` with `t[k]` the image
+of point k; products compose left to right: (x . y)(k) = y(x(k)).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ def gather(indices):
     return lambda seq: tuple(map(seq.__getitem__, indices))
 
 
-def check_table(table, identity: int) -> None:
+def check_table(table) -> None:
     """Raise InvalidMonoid unless `table` satisfies the monoid laws.
 
     Associativity is verified at every order by Light's test on a greedy
@@ -49,16 +48,16 @@ def check_table(table, identity: int) -> None:
     T = M.  The cost is O(n^2 |A|) instead of O(n^3).
     """
     n = len(table)
-    if n == 0 or not 0 <= identity < n:
-        raise InvalidMonoid("table is empty or the identity index is out of range")
+    if n == 0:
+        raise InvalidMonoid("table is empty")
     rows = tuple(map(tuple, table))  # whole rows are compared below
     for row in rows:
         if len(row) != n or min(row) < 0 or max(row) >= n:
             raise InvalidMonoid("table is not a square array of element indices")
     for i in range(n):
-        if rows[identity][i] != i or rows[i][identity] != i:
+        if rows[0][i] != i or rows[i][0] != i:
             raise InvalidMonoid(f"identity law fails at element {i}")
-    for a in _generating_set(rows, identity):
+    for a in _generating_set(rows):
         times_a = gather(rows[a])  # row x -> row x.(a.y) over y
         for x, row in enumerate(rows):
             if rows[row[a]] != times_a(row):
@@ -66,10 +65,10 @@ def check_table(table, identity: int) -> None:
                     f"associativity fails with left factor {x} and middle factor {a}")
 
 
-def _generating_set(rows, identity: int) -> list:
+def _generating_set(rows) -> list:
     """A greedy generating set: each index in ascending order that the ones
     kept so far do not reach from the identity by right multiplication."""
-    kept, reached, seen = [], [identity], {identity}
+    kept, reached, seen = [], [0], {0}
     for x in range(len(rows)):
         if x in seen:
             continue
@@ -85,12 +84,14 @@ def _generating_set(rows, identity: int) -> list:
 
 
 class FiniteMonoid(Frozen):
-    """A multiplication table, checked on construction; compared by identity."""
-    __slots__ = ("table", "identity", "names")
+    """A multiplication table, checked on construction; compared by identity.
+    Element 0 is the identity."""
+    __slots__ = ("table", "names")
+    identity = 0
 
-    def __init__(self, table: tuple, identity: int = 0, names: tuple | None = None):
-        self._set(table, identity, names)
-        check_table(self.table, self.identity)
+    def __init__(self, table: tuple, names: tuple | None = None):
+        self._set(table, names)
+        check_table(self.table)
 
     @property
     def order(self) -> int:
@@ -100,9 +101,9 @@ class FiniteMonoid(Frozen):
         return self.names[i] if self.names else str(i)
 
 
-def _closure_from(table, identity, generator_indices):
-    seen = {identity}
-    queue = [identity]
+def _closure_from(table, generator_indices):
+    seen = {0}
+    queue = [0]
     gens = sorted(set(generator_indices))
     for x in queue:
         for g in gens:
@@ -121,7 +122,7 @@ class SyntacticMonoid(Frozen):
 
     def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset):
         self._set(monoid, eta, accepting_image)
-        reached = _closure_from(monoid.table, monoid.identity, eta.values())
+        reached = _closure_from(monoid.table, eta.values())
         if len(reached) != monoid.order:
             raise InvalidMonoid("generators do not generate the monoid")
 
@@ -139,14 +140,11 @@ class SyntacticMonoid(Frozen):
             x = self.monoid.table[x][self.eta[a]]
         return x
 
-    def cayley_edges(self):
-        """The right Cayley graph over the letters, on the vertices
-        0..order-1: every edge (x, a, x.a) in the order of (x, a), read off
-        the checked table."""
-        letters = [(a, self.eta[a]) for a in self.alphabet]
-        for x, row in enumerate(self.monoid.table):
-            for a, g in letters:
-                yield x, a, row[g]
+    def targets(self) -> list:
+        """The right Cayley graph over the letters in the index form of
+        `Dfa.targets`: per element x, the element x.a for each letter a in
+        `alphabet` order, read off the checked table."""
+        return list(map(gather([self.eta[a] for a in self.alphabet]), self.monoid.table))
 
 
 def _close(generators):
@@ -206,18 +204,17 @@ def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     sorted), at most ORDER_CAP of them.  The caller must pass a minimal DFA
     for the result to be the syntactic monoid.
     """
-    letters = sorted(dfa.alphabet)
     # the letters' transformations are the columns of the DFA's index form
     elements, right, tree, table = _close(zip(*dfa.targets()))
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
-        names.append((names[parent] if parent else "") + letters[last])
-    eta = {a: right[0][g] for g, a in enumerate(letters)}
+        names.append((names[parent] if parent else "") + dfa.alphabet[last])
+    eta = {a: right[0][g] for g, a in enumerate(dfa.alphabet)}
     initial = dfa.states.index(dfa.initial)
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
-    return SyntacticMonoid(FiniteMonoid(table, 0, tuple(names)), eta, accepting_image)
+    return SyntacticMonoid(FiniteMonoid(table, tuple(names)), eta, accepting_image)
 
 
 def _dot_string(text: str) -> str:
@@ -231,8 +228,9 @@ def cayley_to_dot(m: SyntacticMonoid) -> str:
     lines = ["digraph cayley {"]
     for v in range(m.order):
         lines.append(f"  {v} [label={_dot_string(m.monoid.name_of(v))}];")
-    for src, sym, dst in m.cayley_edges():
-        lines.append(f"  {src} -> {dst} [label={_dot_string(sym)}];")
+    for src, row in enumerate(m.targets()):
+        for sym, dst in zip(m.alphabet, row):
+            lines.append(f"  {src} -> {dst} [label={_dot_string(sym)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

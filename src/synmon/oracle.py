@@ -88,9 +88,8 @@ def cycle_gcd(m: SyntacticMonoid, gamma) -> int:
     if n > CYCLE_ORDER_CAP:
         raise TooLarge(f"graph order {n} is past the cycle budget")
     gamma = set(gamma)
-    out_edges = [[] for _ in range(n)]
-    for u, a, v in m.cayley_edges():
-        out_edges[u].append((1 if a in gamma else 0, v))
+    weights = [1 if a in gamma else 0 for a in m.alphabet]
+    out_edges = [list(zip(weights, row)) for row in m.targets()]
     result = 0
     # enumerate cycles whose minimum vertex is `root`
     for root in range(n):

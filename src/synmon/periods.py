@@ -125,10 +125,8 @@ def _letter_counts(m: SyntacticMonoid, gammas: tuple) -> tuple:
     for g in gammas:
         if not g or not set(g) <= letters:
             raise UnknownSymbol(f"gamma {list(g)} is not a non-empty subset of the alphabet")
-    step = {a: tuple(int(a in g) for g in gammas) for a in m.alphabet}
-    moves = [[] for _ in range(m.order)]  # x -> (step of a, x.a)
-    for x, a, y in m.cayley_edges():
-        moves[x].append((step[a], y))
+    steps = [tuple(int(a in g) for g in gammas) for a in m.alphabet]
+    moves = [list(zip(steps, row)) for row in m.targets()]  # x -> (step of a, x.a)
     counts = [None] * m.order
     counts[0] = (0,) * len(gammas)
     queue = [0]
@@ -230,16 +228,14 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
 def sink_periods(graph) -> list:
     """Sinks (SCCs without outgoing edges) with their periods, the gcd of
     their cycle lengths, in the Cayley graph of a SyntacticMonoid or the
-    transition graph of a Dfa.  Vertices keep their original ids."""
+    transition graph of a Dfa, both read in the index form of `targets()`.
+    Vertices keep their original ids."""
     if isinstance(graph, SyntacticMonoid):
         vertices = range(graph.order)
-        successors = [[] for _ in vertices]
-        for u, _, v in graph.cayley_edges():
-            successors[u].append(v)
     elif isinstance(graph, Dfa):
-        vertices, successors = graph.states, graph.targets()
+        vertices = graph.states
     else:
         raise TypeError(f"expected SyntacticMonoid or Dfa, got {type(graph).__name__}")
     return [(tuple(vertices[v] for v in component), period)
-            for component, period in _cycle_classes(len(vertices), successors)
+            for component, period in _cycle_classes(len(vertices), graph.targets())
             if period]

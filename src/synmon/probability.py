@@ -19,7 +19,7 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dfa import Dfa, minimize
-from .errors import InvalidPeriod, ScopeError, TooLarge, VerificationFailure
+from .errors import ScopeError, TooLarge, VerificationFailure
 from .monoid import (SyntacticMonoid, find_zero, gather, minimal_ideal_element,
                      principal_ideal, transition_monoid)
 from .periods import _cycle_classes, max_period
@@ -196,22 +196,17 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
 def maximum_period_of(dfa: Dfa) -> int:
     """Maximum period of the language of `dfa` over its whole alphabet.
 
-    `accumulation_points` checks a caller's period against it; an
-    `Analysis` computes it once as a stage instead.
+    `accumulation_points` and `limit_mu_blocks` compute it for themselves;
+    an `Analysis` computes it once as a stage instead.
     """
     m = transition_monoid(minimize(dfa))
     return max_period(m, m.alphabet)
 
 
-def accumulation_points(dfa: Dfa, period: int) -> list:
-    """The exact limit of mu(r + k*period) as k grows, indexed by r.
-
-    `period` must be the maximum period of the language with respect to the
-    whole alphabet.
-    """
-    maximum = maximum_period_of(dfa)
-    if period != maximum:
-        raise InvalidPeriod(f"period {period} is not the maximum period {maximum}")
+def accumulation_points(dfa: Dfa) -> list:
+    """The exact limit of mu(r + k*P) as k grows, indexed by r, with P the
+    maximum period of the language with respect to the whole alphabet."""
+    period = maximum_period_of(dfa)
     return residue_limits(dfa, period, limit_vector(dfa, period))
 
 
@@ -228,8 +223,7 @@ def residue_limits(dfa: Dfa, period: int, h: dict) -> list:
 def zero_one_basic(m: SyntacticMonoid, dfa: Dfa) -> BasicZeroOne:
     """Verdict from the zero element of the syntactic monoid, cross-checked
     against the exact accumulation points."""
-    period = max_period(m, m.alphabet)
-    return basic_verdict(m, period, accumulation_points(dfa, period))
+    return basic_verdict(m, max_period(m, m.alphabet), accumulation_points(dfa))
 
 
 def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
@@ -255,10 +249,10 @@ def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
     return BasicZeroOne("neither", None, period, values)
 
 
-def limit_mu_blocks(dfa: Dfa, w: str, period: int) -> Fraction:
+def limit_mu_blocks(dfa: Dfa, w: str) -> Fraction:
     """Exact limit of mu_{L_w}(k), the probability that w and k uniform
-    blocks of `period` letters, the maximum period, form a word of L."""
-    return limit_vector(dfa, period)[dfa.run(w)]
+    blocks of P letters, the maximum period, form a word of L."""
+    return limit_vector(dfa, maximum_period_of(dfa))[dfa.run(w)]
 
 
 def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> ResidualZeroOne:
@@ -268,9 +262,8 @@ def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> Residual
         raise ScopeError("zero-one residual verdicts need the maximum period")
     from .decompose import lw_recognizer
 
-    period = dec.signature.periods[0]
     rec = lw_recognizer(dec, w)
-    return residual_verdict(w, rec.monoid, rec.accepting, limit_mu_blocks(dfa, w, period))
+    return residual_verdict(w, rec.monoid, rec.accepting, limit_mu_blocks(dfa, w))
 
 
 def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,

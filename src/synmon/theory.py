@@ -73,9 +73,9 @@ def rees_factor(m: FiniteMonoid, ideal) -> FiniteMonoid:
     names = None
     if m.names:
         names = tuple(m.names[i] for i in survivors) + ("ι",)
-    # when ideal == M the sink itself is the identity
-    identity = new.get(m.identity, sink)
-    return FiniteMonoid(tuple(tuple(r) for r in table), identity, names)
+    # the identity is element 0: an ideal that holds it is all of M, whose
+    # sink is then 0, and otherwise it survives first, as element 0
+    return FiniteMonoid(tuple(tuple(r) for r in table), names)
 
 
 def _check_action(m: FiniteMonoid, n: FiniteMonoid, action) -> None:
@@ -125,7 +125,7 @@ def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid
         f"({m.name_of(i)},{n.name_of(j)})"
         for i in range(m.order) for j in range(n.order)
     )
-    return FiniteMonoid(tuple(tuple(r) for r in table), 0, names)
+    return FiniteMonoid(tuple(tuple(r) for r in table), names)
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
@@ -146,7 +146,7 @@ def function_monoid(m: FiniteMonoid, copies: int) -> FiniteMonoid:
         for f in elements
     )
     names = tuple("[" + ",".join(m.name_of(v) for v in f) + "]" for f in elements)
-    return FiniteMonoid(table, 0, names)
+    return FiniteMonoid(table, names)
 
 
 def make_named(kind: str, k: int) -> FiniteMonoid:
@@ -162,17 +162,17 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
     _require_order(f"{kind} monoid of degree {k}", orders[kind])
     if kind == "cyclic":
         table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-        return FiniteMonoid(table, 0, tuple(str(i) for i in range(k)))
+        return FiniteMonoid(table, tuple(str(i) for i in range(k)))
     if kind == "right_zero":
         table = tuple(
             tuple(j if j != 0 else i for j in range(k + 1)) for i in range(k + 1)
         )
-        return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
+        return FiniteMonoid(table, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
     if kind == "left_zero":
         table = tuple(
             tuple(i if i != 0 else j for j in range(k + 1)) for i in range(k + 1)
         )
-        return FiniteMonoid(table, 0, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
+        return FiniteMonoid(table, ("e",) + tuple(f"ι{i}" for i in range(1, k + 1)))
     # a k-cycle and a transposition generate S_k; a map of rank k-1 adds T_k
     generators = [tuple(range(1, k)) + (0,)]
     if k > 1:
@@ -181,7 +181,7 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
             generators.append((0, 0) + tuple(range(2, k)))
     elements, _, _, table = _close(generators)
     names = tuple("".join(map(str, t)) for t in elements)
-    return FiniteMonoid(table, 0, names)
+    return FiniteMonoid(table, names)
 
 
 def _is_element(m: FiniteMonoid, x) -> bool:

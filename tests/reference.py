@@ -183,7 +183,8 @@ def scc_max_period(m, gamma) -> int:
     of m: per strongly connected component, the gcd of p(u) + w - p(v) over
     its edges (u, w, v), with p a potential along a spanning tree."""
     gamma = set(gamma)
-    edges = [(u, 1 if a in gamma else 0, v) for u, a, v in m.cayley_edges()]
+    edges = [(u, 1 if a in gamma else 0, row[g])
+             for u, row in enumerate(m.monoid.table) for a, g in sorted(m.eta.items())]
     successors = [[] for _ in range(m.order)]
     for u, _, v in edges:
         successors[u].append(v)
@@ -219,9 +220,7 @@ def bfs_signature(m, gammas, periods=None) -> tuple:
     identity that adds the residual of each letter read."""
     maxima = tuple(scc_max_period(m, g) for g in gammas)
     periods = tuple(periods or maxima)
-    moves = [[] for _ in range(m.order)]
-    for x, a, y in m.cayley_edges():
-        moves[x].append((a, y))
+    moves = [[(a, row[g]) for a, g in sorted(m.eta.items())] for row in m.monoid.table]
     rho_bar = [None] * m.order
     rho_bar[m.monoid.identity] = tuple(0 for _ in periods)
     queue = [m.monoid.identity]

@@ -84,7 +84,7 @@ def test_oscillating_language_monoid(corpus, full_decs):
     check("a3: sinks {q2,q3} period 2 and {q4} period 1",
           sinks == {("q2", "q3"): 2, ("q4",): 1})
     check("a3: mu(2) = 1/2 exactly", mu_exact(dfa, 2) == Fraction(1, 2))
-    points = accumulation_points(dfa, 2)
+    points = accumulation_points(dfa)
     check("a3: accumulation points (0.5, 1.0) within 1e-6",
           abs(points[0] - 0.5) < 1e-6 and abs(points[1] - 1.0) < 1e-6)
     r1 = [zero_one_residual(dec, dfa, w) for w in ("a", "b")]
@@ -102,7 +102,7 @@ def test_remaining_example_languages(corpus):
     check("head_a: mu(l) = 1/2 exactly for 1 <= l <= 20",
           all(mu_exact(dfa_head, l) == Fraction(1, 2) for l in range(1, 21)))
     dfa_half, _, sm_half = corpus["alt_half"]
-    points = accumulation_points(dfa_half, 2)
+    points = accumulation_points(dfa_half)
     check("alt_half: max period 2 with accumulation (0.5, 0.5) within 1e-6",
           max_period(sm_half, "ab") == 2
           and abs(points[0] - 0.5) < 1e-6
@@ -214,7 +214,7 @@ def test_zero_one_verdicts_match_numeric_limits(corpus, full_decs):
 
     for name, (dfa, _, sm) in corpus.items():
         basic = zero_one_basic(sm, dfa)
-        limits = accumulation_points(dfa, basic.period)
+        limits = accumulation_points(dfa)
         binary = all(min(abs(v), abs(v - 1)) < 1e-6 for v in limits) \
             and max(limits) - min(limits) < 1e-6
         assert (find_zero(sm.monoid) is not None) == binary, name
@@ -249,7 +249,7 @@ def test_graph_period_matches_cycle_oracle(corpus):
 
 def test_parity_accumulation_reproduced_both_ways(corpus):
     dfa, _, _ = corpus["a1"]
-    points = accumulation_points(dfa, 2)
+    points = accumulation_points(dfa)
     direct = (abs(points[0] - 0.5) < 1e-6
               and abs(points[1] - 0.0) < 1e-6)
     enumerated = (mu_enumerate(dfa, 12) == Fraction(1, 2)

@@ -215,6 +215,32 @@ def test_bad_dfa_file_exit_code(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("document", ["[" * 200_000, '{"initial": ' + "1" * 5000 + "}"],
+                         ids=["nested past the recursion limit", "int past the digit limit"])
+def test_json_that_python_cannot_parse_exits_two(document, tmp_path):
+    doc = tmp_path / "unparsable.json"
+    doc.write_text(document)
+    result = run_cli("period", "--dfa", str(doc))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: not valid JSON: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("verb", ["analyze", "period", "monoid", "prob", "decompose",
+                                  "zero-one"])
+def test_the_declared_letter_order_changes_no_report(verb, tmp_path, capsys):
+    reports = []
+    for letters in (["a", "b"], ["b", "a"]):
+        doc = json.loads((DATA / "a3.json").read_text())
+        doc["alphabet"] = letters
+        path = tmp_path / f"{''.join(letters)}.json"
+        path.write_text(json.dumps(doc))
+        for json_flag in ([], ["--json"]):
+            assert cli.main([verb, *json_flag, "--dfa", str(path)]) == 0
+            reports.append(capsys.readouterr())
+    assert reports[:2] == reports[2:]
+
+
 def test_errors_define_one_class_per_refusal():
     classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
     assert classes == {
@@ -398,7 +424,7 @@ def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
     from synmon import monoid
     from synmon.errors import InvalidMonoid
 
-    def failing(table, identity):
+    def failing(table):
         raise InvalidMonoid("identity law fails at element 0")
 
     monkeypatch.setattr(monoid, "check_table", failing)

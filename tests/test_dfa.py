@@ -76,6 +76,13 @@ def test_load_bad_schema():
             load_dfa(json.dumps(doc))
 
 
+@pytest.mark.parametrize("document", ["[" * 200_000, '{"initial": ' + "1" * 5000 + "}"],
+                         ids=["nested past the recursion limit", "int past the digit limit"])
+def test_load_refuses_json_that_python_cannot_parse(document):
+    with pytest.raises(FormatError, match="^not valid JSON: "):
+        load_dfa(document)
+
+
 def test_load_keeps_unreachable_states_and_trim_drops_them():
     # the library warns nothing; the CLI trims and prints the notice
     doc = data_json("a3.json")

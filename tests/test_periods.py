@@ -198,9 +198,8 @@ def test_signature_invalid_period(corpus):
 def test_max_period_without_a_gamma_cycle_is_a_verification_failure():
     # a monoid no syntactic monoid can be: its a-edges form a path, so no
     # closed walk reads an a
-    n = 3
-    edges = sorted([(u, "a", u + 1) for u in range(n - 1)] + [(u, "b", u) for u in range(n)])
-    fake = SimpleNamespace(alphabet=("a", "b"), order=n, cayley_edges=lambda: edges)
+    fake = SimpleNamespace(alphabet=("a", "b"), order=3,
+                           targets=lambda: [[1, 0], [2, 1], []])
     with pytest.raises(VerificationFailure,
                        match=r"^maximum period: no closed walk has a letter of gamma \['a'\]$"):
         max_period(fake, "a")

@@ -58,7 +58,7 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     # the 6th letter from the end is an a: P = 1, so T_0 shares M's checked monoid
     assert cli.main(["analyze", "--json", "--regex", "(a|b)*a" + "(a|b)" * 5]) == 0
     assert json.loads(capsys.readouterr().out)["monoid"]["order"] == 127
-    assert [len(table) for table, _ in checks] == [127]
+    assert [len(call[0]) for call in checks] == [127]
     # P = 2: M, then T_0 and T_1 with tables of their own
     checks.clear()
     assert cli.main(["analyze", "--json", "--dfa", str(DATA / "a3.json")]) == 0

@@ -14,7 +14,7 @@ from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa
                     accumulation_points, zero_one_basic, zero_one_residual)
 from synmon import periods, probability
 from synmon.dfa import words_of_length
-from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
+from synmon.errors import ScopeError, VerificationFailure
 from synmon.oracle import mu_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.probability import (_solve, basic_verdict, limit_mu_blocks, limit_vector,
@@ -128,26 +128,20 @@ def test_mu_equals_markov_power(corpus):
 
 def test_accumulation_oscillating(corpus):
     dfa, _, _ = corpus["a3"]
-    points = accumulation_points(dfa, 2)
+    points = accumulation_points(dfa)
     assert points == [Fraction(1, 2), 1]
 
 
 def test_accumulation_equal_halves(corpus):
     dfa, _, _ = corpus["alt_half"]
-    points = accumulation_points(dfa, 2)
+    points = accumulation_points(dfa)
     assert points == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_accumulation_parity(corpus):
     dfa, _, _ = corpus["a1"]
-    points = accumulation_points(dfa, 2)
+    points = accumulation_points(dfa)
     assert points == [Fraction(1, 2), 0]
-
-
-def test_accumulation_requires_max_period(corpus):
-    dfa, _, _ = corpus["a3"]
-    with pytest.raises(InvalidPeriod):
-        accumulation_points(dfa, 3)
 
 
 # exact limits per residue, derived by hand (see bench/workloads.py)
@@ -159,11 +153,9 @@ CORPUS_LIMITS = {
 }
 
 
-def test_accumulation_sequences_settle(corpus, full_sigs):
+def test_accumulation_sequences_settle(corpus):
     for name, (dfa, _, _) in corpus.items():
-        period = full_sigs[name].periods[0]
-        points = accumulation_points(dfa, period)
-        assert points == CORPUS_LIMITS[name], name
+        assert accumulation_points(dfa) == CORPUS_LIMITS[name], name
 
 
 # --- zero-one verdicts ---
@@ -312,7 +304,24 @@ def test_residue_limits_average_h_everywhere(corpus, full_decs):
 
 def test_limit_mu_blocks_converges(corpus):
     dfa, _, _ = corpus["a3"]
-    assert limit_mu_blocks(dfa, "b", 2) == 1
+    assert limit_mu_blocks(dfa, "b") == 1
+
+
+def test_limit_mu_blocks_reads_the_maximum_period_itself(corpus):
+    # on a1 mu alternates between 1/2 and 0: the limit after no prefix is
+    # the one at residue 0 of the maximum period 2, not a mean of both
+    dfa, _, _ = corpus["a1"]
+    assert limit_mu_blocks(dfa, "") == Fraction(1, 2)
+
+
+def test_the_wrappers_agree_with_the_stages(corpus):
+    for name, (dfa, _, _) in corpus.items():
+        analysis = Analysis(dfa)
+        assert accumulation_points(dfa) == analysis.accumulation, name
+        for r in range(analysis.max_period):
+            for w in words_of_length(dfa.alphabet, r):
+                assert limit_mu_blocks(dfa, w) == \
+                    analysis.limit_vector[analysis.minimal.run(w)], (name, w)
 
 
 def test_maximum_period_of(corpus, full_sigs):
@@ -432,12 +441,12 @@ def test_exact_limits_match_float_powers_on_random_dfas(dfa):
     acc = np.array([float(q in dfa.accepting) for q in dfa.states])
     tail = np.linalg.matrix_power(np.linalg.matrix_power(chain, period), 2000) @ acc
     start = np.eye(dfa.n_states)[index[dfa.initial]]
-    for r, limit in enumerate(accumulation_points(dfa, period)):
+    for r, limit in enumerate(accumulation_points(dfa)):
         expected = start @ np.linalg.matrix_power(chain, r) @ tail
         assert abs(float(limit) - expected) < 1e-9, r
     zero_one_basic(dec.m, dfa)
     for r in range(period):
         for w in map("".join, itertools.product("ab", repeat=r)):
-            limit = limit_mu_blocks(dfa, w, period)
+            limit = limit_mu_blocks(dfa, w)
             assert abs(float(limit) - tail[index[dfa.run(w)]]) < 1e-9, w
             assert zero_one_residual(dec, dfa, w).mu_lw == limit

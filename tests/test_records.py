@@ -16,10 +16,12 @@ import pytest
 import synmon
 from synmon import (Analysis, CanonicalDecomposition, LwRecognizer, ResidualMonoid,
                     lw_recognizer)
-from synmon.errors import InvalidMonoid
+from synmon.dfa import Dfa
+from synmon.errors import FormatError, InvalidMonoid
 from synmon.monoid import FiniteMonoid, transition_monoid
 from synmon.probability import ResidualZeroOne
-from synmon.theory import make_named
+from synmon.theory import (direct_product, function_monoid, make_named, rees_factor,
+                           semidirect_product)
 from synmon.regexes import Letter, Opt, Plus, Star, parse_regex, regex_to_dfa
 
 from conftest import DATA
@@ -184,6 +186,40 @@ def test_records_store_no_field_that_their_others_determine():
     # the limits are plain fractions, indexed by the residue
     assert all(type(x) is Fraction for x in analysis.accumulation)
     assert analysis.basic_verdict.accumulation == tuple(analysis.accumulation)
+
+
+def every_built_monoid() -> dict:
+    """name -> one FiniteMonoid of each kind that the package builds."""
+    analysis = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab"))  # P = 2
+    c2, u2 = make_named("cyclic", 2), make_named("right_zero", 2)
+    built = {"transition monoid": analysis.monoid.monoid,
+             "rees by a proper ideal": rees_factor(u2, {1, 2}),
+             "rees by M": rees_factor(u2, range(u2.order)),
+             "direct product": direct_product(c2, u2),
+             "semidirect product": semidirect_product(c2, c2, [[0, 1], [0, 1]]),
+             "function monoid": function_monoid(c2, 2)}
+    built.update((f"T_{r}", t_r.monoid) for r, t_r in enumerate(analysis.residual_monoids))
+    built.update((kind, make_named(kind, 3)) for kind in (
+        "cyclic", "right_zero", "left_zero", "symmetric", "full_transformation"))
+    return built
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name)
+                               for name, m in every_built_monoid().items()])
+def test_every_built_monoid_has_its_identity_at_zero(m):
+    assert type(m) is FiniteMonoid and FiniteMonoid.__slots__ == ("table", "names")
+    assert m.identity == 0 and not hasattr(m, "__dict__")
+    assert m.table[0] == tuple(range(m.order))
+    assert all(row[0] == x for x, row in enumerate(m.table))
+
+
+def test_a_dfa_sorts_its_letters():
+    delta = {(q, a): 1 - q if a == "a" else q for q in (0, 1) for a in "ab"}
+    declared = Dfa(("b", "a"), (0, 1), 0, frozenset({0}), delta)
+    assert declared.alphabet == ("a", "b")
+    assert declared == Dfa(("a", "b"), (0, 1), 0, frozenset({0}), delta)
+    with pytest.raises(FormatError, match="^letter 1 is not a string$"):
+        Dfa((1, "a"), (0,), 0, frozenset(), {(0, 1): 0, (0, "a"): 0})
 
 
 def clones(x):
