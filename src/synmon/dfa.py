@@ -21,9 +21,9 @@ class Frozen:
     AttributeError.  Equality is identity unless a subclass defines it.
 
     `copy`, `deepcopy` and `pickle` rebuild an instance by calling the
-    class with its fields in `__slots__` order, which validates it again;
-    a subclass whose constructor takes other arguments must override
-    `__reduce__`."""
+    class with its fields in `__slots__` order, which validates it again.
+    A `__dict__` slot holds only values cached on first read, so it is
+    not a field: a copy starts with nothing cached."""
     __slots__ = ()
 
     def _set(self, *values):
@@ -31,7 +31,8 @@ class Frozen:
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__
+                                 if name != "__dict__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

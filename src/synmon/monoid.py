@@ -7,6 +7,7 @@ of point k; products compose left to right: (x . y)(k) = y(x(k)).
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 
 from .dfa import Dfa, Frozen
@@ -101,30 +102,24 @@ class FiniteMonoid(Frozen):
         return self.names[i] if self.names else str(i)
 
 
-def _closure_from(table, generator_indices):
-    seen = {0}
-    queue = [0]
-    gens = sorted(set(generator_indices))
-    for x in queue:
-        for g in gens:
-            y = table[x][g]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 class SyntacticMonoid(Frozen):
-    """Transition monoid of a minimal DFA, with the letter map and the image
-    of the language; compared by identity.  The letters must generate the
-    monoid."""
-    __slots__ = ("monoid", "eta", "accepting_image")
+    """Transition monoid of a minimal DFA as `_close` built it: the right
+    Cayley graph, the BFS tree, which witnesses that the letters generate
+    the monoid, and the names; with the letter map and the image of the
+    language; compared by identity.  The table is filled on first read."""
+    __slots__ = ("right", "tree", "names", "eta", "accepting_image", "__dict__")
 
-    def __init__(self, monoid: FiniteMonoid, eta: dict, accepting_image: frozenset):
-        self._set(monoid, eta, accepting_image)
-        reached = _closure_from(monoid.table, eta.values())
-        if len(reached) != monoid.order:
-            raise InvalidMonoid("generators do not generate the monoid")
+    def __init__(self, right: tuple, tree: tuple, names: tuple, eta: dict,
+                 accepting_image: frozenset):
+        self._set(right, tree, names, eta, accepting_image)
+        n = len(right)
+        for row in right:
+            if len(row) != len(eta) or min(row) < 0 or max(row) >= n:
+                raise InvalidMonoid("Cayley graph is not a table of element indices")
+        for j in range(1, n):
+            parent, g = tree[j]
+            if not (0 <= parent < j and right[parent][g] == j):
+                raise InvalidMonoid("generators do not generate the monoid")
 
     @property
     def alphabet(self) -> tuple:
@@ -132,19 +127,24 @@ class SyntacticMonoid(Frozen):
 
     @property
     def order(self) -> int:
-        return self.monoid.order
+        return len(self.right)
+
+    @cached_property
+    def monoid(self) -> FiniteMonoid:
+        """The multiplication table, filled from the Cayley graph along the
+        tree and checked, on first read."""
+        return FiniteMonoid(_rows(self.right, self.tree), self.names)
 
     def image_of_word(self, word: str) -> int:
-        x = self.monoid.identity
+        position = {a: g for g, a in enumerate(self.alphabet)}
+        x = 0
         for a in word:
-            x = self.monoid.table[x][self.eta[a]]
+            x = self.right[x][position[a]]
         return x
 
-    def targets(self) -> list:
-        """The right Cayley graph over the letters in the index form of
-        `Dfa.targets`: per element x, the element x.a for each letter a in
-        `alphabet` order, read off the checked table."""
-        return list(map(gather([self.eta[a] for a in self.alphabet]), self.monoid.table))
+    def targets(self) -> tuple:
+        """The right Cayley graph in the index form of `Dfa.targets`."""
+        return self.right
 
 
 def _close(generators):
@@ -152,15 +152,11 @@ def _close(generators):
     Pin, "Algorithms for computing finite semigroups", 1997).
 
     Returns the elements (tuples in BFS order from the identity at 0,
-    generators tried in order), the right Cayley graph right[i][g], the
-    tree of first arrivals (element j is tree[j] = (parent, last generator)),
-    and the table as a tuple of rows.  The row of generator g is read off
-    the Cayley graph along the tree, g.y = (g.parent(y)).last(y), and row j
-    is row parent(j) gathered at the points of the row of last(j), since
-    j.y = parent(j).(last(j).y); so filling the table composes no two
-    elements.  TooLarge is raised once the order would exceed ORDER_CAP,
-    read at call time, or else once order x degree would exceed
-    CLOSURE_BUDGET.
+    generators tried in order), the right Cayley graph (right[i][g] is
+    element i times generator g) and the tree of first arrivals (element j
+    > 0 is tree[j] = (parent, last generator)), both as tuples.  TooLarge is
+    raised once the order would exceed ORDER_CAP, read at call time, or
+    else once order x degree would exceed CLOSURE_BUDGET.
     """
     gens = [tuple(g) for g in generators]
     degree = len(gens[0])
@@ -184,18 +180,27 @@ def _close(generators):
                 elements.append(y)
                 tree.append((len(right), g))
             row.append(j)
-        right.append(row)
-    del index
+        right.append(tuple(row))
+    return elements, tuple(right), tuple(tree)
+
+
+def _rows(right, tree) -> tuple:
+    """The multiplication table of a closure, as a tuple of rows, from its
+    Cayley graph `right` and tree `tree` (see `_close`).  The row of
+    generator g is read off the Cayley graph along the tree, g.y =
+    (g.parent(y)).last(y), and row j is row parent(j) gathered at the
+    points of the row of last(j), since j.y = parent(j).(last(j).y); so
+    filling the table composes no two elements."""
     times = []  # times[g]: row x -> row x.g, which is row x at the points of row g
-    for g in range(len(gens)):
+    for g in range(len(right[0])):
         row_g = [right[0][g]]
         for parent, last in tree[1:]:
             row_g.append(right[row_g[parent]][last])
         times.append(gather(row_g))
-    rows = [tuple(range(len(elements)))]
+    rows = [tuple(range(len(right)))]
     for parent, last in tree[1:]:
         rows.append(times[last](rows[parent]))
-    return elements, right, tree, tuple(rows)
+    return tuple(rows)
 
 
 def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
@@ -205,7 +210,7 @@ def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     for the result to be the syntactic monoid.
     """
     # the letters' transformations are the columns of the DFA's index form
-    elements, right, tree, table = _close(zip(*dfa.targets()))
+    elements, right, tree = _close(zip(*dfa.targets()))
     names = ["e"]  # element j is named by the word that first reached it
     for parent, last in tree[1:]:
         names.append((names[parent] if parent else "") + dfa.alphabet[last])
@@ -214,7 +219,7 @@ def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
-    return SyntacticMonoid(FiniteMonoid(table, tuple(names)), eta, accepting_image)
+    return SyntacticMonoid(right, tree, tuple(names), eta, accepting_image)
 
 
 def _dot_string(text: str) -> str:
@@ -227,7 +232,7 @@ def cayley_to_dot(m: SyntacticMonoid) -> str:
     its element's name."""
     lines = ["digraph cayley {"]
     for v in range(m.order):
-        lines.append(f"  {v} [label={_dot_string(m.monoid.name_of(v))}];")
+        lines.append(f"  {v} [label={_dot_string(m.names[v])}];")
     for src, row in enumerate(m.targets()):
         for sym, dst in zip(m.alphabet, row):
             lines.append(f"  {src} -> {dst} [label={_dot_string(sym)}];")

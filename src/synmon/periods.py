@@ -110,9 +110,9 @@ def _cycle_classes(n: int, successors) -> list:
 
 def _letter_counts(m: SyntacticMonoid, gammas: tuple) -> tuple:
     """(counts, maxima) for `gammas`, a tuple of sorted letter tuples.
-    counts[x] holds |w|_gamma for each gamma, for the word w by which a
-    breadth-first walk from the identity (element 0) first reaches x, and
-    maxima holds the maximum period of each gamma.
+    counts[x] holds |w|_gamma for each gamma, for the word w that spells
+    the path to x in the closure's BFS tree `m.tree`, and maxima holds the
+    maximum period of each gamma.
 
     The maximum period is the gcd, over the edges (x, a, x.a), of the
     defect c(x) + [a in gamma] - c(x.a).  A closed walk's weight is the sum
@@ -127,14 +127,9 @@ def _letter_counts(m: SyntacticMonoid, gammas: tuple) -> tuple:
             raise UnknownSymbol(f"gamma {list(g)} is not a non-empty subset of the alphabet")
     steps = [tuple(int(a in g) for g in gammas) for a in m.alphabet]
     moves = [list(zip(steps, row)) for row in m.targets()]  # x -> (step of a, x.a)
-    counts = [None] * m.order
-    counts[0] = (0,) * len(gammas)
-    queue = [0]
-    for x in queue:  # grows while it is read
-        for s, y in moves[x]:
-            if counts[y] is None:
-                counts[y] = tuple(map(add, counts[x], s))
-                queue.append(y)
+    counts = [(0,) * len(gammas)]
+    for parent, g in m.tree[1:]:  # a parent precedes its children
+        counts.append(tuple(map(add, counts[parent], steps[g])))
     maxima = []
     for i, g in enumerate(gammas):
         period = gcd(*(counts[x][i] + s[i] - counts[y][i]

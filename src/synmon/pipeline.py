@@ -46,10 +46,6 @@ class Analysis(Frozen):
     def __init__(self, dfa: Dfa, gammas: list | None = None, periods: list | None = None):
         self._set(dfa, gammas, periods)
 
-    def __reduce__(self):
-        # a copy starts with no stage computed
-        return Analysis, (self.dfa, self.gammas, self.periods)
-
     @cached_property
     def minimal(self) -> Dfa:
         return minimize(self.dfa)

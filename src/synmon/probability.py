@@ -221,9 +221,10 @@ def residue_limits(dfa: Dfa, period: int, h: dict) -> list:
 
 
 def zero_one_basic(m: SyntacticMonoid, dfa: Dfa) -> BasicZeroOne:
-    """Verdict from the zero element of the syntactic monoid, cross-checked
-    against the exact accumulation points."""
-    return basic_verdict(m, max_period(m, m.alphabet), accumulation_points(dfa))
+    """Verdict from the zero element of m, the syntactic monoid of the
+    language of `dfa`, cross-checked against its exact accumulation points."""
+    period = max_period(m, m.alphabet)
+    return basic_verdict(m, period, residue_limits(dfa, period, limit_vector(dfa, period)))
 
 
 def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
@@ -256,14 +257,15 @@ def limit_mu_blocks(dfa: Dfa, w: str) -> Fraction:
 
 
 def zero_one_residual(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> ResidualZeroOne:
-    """Theorem-style verdict for the block language L_w; see
-    `residual_verdict`."""
+    """Theorem-style verdict for the block language L_w, with `dfa` a DFA
+    of the language that `dec` decomposes; see `residual_verdict`."""
     if not dec.signature.full_alphabet_at_maximum:
         raise ScopeError("zero-one residual verdicts need the maximum period")
     from .decompose import lw_recognizer
 
     rec = lw_recognizer(dec, w)
-    return residual_verdict(w, rec.monoid, rec.accepting, limit_mu_blocks(dfa, w))
+    limit = limit_vector(dfa, dec.signature.periods[0])[dfa.run(w)]
+    return residual_verdict(w, rec.monoid, rec.accepting, limit)
 
 
 def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,

@@ -17,7 +17,7 @@ from .decompose import (CanonicalDecomposition, LwRecognizer, _require_full_alph
 from .dfa import Dfa, block_dfa, minimize
 from .errors import (InvalidArgument, NotAnAction, NotAnIdeal, ScopeError, TooLarge,
                      UnknownSymbol, VerificationFailure)
-from .monoid import FiniteMonoid, SyntacticMonoid, _close, gather, transition_monoid
+from .monoid import FiniteMonoid, SyntacticMonoid, _close, _rows, gather, transition_monoid
 
 Transformation = tuple
 
@@ -179,9 +179,9 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
         generators.append((1, 0) + tuple(range(2, k)))
         if kind == "full_transformation":
             generators.append((0, 0) + tuple(range(2, k)))
-    elements, _, _, table = _close(generators)
+    elements, right, tree = _close(generators)
     names = tuple("".join(map(str, t)) for t in elements)
-    return FiniteMonoid(table, names)
+    return FiniteMonoid(_rows(right, tree), names)
 
 
 def _is_element(m: FiniteMonoid, x) -> bool:

@@ -176,11 +176,17 @@ def test_associativity_is_checked_above_order_512():
 
 
 def test_generators_that_do_not_generate_are_rejected():
-    table = SOURCES["a2"]
-    with pytest.raises(InvalidMonoid, match="do not generate"):
-        SyntacticMonoid(FiniteMonoid(table), {"a": 1}, frozenset())
     sm = transition_monoid(minimize(load_corpus_dfa("a2")))
-    assert SyntacticMonoid(sm.monoid, sm.eta, frozenset()).order == sm.order
+    # the last element's tree edge starts at itself, and element 1's at a
+    # later element, along a Cayley edge: the tree reaches neither from 0
+    last = sm.order - 1
+    later = next((p, g) for p in range(2, sm.order)
+                 for g, y in enumerate(sm.right[p]) if y == 1)
+    for j, edge in ((last, (last, sm.tree[last][1])), (1, later)):
+        cut = sm.tree[:j] + (edge,) + sm.tree[j + 1:]
+        with pytest.raises(InvalidMonoid, match="do not generate"):
+            SyntacticMonoid(sm.right, cut, sm.names, sm.eta, frozenset())
+    assert SyntacticMonoid(sm.right, sm.tree, sm.names, sm.eta, frozenset()).order == sm.order
 
 
 def test_commands_do_not_import_numpy():

@@ -1,15 +1,20 @@
+import copy
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, settings
 
 from synmon import (cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
                     minimize, monoid, principal_ideal, rees_factor,
                     semidirect_product, transition_monoid)
 from synmon.errors import InvalidArgument, InvalidMonoid, NotAnAction, NotAnIdeal, TooLarge
-from synmon.monoid import FiniteMonoid, minimal_ideal_element
+from synmon.monoid import FiniteMonoid, SyntacticMonoid, minimal_ideal_element
 from synmon.oracle import brute_isomorphic
 from synmon.regexes import parse_regex, regex_to_dfa
+
+from conftest import small_dfas
 
 
 def assert_monoid_laws(m):
@@ -205,6 +210,57 @@ def test_cayley_targets_follow_the_table_in_element_then_letter_order(corpus):
         assert [list(row) for row in sm.targets()] == [
             [sm.monoid.table[x][sm.eta[a]] for a in sm.alphabet]
             for x in range(sm.order)], name
+
+
+def assert_graph_and_table_agree(sm):
+    """The kernel's Cayley graph is the table read at the letters, and
+    `image_of_word`, which walks the graph, is the table's walk."""
+    table = sm.monoid.table
+    for x, row in enumerate(sm.targets()):
+        for g, a in enumerate(sm.alphabet):
+            assert row[g] == table[x][sm.eta[a]], (x, a)
+    for length in range(4):
+        for w in map("".join, itertools.product(sm.alphabet, repeat=length)):
+            x = 0
+            for a in w:
+                x = table[x][sm.eta[a]]
+            assert sm.image_of_word(w) == x, w
+
+
+def test_graph_and_table_agree_on_corpus(corpus):
+    for name, (_, _, sm) in corpus.items():
+        assert_graph_and_table_agree(sm)
+
+
+@settings(max_examples=100)
+@given(small_dfas())
+def test_graph_and_table_agree_on_random_dfas(dfa):
+    assert_graph_and_table_agree(transition_monoid(dfa))
+    assert_graph_and_table_agree(transition_monoid(minimize(dfa)))
+
+
+def test_a_cayley_entry_out_of_range_is_rejected(corpus):
+    sm = corpus["a2"][2]
+    last = sm.right[-1]
+    for row in ((sm.order,) + last[1:], (-1,) + last[1:], last[:1]):
+        with pytest.raises(InvalidMonoid,
+                           match="^Cayley graph is not a table of element indices$"):
+            SyntacticMonoid(sm.right[:-1] + (row,), sm.tree, sm.names, sm.eta,
+                            sm.accepting_image)
+
+
+def test_the_table_is_filled_on_first_read_and_not_copied():
+    sm = transition_monoid(minimize(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")))
+    assert "monoid" not in vars(sm)
+    table = sm.monoid.table
+    assert vars(sm) == {"monoid": sm.monoid}
+    with pytest.raises(AttributeError):
+        sm.monoid = None
+    for clone in (copy.copy(sm), copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))):
+        assert type(clone) is SyntacticMonoid and "monoid" not in vars(clone)
+        assert (clone.right, clone.tree, clone.names, clone.eta, clone.accepting_image) == \
+            (sm.right, sm.tree, sm.names, sm.eta, sm.accepting_image)
+        assert clone.monoid.table == table and clone.monoid is not sm.monoid
 
 
 def test_cayley_trivial_self_loop():

@@ -199,7 +199,8 @@ def test_max_period_without_a_gamma_cycle_is_a_verification_failure():
     # a monoid no syntactic monoid can be: its a-edges form a path, so no
     # closed walk reads an a
     fake = SimpleNamespace(alphabet=("a", "b"), order=3,
-                           targets=lambda: [[1, 0], [2, 1], []])
+                           targets=lambda: [[1, 0], [2, 1], []],
+                           tree=((-1, -1), (0, 0), (1, 0)))
     with pytest.raises(VerificationFailure,
                        match=r"^maximum period: no closed walk has a letter of gamma \['a'\]$"):
         max_period(fake, "a")

@@ -66,6 +66,38 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     assert len(checks) == 3
 
 
+def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
+    fills = count_calls(monkeypatch, monoid, "_rows")
+    checks = count_calls(monkeypatch, monoid, "check_table")
+    regex = ["--regex", "((a|b)(a|b))*a", "--alphabet", "ab"]  # P = 2, order 5
+    for argv in (["period", *regex], ["prob", *regex], ["oracle", "cycle-gcd", *regex],
+                 ["oracle", "lw", *regex, "--w", "a"]):
+        assert cli.main(argv) == 0, argv
+        assert (fills, checks) == ([], []), argv
+    built, build = [], cli._analysis
+    monkeypatch.setattr(cli, "_analysis", lambda args: built.append(build(args)) or built[-1])
+    for verb in ("monoid", "decompose", "zero-one", "analyze"):
+        assert cli.main([verb, *regex]) == 0, verb
+        table = built.pop().monoid.monoid.table
+        # one fill for M, checked once; at P = 2 T_0 and T_1 have tables of their own
+        assert len(fills) == 1 and [call[0] is table for call in checks].count(True) == 1, verb
+        fills.clear()
+        checks.clear()
+    capsys.readouterr()
+
+
+def test_zero_one_wrappers_build_no_monoid(monkeypatch, corpus):
+    builds = count_calls(monkeypatch, monoid, "transition_monoid")
+    for name, (dfa, _, _) in corpus.items():
+        analysis = Analysis(dfa)
+        basic, rows = analysis.basic_verdict, analysis.residual_verdicts
+        builds.clear()
+        assert probability.zero_one_basic(analysis.monoid, dfa) == basic, name
+        assert [zero_one_residual(analysis.decomposition, dfa, v.w) for v in rows] == \
+            list(rows), name
+        assert builds == [], name
+
+
 def test_analyze_runs_max_period_once_and_prob_one_signature(monkeypatch, capsys):
     # the letter-count walk gives the maxima and rho_bar together
     walks = count_calls(monkeypatch, periods, "_letter_counts")
