@@ -281,7 +281,7 @@ def cmd_analyze(args) -> int:
     out = {
         "monoid": syntactic_to_json(sm),
         "signature": _signature_json(sig),
-        "decomposition": decomposition_to_json(dec),
+        "decomposition": decomposition_to_json(dec) if args.json else None,
         "wreath": {
             "equivariant": True,  # verify_canonical passed, which implies it
             "rho_bar_surjective": sig.surjective,
@@ -384,7 +384,7 @@ def cmd_decompose(args) -> int:
     analysis = _analysis(args)
     sig = _signature(analysis)
     dec = analysis.decomposition
-    out = decomposition_to_json(dec)
+    out = decomposition_to_json(dec) if args.json else None
     # a decomposition exists only once every check has passed
     lines = [
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",

@@ -1,19 +1,24 @@
 """Canonical semidirect-product decomposition of a syntactic monoid.
 
-Every element t is mapped to Can(t) = (f_t, rho_bar(t)) where f_t assigns
-to each residual r a transformation of degree K = max_r |N_r|:
+The classes N_r, laid end to end in residual order, are the points X of
+|M| elements; slot k of N_r (theta_r, its ascending enumeration) is point
+start_r + k.  Each t is mapped to Can(t) = (f_t, rho_bar(t)), with f_t
+stored as one flat map of X, right multiplication by t renumbered: the
+point of x goes to that of x.t, in N_{r+rho_bar(t)} for x in N_r.  With
+slot[i] the slot of point i in its class, f_t(r) of degree K = max |N_r| is
 
-    f_t(r)(k) = theta_{r+rho_bar(t)}^{-1}( theta_r(k) . t )   for k < |N_r|
-    f_t(r)(k) = k                                             otherwise
+    f_t(r)(k) = slot[Can(t)[start_r + k]] = theta_{r+rho_bar(t)}^{-1}(theta_r(k).t)
 
-with theta_r the ascending enumeration of the class N_r.  Products follow
-(f, r).(g, r') = (f . (r (*) g), r + r') with (r (*) g)(c) = g(c + r) and
-pointwise left-to-right composition in the first component.
+for k < |N_r|, and k past it.  Products follow (f, r).(g, r') =
+(f . (r (*) g), r + r') with (r (*) g)(c) = g(c + r); on X, Can(s.t) is
+Can(s) then Can(t).  At period 1, Can(t) is column t of M's table, the
+right regular representation.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .dfa import words_of_length
@@ -22,10 +27,18 @@ from .monoid import FiniteMonoid, SyntacticMonoid, gather
 from .periods import PeriodSignature, residual_of_word
 
 
-class CanonicalDecomposition(NamedTuple):
+class _Can(NamedTuple):
     m: SyntacticMonoid
     signature: PeriodSignature
-    can_f: tuple   # element t -> {residual: transformation tuple of degree K}
+    flat: tuple   # element t -> Can(t) as a map of the points X, a tuple
+
+
+class CanonicalDecomposition(_Can):
+    """A named tuple that keeps what is read off it: the layout of X, each
+    f_t(r) and each table of a residual monoid, built on first use."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def theta(self) -> dict:
@@ -33,7 +46,7 @@ class CanonicalDecomposition(NamedTuple):
         signature's classes."""
         return self.signature.classes
 
-    @property
+    @cached_property
     def K(self) -> int:
         """The degree of T_K: the size of the largest class."""
         return max(map(len, self.signature.classes.values()))
@@ -44,6 +57,41 @@ class CanonicalDecomposition(NamedTuple):
 
     def rho(self, t: int):
         return self.signature.rho_bar[t]
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """(r -> start_r, the point of slot 0 of N_r; point -> its slot;
+        point -> its class's r; class size -> one padding every f_t(r) shares)."""
+        sig = self.signature
+        residuals = sig.residuals()
+        sizes = list(map(len, map(sig.classes.__getitem__, residuals)))
+        return (dict(zip(residuals, accumulate(sizes, initial=0))),
+                tuple(chain.from_iterable(map(range, sizes))),
+                tuple(chain.from_iterable(map(repeat, residuals, sizes))),
+                {size: tuple(range(size, self.K)) for size in set(sizes)})
+
+    @cached_property
+    def _reads(self) -> dict:
+        """(t, r) -> f_t(r) once read, so that every read is the same object."""
+        return {}
+
+    @cached_property
+    def _tables(self) -> dict:
+        """Slot list -> T_r's table, shared by every T_r of that list; the
+        list that numbers M in order reads M's own table."""
+        return {tuple(range(self.m.order)): self.m.monoid}
+
+    def f(self, t: int, r) -> tuple:
+        """f_t(r), padded to degree K, read as the module docstring says: where
+        N_r is X, as at period 1, Can(t) itself, and where N_r is empty, the
+        padding; each other f_t(r) is built on its first read and kept."""
+        start, slot, _, padding = self._layout
+        size, reads = len(self.signature.classes[r]), self._reads
+        if not 0 < size < len(slot):
+            return self.flat[t] if size else padding[0]
+        if (t, r) not in reads:
+            reads[t, r] = gather(self.flat[t][start[r]:start[r] + size])(slot) + padding[size]
+        return reads[t, r]
 
 
 class ResidualMonoid(NamedTuple):
@@ -77,33 +125,15 @@ def canonical_decomposition(m: SyntacticMonoid,
                             sig: PeriodSignature) -> CanonicalDecomposition:
     """Build Can and verify it is an injective homomorphism before returning
     (`verify_canonical` raises VerificationFailure otherwise)."""
-    residuals, theta = sig.residuals(), sig.classes
-    big_k = max(map(len, theta.values()))
-    # f_t(r) is theta_{r+rho_bar(t)}^{-1} after column t of the table
-    # restricted to N_r, padded.  theta^{-1} is dense: an element outside the
-    # class reads `m.order`, a slot that verify_canonical rejects.
-    inverse, columns = {}, {}
-    for r in residuals:
-        inverse[r] = [m.order] * m.order
-        for k, x in enumerate(theta[r]):
-            inverse[r][x] = k
-        # the rows of N_r transposed lazily, one column t at a time; an
-        # empty class has an empty column at every t
-        columns[r] = zip(*gather(theta[r])(m.monoid.table)) if theta[r] else repeat(())
-    padding = {r: tuple(range(len(theta[r]), big_k)) for r in residuals}
-    can_f = []
-    for t in range(m.order):
-        shift, f = sig.rho_bar[t], {}
-        for r in residuals:
-            column = next(columns[r])
-            if len(theta[r]) == m.order:
-                # N_r is M, so theta_r and rho_bar are trivial: f_t(r) is
-                # column t itself
-                f[r] = column
-            else:
-                f[r] = gather(column)(inverse[sig.add(r, shift)]) + padding[r]
-        can_f.append(f)
-    dec = CanonicalDecomposition(m, sig, tuple(can_f))
+    points = tuple(chain.from_iterable(map(sig.classes.__getitem__, sig.residuals())))
+    table = m.monoid.table
+    if points == tuple(range(m.order)):
+        flat = tuple(zip(*table))
+    else:
+        # column t at the points, then the point of each element it holds
+        point = sorted(range(m.order), key=points.__getitem__)
+        flat = tuple(gather(column)(point) for column in zip(*gather(points)(table)))
+    dec = CanonicalDecomposition(m, sig, flat)
     verify_canonical(dec)
     return dec
 
@@ -125,89 +155,85 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
     product composes partial maps between classes, which is associative, and
     every element is the image of a word since the letters generate the
     monoid.  Conversely the letter cases are among all pairs, and Can(e) and
-    the class-to-class property hold by construction.
+    the class-to-class property hold by construction.  Only the
+    class-carrying slots k < |N_r| are compared, which the flat maps hold
+    alone: no check reads the padding k -> k past |N_r|.
+
+    Each check reads the flat maps as the same check of g_s(r)(k) =
+    Can(s)[start_r + k] - start_{r+rho_bar(s)} at point i = start_r + k;
+    X lists points by residual, then slot, so the first point at fault
+    names the first residual and slot at fault.  With c = r + rho_bar(s),
+    0 <= g_s(r)(k) < |N_c| iff Can(s)[i] is in X with c's coordinates, one
+    gather per coordinate.  Then Can(a) after Can(s) sends i to
+    g_a(c)(g_s(r)(k)) + start_{c+rho_bar(a)}, and Can(s.a) to
+    g_{s.a}(r)(k) + start_{r+rho_bar(s.a)}, the same offset once the
+    residual check passes.  Once all pass, g = f.
 
     The read-back checks Can against its definition at the identity's slot
-    e of N_0: theta_{rho_bar(t)}(f_t(0)(e)) = t for every t, which is the
-    definition f_t(0)(e) = theta_{rho_bar(t)}^{-1}(e.t).  It implies that
-    Can is injective, since t is read off Can(t): were Can(s) = Can(t) for
-    s < t, the read-back at t would find s.
-
-    Only the class-carrying slots k < |N_r| of every residual r are
-    compared; those slots determine the embedding (the identity pins the
-    image of each class, and the read-back reads slot e of N_0).  The inert
-    k -> k padding above |N_r| is a fixed convention, not part of the class
-    action, and is excluded: composing across residuals whose classes
-    differ in size drags padding slots of one class through class-carrying
-    slots of another, so raw equality of the padded transformations is
-    unattainable in general.
-    """
-    sig = dec.signature
-    m = dec.m
-    _homomorphic_on_generators(dec)
-    zero, theta = tuple(0 for _ in sig.periods), dec.theta
-    # N_0 is ascending, so the identity, element 0, has slot 0 in it
-    if 0 not in theta[zero]:
-        raise VerificationFailure(f"canonical embedding: the identity 0 is not in N_{zero}")
-    for t, f_t in enumerate(dec.can_f):
-        c = sig.rho_bar[t]
-        k, n_c = f_t[zero][0], theta[c]
-        if not (0 <= k < len(n_c) and n_c[k] == t):
-            there = (f"which holds {n_c[k]} in" if 0 <= k < len(n_c)
-                     else f"past the {len(n_c)} of")
-            raise VerificationFailure(
-                f"canonical embedding: Can(t) does not read t back at t = {t}: "
-                f"f_t({zero}) sends the identity's slot to {k}, {there} N_{c}")
-    for a in m.alphabet:
-        want = residual_of_word(a, sig.gammas, sig.periods)
-        if sig.rho_bar[m.eta[a]] != want:
-            raise VerificationFailure(
-                f"canonical embedding: residual condition fails at letter {a!r}: "
-                f"rho_bar = {sig.rho_bar[m.eta[a]]}, not {want}")
-
-
-def _homomorphic_on_generators(dec: CanonicalDecomposition) -> None:
-    sig = dec.signature
-    m = dec.m
-    table = m.monoid.table
-    sizes = {r: len(dec.theta[r]) for r in dec.residuals}
-    if sig.rho_bar[0] != tuple(0 for _ in sig.periods):
+    e of N_0, point 0: theta_{rho_bar(t)}(f_t(0)(e)) = t for every t, which
+    is the definition f_t(0)(e) = theta_{rho_bar(t)}^{-1}(e.t).  It implies
+    that Can is injective, since t is read off Can(t): were Can(s) = Can(t)
+    for s < t, the read-back at t would find s."""
+    sig, m, flat, (start, slot, owner, _) = dec.signature, dec.m, dec.flat, dec._layout
+    zero, n = tuple(0 for _ in sig.periods), len(owner)
+    if sig.rho_bar[0] != zero:
         raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
                                   f"rho_bar(e) = {sig.rho_bar[0]}")
-    for r in dec.residuals:
-        f_e = dec.can_f[0][r]
-        k = next((k for k in range(sizes[r]) if f_e[k] != k), None)
-        if k is not None:
-            raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
-                                      f"f_e({r}) sends slot {k} to {f_e[k]}")
+    if flat[0] != tuple(range(n)):
+        i = next(i for i, x in enumerate(flat[0]) if x != i)
+        raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
+                                  f"f_e({owner[i]}) sends slot {slot[i]} to "
+                                  f"{flat[0][i] - start[owner[i]]}")
+    # (coordinate j of each point's class, its gather, 0..P_j-1 twice so that
+    # a slice at v adds v mod P_j) for every coordinate that moves
+    coordinates = [(c, gather(c), tuple(range(p)) * 2, p)
+                   for c, p in zip(zip(*owner), sig.periods) if p > 1]
     letters = [(a, m.eta[a]) for a in m.alphabet]
-    for s in range(m.order):
-        rho_s = sig.rho_bar[s]
-        f_s = dec.can_f[s]
-        moves = []  # (r, f -> f_s(r) then f on the slots of N_r, r + rho_bar(s))
-        for r in dec.residuals:
-            image, target = f_s[r][:sizes[r]], sig.add(r, rho_s)
-            if max(image, default=-1) >= sizes[target]:
-                k = next(k for k, x in enumerate(image) if x >= sizes[target])
-                raise VerificationFailure(
-                    f"canonical embedding: f_s(r) leaves its class at s = {s}, r = {r}: "
-                    f"slot {k} goes to {image[k]}, past the {sizes[target]} of N_{target}")
-            moves.append((r, gather(image), target))
-        for a, g in letters:
-            t = table[s][g]
+    # a negative point indexes from the end: only the letters' maps are read
+    # for one, as the homomorphism check draws every other map from theirs
+    for s, image in enumerate(flat):
+        rho_s, after_s = sig.rho_bar[s], gather(image)
+        if max(image) >= n or (s in m.eta.values() and min(image) < 0) or any(
+                after_s(c) != shifted(cycle[v:v + p])
+                for (c, shifted, cycle, p), v in zip(coordinates, rho_s)):
+            for i, x in enumerate(image):
+                target = sig.add(owner[i], rho_s)
+                k, size = x - start[target], len(sig.classes[target])
+                if not 0 <= k < size:
+                    where = f"past the {size} of" if k >= 0 else "before the first slot of"
+                    raise VerificationFailure(
+                        f"canonical embedding: f_s(r) leaves its class at s = {s}, "
+                        f"r = {owner[i]}: slot {slot[i]} goes to {k}, {where} N_{target}")
+        for (a, g), t in zip(letters, m.right[s]):
             if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
                 raise VerificationFailure(
                     f"canonical embedding: residual of s.a at s = {s}, a = {a!r}: "
                     f"rho_bar(s.a) = {sig.rho_bar[t]}, not {sig.add(rho_s, sig.rho_bar[g])}")
-            f_g, f_t = dec.can_f[g], dec.can_f[t]
-            for r, after_s, target in moves:
-                got, want = after_s(f_g[target]), f_t[r][:sizes[r]]
-                if got != want:
-                    k = next(k for k in range(sizes[r]) if got[k] != want[k])
-                    raise VerificationFailure(
-                        f"canonical embedding: Can(s.a) != Can(s).Can(a) at s = {s}, "
-                        f"a = {a!r}, r = {r}, slot {k}: Can(s.a) gives {want[k]}, "
-                        f"Can(s).Can(a) gives {got[k]}")
+            got, want = after_s(flat[g]), flat[t]
+            if got != want:
+                i = next(i for i, x in enumerate(want) if got[i] != x)
+                offset = start[sig.add(owner[i], sig.rho_bar[t])]
+                raise VerificationFailure(
+                    f"canonical embedding: Can(s.a) != Can(s).Can(a) at s = {s}, "
+                    f"a = {a!r}, r = {owner[i]}, slot {slot[i]}: Can(s.a) gives "
+                    f"{want[i] - offset}, Can(s).Can(a) gives {got[i] - offset}")
+    if 0 not in dec.theta[zero]:
+        raise VerificationFailure(f"canonical embedding: the identity 0 is not in N_{zero}")
+    # the element where Can(t) sends point 0, which the checks above put in X
+    reads = [sig.classes[owner[p]][slot[p]] for p in (image[0] for image in flat)]
+    if reads != list(range(m.order)):
+        t = next(t for t, x in enumerate(reads) if x != t)
+        c = sig.rho_bar[t]
+        raise VerificationFailure(
+            f"canonical embedding: Can(t) does not read t back at t = {t}: "
+            f"f_t({zero}) sends the identity's slot to {flat[t][0] - start[c]}, "
+            f"which holds {reads[t]} in N_{c}")
+    for a, g in letters:
+        want = residual_of_word(a, sig.gammas, sig.periods)
+        if sig.rho_bar[g] != want:
+            raise VerificationFailure(
+                f"canonical embedding: residual condition fails at letter {a!r}: "
+                f"rho_bar = {sig.rho_bar[g]}, not {want}")
 
 
 def _require_full_alphabet(dec: CanonicalDecomposition) -> int:
@@ -220,9 +246,15 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
     composition, numbered in ascending order of t; element 0 is the
     identity.  For t, s in N_0, f_{t.s}(r) = f_t(r) then f_s(r), so the
-    table is M's table at one representative t per element.  When every t
-    is its own representative (N_0 = M with t -> f_t(r) injective, as at
-    period 1) that is M's table itself, and T_r shares M's checked monoid."""
+    table is M's table at one representative t per element.
+
+    The slot list (t in N_0 -> the element holding f_t(r)) fixes the
+    table: the representatives are the least t of each element, and entry
+    (i, j) is the slot of their product.  So the decomposition keeps one
+    table per list.  Every T_r injective on N_0, whose list numbers N_0 in
+    order, shares T_0's; where that list numbers all of M (N_0 = M, as at
+    period 1), every t is its own representative, and T_r shares M's
+    checked monoid."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
@@ -231,17 +263,16 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     # slot: t in N_0 -> index of f_t(r); -1 outside N_0, which check_table rejects
     slot = [-1] * dec.m.order
     for t in dec.signature.classes[zero]:
-        tau = dec.can_f[t][(r,)]
+        tau = dec.f(t, (r,))
         if tau not in index:
             index[tau] = len(representatives)
             representatives.append(t)
         slot[t] = index[tau]
-    monoid = dec.m.monoid
-    if len(representatives) < dec.m.order:
-        # row i of T_r is row x of M read at the representatives y, then slotted
-        pick = gather(representatives)
-        monoid = FiniteMonoid(tuple(gather(pick(row))(slot) for row in pick(monoid.table)))
-    return ResidualMonoid(r, tuple(index), monoid)
+    slot, tables = tuple(slot), dec._tables
+    if slot not in tables:
+        pick = gather(representatives)  # row x of M at the representatives, slotted
+        tables[slot] = FiniteMonoid(tuple(gather(pick(x))(slot) for x in pick(dec.m.monoid.table)))
+    return ResidualMonoid(r, tuple(index), tables[slot])
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:
@@ -259,10 +290,8 @@ def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:
 def block_images(dec: CanonicalDecomposition, r: int) -> dict:
     """Block string -> f_{eta(b)}(r), for every block b of length P."""
     period = _require_full_alphabet(dec)
-    return {
-        b: dec.can_f[dec.m.image_of_word(b)][(r,)]
-        for b in words_of_length(dec.signature.alphabet, period)
-    }
+    return {b: dec.f(dec.m.image_of_word(b), (r,))
+            for b in words_of_length(dec.signature.alphabet, period)}
 
 
 def lw_accepting(dec: CanonicalDecomposition, w: str,
@@ -309,25 +338,19 @@ def wreath_divisor(dec: CanonicalDecomposition) -> dict:
     phi(x_t * Can(m'.a)) = phi(x_{t.m'} * Can(a)) = t.m'.a.
     """
     zero = tuple(0 for _ in dec.signature.periods)
-    return {(f_t[zero], dec.rho(t)): t for t, f_t in enumerate(dec.can_f)}
+    return {(dec.f(t, zero), dec.rho(t)): t for t in range(dec.m.order)}
 
 
 def decomposition_to_json(dec: CanonicalDecomposition) -> dict:
     """The decomposition as a JSON-ready dict; the classes and the
-    transformations f_t(r) are shared, not copied (tuples encode as JSON
-    arrays)."""
-    def rkey(r):
-        return ",".join(map(str, r))
-
+    transformations f_t(r) are shared, not copied (tuples encode as arrays)."""
+    key = {r: ",".join(map(str, r)) for r in dec.residuals}  # in residual order
     return {
         "K": dec.K,
         "G": list(dec.signature.periods),
-        "theta": {rkey(r): dec.theta[r] for r in dec.residuals},
+        "theta": {key[r]: dec.theta[r] for r in key},
         "can": {
-            str(t): {
-                "f": {rkey(r): dec.can_f[t][r] for r in dec.residuals},
-                "r": list(dec.rho(t)),
-            }
+            str(t): {"f": {key[r]: dec.f(t, r) for r in key}, "r": list(dec.rho(t))}
             for t in range(dec.m.order)
         },
         # a decomposition exists only once verify_canonical has passed

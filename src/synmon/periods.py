@@ -12,14 +12,16 @@ Cayley graph, and the closed classes of a Markov chain.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
-from operator import add, mod
+from operator import add, mod, mul
 from typing import NamedTuple
 
 from .dfa import Dfa
-from .errors import InvalidPeriod, UnknownSymbol, VerificationFailure
+from .errors import InvalidPeriod, TooLarge, UnknownSymbol, VerificationFailure
 from .monoid import SyntacticMonoid
+
+RESIDUALS = 1 << 18  # the most residuals, one class N_r each, that a signature lays out
 
 
 def residual_of_word(word: str, gammas, periods, alphabet=None):
@@ -193,9 +195,9 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
 
     Omitted periods default to the maximum period of each gamma; supplied
     periods must be at least 1 and divide it (otherwise rho_bar would not
-    be well defined).
-    An empty gamma or one with a letter outside the alphabet raises
-    UnknownSymbol.
+    be well defined).  A residual group past RESIDUALS, of which rho_bar
+    reaches at most |M|, raises TooLarge before any class is built; an
+    empty gamma or one with a letter outside the alphabet, UnknownSymbol.
     """
     gammas = tuple(tuple(sorted(set(g))) for g in gammas)
     counts, maxima = _letter_counts(m, gammas)
@@ -212,6 +214,11 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
                 raise InvalidPeriod(
                     f"period {p} for gamma {list(g)} does not divide the maximum period {pmax}"
                 )
+    # |C_{P_1} x ... x C_{P_n}|, a factor at a time: it stops past the budget
+    for size in accumulate(periods, mul):
+        if size > RESIDUALS:
+            raise TooLarge(f"the residual group {'x'.join(f'C{p}' for p in periods)} "
+                           f"exceeds the budget of {RESIDUALS} residuals")
     rho_bar = tuple(tuple(map(mod, c, periods)) for c in counts)
     classes = {r: [] for r in product(*map(range, periods))}
     for i, r in enumerate(rho_bar):

@@ -227,10 +227,7 @@ def can_product(dec: CanonicalDecomposition, s: int, s2: int):
     first component (r, k) -> f_{s2}(r + rho(s))(f_s(r)(k))."""
     sig = dec.signature
     rho_s = sig.rho_bar[s]
-    f = {
-        r: compose(dec.can_f[s][r], dec.can_f[s2][sig.add(r, rho_s)])
-        for r in dec.residuals
-    }
+    f = {r: compose(dec.f(s, r), dec.f(s2, sig.add(r, rho_s))) for r in dec.residuals}
     return f, sig.add(rho_s, sig.rho_bar[s2])
 
 

@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from synmon import (build_signature, canonical_decomposition, cli, load_dfa, lw_member,
+from synmon import (Dfa, build_signature, canonical_decomposition, cli, load_dfa, lw_member,
                     lw_quotient, lw_recognizer, make_named, max_period, minimize,
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
@@ -19,7 +19,7 @@ from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.theory import can_product, identity_transformation, target_order
 
-from conftest import CORPUS_SOURCES, random_decomposition, small_dfas
+from conftest import CORPUS_SOURCES, random_decomposition, small_dfas, small_monoid
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import kth_tail  # noqa: E402
@@ -84,6 +84,24 @@ def reference_can_f(sm, sig):
         for t in range(sm.order))
 
 
+def can_f(dec):
+    """Every f_t(r) as `dec.f` reads it: element t -> {residual: f_t(r)}."""
+    return tuple({r: dec.f(t, r) for r in dec.residuals} for t in range(dec.m.order))
+
+
+def flat_of(sig, maps):
+    """The flat maps of the points X of `sig` whose f_t(r) agree with
+    maps[t][r] on the class-carrying slots: slot k of N_r, at point
+    start_r + k, goes to point start_{r+rho_bar(t)} + maps[t][r][k]."""
+    residuals = sig.residuals()
+    sizes = [len(sig.classes[r]) for r in residuals]
+    start = dict(zip(residuals, itertools.accumulate(sizes, initial=0)))
+    return tuple(
+        tuple(start[sig.add(r, sig.rho_bar[t])] + x
+              for r, size in zip(residuals, sizes) for x in f_t[r][:size])
+        for t, f_t in enumerate(maps))
+
+
 # nonempty words of a length divisible by P: N_0 = {e, the words of length
 # P} and every other class holds one element, so K = 2
 ONE_ELEMENT_CLASSES = {2: "(a|b)(a|b)((a|b)(a|b))*",
@@ -99,7 +117,7 @@ def test_one_element_classes_at_periods_above_one():
             sizes = sorted(len(sig.classes[r]) for r in sig.residuals())
             assert sizes == ([1] * (period - 1) + [2] if periods == (period,) else [sm.order])
             assert dec.K == sizes[-1]
-            assert dec.can_f == reference_can_f(sm, sig), (regex, periods)
+            assert can_f(dec) == reference_can_f(sm, sig), (regex, periods)
             verify_canonical(dec)
 
 
@@ -109,7 +127,36 @@ def test_decomposition_matches_its_definition_at_every_divisor_period(corpus):
         for periods in divisor_vectors([max_period(sm, g) for g in gammas]):
             sig = build_signature(sm, gammas, periods)
             dec = canonical_decomposition(sm, sig)
-            assert dec.can_f == reference_can_f(sm, sig), (name, periods)
+            assert can_f(dec) == reference_can_f(sm, sig), (name, periods)
+
+
+@st.composite
+def counting_dfas(draw):
+    """A DFA of `small_dfas` that also counts the length mod 2 or 3 and
+    accepts at one residue of it, so that periods above one are common."""
+    dfa = draw(small_dfas())
+    p = draw(st.integers(2, 3))
+    residue = draw(st.integers(0, p - 1))
+    states = tuple((q, i) for q in dfa.states for i in range(p))
+    delta = {((q, i), a): (dfa.delta[(q, a)], (i + 1) % p)
+             for q, i in states for a in dfa.alphabet}
+    return Dfa(dfa.alphabet, states, (dfa.initial, 0),
+               frozenset((q, residue) for q in dfa.accepting), delta)
+
+
+@settings(max_examples=200)
+@given(counting_dfas(),
+       st.lists(st.sampled_from(["ab", "ab", "a", "b"]), min_size=1, max_size=3), st.data())
+def test_f_matches_its_definition_on_random_dfas_and_gammas(dfa, gammas, data):
+    """A repeated gamma leaves classes empty, and a period below the
+    maximum merges classes; the whole alphabet is drawn most often, as it
+    has a period above one on most DFAs of `counting_dfas`."""
+    sm = small_monoid(dfa)
+    maxima = [max_period(sm, g) for g in gammas]
+    # the maxima first: a draw leans to the first choice
+    periods = data.draw(st.sampled_from(divisor_vectors(maxima)[::-1]))
+    sig = build_signature(sm, gammas, periods)
+    assert can_f(canonical_decomposition(sm, sig)) == reference_can_f(sm, sig)
 
 
 def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
@@ -117,8 +164,24 @@ def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
     assert dec.signature.periods == (1,)
     t_0 = residual_monoid(dec, 0)
     for t, column in enumerate(zip(*dec.m.monoid.table)):
-        assert dec.can_f[t][(0,)] == column
-        assert dec.can_f[t][(0,)] is t_0.transformations[t]
+        assert dec.f(t, (0,)) == column
+        assert dec.f(t, (0,)) is dec.flat[t] is t_0.transformations[t]
+
+
+def test_each_f_t_of_r_is_one_object_at_period_two():
+    # N_0 and N_1 are both proper classes, so every f_t(r) is built on its
+    # first read; the elements of T_r and the report's rows are those reads
+    sm = transition_monoid(minimize(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")))
+    dec = canonical_decomposition(sm, build_signature(sm, [("a", "b")]))
+    report = decomposition_to_json(dec)
+    for r in range(2):
+        t_r = residual_monoid(dec, r)
+        assert residual_monoid(dec, r).monoid is t_r.monoid
+        for t in dec.theta[(0,)]:
+            tau = dec.f(t, (r,))
+            assert tau is dec.f(t, (r,)) is report["can"][str(t)]["f"][str(r)]
+            assert tau in t_r.transformations
+            assert t_r.transformations[t_r.transformations.index(tau)] is tau
 
 
 def kth_tail_of_length_mod(k: int, period: int):
@@ -144,7 +207,7 @@ def test_decomposition_matches_its_definition_on_even_length_kth_tail(k):
     sig = build_signature(sm, [("a", "b")])
     dec = canonical_decomposition(sm, sig)
     assert sig.periods == (2,) and dec.K < sm.order
-    assert dec.can_f == reference_can_f(sm, sig)
+    assert can_f(dec) == reference_can_f(sm, sig)
 
 
 # k -> K for kth_tail_of_length_mod(k, 3), of order 2^(k+3) - 1
@@ -160,7 +223,7 @@ def test_decomposition_checks_pass_at_period_three(k):
     sig = build_signature(sm, [("a", "b")])
     dec = canonical_decomposition(sm, sig)
     assert (sig.periods, sm.order, dec.K) == ((3,), 2 ** (k + 3) - 1, K_AT_PERIOD_THREE[k])
-    assert dec.can_f == reference_can_f(sm, sig)
+    assert can_f(dec) == reference_can_f(sm, sig)
     assert len(wreath_divisor(dec)) == sm.order
     for length in range(3):
         for w in map("".join, itertools.product("ab", repeat=length)):
@@ -192,7 +255,7 @@ def test_mutated_tables_fail_homomorphism(full_decs):
     # swap two entries inside a class-carrying slot of one f_t
     t = dec.m.eta["a"]
     zero = (0,)
-    broken_f = list(dec.can_f)
+    broken_f = list(can_f(dec))
     f_t = dict(broken_f[t])
     tau = list(f_t[zero])
     i, j = next((i, j) for i in range(len(tau)) for j in range(len(tau))
@@ -200,7 +263,7 @@ def test_mutated_tables_fail_homomorphism(full_decs):
     tau[i], tau[j] = tau[j], tau[i]
     f_t[zero] = tuple(tau)
     broken_f[t] = f_t
-    mutated = dec._replace(can_f=tuple(broken_f))
+    mutated = dec._replace(flat=flat_of(dec.signature, broken_f))
     # f_a(0) is now (1, 0, 0): then f_a(1) = (1, 2, 2) sends slot 0 to 2,
     # where f_{a.a}(0) = (1, 1, 2) sends it to 1
     with pytest.raises(VerificationFailure) as info:
@@ -426,4 +489,4 @@ def test_can_product_matches_table(full_decs):
             assert rho == dec.rho(t)
             for r in dec.residuals:
                 size = len(dec.theta[r])
-                assert f[r][:size] == dec.can_f[t][r][:size]
+                assert f[r][:size] == dec.f(t, r)[:size]

@@ -28,14 +28,14 @@ from synmon.periods import residual_of_word
 from synmon.theory import compose
 
 from conftest import random_decomposition, small_dfas
-from test_decompose import GAMMA_SETS, divisor_vectors
+from test_decompose import GAMMA_SETS, can_f, divisor_vectors, flat_of
 
 
 # --- all-pairs references ---
 
 def _can_key(dec, t):
     """Can(t) on every residual, padding included, with rho_bar(t)."""
-    return (tuple(dec.can_f[t][r] for r in dec.residuals), dec.rho(t))
+    return (tuple(dec.f(t, r) for r in dec.residuals), dec.rho(t))
 
 
 def reads_back(dec) -> bool:
@@ -46,7 +46,7 @@ def reads_back(dec) -> bool:
         return False
     e_pos = dec.theta[zero].index(dec.m.monoid.identity)
     for t in range(dec.m.order):
-        k, n_c = dec.can_f[t][zero][e_pos], dec.theta[dec.rho(t)]
+        k, n_c = dec.f(t, zero)[e_pos], dec.theta[dec.rho(t)]
         if not (0 <= k < len(n_c) and n_c[k] == t):
             return False
     return True
@@ -61,15 +61,16 @@ def allpairs_verify(dec):
     does."""
     sig = dec.signature
     table = dec.m.monoid.table
+    can = can_f(dec)
     for s, s2 in itertools.product(range(dec.m.order), repeat=2):
         rho_s = sig.rho_bar[s]
         t = table[s][s2]
         if sig.add(rho_s, sig.rho_bar[s2]) != sig.rho_bar[t]:
             return "homomorphism"
         for r in dec.residuals:
-            shifted = dec.can_f[s2][sig.add(r, rho_s)]
-            left = dec.can_f[s][r]
-            expected = dec.can_f[t][r]
+            shifted = can[s2][sig.add(r, rho_s)]
+            left = can[s][r]
+            expected = can[t][r]
             if any(shifted[left[k]] != expected[k] for k in range(len(dec.theta[r]))):
                 return "homomorphism"
     if (not reads_back(dec)
@@ -88,14 +89,15 @@ def allpairs_wreath_ok(dec) -> bool:
     zero = tuple(0 for _ in sig.periods)
     e_pos = dec.theta[zero].index(dec.m.monoid.identity)
     table = dec.m.monoid.table
-    points = {(dec.can_f[t][zero], dec.rho(t)): t for t in range(dec.m.order)}
+    can = can_f(dec)
+    points = {(can[t][zero], dec.rho(t)): t for t in range(dec.m.order)}
     if len(points) != dec.m.order:
         return False
     for (x1, c), t in points.items():
         if dec.theta[c][x1[e_pos]] != t:
             return False
         for s in range(dec.m.order):
-            moved = compose(x1, dec.can_f[s][c])
+            moved = compose(x1, can[s][c])
             if dec.theta[sig.add(c, dec.rho(s))][moved[e_pos]] != table[t][s]:
                 return False
     return True
@@ -106,7 +108,7 @@ def reference_phi(dec) -> dict:
     identity's slot in N_0, at every point (f_t(0), rho_bar(t))."""
     zero = tuple(0 for _ in dec.signature.periods)
     e_pos = dec.theta[zero].index(dec.m.monoid.identity)
-    points = ((dec.can_f[t][zero], dec.rho(t)) for t in range(dec.m.order))
+    points = ((dec.f(t, zero), dec.rho(t)) for t in range(dec.m.order))
     return {(tau, c): dec.theta[c][tau[e_pos]] for tau, c in points}
 
 
@@ -216,17 +218,24 @@ def test_agree_on_corpus_at_every_divisor_period(corpus):
     assert count >= 20
 
 
+def with_can_f(dec, maps, **signature):
+    """dec with every f_t(r) replaced by maps[t][r] on the class-carrying
+    slots, and with the fields of its signature replaced by `signature`."""
+    sig = dec.signature._replace(**signature)
+    return dec._replace(signature=sig, flat=flat_of(sig, maps))
+
+
 def with_f(dec, t, r, tau):
-    """dec with f_t(r) replaced by tau."""
-    f_t = dict(dec.can_f[t])
-    f_t[r] = tau
-    return dec._replace(can_f=dec.can_f[:t] + (f_t,) + dec.can_f[t + 1:])
+    """dec with f_t(r) replaced by tau on the class-carrying slots."""
+    maps = list(can_f(dec))
+    maps[t] = {**maps[t], r: tau}
+    return with_can_f(dec, maps)
 
 
 def mutated(dec, t, r, size):
     """dec with the first two differing values among slots < size of
     f_t(r) swapped."""
-    tau = list(dec.can_f[t][r])
+    tau = list(dec.f(t, r))
     i, j = next((i, j) for i in range(size) for j in range(size) if tau[i] != tau[j])
     tau[i], tau[j] = tau[j], tau[i]
     return with_f(dec, t, r, tuple(tau))
@@ -245,7 +254,7 @@ def test_agree_on_mutated_non_letter_table(full_decs):
     letters = set(dec.m.eta.values()) | {dec.m.monoid.identity}
     t, r = next((t, r) for t in range(dec.m.order) if t not in letters
                 for r in dec.residuals
-                if len(set(dec.can_f[t][r][:len(dec.theta[r])])) > 1)
+                if len(set(dec.f(t, r)[:len(dec.theta[r])])) > 1)
     broken = mutated(dec, t, r, len(dec.theta[r]))
     assert failing_check(broken) == allpairs_verify(broken) == "homomorphism"
 
@@ -265,8 +274,21 @@ def single_slot_mutant(dfa, data):
     r = data.draw(st.sampled_from(dec.residuals))
     k = data.draw(st.integers(0, len(dec.theta[r]) - 1))
     value = data.draw(st.integers(0, dec.K - 1))
-    tau = dec.can_f[t][r]
+    tau = dec.f(t, r)
     return dec, with_f(dec, t, r, tau[:k] + (value,) + tau[k + 1:]), t, r, k, value
+
+
+def test_a_point_read_from_the_end_is_refused(full_decs):
+    # i - |X| indexes the same point as i, so every gather reads the two
+    # alike.  Where no map but the identity's leads to point 0, as in an
+    # aperiodic monoid, only the read-back reads point 0 of a letter's map,
+    # so the letters' maps are read for a negative point; every other map
+    # meets theirs in the homomorphism check
+    for name, dec in full_decs.items():
+        for t, image in enumerate(dec.flat):
+            moved = (image[0] - len(image),) + image[1:]
+            broken = dec._replace(flat=dec.flat[:t] + (moved,) + dec.flat[t + 1:])
+            assert failing_check(broken) == "homomorphism", (name, t)
 
 
 @settings(max_examples=200)
@@ -296,7 +318,7 @@ def test_wreath_divisor_of_a_verified_single_slot_mutant(dfa, data):
     # mutant it passes leaves the slot as it was, and phi is read off it
     dec, broken, t, r, k, value = single_slot_mutant(dfa, data)
     if failing_check(broken) is None:
-        assert value == dec.can_f[t][r][k]
+        assert value == dec.f(t, r)[k]
         assert_wreath_read_off(broken)
 
 
@@ -338,7 +360,8 @@ def test_a3_layout(full_decs):
     dec = full_decs["a3"]
     assert (dec.m.eta, dec.K, dec.theta) == ({"a": 1, "b": 2}, 3,
                                              {(0,): (0, 3, 4), (1,): (1, 2)})
-    assert dec.can_f[1] == {(0,): (0, 0, 1), (1,): (1, 2, 2)}
+    assert can_f(dec)[1] == {(0,): (0, 0, 1), (1,): (1, 2, 2)}
+    assert dec.flat[1] == (3, 3, 4, 1, 2)
     assert dec.m.monoid.table[1][1] == 3
 
 
@@ -371,9 +394,8 @@ def test_injectivity_check_names_two_elements(full_decs):
     # only keeps rho_bar, so a and b, both in N_1, share their image
     dec = full_decs["a3"]
     classes = {r: theta[:1] for r, theta in dec.theta.items()}
-    broken = dec._replace(signature=dec.signature._replace(classes=classes),
-                          can_f=tuple({r: (0, 1, 2) for r in dec.residuals}
-                                      for _ in dec.can_f))
+    broken = with_can_f(dec, [{r: (0, 1, 2) for r in dec.residuals}] * dec.m.order,
+                        classes=classes)
     # the read-back finds 1 at the slot of 2
     assert failure(verify_canonical, broken) == (
         "canonical embedding: Can(t) does not read t back at t = 2: f_t((0,)) "
@@ -413,13 +435,13 @@ def test_wreath_divisor_names_an_identity_outside_the_zero_class(full_decs):
     dec = full_decs["a3"]
     # N_0 shrunk to (3, 4): f_a(1) sends slot 1 past its two slots
     classes = {**dec.theta, (0,): (3, 4)}
-    broken = dec._replace(signature=dec.signature._replace(classes=classes))
+    broken = with_can_f(dec, can_f(dec), classes=classes)
     assert failure(verify_canonical, broken) == (
         "canonical embedding: f_s(r) leaves its class at s = 1, r = (1,): "
         "slot 1 goes to 2, past the 2 of N_(0,)")
     # N_0 = (2, 3, 4) keeps the sizes, so only the read-back sees it
     classes = {**dec.theta, (0,): (2, 3, 4)}
-    broken = dec._replace(signature=dec.signature._replace(classes=classes))
+    broken = with_can_f(dec, can_f(dec), classes=classes)
     assert failure(verify_canonical, broken) == (
         "canonical embedding: the identity 0 is not in N_(0,)")
 
@@ -429,7 +451,7 @@ def test_wreath_formula_check_names_the_second_of_two_elements_on_one_point(full
     # f_4 = f_3 they share a point of phi; 4 = b.a, so the homomorphism
     # check meets it first, at element 2 and letter a
     dec = full_decs["a3"]
-    broken = dec._replace(can_f=dec.can_f[:4] + (dec.can_f[3],) + dec.can_f[5:])
+    broken = dec._replace(flat=dec.flat[:4] + (dec.flat[3],) + dec.flat[5:])
     assert dec.m.monoid.table[2][1] == 4
     assert failure(verify_canonical, broken) == (
         "canonical embedding: Can(s.a) != Can(s).Can(a) at s = 2, a = 'a', r = (0,), "
@@ -445,9 +467,8 @@ def test_relabelled_can_fails_the_read_back():
     dec = canonical_decomposition(sm, build_signature(sm, [sm.alphabet]))
     assert (sm.order, dec.K, dec.signature.periods) == (3, 3, (1,))
     swap = (0, 2, 1)
-    relabelled = tuple({r: tuple(swap[f[r][swap[k]]] for k in range(3)) for r in f}
-                       for f in dec.can_f)
-    broken = dec._replace(can_f=relabelled)
+    relabelled = tuple(tuple(swap[f[swap[k]]] for k in range(3)) for f in dec.flat)
+    broken = dec._replace(flat=relabelled)
     assert allpairs_verify(broken) == "read-back"
     assert not allpairs_wreath_ok(broken)
     assert failure(verify_canonical, broken) == (

@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from synmon import (Analysis, build_signature, load_dfa, max_period, minimize,
+from synmon import (Analysis, build_signature, load_dfa, max_period, minimize, periods,
                     residual_of_word, sink_periods, transition_monoid)
-from synmon.errors import InvalidPeriod, UnknownSymbol, VerificationFailure
+from synmon.errors import InvalidPeriod, TooLarge, UnknownSymbol, VerificationFailure
 from synmon.oracle import CYCLE_ORDER_CAP, cycle_gcd
 from synmon.periods import strongly_connected_components
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -304,3 +304,19 @@ def test_sinks_are_the_closed_classes_on_random_dfas(dfa):
     sm = small_monoid(dfa)
     assert sink_periods(sm) == closed_classes(
         [[sm.monoid.table[x][sm.eta[a]] for a in sm.alphabet] for x in range(sm.order)])
+
+
+def test_signature_refuses_a_residual_group_past_the_budget(monkeypatch):
+    # C_6 counted by a twice over: 36 residuals, of which rho_bar reaches 6
+    sm = transition_monoid(minimize(regex_to_dfa(parse_regex("(aaaaaa)*"), "a")))
+    monkeypatch.setattr(periods, "RESIDUALS", 36)
+    assert len(build_signature(sm, ["a", "a"]).classes) == 36
+    monkeypatch.setattr(periods, "RESIDUALS", 35)
+
+    def product(*ranges):
+        raise AssertionError("a class was laid out")
+
+    monkeypatch.setattr(periods, "product", product)
+    with pytest.raises(TooLarge, match=r"^the residual group C6xC6 exceeds the budget "
+                                       r"of 35 residuals$"):
+        build_signature(sm, ["a", "a"])

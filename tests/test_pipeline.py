@@ -66,6 +66,25 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     assert len(checks) == 3
 
 
+def test_residual_monoids_of_one_slot_list_share_one_table(monkeypatch, tmp_path, capsys):
+    # signed shifts at n = 8: order 2048, P = 2, and t -> f_t(r) is injective
+    # on N_0 at both residuals, so T_0 and T_1 share one table
+    dfa = signed_shift_dfa(8)
+    name = {(i, s): f"{i}_{s}" for i, s in dfa.states}
+    path = tmp_path / "signed8.json"
+    path.write_text(json.dumps({
+        "alphabet": list(dfa.alphabet), "states": [name[q] for q in dfa.states],
+        "initial": name[dfa.initial], "accepting": [name[q] for q in dfa.accepting],
+        "transitions": [{"from": name[q], "on": a, "to": name[dfa.delta[(q, a)]]}
+                        for q in dfa.states for a in dfa.alphabet]}))
+    checks = count_calls(monkeypatch, monoid, "check_table")
+    assert cli.main(["analyze", "--dfa", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("residual monoid")] == [
+        "residual monoid T_0: order 1024", "residual monoid T_1: order 1024"]
+    assert [len(call[0]) for call in checks] == [2048, 1024]
+
+
 def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
     fills = count_calls(monkeypatch, monoid, "_rows")
     checks = count_calls(monkeypatch, monoid, "check_table")
@@ -79,7 +98,8 @@ def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
     for verb in ("monoid", "decompose", "zero-one", "analyze"):
         assert cli.main([verb, *regex]) == 0, verb
         table = built.pop().monoid.monoid.table
-        # one fill for M, checked once; at P = 2 T_0 and T_1 have tables of their own
+        # one fill for M, checked once; at P = 2 each T_r table is T_r's own,
+        # or shared with another T_r of the same slot list, never M's
         assert len(fills) == 1 and [call[0] is table for call in checks].count(True) == 1, verb
         fills.clear()
         checks.clear()

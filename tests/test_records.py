@@ -162,12 +162,12 @@ def test_monoids_and_analyses_compare_by_identity():
 def test_decompositions_compare_by_their_fields():
     dec = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*"), "ab")).decomposition
     assert dec == dec._replace() and not dec != dec._replace()
-    assert dec != dec._replace(can_f=dec.can_f[:1])
+    assert dec != dec._replace(flat=dec.flat[:1])
 
 
 def test_decompositions_read_theta_and_k_off_their_signature():
     dec = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")).decomposition
-    assert CanonicalDecomposition._fields == ("m", "signature", "can_f")
+    assert CanonicalDecomposition._fields == ("m", "signature", "flat")
     assert dec.theta is dec.signature.classes
     assert dec.K == max(len(n_r) for n_r in dec.signature.classes.values())
 
