@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 input error, 3 internal verification failure: a
 check of a constructed object failed (`verification failure: <stage>: ...`).
 
+Each verb computes every value that can fail or refuse, then hands `_emit`
+its text lines, its JSON report unbuilt and the monoid whose Cayley graph
+`--dot` draws.  `_emit` alone reads `--json` and `--dot`: it builds the
+report only under `--json`, writes the DOT file only after that, and
+prints last, so that a failed run prints nothing and writes no DOT file.
+
 Each command imports `regexes`, `decompose`, `probability` and `oracle`
 only when it uses them, so that it pays at start-up only for the modules
 on its path.
@@ -253,18 +259,27 @@ def _batched(pieces):
         yield "".join(batch)
 
 
-def _emit(args, report_json, text_lines):
-    """Print the report: compact JSON with sorted keys under --json (the
-    bytes of `json.dumps(report_json, sort_keys=True, separators=(",",
-    ":"))`, written as they are encoded), else the text lines, which may
-    be a lazy iterable.  Every value that can fail must be computed
-    before the call, so that a failure leaves stdout empty."""
+def _emit(args, report, text_lines, graph=None):
+    """Build one verb's JSON report, write its DOT file and print, in that order.
+
+    The report is built only under --json, by calling `report()` before
+    the first byte, and printed as compact JSON with sorted keys (the bytes
+    of `json.dumps(report(), sort_keys=True, separators=(",", ":"))`,
+    written as they are encoded); without --json the text lines are
+    printed, which may be a lazy iterable.  With --dot the Cayley graph of
+    `graph` is written after the report is built and before stdout.  Every
+    value that can fail must be computed before the call, and only
+    `report()` may refuse after it, so that a failure leaves stdout empty
+    and no DOT file behind."""
     if args.json:
-        plan = list(_json_pieces(report_json))  # holds every row: their ids stay unique
+        plan = list(_json_pieces(report()))  # holds every row: their ids stay unique
         row = _row_encoder(Counter(id(p) for p in plan if not isinstance(p, str)))
         pieces = chain((p if isinstance(p, str) else row(p) for p in plan), ("\n",))
     else:
         pieces = (line + "\n" for line in text_lines)
+    if getattr(args, "dot", None):
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(cayley_to_dot(graph))
     sys.stdout.writelines(_batched(pieces))
 
 
@@ -277,35 +292,38 @@ def cmd_analyze(args) -> int:
     dec = analysis.decomposition
     dfa_sinks = sink_periods(analysis.dfa)
     cayley_sinks = sink_periods(sm)
-
-    out = {
-        "monoid": syntactic_to_json(sm),
-        "signature": _signature_json(sig),
-        "decomposition": decomposition_to_json(dec) if args.json else None,
-        "wreath": {
-            "equivariant": True,  # verify_canonical passed, which implies it
-            "rho_bar_surjective": sig.surjective,
-            "phi_domain_size": sm.order,  # the read-back makes Can injective
-        },
-        "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
-    }
     probability = sig.full_alphabet_at_maximum
     if probability:
         _check_digits(analysis.dfa.alphabet, args.length)
         series = mu_series(analysis.dfa, args.length)
         basic = analysis.basic_verdict
         verdicts = analysis.residual_verdicts
-        out["probability"] = {
-            "mu_series": _mu_series_json(series),
-            "period": basic.period,
-            "accumulation": _accumulation_json(basic.accumulation),
-            "sinks": _sinks_json(dfa_sinks),
-            "zero_one": _zero_one_json(basic, verdicts),
+
+    def report():
+        out = {
+            "monoid": syntactic_to_json(sm),
+            "signature": _signature_json(sig),
+            "decomposition": decomposition_to_json(dec),
+            "wreath": {
+                "equivariant": True,  # verify_canonical passed, which implies it
+                "rho_bar_surjective": sig.surjective,
+                "phi_domain_size": sm.order,  # the read-back makes Can injective
+            },
+            "sinks": {"dfa": _sinks_json(dfa_sinks), "cayley": _sinks_json(cayley_sinks)},
         }
-        out["residual_monoids"] = [
-            {"r": t.r, "order": t.order, "elements": t.transformations}
-            for t in analysis.residual_monoids
-        ]
+        if probability:
+            out["probability"] = {
+                "mu_series": _mu_series_json(series),
+                "period": basic.period,
+                "accumulation": _accumulation_json(basic.accumulation),
+                "sinks": _sinks_json(dfa_sinks),
+                "zero_one": _zero_one_json(basic, verdicts),
+            }
+            out["residual_monoids"] = [
+                {"r": t.r, "order": t.order, "elements": t.transformations}
+                for t in analysis.residual_monoids
+            ]
+        return out
 
     def lines():
         yield f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}"
@@ -328,36 +346,27 @@ def cmd_analyze(args) -> int:
             yield (f"zero-one: basic: {basic.verdict}; "
                    + _residual_zero_one_line(verdicts))
 
-    # written last, so that a failing analyze leaves no DOT file behind
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cayley_to_dot(sm))
-    _emit(args, out, lines())
+    _emit(args, report, lines(), sm)
     return 0
 
 
 def cmd_monoid(args) -> int:
-    analysis = _analysis(args)
-    sm = analysis.monoid
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cayley_to_dot(sm))
-    out = syntactic_to_json(sm)
+    sm = _analysis(args).monoid
+    table = sm.monoid.table  # filled and checked before anything is written
     lines = chain((f"order {sm.order}",), (f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet),
                   (f"accepting image: {sorted(sm.accepting_image)}",),
-                  (f"{i}: {' '.join(map(str, row))}" for i, row in enumerate(sm.monoid.table)))
-    _emit(args, out, lines)
+                  (f"{i}: {' '.join(map(str, row))}" for i, row in enumerate(table)))
+    _emit(args, lambda: syntactic_to_json(sm), lines, sm)
     return 0
 
 
 def cmd_period(args) -> int:
     sig = _signature(_analysis(args))
-    out = _signature_json(sig)
     lines = chain((f"gamma {{{','.join(g)}}}: period {p}"
                    for g, p in zip(sig.gammas, sig.periods)),
                   (f"class ({','.join(map(str, r))}): {list(sig.classes[r])}"
                    for r in sig.residuals()))
-    _emit(args, out, lines)
+    _emit(args, lambda: _signature_json(sig), lines)
     return 0
 
 
@@ -368,13 +377,12 @@ def cmd_prob(args) -> int:
     _check_digits(analysis.dfa.alphabet, args.length)
     period = analysis.max_period  # before the series: its failures come first
     series = mu_series(analysis.dfa, args.length)
-    out = {
+    _emit(args, lambda: {
         "mu_series": _mu_series_json(series),
         "period": period,
         "accumulation": _accumulation_json(accumulation_points(analysis.dfa)),
         "sinks": _sinks_json(sink_periods(analysis.dfa)),
-    }
-    _emit(args, out, (f"{i} {v}" for i, v in enumerate(series)))
+    }, (f"{i} {v}" for i, v in enumerate(series)))
     return 0
 
 
@@ -384,13 +392,12 @@ def cmd_decompose(args) -> int:
     analysis = _analysis(args)
     sig = _signature(analysis)
     dec = analysis.decomposition
-    out = decomposition_to_json(dec) if args.json else None
     # a decomposition exists only once every check has passed
     lines = [
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
         "homomorphism=True injective=True residual=True",
     ]
-    _emit(args, out, lines)
+    _emit(args, lambda: decomposition_to_json(dec), lines)
     return 0
 
 
@@ -399,9 +406,8 @@ def cmd_zero_one(args) -> int:
     _signature(analysis)
     verdicts = analysis.residual_verdicts
     basic = analysis.basic_verdict
-    out = _zero_one_json(basic, verdicts)
     lines = [f"basic: {basic.verdict}; " + _residual_zero_one_line(verdicts)]
-    _emit(args, out, lines)
+    _emit(args, lambda: _zero_one_json(basic, verdicts), lines)
     return 0
 
 

@@ -24,13 +24,8 @@ from .monoid import SyntacticMonoid
 RESIDUALS = 1 << 18  # the most residuals, one class N_r each, that a signature lays out
 
 
-def residual_of_word(word: str, gammas, periods, alphabet=None):
+def residual_of_word(word: str, gammas, periods):
     """(|word|_gamma_i mod P_i) for each i."""
-    if alphabet is not None:
-        known = set(alphabet)
-        for a in word:
-            if a not in known:
-                raise UnknownSymbol(f"letter {a!r} not in alphabet {sorted(known)}")
     counts = []
     for gamma, p in zip(gammas, periods):
         members = set(gamma)

@@ -524,9 +524,10 @@ def test_series_length_budget(verb, monkeypatch, capsys):
     # one letter: mu is 0 or 1, so the int-to-text check lets any length through
     argv = [verb, "--regex", "(aa)*", "--alphabet", "a", "--json", "--length"]
     monkeypatch.setattr(probability, "SERIES_LENGTH", 10)
-    assert cli.main([*argv, "11"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: a mu series to length 11 exceeds the budget of 10 letters\n")
+    for refused in (argv, [a for a in argv if a != "--json"]):  # JSON and text alike
+        assert cli.main([*refused, "11"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: a mu series to length 11 exceeds the budget of 10 letters\n")
     assert cli.main([*argv, "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     series = report["probability"]["mu_series"] if verb == "analyze" else report["mu_series"]
@@ -552,3 +553,55 @@ def test_no_verb_exits_three_on_random_dfas(tmp_path_factory, verb, dfa):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([verb, "--dfa", str(path), *flags])
         assert code != 3, err.getvalue()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_monoid_that_fails_its_check_writes_no_dot_file(flags, monkeypatch, capsys, tmp_path):
+    from synmon import monoid
+    from synmon.errors import InvalidMonoid
+
+    def failing(table):
+        raise InvalidMonoid("identity law fails at element 0")
+
+    monkeypatch.setattr(monoid, "check_table", failing)
+    dot = tmp_path / "o.dot"
+    assert cli.main(["monoid", "--regex", A3_REGEX, "--dot", str(dot), *flags]) == 3
+    assert capsys.readouterr() == ("", "verification failure: identity law fails at element 0\n")
+    assert not dot.exists()
+
+
+@pytest.mark.parametrize("verb", ["analyze", "decompose"])
+def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
+    from synmon import decompose
+
+    reads = []
+    read = decompose.CanonicalDecomposition.f
+
+    def counted(dec, t, r):
+        reads.append((t, r))
+        return read(dec, t, r)
+
+    monkeypatch.setattr(decompose.CanonicalDecomposition, "f", counted)
+    # a3: 5 elements at P = 2, so the report lists 10 rows f_t(r)
+    monkeypatch.setattr(decompose, "REPORT_ROWS", 9)
+    dot = tmp_path / "o.dot"
+    argv = [verb, "--regex", A3_REGEX]
+    # the text report lists no f_t(r), so the budget does not bound it; its
+    # reads are the residual monoids' of analyze
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert bool(reads) == (verb == "analyze")
+    text_reads = reads[:]
+    reads.clear()
+    flags = ["--json"] + (["--dot", str(dot)] if verb == "analyze" else [])
+    assert cli.main([*argv, *flags]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 10 rows f_t(r) of the decomposition report (5 elements times 2 "
+        "residuals) exceed the budget of 9\n")
+    assert not dot.exists()
+    assert reads == text_reads  # the report read no f_t(r) before it refused
+    monkeypatch.setattr(decompose, "REPORT_ROWS", 10)
+    assert cli.main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    can = (report["decomposition"] if verb == "analyze" else report)["can"]
+    assert sum(map(len, (row["f"] for row in can.values()))) == 10

@@ -30,7 +30,7 @@ def streamed(report, slice_items=cli._SLICE_ITEMS) -> str:
     out = io.StringIO()
     with mock.patch.object(cli, "_SLICE_ITEMS", slice_items), \
             contextlib.redirect_stdout(out):
-        cli._emit(JSON, report, [])
+        cli._emit(JSON, lambda: report, [])
     return out.getvalue()
 
 
@@ -144,9 +144,9 @@ def test_analyze_json_streams_the_bytes_of_one_dump(tmp_path):
     reports = []
     emit = cli._emit
 
-    def recording(args, report_json, text_lines):
-        reports.append(report_json)
-        emit(args, report_json, text_lines)
+    def recording(args, report, text_lines, graph=None):
+        reports.append(report())
+        emit(args, lambda: reports[-1], text_lines, graph)
 
     for slice_items in (cli._SLICE_ITEMS, 100):
         out = io.StringIO()

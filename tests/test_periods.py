@@ -25,7 +25,7 @@ from workloads import counter, kth_tail, mod_length  # noqa: E402
 
 
 def test_residual_of_word_mixed_gammas():
-    r = residual_of_word("aabac", [("a",), ("a", "b")], [2, 2], alphabet="abc")
+    r = residual_of_word("aabac", [("a",), ("a", "b")], [2, 2])
     assert r == (1, 0)
 
 
@@ -35,11 +35,6 @@ def test_residual_of_empty_word():
 
 def test_residual_full_alphabet():
     assert residual_of_word("ab", [("a", "b")], [2]) == (0,)
-
-
-def test_residual_unknown_symbol():
-    with pytest.raises(UnknownSymbol):
-        residual_of_word("ax", [("a",)], [2], alphabet="ab")
 
 
 def test_scc_basics():

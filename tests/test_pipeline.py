@@ -131,12 +131,14 @@ def test_analyze_runs_max_period_once_and_prob_one_signature(monkeypatch, capsys
     assert capsys.readouterr().out.startswith("basic: ")
     assert (len(walks), len(signatures)) == (1, 1)
     # P = 1: prob reads the maximum period off the signature and prints no
-    # notice; `accumulation_points` walks once more on a monoid of its own
-    walks.clear()
-    signatures.clear()
-    assert cli.main(["prob", "--regex", "(a|b)*a"]) == 0
-    assert capsys.readouterr().err == ""
-    assert (len(walks), len(signatures)) == (2, 1)
+    # notice; under --json `accumulation_points` walks once more on a monoid
+    # of its own, and the text report does not call it
+    for argv, counts in ((["prob"], (1, 1)), (["prob", "--json"], (2, 1))):
+        walks.clear()
+        signatures.clear()
+        assert cli.main([*argv, "--regex", "(a|b)*a"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (len(walks), len(signatures)) == counts, argv
 
 
 def test_stage_values_do_not_depend_on_the_order_they_are_read(monkeypatch):
@@ -198,9 +200,9 @@ def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):
         seen.append(build(args))
         return seen[-1]
 
-    def report(args, out, lines):
-        seen.append(out)
-        emit(args, out, lines)
+    def report(args, out, lines, graph=None):
+        seen.append(out())  # text analyze builds no report: build it here
+        emit(args, out, lines, graph)
 
     monkeypatch.setattr(cli, "_analysis", analysis)
     monkeypatch.setattr(cli, "_emit", report)
@@ -340,3 +342,19 @@ def test_group_stages_match_closed_forms_past_the_oracle_caps():
         assert analysis.basic_verdict.zero_element is None
         assert [(v.w, v.is_zero_or_one, v.mu_lw) for v in analysis.residual_verdicts] == [
             ("", False, limit), ("a", False, limit), ("b", False, limit)]
+
+
+def test_text_reports_build_no_json(monkeypatch, capsys):
+    limits = count_calls(monkeypatch, probability, "accumulation_points")
+    signatures = count_calls(monkeypatch, cli, "_signature_json")
+    verdicts = count_calls(monkeypatch, cli, "_zero_one_json")
+    regex = ["--regex", "((a|b)(a|b))*"]
+    assert cli.main(["prob", *regex]) == 0
+    assert limits == []
+    assert cli.main(["prob", "--json", *regex]) == 0
+    assert len(limits) == 1
+    assert cli.main(["period", *regex]) == cli.main(["zero-one", *regex]) == 0
+    assert signatures == verdicts == []
+    assert cli.main(["period", "--json", *regex]) == cli.main(["zero-one", "--json", *regex]) == 0
+    assert len(signatures) == len(verdicts) == 1
+    capsys.readouterr()
