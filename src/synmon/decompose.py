@@ -11,8 +11,10 @@ slot[i] the slot of point i in its class, f_t(r) of degree K = max |N_r| is
 
 for k < |N_r|, and k past it.  Products follow (f, r).(g, r') =
 (f . (r (*) g), r + r') with (r (*) g)(c) = g(c + r); on X, Can(s.t) is
-Can(s) then Can(t).  At period 1, Can(t) is column t of M's table, the
-right regular representation.
+Can(s) then Can(t).  So Can is built along the Cayley graph's BFS tree
+from the letters' maps, and checked at the letters: the decomposition reads
+no multiplication table.  At period 1, Can(t) is right multiplication by t,
+the right regular representation.
 """
 
 from __future__ import annotations
@@ -126,17 +128,20 @@ class LwRecognizer(NamedTuple):
 
 def canonical_decomposition(m: SyntacticMonoid,
                             sig: PeriodSignature) -> CanonicalDecomposition:
-    """Build Can and verify it is an injective homomorphism before returning
-    (`verify_canonical` raises VerificationFailure otherwise)."""
+    """Build Can along the Cayley graph and verify it is an injective
+    homomorphism before returning (`verify_canonical` raises
+    VerificationFailure otherwise).  A letter's map is its column of the
+    Cayley graph relabelled by the points, and every other element's is
+    its tree parent's map then its last letter's, as t = parent(t).last(t);
+    so the build reads no multiplication table."""
     points = tuple(chain.from_iterable(map(sig.classes.__getitem__, sig.residuals())))
-    table = m.monoid.table
-    if points == tuple(range(m.order)):
-        flat = tuple(zip(*table))
-    else:
-        # column t at the points, then the point of each element it holds
-        point = sorted(range(m.order), key=points.__getitem__)
-        flat = tuple(gather(column)(point) for column in zip(*gather(points)(table)))
-    dec = CanonicalDecomposition(m, sig, flat)
+    point = sorted(range(m.order), key=points.__getitem__)
+    # the column at the points, then the point of each element it holds
+    by_letter = [gather(gather(points)(column))(point) for column in zip(*m.right)]
+    flat = [tuple(range(m.order))]
+    for parent, last in m.tree[1:]:
+        flat.append(gather(flat[parent])(by_letter[last]))
+    dec = CanonicalDecomposition(m, sig, tuple(flat))
     verify_canonical(dec)
     return dec
 
@@ -149,8 +154,24 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
 
     The homomorphism identity Can(s.a) = Can(s).Can(a) is checked for every
     element s and every letter a, together with Can(e) = (identity, 0) and
-    the requirement that each f_s(r) maps the class-carrying slots of r into
-    those of r + rho_bar(s).  That is equivalent to checking all pairs.
+    the requirement that each letter's f_a(r) maps the class-carrying slots
+    of r into those of r + rho_bar(a).  That is equivalent to checking all
+    pairs.
+
+    First, every f_t(r) then maps the slots of r into those of r +
+    rho_bar(t), by induction on t from Can(e), the identity.  Elements are
+    numbered in BFS order, and `SyntacticMonoid.__init__` checks that each
+    t > 0 is t = p.a for its tree parent p, 0 <= p < t, and its last letter
+    a.  The check at (p, a), run in p's iteration, compares Can(t) with
+    Can(p).Can(a), a product of maps already checked: Can(a) by the
+    letters' check, which runs first, and Can(p) by induction, so that the
+    product sends the slots of r to those of r + rho_bar(p) + rho_bar(a),
+    which is r + rho_bar(t) by the residual check at (p, a), run just
+    before.  So Can(t) is known to keep its classes once that comparison
+    passes, and it passes before Can(t) is first used as gather indices,
+    in t's own iteration; no map is read at a point outside X, and none
+    needs a scan of its own.
+
     These conditions imply the identity for every pair s, t, by induction
     on the length of a word for t = t'.a: Can(s.t'.a) = Can(s.t').Can(a) =
     (Can(s).Can(t')).Can(a) = Can(s).(Can(t').Can(a)) = Can(s).Can(t).  The
@@ -166,11 +187,10 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
     Can(s)[start_r + k] - start_{r+rho_bar(s)} at point i = start_r + k;
     X lists points by residual, then slot, so the first point at fault
     names the first residual and slot at fault.  With c = r + rho_bar(s),
-    0 <= g_s(r)(k) < |N_c| iff Can(s)[i] is in X with c's coordinates, one
-    gather per coordinate.  Then Can(a) after Can(s) sends i to
-    g_a(c)(g_s(r)(k)) + start_{c+rho_bar(a)}, and Can(s.a) to
-    g_{s.a}(r)(k) + start_{r+rho_bar(s.a)}, the same offset once the
-    residual check passes.  Once all pass, g = f.
+    f_s(r) keeps its class at slot k iff 0 <= g_s(r)(k) < |N_c|.  Then
+    Can(a) after Can(s) sends i to g_a(c)(g_s(r)(k)) + start_{c+rho_bar(a)},
+    and Can(s.a) to g_{s.a}(r)(k) + start_{r+rho_bar(s.a)}, the same offset
+    once the residual check passes.  Once all pass, g = f.
 
     The read-back checks Can against its definition at the identity's slot
     e of N_0, point 0: theta_{rho_bar(t)}(f_t(0)(e)) = t for every t, which
@@ -187,26 +207,20 @@ def verify_canonical(dec: CanonicalDecomposition) -> None:
         raise VerificationFailure(f"canonical embedding: Can(e) is not (identity, 0): "
                                   f"f_e({owner[i]}) sends slot {slot[i]} to "
                                   f"{flat[0][i] - start[owner[i]]}")
-    # (coordinate j of each point's class, its gather, 0..P_j-1 twice so that
-    # a slice at v adds v mod P_j) for every coordinate that moves
-    coordinates = [(c, gather(c), tuple(range(p)) * 2, p)
-                   for c, p in zip(zip(*owner), sig.periods) if p > 1]
+    # the letters' maps keep their classes; every other map does once the
+    # homomorphism check below has met it at its tree parent
+    for s in sorted(set(m.eta.values())):
+        for i, x in enumerate(flat[s]):
+            target = sig.add(owner[i], sig.rho_bar[s])
+            k, size = x - start[target], len(sig.classes[target])
+            if not 0 <= k < size:
+                where = f"past the {size} of" if k >= 0 else "before the first slot of"
+                raise VerificationFailure(
+                    f"canonical embedding: f_s(r) leaves its class at s = {s}, "
+                    f"r = {owner[i]}: slot {slot[i]} goes to {k}, {where} N_{target}")
     letters = [(a, m.eta[a]) for a in m.alphabet]
-    # a negative point indexes from the end: only the letters' maps are read
-    # for one, as the homomorphism check draws every other map from theirs
     for s, image in enumerate(flat):
         rho_s, after_s = sig.rho_bar[s], gather(image)
-        if max(image) >= n or (s in m.eta.values() and min(image) < 0) or any(
-                after_s(c) != shifted(cycle[v:v + p])
-                for (c, shifted, cycle, p), v in zip(coordinates, rho_s)):
-            for i, x in enumerate(image):
-                target = sig.add(owner[i], rho_s)
-                k, size = x - start[target], len(sig.classes[target])
-                if not 0 <= k < size:
-                    where = f"past the {size} of" if k >= 0 else "before the first slot of"
-                    raise VerificationFailure(
-                        f"canonical embedding: f_s(r) leaves its class at s = {s}, "
-                        f"r = {owner[i]}: slot {slot[i]} goes to {k}, {where} N_{target}")
         for (a, g), t in zip(letters, m.right[s]):
             if sig.add(rho_s, sig.rho_bar[g]) != sig.rho_bar[t]:
                 raise VerificationFailure(

@@ -233,6 +233,7 @@ def sink_periods(graph) -> list:
         vertices = graph.states
     else:
         raise TypeError(f"expected SyntacticMonoid or Dfa, got {type(graph).__name__}")
+    # every vertex has an out-edge, one per letter, so every closed class
+    # holds a cycle and its period is at least 1
     return [(tuple(vertices[v] for v in component), period)
-            for component, period in _cycle_classes(len(vertices), graph.targets())
-            if period]
+            for component, period in _cycle_classes(len(vertices), graph.targets())]

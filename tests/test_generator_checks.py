@@ -379,6 +379,21 @@ def test_class_check_names_the_element_residual_and_slot(full_decs):
         "slot 0 goes to 2, past the 2 of N_(1,)")
 
 
+def test_non_letter_maps_are_met_at_their_tree_parent(full_decs):
+    # only the letters' maps are scanned for their classes: 3 = a.a and
+    # 4 = b.a are compared with a product of checked maps at their tree
+    # parents 1 and 2, before either is read as gather indices, so a point
+    # in the wrong class or past X is named there and raises no IndexError
+    dec = full_decs["a3"]
+    assert dec.m.tree[3:] == ((1, 0), (2, 0))
+    for t, image, s, want, got in ((3, (4, 3, 4, 1, 2), 1, 4, 1),
+                                   (4, (4, 4, 4, 1, 9), 2, 4, 2)):
+        broken = dec._replace(flat=dec.flat[:t] + (image,) + dec.flat[t + 1:])
+        assert failure(verify_canonical, broken) == (
+            f"canonical embedding: Can(s.a) != Can(s).Can(a) at s = {s}, a = 'a', "
+            f"r = (0,), slot 0: Can(s.a) gives {want}, Can(s).Can(a) gives {got}")
+
+
 def test_residual_of_a_product_names_the_element_and_letter(full_decs):
     dec = full_decs["a3"]
     sig = dec.signature

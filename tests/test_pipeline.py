@@ -90,12 +90,13 @@ def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
     checks = count_calls(monkeypatch, monoid, "check_table")
     regex = ["--regex", "((a|b)(a|b))*a", "--alphabet", "ab"]  # P = 2, order 5
     for argv in (["period", *regex], ["prob", *regex], ["oracle", "cycle-gcd", *regex],
-                 ["oracle", "lw", *regex, "--w", "a"]):
+                 ["oracle", "lw", *regex, "--w", "a"], ["decompose", *regex],
+                 ["decompose", "--json", *regex]):
         assert cli.main(argv) == 0, argv
         assert (fills, checks) == ([], []), argv
     built, build = [], cli._analysis
     monkeypatch.setattr(cli, "_analysis", lambda args: built.append(build(args)) or built[-1])
-    for verb in ("monoid", "decompose", "zero-one", "analyze"):
+    for verb in ("monoid", "zero-one", "analyze"):
         assert cli.main([verb, *regex]) == 0, verb
         table = built.pop().monoid.monoid.table
         # one fill for M, checked once; at P = 2 each T_r table is T_r's own,
