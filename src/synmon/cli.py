@@ -3,15 +3,18 @@
 Exit codes: 0 success, 2 input error, 3 internal verification failure: a
 check of a constructed object failed (`verification failure: <stage>: ...`).
 
-Each verb computes every value that can fail or refuse, then hands `_emit`
-its text lines, its JSON report unbuilt and the monoid whose Cayley graph
-`--dot` draws.  `_emit` alone reads `--json` and `--dot`: it builds the
-report only under `--json`, writes the DOT file only after that, and
-prints last, so that a failed run prints nothing and writes no DOT file.
+Every JSON report is built here, by one builder per verb, and `analyze`'s
+report is theirs composed.  Each verb computes every value its text prints,
+then hands `_emit` its text lines, its JSON report unbuilt and the monoid
+whose Cayley graph `--dot` draws; a value that only the JSON prints is
+computed inside the report.  `_emit` alone reads `--json` and `--dot`: it
+builds the report only under `--json`, writes the DOT file only after
+that, and prints last, so that a failed run prints nothing and writes no
+DOT file.
 
-Each command imports `regexes`, `decompose`, `probability` and `oracle`
-only when it uses them, so that it pays at start-up only for the modules
-on its path.
+Each command imports `regexes`, `probability` and `oracle` only when it
+uses them, as `Analysis` does `decompose`, so that it pays at start-up only
+for the modules on its path.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import json
 import sys
 from collections import Counter
 from itertools import chain
+from math import prod
 from operator import itemgetter
 
 from .dfa import load_dfa, trim
-from .errors import FormatError, InvalidArgument, SynmonError, VerificationFailure
-from .monoid import cayley_to_dot, syntactic_to_json
+from .errors import FormatError, InvalidArgument, SynmonError, TooLarge, VerificationFailure
+from .monoid import cayley_to_dot
 from .periods import sink_periods
 from .pipeline import Analysis
+
+REPORT_ROWS = 1 << 20  # the most rows f_t(r), one per element and residual, that a report lists
 
 
 def _load_source(args):
@@ -87,6 +93,18 @@ def _signature(analysis):
     return sig
 
 
+def _monoid_json(sm):
+    """`monoid`'s report; the table is shared, not copied (tuples encode
+    as JSON arrays)."""
+    return {
+        "order": sm.order,
+        "identity": sm.monoid.identity,
+        "table": sm.monoid.table,
+        "generators": {a: sm.eta[a] for a in sorted(sm.eta)},
+        "accepting_image": sorted(sm.accepting_image),
+    }
+
+
 def _signature_json(sig):
     return {
         "gammas": [list(g) for g in sig.gammas],
@@ -98,18 +116,45 @@ def _signature_json(sig):
     }
 
 
+def _decomposition_json(dec):
+    """`decompose`'s report; the classes and the transformations f_t(r) are
+    shared, not copied (tuples encode as arrays).  It lists |M| x P1 x ...
+    x Pn rows f_t(r), and more than REPORT_ROWS of them raise TooLarge
+    before any is read."""
+    order, residuals = dec.m.order, prod(dec.signature.periods)
+    if order * residuals > REPORT_ROWS:
+        raise TooLarge(f"{order * residuals} rows f_t(r) of the decomposition report "
+                       f"({order} elements times {residuals} residuals) exceed the "
+                       f"budget of {REPORT_ROWS}")
+    key = {r: ",".join(map(str, r)) for r in dec.residuals}  # in residual order
+    return {
+        "K": dec.K,
+        "G": list(dec.signature.periods),
+        "theta": {key[r]: dec.theta[r] for r in key},
+        "can": {
+            str(t): {"f": {key[r]: dec.f(t, r) for r in key}, "r": list(dec.rho(t))}
+            for t in range(dec.m.order)
+        },
+        # a decomposition exists only once verify_canonical has passed
+        "verified": True,
+    }
+
+
 def _sinks_json(sinks):
     return [{"states": [str(q) for q in comp], "period": p} for comp, p in sinks]
 
 
-def _accumulation_json(limits):
-    return [{"r": r, "num": v.numerator, "den": v.denominator}
-            for r, v in enumerate(limits)]
-
-
-def _mu_series_json(series):
-    return [{"len": i, "num": v.numerator, "den": v.denominator}
-            for i, v in enumerate(series)]
+def _prob_json(series, period, limits, sinks):
+    """`prob`'s report: mu(l) for each length l, the maximum period, the
+    limit at each residue and the DFA's sink periods."""
+    return {
+        "mu_series": [{"len": i, "num": v.numerator, "den": v.denominator}
+                      for i, v in enumerate(series)],
+        "period": period,
+        "accumulation": [{"r": r, "num": v.numerator, "den": v.denominator}
+                         for r, v in enumerate(limits)],
+        "sinks": _sinks_json(sinks),
+    }
 
 
 def _zero_one_json(basic, residuals):
@@ -284,7 +329,6 @@ def _emit(args, report, text_lines, graph=None):
 
 
 def cmd_analyze(args) -> int:
-    from .decompose import decomposition_to_json
     from .probability import mu_series
 
     analysis = _analysis(args)
@@ -301,9 +345,9 @@ def cmd_analyze(args) -> int:
 
     def report():
         out = {
-            "monoid": syntactic_to_json(sm),
+            "monoid": _monoid_json(sm),
             "signature": _signature_json(sig),
-            "decomposition": decomposition_to_json(dec),
+            "decomposition": _decomposition_json(dec),
             "wreath": {
                 "equivariant": True,  # verify_canonical passed, which implies it
                 "rho_bar_surjective": sig.surjective,
@@ -313,10 +357,7 @@ def cmd_analyze(args) -> int:
         }
         if probability:
             out["probability"] = {
-                "mu_series": _mu_series_json(series),
-                "period": basic.period,
-                "accumulation": _accumulation_json(basic.accumulation),
-                "sinks": _sinks_json(dfa_sinks),
+                **_prob_json(series, basic.period, basic.accumulation, dfa_sinks),
                 "zero_one": _zero_one_json(basic, verdicts),
             }
             out["residual_monoids"] = [
@@ -356,7 +397,7 @@ def cmd_monoid(args) -> int:
     lines = chain((f"order {sm.order}",), (f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet),
                   (f"accepting image: {sorted(sm.accepting_image)}",),
                   (f"{i}: {' '.join(map(str, row))}" for i, row in enumerate(table)))
-    _emit(args, lambda: syntactic_to_json(sm), lines, sm)
+    _emit(args, lambda: _monoid_json(sm), lines, sm)
     return 0
 
 
@@ -375,20 +416,15 @@ def cmd_prob(args) -> int:
 
     analysis = _analysis(args)
     _check_digits(analysis.dfa.alphabet, args.length)
-    period = analysis.max_period  # before the series: its failures come first
     series = mu_series(analysis.dfa, args.length)
-    _emit(args, lambda: {
-        "mu_series": _mu_series_json(series),
-        "period": period,
-        "accumulation": _accumulation_json(accumulation_points(analysis.dfa)),
-        "sinks": _sinks_json(sink_periods(analysis.dfa)),
-    }, (f"{i} {v}" for i, v in enumerate(series)))
+    _emit(args, lambda: _prob_json(series, analysis.max_period,
+                                   accumulation_points(analysis.dfa),
+                                   sink_periods(analysis.dfa)),
+          (f"{i} {v}" for i, v in enumerate(series)))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    from .decompose import decomposition_to_json
-
     analysis = _analysis(args)
     sig = _signature(analysis)
     dec = analysis.decomposition
@@ -397,7 +433,7 @@ def cmd_decompose(args) -> int:
         f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
         "homomorphism=True injective=True residual=True",
     ]
-    _emit(args, lambda: decomposition_to_json(dec), lines)
+    _emit(args, lambda: _decomposition_json(dec), lines)
     return 0
 
 

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import prod
 from typing import NamedTuple
 
 from .dfa import words_of_length
-from .errors import ScopeError, TooLarge, UnknownSymbol, VerificationFailure
+from .errors import ScopeError, UnknownSymbol, VerificationFailure
 from .monoid import FiniteMonoid, SyntacticMonoid, gather
 from .periods import PeriodSignature, residual_of_word
-
-REPORT_ROWS = 1 << 20  # the most rows f_t(r), one per element and residual, that a report lists
 
 
 class _Can(NamedTuple):
@@ -356,27 +353,3 @@ def wreath_divisor(dec: CanonicalDecomposition) -> dict:
     """
     zero = tuple(0 for _ in dec.signature.periods)
     return {(dec.f(t, zero), dec.rho(t)): t for t in range(dec.m.order)}
-
-
-def decomposition_to_json(dec: CanonicalDecomposition) -> dict:
-    """The decomposition as a JSON-ready dict; the classes and the
-    transformations f_t(r) are shared, not copied (tuples encode as arrays).
-    It lists |M| x P1 x ... x Pn rows f_t(r), and more than REPORT_ROWS of
-    them raise TooLarge before any is read."""
-    order, residuals = dec.m.order, prod(dec.signature.periods)
-    if order * residuals > REPORT_ROWS:
-        raise TooLarge(f"{order * residuals} rows f_t(r) of the decomposition report "
-                       f"({order} elements times {residuals} residuals) exceed the "
-                       f"budget of {REPORT_ROWS}")
-    key = {r: ",".join(map(str, r)) for r in dec.residuals}  # in residual order
-    return {
-        "K": dec.K,
-        "G": list(dec.signature.periods),
-        "theta": {key[r]: dec.theta[r] for r in key},
-        "can": {
-            str(t): {"f": {key[r]: dec.f(t, r) for r in key}, "r": list(dec.rho(t))}
-            for t in range(dec.m.order)
-        },
-        # a decomposition exists only once verify_canonical has passed
-        "verified": True,
-    }

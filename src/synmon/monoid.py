@@ -263,15 +263,3 @@ def principal_ideal(m: FiniteMonoid, x: int) -> frozenset:
     """Two-sided principal ideal {s.x.t : s, t in M}."""
     left = {row[x] for row in m.table}
     return frozenset().union(*(m.table[a] for a in left))
-
-
-def syntactic_to_json(sm: SyntacticMonoid) -> dict:
-    """The monoid as a JSON-ready dict; the table is shared, not copied
-    (tuples encode as JSON arrays)."""
-    return {
-        "order": sm.order,
-        "identity": sm.monoid.identity,
-        "table": sm.monoid.table,
-        "generators": {a: sm.eta[a] for a in sorted(sm.eta)},
-        "accepting_image": sorted(sm.accepting_image),
-    }

@@ -271,6 +271,30 @@ def test_analyze_json_parses_with_expected_keys():
     assert verdicts == {"": "mixed", "a": "zero-one", "b": "zero-one"}
 
 
+@pytest.mark.parametrize("regex, gammas", [
+    ("(a|b)*a(a|b)(a|b)", []),
+    ("((a|b)(a|b))*", []),
+    ("((a|b)(a|b)(a|b))*a(a|b)", []),
+    ("((a|b)(a|b))*", ["--gamma", "a,b", "--gamma", "a,b"]),
+], ids=["P=1", "P=2", "P=3", "two gammas"])
+def test_analyze_json_is_the_verbs_reports_composed(regex, gammas, capsys):
+    def report(verb, *flags):
+        assert cli.main([verb, "--json", "--regex", regex, *flags]) == 0, verb
+        return json.loads(capsys.readouterr().out)
+
+    analyze = report("analyze", *gammas, "--length", "12")
+    assert report("monoid") == analyze["monoid"]
+    assert report("period", *gammas) == analyze["signature"]
+    assert report("decompose", *gammas) == analyze["decomposition"]
+    # zero-one and prob take no --gamma: analyze reports them only over the
+    # whole alphabet at its maximum period
+    assert ("probability" in analyze) == (not gammas)
+    if not gammas:
+        probability = analyze["probability"]
+        assert report("zero-one") == probability.pop("zero_one")
+        assert report("prob", "--length", "12") == probability
+
+
 def a3_with(change) -> bytes:
     """The a3 document after `change(doc)`, as UTF-8 bytes."""
     doc = json.loads((DATA / "a3.json").read_text())
@@ -583,7 +607,7 @@ def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(decompose.CanonicalDecomposition, "f", counted)
     # a3: 5 elements at P = 2, so the report lists 10 rows f_t(r)
-    monkeypatch.setattr(decompose, "REPORT_ROWS", 9)
+    monkeypatch.setattr(cli, "REPORT_ROWS", 9)
     dot = tmp_path / "o.dot"
     argv = [verb, "--regex", A3_REGEX]
     # the text report lists no f_t(r), so the budget does not bound it; its
@@ -600,7 +624,7 @@ def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
         "residuals) exceed the budget of 9\n")
     assert not dot.exists()
     assert reads == text_reads  # the report read no f_t(r) before it refused
-    monkeypatch.setattr(decompose, "REPORT_ROWS", 10)
+    monkeypatch.setattr(cli, "REPORT_ROWS", 10)
     assert cli.main([*argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     can = (report["decomposition"] if verb == "analyze" else report)["can"]

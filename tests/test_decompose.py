@@ -13,7 +13,6 @@ from synmon import (Dfa, build_signature, canonical_decomposition, cli, load_dfa
                     lw_quotient, lw_recognizer, make_named, max_period, minimize,
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
-from synmon.decompose import decomposition_to_json
 from synmon.errors import ScopeError, UnknownSymbol, VerificationFailure
 from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -173,7 +172,7 @@ def test_each_f_t_of_r_is_one_object_at_period_two():
     # first read; the elements of T_r and the report's rows are those reads
     sm = transition_monoid(minimize(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")))
     dec = canonical_decomposition(sm, build_signature(sm, [("a", "b")]))
-    report = decomposition_to_json(dec)
+    report = cli._decomposition_json(dec)
     for r in range(2):
         t_r = residual_monoid(dec, r)
         assert residual_monoid(dec, r).monoid is t_r.monoid
@@ -472,7 +471,7 @@ def test_wreath_for_two_gamma_signature(corpus):
 
 def test_decomposition_json_shape(full_decs):
     dec = full_decs["a3"]
-    out = decomposition_to_json(dec)
+    out = cli._decomposition_json(dec)
     assert out["K"] == 3 and out["G"] == [2] and out["verified"]
     assert set(out["theta"]) == {"0", "1"}
     assert out["can"]["0"]["r"] == [0]

@@ -131,15 +131,28 @@ def test_analyze_runs_max_period_once_and_prob_one_signature(monkeypatch, capsys
     assert cli.main(["zero-one", "--regex", "((a|b)(a|b))*"]) == 0
     assert capsys.readouterr().out.startswith("basic: ")
     assert (len(walks), len(signatures)) == (1, 1)
-    # P = 1: prob reads the maximum period off the signature and prints no
-    # notice; under --json `accumulation_points` walks once more on a monoid
-    # of its own, and the text report does not call it
-    for argv, counts in ((["prob"], (1, 1)), (["prob", "--json"], (2, 1))):
+    # P = 1: text prob prints the series alone and walks nothing; under
+    # --json the report reads the maximum period off the signature, prints
+    # no notice, and `accumulation_points` walks once more on a monoid of
+    # its own
+    for argv, counts in ((["prob"], (0, 0)), (["prob", "--json"], (2, 1))):
         walks.clear()
         signatures.clear()
         assert cli.main([*argv, "--regex", "(a|b)*a"]) == 0
         assert capsys.readouterr().err == ""
         assert (len(walks), len(signatures)) == counts, argv
+
+
+def test_text_prob_builds_no_monoid(monkeypatch, capsys):
+    # the series needs only the DFA; the period and the limits are the JSON's,
+    # and each of them closes a monoid of its own
+    builds = count_calls(monkeypatch, monoid, "transition_monoid")
+    regex = ["--regex", "(a|b)*a(a|b)(a|b)(a|b)"]
+    for argv, count in ((["prob", *regex], 0), (["prob", "--json", *regex], 2)):
+        builds.clear()
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
+        assert len(builds) == count, argv
 
 
 def test_stage_values_do_not_depend_on_the_order_they_are_read(monkeypatch):
