@@ -4,13 +4,14 @@ Exit codes: 0 success, 2 input error, 3 internal verification failure: a
 check of a constructed object failed (`verification failure: <stage>: ...`).
 
 Every JSON report is built here, by one builder per verb, and `analyze`'s
-report is theirs composed.  Each verb computes every value its text prints,
-then hands `_emit` its text lines, its JSON report unbuilt and the monoid
-whose Cayley graph `--dot` draws; a value that only the JSON prints is
-computed inside the report.  `_emit` alone reads `--json` and `--dot`: it
-builds the report only under `--json`, writes the DOT file only after
-that, and prints last, so that a failed run prints nothing and writes no
-DOT file.
+report is theirs composed.  Each verb hands `_emit` two builders, unbuilt:
+one for its JSON report and one for its text lines, with the monoid whose
+Cayley graph `--dot` draws.  Each builder computes only what its output
+prints, so a value that one output alone prints is computed inside that
+builder; a value both print may be computed before.  `_emit` alone reads
+`--json` and `--dot`: it calls exactly one builder, writes the DOT file
+only after that, and prints last, so that a failed run prints nothing and
+writes no DOT file.
 
 Each command imports `regexes`, `probability` and `oracle` only when it
 uses them, as `Analysis` does `decompose`, so that it pays at start-up only
@@ -116,16 +117,22 @@ def _signature_json(sig):
     }
 
 
-def _decomposition_json(dec):
-    """`decompose`'s report; the classes and the transformations f_t(r) are
-    shared, not copied (tuples encode as arrays).  It lists |M| x P1 x ...
-    x Pn rows f_t(r), and more than REPORT_ROWS of them raise TooLarge
-    before any is read."""
-    order, residuals = dec.m.order, prod(dec.signature.periods)
+def _check_report_rows(order, periods):
+    """Raise TooLarge when a decomposition report would list more than
+    REPORT_ROWS rows f_t(r): one per element of a monoid of `order` and
+    residual of `periods`, |M| x P1 x ... x Pn in all.  It reads only the
+    signature, so a JSON builder calls it before any stage it would list."""
+    residuals = prod(periods)
     if order * residuals > REPORT_ROWS:
         raise TooLarge(f"{order * residuals} rows f_t(r) of the decomposition report "
                        f"({order} elements times {residuals} residuals) exceed the "
                        f"budget of {REPORT_ROWS}")
+
+
+def _decomposition_json(dec):
+    """`decompose`'s report; the classes and the transformations f_t(r) are
+    shared, not copied (tuples encode as arrays).  Its callers bound its
+    rows with `_check_report_rows` first."""
     key = {r: ",".join(map(str, r)) for r in dec.residuals}  # in residual order
     return {
         "K": dec.K,
@@ -304,24 +311,23 @@ def _batched(pieces):
         yield "".join(batch)
 
 
-def _emit(args, report, text_lines, graph=None):
-    """Build one verb's JSON report, write its DOT file and print, in that order.
+def _emit(args, report, text, graph=None):
+    """Call one of a verb's two builders, write its DOT file and print, in that order.
 
-    The report is built only under --json, by calling `report()` before
-    the first byte, and printed as compact JSON with sorted keys (the bytes
-    of `json.dumps(report(), sort_keys=True, separators=(",", ":"))`,
-    written as they are encoded); without --json the text lines are
-    printed, which may be a lazy iterable.  With --dot the Cayley graph of
-    `graph` is written after the report is built and before stdout.  Every
-    value that can fail must be computed before the call, and only
-    `report()` may refuse after it, so that a failure leaves stdout empty
-    and no DOT file behind."""
+    Under --json `report()` builds the report, printed as compact JSON with
+    sorted keys (the bytes of `json.dumps(report(), sort_keys=True,
+    separators=(",", ":"))`, written as they are encoded); without it
+    `text()` returns the text lines, which may be a lazy iterable.  Either
+    builder computes every value that can fail or refuse before it returns.
+    With --dot the Cayley graph of `graph` is written after the builder and
+    before stdout, so that a failure leaves stdout empty and no DOT file
+    behind."""
     if args.json:
         plan = list(_json_pieces(report()))  # holds every row: their ids stay unique
         row = _row_encoder(Counter(id(p) for p in plan if not isinstance(p, str)))
         pieces = chain((p if isinstance(p, str) else row(p) for p in plan), ("\n",))
     else:
-        pieces = (line + "\n" for line in text_lines)
+        pieces = (line + "\n" for line in text())
     if getattr(args, "dot", None):
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(cayley_to_dot(graph))
@@ -329,21 +335,20 @@ def _emit(args, report, text_lines, graph=None):
 
 
 def cmd_analyze(args) -> int:
-    from .probability import mu_series
-
     analysis = _analysis(args)
     sm, sig = analysis.monoid, _signature(analysis)
-    dec = analysis.decomposition
-    dfa_sinks = sink_periods(analysis.dfa)
-    cayley_sinks = sink_periods(sm)
+    dfa_sinks, cayley_sinks = sink_periods(analysis.dfa), sink_periods(sm)
     probability = sig.full_alphabet_at_maximum
-    if probability:
-        _check_digits(analysis.dfa.alphabet, args.length)
-        series = mu_series(analysis.dfa, args.length)
-        basic = analysis.basic_verdict
-        verdicts = analysis.residual_verdicts
 
     def report():
+        from .probability import mu_series
+
+        _check_report_rows(sm.order, sig.periods)
+        dec = analysis.decomposition
+        if probability:
+            _check_digits(analysis.dfa.alphabet, args.length)
+            series = mu_series(analysis.dfa, args.length)
+            basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
         out = {
             "monoid": _monoid_json(sm),
             "signature": _signature_json(sig),
@@ -366,28 +371,30 @@ def cmd_analyze(args) -> int:
             ]
         return out
 
-    def lines():
-        yield f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}"
-        yield f"monoid: order {sm.order}"
+    def text():
+        dec = analysis.decomposition
+        lines = [f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}",
+                 f"monoid: order {sm.order}"]
         for gamma, period in zip(sig.gammas, sig.periods):
-            yield f"period w.r.t. {{{','.join(gamma)}}}: {period}"
+            lines.append(f"period w.r.t. {{{','.join(gamma)}}}: {period}")
         # the decomposition exists only once verified, and its checks imply the divisor's
-        yield (f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
-               "verified=True")
-        yield ("wreath divisor: equivariant=True, "
-               f"G divides monoid={sig.surjective}")
+        lines.append(f"decomposition: K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}, "
+                     "verified=True")
+        lines.append(f"wreath divisor: equivariant=True, G divides monoid={sig.surjective}")
         for label, sinks in (("dfa", dfa_sinks), ("cayley", cayley_sinks)):
             for comp, period in sinks:
-                yield f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}"
+                lines.append(f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}")
         if probability:
-            for t in analysis.residual_monoids:
-                yield f"residual monoid T_{t.r}: order {t.order}"
-            yield "accumulation: " + ", ".join(
-                f"r={r}: {v}" for r, v in enumerate(basic.accumulation))
-            yield (f"zero-one: basic: {basic.verdict}; "
-                   + _residual_zero_one_line(verdicts))
+            basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
+            lines.extend(f"residual monoid T_{t.r}: order {t.order}"
+                         for t in analysis.residual_monoids)
+            lines.append("accumulation: " + ", ".join(
+                f"r={r}: {v}" for r, v in enumerate(basic.accumulation)))
+            lines.append(f"zero-one: basic: {basic.verdict}; "
+                         + _residual_zero_one_line(verdicts))
+        return lines
 
-    _emit(args, report, lines(), sm)
+    _emit(args, report, text, sm)
     return 0
 
 
@@ -397,7 +404,7 @@ def cmd_monoid(args) -> int:
     lines = chain((f"order {sm.order}",), (f"eta({a}) = {sm.eta[a]}" for a in sm.alphabet),
                   (f"accepting image: {sorted(sm.accepting_image)}",),
                   (f"{i}: {' '.join(map(str, row))}" for i, row in enumerate(table)))
-    _emit(args, lambda: _monoid_json(sm), lines, sm)
+    _emit(args, lambda: _monoid_json(sm), lambda: lines, sm)
     return 0
 
 
@@ -407,7 +414,7 @@ def cmd_period(args) -> int:
                    for g, p in zip(sig.gammas, sig.periods)),
                   (f"class ({','.join(map(str, r))}): {list(sig.classes[r])}"
                    for r in sig.residuals()))
-    _emit(args, lambda: _signature_json(sig), lines)
+    _emit(args, lambda: _signature_json(sig), lambda: lines)
     return 0
 
 
@@ -420,20 +427,25 @@ def cmd_prob(args) -> int:
     _emit(args, lambda: _prob_json(series, analysis.max_period,
                                    accumulation_points(analysis.dfa),
                                    sink_periods(analysis.dfa)),
-          (f"{i} {v}" for i, v in enumerate(series)))
+          lambda: (f"{i} {v}" for i, v in enumerate(series)))
     return 0
 
 
 def cmd_decompose(args) -> int:
     analysis = _analysis(args)
     sig = _signature(analysis)
-    dec = analysis.decomposition
-    # a decomposition exists only once every check has passed
-    lines = [
-        f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
-        "homomorphism=True injective=True residual=True",
-    ]
-    _emit(args, lambda: _decomposition_json(dec), lines)
+
+    def report():
+        _check_report_rows(analysis.monoid.order, sig.periods)
+        return _decomposition_json(analysis.decomposition)
+
+    def text():
+        dec = analysis.decomposition
+        # a decomposition exists only once every check has passed
+        return [f"K={dec.K}, G={'x'.join(f'C{p}' for p in sig.periods)}",
+                "homomorphism=True injective=True residual=True"]
+
+    _emit(args, report, text)
     return 0
 
 
@@ -443,7 +455,7 @@ def cmd_zero_one(args) -> int:
     verdicts = analysis.residual_verdicts
     basic = analysis.basic_verdict
     lines = [f"basic: {basic.verdict}; " + _residual_zero_one_line(verdicts)]
-    _emit(args, lambda: _zero_one_json(basic, verdicts), lines)
+    _emit(args, lambda: _zero_one_json(basic, verdicts), lambda: lines)
     return 0
 
 

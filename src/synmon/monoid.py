@@ -121,9 +121,14 @@ class SyntacticMonoid(Frozen):
             if not (0 <= parent < j and right[parent][g] == j):
                 raise InvalidMonoid("generators do not generate the monoid")
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple:
         return tuple(sorted(self.eta))
+
+    @cached_property
+    def _letter_index(self) -> dict:
+        """Letter -> its column of the Cayley graph."""
+        return {a: g for g, a in enumerate(self.alphabet)}
 
     @property
     def order(self) -> int:
@@ -136,8 +141,7 @@ class SyntacticMonoid(Frozen):
         return FiniteMonoid(_rows(self.right, self.tree), self.names)
 
     def image_of_word(self, word: str) -> int:
-        position = {a: g for g, a in enumerate(self.alphabet)}
-        x = 0
+        position, x = self._letter_index, 0
         for a in word:
             x = self.right[x][position[a]]
         return x

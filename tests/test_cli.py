@@ -471,8 +471,9 @@ def test_closure_budget_exits_two(monkeypatch, capsys):
 
 def test_a_failing_analyze_writes_no_dot_file(tmp_path):
     dot = tmp_path / "o.dot"
+    # only the JSON report prints the series, so only it refuses a long one
     result = run_cli("analyze", "--regex", "(a|b)*", "--alphabet", "ab",
-                     "--length", "15000", "--dot", str(dot))
+                     "--length", "15000", "--json", "--dot", str(dot))
     assert (result.returncode, result.stdout) == (2, "")
     assert "error: --length 15000 is too long" in result.stderr
     assert not dot.exists()
@@ -547,11 +548,19 @@ def test_series_length_budget(verb, monkeypatch, capsys):
 
     # one letter: mu is 0 or 1, so the int-to-text check lets any length through
     argv = [verb, "--regex", "(aa)*", "--alphabet", "a", "--json", "--length"]
+    text = [a for a in argv if a != "--json"]
+    refused = "", "error: a mu series to length 11 exceeds the budget of 10 letters\n"
     monkeypatch.setattr(probability, "SERIES_LENGTH", 10)
-    for refused in (argv, [a for a in argv if a != "--json"]):  # JSON and text alike
-        assert cli.main([*refused, "11"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: a mu series to length 11 exceeds the budget of 10 letters\n")
+    assert cli.main([*argv, "11"]) == 2
+    assert capsys.readouterr() == refused
+    if verb == "prob":  # text prob prints the series, so it refuses it too
+        assert cli.main([*text, "11"]) == 2
+        assert capsys.readouterr() == refused
+    else:  # text analyze prints no series, so it counts none and refuses none
+        assert cli.main([*text, "11"]) == 0
+        long = capsys.readouterr()
+        assert cli.main(text[:-1]) == 0  # at the default length
+        assert long == (capsys.readouterr().out, "")
     assert cli.main([*argv, "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     series = report["probability"]["mu_series"] if verb == "analyze" else report["mu_series"]
@@ -615,7 +624,6 @@ def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert bool(reads) == (verb == "analyze")
-    text_reads = reads[:]
     reads.clear()
     flags = ["--json"] + (["--dot", str(dot)] if verb == "analyze" else [])
     assert cli.main([*argv, *flags]) == 2
@@ -623,7 +631,9 @@ def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
         "", "error: 10 rows f_t(r) of the decomposition report (5 elements times 2 "
         "residuals) exceed the budget of 9\n")
     assert not dot.exists()
-    assert reads == text_reads  # the report read no f_t(r) before it refused
+    # the report refused before any stage it lists: no f_t(r) was read, not
+    # even the residual monoids'
+    assert reads == []
     monkeypatch.setattr(cli, "REPORT_ROWS", 10)
     assert cli.main([*argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -372,3 +372,25 @@ def test_text_reports_build_no_json(monkeypatch, capsys):
     assert cli.main(["period", "--json", *regex]) == cli.main(["zero-one", "--json", *regex]) == 0
     assert len(signatures) == len(verdicts) == 1
     capsys.readouterr()
+
+
+def test_only_analyze_json_counts_the_series(monkeypatch, capsys):
+    series = count_calls(monkeypatch, probability, "mu_series")
+    regex = ["--regex", "((a|b)(a|b))*", "--length", "10000"]
+    assert cli.main(["analyze", *regex]) == 0
+    assert series == []  # the text report prints no series
+    assert cli.main(["analyze", "--json", *regex]) == 0
+    assert [call[1] for call in series] == [10000]
+    capsys.readouterr()
+
+
+def test_a_refused_report_builds_no_stage_it_would_list(monkeypatch, capsys):
+    calls = [count_calls(monkeypatch, decompose, "canonical_decomposition"),
+             count_calls(monkeypatch, monoid, "_rows"),
+             count_calls(monkeypatch, decompose, "residual_monoid"),
+             count_calls(monkeypatch, probability, "mu_series")]
+    monkeypatch.setattr(cli, "REPORT_ROWS", 9)  # a3: 5 elements at P = 2 list 10 rows
+    for verb in ("analyze", "decompose"):
+        assert cli.main([verb, "--json", "--dfa", str(DATA / "a3.json")]) == 2, verb
+        assert "exceed the budget of 9" in capsys.readouterr().err, verb
+        assert calls == [[], [], [], []], verb
