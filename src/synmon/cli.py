@@ -38,10 +38,12 @@ REPORT_ROWS = 1 << 20  # the most rows f_t(r), one per element and residual, tha
 
 
 def _load_source(args):
-    """DFA from --regex or --dfa (exactly one); a DFA file's unreachable
-    states are dropped with a warning."""
+    """DFA from --regex or --dfa (exactly one; --alphabet only with --regex);
+    a DFA file's unreachable states are dropped with a warning."""
     if bool(args.regex) == bool(args.dfa):
         raise SynmonError("need exactly one of --regex or --dfa")
+    if args.dfa and args.alphabet is not None:
+        raise InvalidArgument("--alphabet applies to --regex only; a DFA file declares its own")
     if args.regex:
         from .regexes import LETTERS, parse_regex, regex_to_dfa, symbols_of
 

@@ -36,8 +36,8 @@ class _Can(NamedTuple):
 
 
 class CanonicalDecomposition(_Can):
-    """A named tuple that keeps what is read off it: the layout of X, each
-    f_t(r) and each table of a residual monoid, built on first use."""
+    """A named tuple that keeps what is read off it: the layout of X and
+    each f_t(r), built on first use."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,12 +77,6 @@ class CanonicalDecomposition(_Can):
         """(t, r) -> f_t(r) once read, so that every read is the same object."""
         return {}
 
-    @cached_property
-    def _tables(self) -> dict:
-        """Slot list -> T_r's table, shared by every T_r of that list; the
-        list that numbers M in order reads M's own table."""
-        return {tuple(range(self.m.order)): self.m.monoid}
-
     def f(self, t: int, r) -> tuple:
         """f_t(r), padded to degree K, read as the module docstring says: where
         N_r is X, as at period 1, Can(t) itself, and where N_r is empty, the
@@ -97,19 +91,39 @@ class CanonicalDecomposition(_Can):
 
 
 class ResidualMonoid(NamedTuple):
+    """T_r = {f_t(r) : t in N_0}, a view of M: its elements, the slot of
+    each t in N_0, and M's checked table, off which its ideals are read."""
     r: int
     transformations: tuple  # element index -> transformation tuple
-    monoid: FiniteMonoid
+    slot: dict              # t in N_0, ascending -> the index of f_t(r)
+    m: FiniteMonoid         # M's checked table
 
     @property
     def order(self) -> int:
-        return self.monoid.order
+        return len(self.transformations)
 
     def name_of(self, i: int) -> str:
         """"e" for the identity, else the transformation as "(k0,k1,...)"."""
-        if i == self.monoid.identity:
+        if i == 0:
             return "e"
         return "(" + ",".join(map(str, self.transformations[i])) + ")"
+
+    def ideal(self, t: int) -> frozenset:
+        """The principal ideal of f_t(r) in T_r, for t in N_0: the slots of
+        N_0.t.N_0, read off M's table.
+
+        `verify_canonical` proves that t -> f_t(r) is a homomorphism from
+        N_0 onto T_r: Can(s.t) = Can(s).Can(t) with rho_bar(s) = 0 gives
+        f_{s.t}(r) = f_s(r) then f_t(r).  So the ideal of f_t(r) is the
+        image of N_0.t.N_0 = {s.t.u : s, u in N_0}.  Two x in N_0.t with one
+        image give x.N_0 one image, so the row of one x per image is read:
+        gathered at N_0, or whole where N_0 is all of M."""
+        table, slot = self.m.table, self.slot
+        left = {slot[x]: x for x in (table[s][t] for s in slot)}  # one x per image
+        rows = map(table.__getitem__, left.values())
+        if len(slot) < len(table):
+            rows = map(gather(tuple(slot)), rows)
+        return frozenset(map(slot.__getitem__, set().union(*rows)))
 
 
 class LwRecognizer(NamedTuple):
@@ -258,35 +272,17 @@ def _require_full_alphabet(dec: CanonicalDecomposition) -> int:
 
 def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
-    composition, numbered in ascending order of t; element 0 is the
-    identity.  For t, s in N_0, f_{t.s}(r) = f_t(r) then f_s(r), so the
-    table is M's table at one representative t per element.
-
-    The slot list (t in N_0 -> the element holding f_t(r)) fixes the
-    table: the representatives are the least t of each element, and entry
-    (i, j) is the slot of their product.  So the decomposition keeps one
-    table per list.  Every T_r injective on N_0, whose list numbers N_0 in
-    order, shares T_0's; where that list numbers all of M (N_0 = M, as at
-    period 1), every t is its own representative, and T_r shares M's
-    checked monoid."""
+    composition, numbered in ascending order of the least t of each
+    element; element 0 is the identity, the image of t = 0.  It keeps the
+    slot of each t in N_0 and M's checked table, so it builds no table of
+    its own: see `ResidualMonoid.ideal`."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
-    zero = tuple(0 for _ in dec.signature.periods)
-    index, representatives = {}, []
-    # slot: t in N_0 -> index of f_t(r); -1 outside N_0, which check_table rejects
-    slot = [-1] * dec.m.order
-    for t in dec.signature.classes[zero]:
-        tau = dec.f(t, (r,))
-        if tau not in index:
-            index[tau] = len(representatives)
-            representatives.append(t)
-        slot[t] = index[tau]
-    slot, tables = tuple(slot), dec._tables
-    if slot not in tables:
-        pick = gather(representatives)  # row x of M at the representatives, slotted
-        tables[slot] = FiniteMonoid(tuple(gather(pick(x))(slot) for x in pick(dec.m.monoid.table)))
-    return ResidualMonoid(r, tuple(index), tables[slot])
+    index, slot = {}, {}
+    for t in dec.signature.classes[(0,)]:
+        slot[t] = index.setdefault(dec.f(t, (r,)), len(index))
+    return ResidualMonoid(r, tuple(index), slot, dec.m.monoid)
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:

@@ -261,9 +261,3 @@ def find_zero(m: FiniteMonoid):
     if all(v == z for v in m.table[z]) and all(row[z] == z for row in m.table):
         return z
     return None
-
-
-def principal_ideal(m: FiniteMonoid, x: int) -> frozenset:
-    """Two-sided principal ideal {s.x.t : s, t in M}."""
-    left = {row[x] for row in m.table}
-    return frozenset().union(*(m.table[a] for a in left))

@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .dfa import Dfa, minimize
 from .errors import ScopeError, TooLarge, VerificationFailure
-from .monoid import (SyntacticMonoid, find_zero, gather, minimal_ideal_element,
-                     principal_ideal, transition_monoid)
+from .monoid import SyntacticMonoid, find_zero, gather, transition_monoid
 from .periods import _cycle_classes, max_period
 
 if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs it
@@ -279,16 +278,22 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
 
     The minimal ideal K(T_r) decides whether a witness exists (Sin'ya,
     GandALF 2015): it lies in every ideal, so some ideal is a witness if
-    and only if K(T_r) is, the principal ideal of `minimal_ideal_element`.
-    The ascending scan runs only when K(T_r) is a witness, to report the
-    first one."""
+    and only if K(T_r) is.  z, the product of N_0 in ascending order, lies
+    in K(N_0), since z = s.x.u lies in every ideal of N_0 that holds an x;
+    and the image of K(N_0) under the surjective homomorphism t -> f_t(r)
+    is K(T_r), so K(T_r) is the ideal of f_z(r).  The ascending scan runs
+    only when K(T_r) is a witness, to report the first one; it reads each
+    element at its least t."""
+    table, z = t_r.m.table, 0
+    for t in t_r.slot:
+        z = table[z][t]
     witness = None
-    if _decides(principal_ideal(t_r.monoid, minimal_ideal_element(t_r.monoid)), accepting):
-        for tau in range(t_r.order):
-            ideal = principal_ideal(t_r.monoid, tau)
-            if _decides(ideal, accepting):
-                witness = tuple(sorted(ideal))
-                break
+    if _decides(t_r.ideal(z), accepting):
+        least = {}  # element -> its least t, in ascending order of the element
+        for t, i in t_r.slot.items():
+            least.setdefault(i, t)
+        witness = next(tuple(sorted(ideal)) for ideal in map(t_r.ideal, least.values())
+                       if _decides(ideal, accepting))
     is_zero_or_one = witness is not None
     if (limit in (0, 1)) != is_zero_or_one:
         raise VerificationFailure(

@@ -55,6 +55,12 @@ def is_ideal(m: FiniteMonoid, candidate) -> bool:
     )
 
 
+def principal_ideal(m: FiniteMonoid, x: int) -> frozenset:
+    """Two-sided principal ideal {s.x.t : s, t in M}."""
+    left = {row[x] for row in m.table}
+    return frozenset().union(*(m.table[a] for a in left))
+
+
 def rees_factor(m: FiniteMonoid, ideal) -> FiniteMonoid:
     """Collapse a two-sided ideal to a single zero element."""
     if not is_ideal(m, ideal):
@@ -269,20 +275,21 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
     mapping(x).eta_w(b), with mapping(g_b) = eta_w(b) read at the identity.
     That is `hom_generator_check` on the block images, which generate T_r
     once the walk reaches every element; by induction on the number of
-    blocks it is equivalent to checking all pairs of elements."""
+    blocks it is equivalent to checking all pairs of elements.  T_r keeps
+    no table, so each product x.g_b composes the two transformations."""
     period = _require_full_alphabet(dec)
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
     t_m = rec.monoid
     index = {tau: i for i, tau in enumerate(t_m.transformations)}
-    element = {b: index[rec.block_images[b]] for b in sorted(rec.block_images)}
+    blocks = sorted(rec.block_images.items())
     mapping = {0: 0}
     queue = [0]
     while queue:
         x = queue.pop()
         y = mapping[x]
-        for b, g in element.items():
-            x2 = t_m.monoid.table[x][g]
+        for b, g in blocks:
+            x2 = index[compose(t_m.transformations[x], g)]
             y2 = lw_m.monoid.table[y][lw_m.eta[b]]
             if x2 not in mapping:
                 mapping[x2] = y2

@@ -10,7 +10,9 @@ component, with potentials along a spanning tree of each; and
 `bfs_signature` rebuilds rho_bar by a second walk that adds the letter
 residuals, each from its own definition.  `markov_chain` and `mu_exact`
 are the uniform-transition chain of a DFA and one term of `mu_series`,
-which only the tests read.
+which only the tests read.  `residual_table` is the multiplication table
+of a residual monoid T_r by composing every pair of its transformations,
+which the library no longer builds: T_r reads its ideals off M's table.
 """
 
 import math
@@ -20,8 +22,10 @@ from typing import NamedTuple
 
 from synmon.dfa import Dfa, trim
 from synmon.errors import RegexSyntaxError
+from synmon.monoid import FiniteMonoid
 from synmon.probability import mu_series
 from synmon.regexes import LETTERS, Alt, Cat, Epsilon, Letter, Opt, Plus, Star
+from synmon.theory import compose
 
 
 def _canonicalize(dfa: Dfa) -> Dfa:
@@ -255,3 +259,11 @@ def mu_exact(dfa: Dfa, length: int) -> Fraction:
     if length < 0:
         raise ValueError("length must be non-negative")
     return mu_series(dfa, length)[length]
+
+
+def residual_table(t_r) -> FiniteMonoid:
+    """The table of T_r, checked, by composing every pair of its
+    transformations, numbered as `t_r.transformations` lists them."""
+    index = {tau: i for i, tau in enumerate(t_r.transformations)}
+    return FiniteMonoid(tuple(tuple(index[compose(x, y)] for y in t_r.transformations)
+                              for x in t_r.transformations))

@@ -208,6 +208,16 @@ def test_missing_source_exit_code():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("alphabet", ["xyz", "ab", ""])
+def test_alphabet_with_a_dfa_file_exits_two(alphabet, capsys):
+    # a DFA file declares its alphabet: --alphabet is refused, not ignored,
+    # even when it names the file's own letters
+    argv = ["period", "--dfa", str(DATA / "a1.json"), "--alphabet", alphabet]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: --alphabet applies to --regex only; a DFA file declares its own\n")
+
+
 def test_bad_dfa_file_exit_code(tmp_path):
     doc = tmp_path / "broken.json"
     doc.write_text('{"alphabet": ["a"]}')

@@ -2,27 +2,35 @@
 against all-pairs reference builders that compose every pair of elements.
 
 The library closes the generators by BFS and fills the table from the right
-Cayley graph along the BFS tree; `residual_monoid` reads T_r's table from the
-table of M.  The references below are the direct constructions: BFS over
-transformations, then one composition per pair.  The tests assert that both
-give the same elements, names and tables in the same numbering.
+Cayley graph along the BFS tree; a residual monoid T_r builds no table and
+reads its ideals off the table of M through its slots over N_0.  The
+references below are the direct constructions: BFS over transformations,
+then one composition per pair.  The tests assert that both give the same
+elements, names and tables in the same numbering, and the same ideals of
+T_r and zero-one decisions.
 """
 
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from synmon import load_dfa, make_named, minimize, residual_monoid, transition_monoid
+from synmon import (build_signature, canonical_decomposition, load_dfa, make_named, minimize,
+                    principal_ideal, residual_monoid, transition_monoid)
+from synmon.decompose import lw_accepting
+from synmon.dfa import words_of_length
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.errors import TooLarge
 from synmon.monoid import _close, _rows
+from synmon.probability import residual_verdict
 from synmon.theory import compose, identity_transformation
 
-from conftest import random_decomposition, small_dfas
+from conftest import small_dfas, small_monoid
+from reference import residual_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import counter, kth_tail, mod_length  # noqa: E402
@@ -62,13 +70,6 @@ def compose_transition_monoid(dfa, cap=5000):
         i for i, t in enumerate(elements) if t[initial] in accepting)
     names = tuple("e" if w == "" else w for w in words)
     return elements, names, eta, accepting_image, table
-
-
-def compose_residual_table(t_r):
-    """The table of T_r by composing every pair of its transformations."""
-    index = {tau: i for i, tau in enumerate(t_r.transformations)}
-    return tuple(tuple(index[compose(x, y)] for y in t_r.transformations)
-                 for x in t_r.transformations)
 
 
 def assert_kernel_matches_reference(dfa):
@@ -118,20 +119,48 @@ def test_kernel_on_a_degree_one_dfa():
 
 # --- residual monoids ---
 
-def test_residual_tables_match_compose(full_decs):
-    for name, dec in full_decs.items():
-        for r in range(dec.signature.periods[0]):
+def assert_residual_ideals_match_the_composed_table(sm):
+    """At every period dividing the maximum, for each T_r against its table
+    by composition: `t_r.ideal(t)` is the principal ideal of the element of
+    t for every t in N_0, and `residual_verdict`'s K(T_r) decision agrees
+    with the full ascending scan for the accepting set of every prefix.  The
+    limit handed to it is 0 where the scan finds a witness and 1/2 where it
+    finds none, so a wrong decision raises or changes the witness."""
+    maximum = build_signature(sm, [sm.alphabet]).periods[0]
+    for period in (d for d in range(1, maximum + 1) if maximum % d == 0):
+        dec = canonical_decomposition(sm, build_signature(sm, [sm.alphabet], [period]))
+        for r in range(period):
             t_r = residual_monoid(dec, r)
-            assert t_r.monoid.table == compose_residual_table(t_r), (name, r)
+            table = residual_table(t_r)
+            element = {tau: i for i, tau in enumerate(t_r.transformations)}
+            for t in dec.theta[(0,)]:
+                assert t_r.ideal(t) == principal_ideal(table, element[dec.f(t, (r,))]), \
+                    (period, r, t)
+            ideals = [principal_ideal(table, i) for i in range(table.order)]
+            for w in words_of_length(sm.alphabet, r):
+                accepting = lw_accepting(dec, w, t_r)
+                scan = next((tuple(sorted(ideal)) for ideal in ideals
+                             if not ideal & accepting or ideal <= accepting), None)
+                limit = Fraction(0) if scan else Fraction(1, 2)
+                assert residual_verdict(w, t_r, accepting, limit).witness == scan, \
+                    (period, w)
+
+
+def test_residual_tables_match_compose(corpus):
+    for name, (_dfa, _minimal, sm) in corpus.items():
+        assert_residual_ideals_match_the_composed_table(sm)
+
+
+@pytest.mark.parametrize("language", FAMILIES, ids=lambda lang: lang.name)
+def test_residual_tables_match_compose_on_benchmark_families(language):
+    assert_residual_ideals_match_the_composed_table(
+        transition_monoid(minimize(load_dfa(json.dumps(language.dfa)))))
 
 
 @settings(max_examples=60)
 @given(small_dfas())
 def test_residual_tables_match_compose_on_random_dfas(dfa):
-    dec = random_decomposition(dfa)
-    for r in range(dec.signature.periods[0]):
-        t_r = residual_monoid(dec, r)
-        assert t_r.monoid.table == compose_residual_table(t_r)
+    assert_residual_ideals_match_the_composed_table(small_monoid(dfa))
 
 
 # --- named transformation monoids ---

@@ -28,6 +28,7 @@ from synmon.periods import residual_of_word
 from synmon.theory import compose
 
 from conftest import random_decomposition, small_dfas
+from reference import residual_table
 from test_decompose import GAMMA_SETS, can_f, divisor_vectors, flat_of
 
 
@@ -119,7 +120,7 @@ def allpairs_quotient(dec, dfa, w):
     period = dec.signature.periods[0]
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
-    t_m = rec.monoid
+    t_m, t_table = rec.monoid, residual_table(rec.monoid)
     index = {tau: i for i, tau in enumerate(t_m.transformations)}
     mapping = {0: 0}
     queue = [0]
@@ -127,7 +128,7 @@ def allpairs_quotient(dec, dfa, w):
         x = queue.pop()
         y = mapping[x]
         for b in sorted(rec.block_images):
-            x2 = t_m.monoid.table[x][index[rec.block_images[b]]]
+            x2 = t_table.table[x][index[rec.block_images[b]]]
             y2 = lw_m.monoid.table[y][lw_m.eta[b]]
             if x2 not in mapping:
                 mapping[x2] = y2
@@ -139,7 +140,7 @@ def allpairs_quotient(dec, dfa, w):
     as_list = tuple(mapping[i] for i in range(t_m.order))
     if set(as_list) != set(range(lw_m.order)):
         return "surjective"
-    if not hom_image_check(t_m.monoid, lw_m.monoid, as_list):
+    if not hom_image_check(t_table, lw_m.monoid, as_list):
         return "homomorphism"
     return as_list
 

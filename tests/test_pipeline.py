@@ -55,34 +55,19 @@ def test_analyze_builds_the_monoid_once(monkeypatch, tmp_path, capsys):
 
 def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     checks = count_calls(monkeypatch, monoid, "check_table")
-    # the 6th letter from the end is an a: P = 1, so T_0 shares M's checked monoid
-    assert cli.main(["analyze", "--json", "--regex", "(a|b)*a" + "(a|b)" * 5]) == 0
-    assert json.loads(capsys.readouterr().out)["monoid"]["order"] == 127
-    assert [len(call[0]) for call in checks] == [127]
-    # P = 2: M, then T_0 and T_1 with tables of their own
-    checks.clear()
-    assert cli.main(["analyze", "--json", "--dfa", str(DATA / "a3.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["signature"]["periods"] == [2]
-    assert len(checks) == 3
-
-
-def test_residual_monoids_of_one_slot_list_share_one_table(monkeypatch, tmp_path, capsys):
-    # signed shifts at n = 8: order 2048, P = 2, and t -> f_t(r) is injective
-    # on N_0 at both residuals, so T_0 and T_1 share one table
-    dfa = signed_shift_dfa(8)
-    name = {(i, s): f"{i}_{s}" for i, s in dfa.states}
-    path = tmp_path / "signed8.json"
-    path.write_text(json.dumps({
-        "alphabet": list(dfa.alphabet), "states": [name[q] for q in dfa.states],
-        "initial": name[dfa.initial], "accepting": [name[q] for q in dfa.accepting],
-        "transitions": [{"from": name[q], "on": a, "to": name[dfa.delta[(q, a)]]}
-                        for q in dfa.states for a in dfa.alphabet]}))
-    checks = count_calls(monkeypatch, monoid, "check_table")
-    assert cli.main(["analyze", "--dfa", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("residual monoid")] == [
-        "residual monoid T_0: order 1024", "residual monoid T_1: order 1024"]
-    assert [len(call[0]) for call in checks] == [2048, 1024]
+    # T_r builds no table of its own, so only M's is checked: at P = 1 (the
+    # 6th letter from the end is an a), on a3 at P = 2, and at P = 3
+    for source, order, period in (
+            (["--regex", "(a|b)*a" + "(a|b)" * 5], 127, 1),
+            (["--dfa", str(DATA / "a3.json")], 5, 2),
+            (["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"], 15, 3)):
+        for verb in ("analyze", "zero-one"):
+            assert cli.main([verb, "--json", *source]) == 0, (verb, period)
+            report = json.loads(capsys.readouterr().out)
+            rows = (report["probability"]["zero_one"] if verb == "analyze" else report)["residual"]
+            assert len(rows) == 2 ** period - 1, (verb, period)
+            assert [len(call[0]) for call in checks] == [order], (verb, period)
+            checks.clear()
 
 
 def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
@@ -99,9 +84,8 @@ def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
     for verb in ("monoid", "zero-one", "analyze"):
         assert cli.main([verb, *regex]) == 0, verb
         table = built.pop().monoid.monoid.table
-        # one fill for M, checked once; at P = 2 each T_r table is T_r's own,
-        # or shared with another T_r of the same slot list, never M's
-        assert len(fills) == 1 and [call[0] is table for call in checks].count(True) == 1, verb
+        # one fill for M, checked once; T_r reads M's table and builds none
+        assert len(fills) == 1 and [call[0] is table for call in checks] == [True], verb
         fills.clear()
         checks.clear()
     capsys.readouterr()
@@ -202,7 +186,7 @@ def test_shared_residual_monoids_equal_fresh_ones(corpus):
         fresh = decompose.residual_monoid(analysis.decomposition, r)
         assert shared.r == fresh.r == r
         assert shared.transformations == fresh.transformations
-        assert shared.monoid.table == fresh.monoid.table
+        assert shared.slot == fresh.slot and shared.m is fresh.m
 
 
 def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):

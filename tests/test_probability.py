@@ -21,7 +21,7 @@ from synmon.probability import (_solve, basic_verdict, limit_mu_blocks, limit_ve
                                 maximum_period_of, residual_verdict, residue_limits)
 
 from conftest import closed_classes, random_decomposition, small_dfas
-from reference import markov_chain, mu_exact
+from reference import markov_chain, mu_exact, residual_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import counter, kth_tail  # noqa: E402
@@ -218,15 +218,17 @@ def test_verdicts_match_limits_both_ways(corpus, full_decs):
                 assert verdict.is_zero_or_one == (verdict.mu_lw in (0, 1)), (name, w)
                 if verdict.witness is not None:
                     t_r = residual_monoid(dec, verdict.r)
-                    assert is_ideal(t_r.monoid, set(verdict.witness)), (name, w)
+                    assert is_ideal(residual_table(t_r), set(verdict.witness)), (name, w)
 
 
 def scan_witness(t_r, accepting):
     """The first principal ideal of T_r, in ascending order of its
     generator, that lies inside or outside `accepting`, or None: the
-    verdict by definition, scanning every element."""
+    verdict by definition, scanning every element of T_r's table by
+    composition."""
+    table = residual_table(t_r)
     for tau in range(t_r.order):
-        ideal = principal_ideal(t_r.monoid, tau)
+        ideal = principal_ideal(table, tau)
         if not (ideal & accepting) or ideal <= accepting:
             return tuple(sorted(ideal))
     return None

@@ -176,7 +176,7 @@ def test_records_store_no_field_that_their_others_determine():
     analysis = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab"))
     assert ResidualZeroOne._fields == ("w", "witness", "witness_names", "mu_lw")
     assert LwRecognizer._fields == ("w", "monoid", "block_images", "accepting")
-    assert ResidualMonoid._fields == ("r", "transformations", "monoid")
+    assert ResidualMonoid._fields == ("r", "transformations", "slot", "m")
     # the residual is read off the prefix, so it moves with it
     v = analysis.residual_verdicts[0]
     assert (v.w, v.r) == ("", 0) and v._replace(w="ab").r == 2
@@ -198,7 +198,6 @@ def every_built_monoid() -> dict:
              "direct product": direct_product(c2, u2),
              "semidirect product": semidirect_product(c2, c2, [[0, 1], [0, 1]]),
              "function monoid": function_monoid(c2, 2)}
-    built.update((f"T_{r}", t_r.monoid) for r, t_r in enumerate(analysis.residual_monoids))
     built.update((kind, make_named(kind, 3)) for kind in (
         "cyclic", "right_zero", "left_zero", "symmetric", "full_transformation"))
     return built
