@@ -16,17 +16,15 @@ _EXPORTS = {
         "CanonicalDecomposition", "LwRecognizer", "ResidualMonoid",
         "canonical_decomposition", "lw_recognizer", "residual_monoid",
         "verify_canonical", "wreath_divisor"),
-    "monoid": (
-        "FiniteMonoid", "SyntacticMonoid", "cayley_to_dot", "find_zero",
-        "transition_monoid"),
+    "monoid": ("FiniteMonoid", "SyntacticMonoid", "cayley_to_dot", "transition_monoid"),
     "periods": ("PeriodSignature", "build_signature", "max_period", "residual_of_word",
                 "sink_periods"),
     "probability": ("accumulation_points", "mu_series", "zero_one_basic", "zero_one_residual"),
     "regexes": ("parse_regex", "regex_to_dfa"),
     "theory": (
-        "direct_product", "function_monoid", "hom_generator_check", "hom_image_check",
-        "is_ideal", "lw_member", "lw_quotient", "make_named", "principal_ideal",
-        "rees_factor", "semidirect_product", "syntactic_monoid_of_lw"),
+        "direct_product", "find_zero", "function_monoid", "hom_generator_check",
+        "hom_image_check", "is_ideal", "lw_member", "lw_quotient", "make_named",
+        "principal_ideal", "rees_factor", "semidirect_product", "syntactic_monoid_of_lw"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names] + ["errors", "oracle"]

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .dfa import words_of_length
 from .errors import ScopeError, UnknownSymbol, VerificationFailure
-from .monoid import FiniteMonoid, SyntacticMonoid, gather
+from .monoid import SyntacticMonoid, gather
 from .periods import PeriodSignature, residual_of_word
 
 
@@ -92,11 +92,11 @@ class CanonicalDecomposition(_Can):
 
 class ResidualMonoid(NamedTuple):
     """T_r = {f_t(r) : t in N_0}, a view of M: its elements, the slot of
-    each t in N_0, and M's checked table, off which its ideals are read."""
+    each t in N_0, and M, off whose checked table its ideals are read."""
     r: int
     transformations: tuple  # element index -> transformation tuple
     slot: dict              # t in N_0, ascending -> the index of f_t(r)
-    m: FiniteMonoid         # M's checked table
+    m: SyntacticMonoid      # M, whose table `ideal` reads
 
     @property
     def order(self) -> int:
@@ -110,7 +110,7 @@ class ResidualMonoid(NamedTuple):
 
     def ideal(self, t: int) -> frozenset:
         """The principal ideal of f_t(r) in T_r, for t in N_0: the slots of
-        N_0.t.N_0, read off M's table.
+        N_0.t.N_0, read off M's table, which the first call fills.
 
         `verify_canonical` proves that t -> f_t(r) is a homomorphism from
         N_0 onto T_r: Can(s.t) = Can(s).Can(t) with rho_bar(s) = 0 gives
@@ -118,7 +118,7 @@ class ResidualMonoid(NamedTuple):
         image of N_0.t.N_0 = {s.t.u : s, u in N_0}.  Two x in N_0.t with one
         image give x.N_0 one image, so the row of one x per image is read:
         gathered at N_0, or whole where N_0 is all of M."""
-        table, slot = self.m.table, self.slot
+        table, slot = self.m.monoid.table, self.slot
         left = {slot[x]: x for x in (table[s][t] for s in slot)}  # one x per image
         rows = map(table.__getitem__, left.values())
         if len(slot) < len(table):
@@ -274,15 +274,15 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
     composition, numbered in ascending order of the least t of each
     element; element 0 is the identity, the image of t = 0.  It keeps the
-    slot of each t in N_0 and M's checked table, so it builds no table of
-    its own: see `ResidualMonoid.ideal`."""
+    slot of each t in N_0 and M, so it builds no table of its own and fills
+    none of M's: see `ResidualMonoid.ideal`."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
     index, slot = {}, {}
     for t in dec.signature.classes[(0,)]:
         slot[t] = index.setdefault(dec.f(t, (r,)), len(index))
-    return ResidualMonoid(r, tuple(index), slot, dec.m.monoid)
+    return ResidualMonoid(r, tuple(index), slot, dec.m)
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:

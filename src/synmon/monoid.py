@@ -140,6 +140,21 @@ class SyntacticMonoid(Frozen):
         tree and checked, on first read."""
         return FiniteMonoid(_rows(self.right, self.tree), self.names)
 
+    @cached_property
+    def minimal_ideal(self) -> frozenset:
+        """K(M), the minimal ideal, as the union of the closed classes of the
+        right Cayley graph: M has a zero exactly when K(M) is one element.
+
+        The class of x that no edge leaves is x.M, all that x reaches, and
+        y.M = x.M for each y in it; so the closed classes are the minimal
+        right ideals, and each minimal right ideal R = x.M is one.  Their
+        union is K(M): R = r.k.M lies in K(M) for r in R and k in K(M), and
+        K(M) lies in the ideal M.R, the union of the minimal right ideals
+        s.R (a right ideal I inside s.R gives {r in R : s.r in I} = R)."""
+        from .periods import _cycle_classes  # periods imports this module
+
+        return frozenset().union(*(c for c, _ in _cycle_classes(self.order, self.right)))
+
     def image_of_word(self, word: str) -> int:
         position, x = self._letter_index, 0
         for a in word:
@@ -242,22 +257,3 @@ def cayley_to_dot(m: SyntacticMonoid) -> str:
             lines.append(f"  {src} -> {dst} [label={_dot_string(sym)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def minimal_ideal_element(m: FiniteMonoid) -> int:
-    """z, the product of all elements in ascending order.  It lies in the
-    minimal ideal K(M), since z = s.x.t lies in every ideal that holds an x,
-    so K(M) is the principal ideal of z."""
-    z = m.identity
-    for x in range(m.order):
-        z = m.table[z][x]
-    return z
-
-
-def find_zero(m: FiniteMonoid):
-    """The unique absorbing element, or None.  A zero is the minimal ideal
-    {0}, so it exists exactly when `minimal_ideal_element` is absorbing."""
-    z = minimal_ideal_element(m)
-    if all(v == z for v in m.table[z]) and all(row[z] == z for row in m.table):
-        return z
-    return None

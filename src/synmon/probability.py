@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .dfa import Dfa, minimize
 from .errors import ScopeError, TooLarge, VerificationFailure
-from .monoid import SyntacticMonoid, find_zero, gather, transition_monoid
+from .monoid import SyntacticMonoid, gather, transition_monoid
 from .periods import _cycle_classes, max_period
 
 if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs it
@@ -228,8 +228,8 @@ def zero_one_basic(m: SyntacticMonoid, dfa: Dfa) -> BasicZeroOne:
 
 def basic_verdict(m: SyntacticMonoid, period: int, points) -> BasicZeroOne:
     """`zero_one_basic` for accumulation points already computed at the
-    maximum period."""
-    zero = find_zero(m.monoid)
+    maximum period.  The zero is the one element of K(M), if K(M) has one."""
+    zero = min(m.minimal_ideal) if len(m.minimal_ideal) == 1 else None
     values = tuple(points)
     if zero is not None:
         verdict = "one" if zero in m.accepting_image else "zero"
@@ -278,17 +278,24 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
 
     The minimal ideal K(T_r) decides whether a witness exists (Sin'ya,
     GandALF 2015): it lies in every ideal, so some ideal is a witness if
-    and only if K(T_r) is.  z, the product of N_0 in ascending order, lies
-    in K(N_0), since z = s.x.u lies in every ideal of N_0 that holds an x;
-    and the image of K(N_0) under the surjective homomorphism t -> f_t(r)
-    is K(T_r), so K(T_r) is the ideal of f_z(r).  The ascending scan runs
-    only when K(T_r) is a witness, to report the first one; it reads each
-    element at its least t."""
-    table, z = t_r.m.table, 0
-    for t in t_r.slot:
-        z = table[z][t]
+    and only if K(T_r) is.  K(T_r) is the slots of K(M) & N_0, with K(M)
+    read off the Cayley graph (`SyntacticMonoid.minimal_ideal`).
+
+    M acts on the states of the minimal DFA, and the minimal ideal of a
+    finite transformation monoid is its set of least-rank elements: they
+    form an ideal, and for x among them and k in K, u = k.x has its image
+    in im(x) and x.u has the rank of x, so u permutes im(x) and x = x.u^m
+    lies in K for some m >= 1.  K(M) & N_0 is not empty, since every
+    letter has residual 1: it holds z.w for z in K(M) and any word w of
+    length -rho_bar(z) mod P.  So the least rank in N_0 is that of K(M),
+    and K(N_0) = K(M) & N_0.  Its image under the surjective homomorphism
+    t -> f_t(r) (`ResidualMonoid.ideal`) is an ideal of T_r, so it holds
+    K(T_r), and it lies in the preimage of K(T_r), an ideal of N_0; so it
+    is K(T_r).  The ascending scan runs only when K(T_r) is a witness, to
+    report the first one; it reads each element at its least t."""
+    kernel = frozenset(map(t_r.slot.__getitem__, t_r.slot.keys() & t_r.m.minimal_ideal))
     witness = None
-    if _decides(t_r.ideal(z), accepting):
+    if _decides(kernel, accepting):
         least = {}  # element -> its least t, in ascending order of the element
         for t, i in t_r.slot.items():
             least.setdefault(i, t)

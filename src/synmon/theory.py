@@ -61,6 +61,25 @@ def principal_ideal(m: FiniteMonoid, x: int) -> frozenset:
     return frozenset().union(*(m.table[a] for a in left))
 
 
+def minimal_ideal_element(m: FiniteMonoid) -> int:
+    """z, the product of all elements in ascending order.  It lies in the
+    minimal ideal K(M), since z = s.x.t lies in every ideal that holds an x,
+    so K(M) is the principal ideal of z."""
+    z = m.identity
+    for x in range(m.order):
+        z = m.table[z][x]
+    return z
+
+
+def find_zero(m: FiniteMonoid):
+    """The unique absorbing element, or None.  A zero is the minimal ideal
+    {0}, so it exists exactly when `minimal_ideal_element` is absorbing.
+    The verdicts read the zero off the Cayley graph instead
+    (`SyntacticMonoid.minimal_ideal`)."""
+    z = minimal_ideal_element(m)
+    return z if {*m.table[z], *(row[z] for row in m.table)} == {z} else None
+
+
 def rees_factor(m: FiniteMonoid, ideal) -> FiniteMonoid:
     """Collapse a two-sided ideal to a single zero element."""
     if not is_ideal(m, ideal):

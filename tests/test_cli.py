@@ -468,6 +468,31 @@ def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
     assert captured.err == "verification failure: identity law fails at element 0\n"
 
 
+@pytest.mark.parametrize("verb", ["analyze", "zero-one"])
+def test_a_corrupted_cayley_edge_exits_three_without_a_table(verb, monkeypatch, capsys):
+    # text analyze and zero-one fill no table at P = 1 without a witness, so
+    # the table check does not see a wrong edge; the decomposition's
+    # homomorphism check names it
+    from synmon import monoid, pipeline
+
+    build, fills = monoid.transition_monoid, []
+
+    def corrupted(dfa):
+        sm = build(dfa)
+        row = sm.right[-1]  # the last element has no child in the tree
+        right = sm.right[:-1] + (((row[0] + 1) % sm.order,) + row[1:],)
+        return monoid.SyntacticMonoid(right, sm.tree, sm.names, sm.eta, sm.accepting_image)
+
+    monkeypatch.setattr(pipeline, "transition_monoid", corrupted)
+    monkeypatch.setattr(monoid, "_rows", lambda *args: fills.append(args))
+    assert cli.main([verb, "--regex", "(a|b)*a(a|b)(a|b)", "--alphabet", "ab"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and fills == []
+    assert err.splitlines() == [
+        NOTICE, "verification failure: canonical embedding: Can(s.a) != Can(s).Can(a) at "
+        "s = 9, a = 'a', r = (0,), slot 6: Can(s.a) gives 14, Can(s).Can(a) gives 11"]
+
+
 def test_closure_budget_exits_two(monkeypatch, capsys):
     from synmon import monoid
 

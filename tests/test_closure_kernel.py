@@ -19,15 +19,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from synmon import (build_signature, canonical_decomposition, load_dfa, make_named, minimize,
-                    principal_ideal, residual_monoid, transition_monoid)
+from synmon import (build_signature, canonical_decomposition, find_zero, load_dfa, make_named,
+                    minimize, principal_ideal, residual_monoid, transition_monoid,
+                    zero_one_basic)
 from synmon.decompose import lw_accepting
 from synmon.dfa import words_of_length
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.errors import TooLarge
 from synmon.monoid import _close, _rows
 from synmon.probability import residual_verdict
-from synmon.theory import compose, identity_transformation
+from synmon.theory import compose, identity_transformation, minimal_ideal_element
 
 from conftest import small_dfas, small_monoid
 from reference import residual_table
@@ -119,18 +120,30 @@ def test_kernel_on_a_degree_one_dfa():
 
 # --- residual monoids ---
 
-def assert_residual_ideals_match_the_composed_table(sm):
-    """At every period dividing the maximum, for each T_r against its table
-    by composition: `t_r.ideal(t)` is the principal ideal of the element of
+def assert_residual_ideals_match_the_composed_table(sm, dfa):
+    """K(M), read off the closed classes of the Cayley graph, is the
+    principal ideal of the product of all elements, and the zero of the
+    basic verdict on `dfa`, a DFA of the language of sm, is `find_zero`'s.
+    At every period dividing the maximum, for each T_r against its table
+    by composition: K(T_r), the slots of K(M) & N_0, is the ideal of the
+    product of N_0; `t_r.ideal(t)` is the principal ideal of the element of
     t for every t in N_0, and `residual_verdict`'s K(T_r) decision agrees
     with the full ascending scan for the accepting set of every prefix.  The
     limit handed to it is 0 where the scan finds a witness and 1/2 where it
     finds none, so a wrong decision raises or changes the witness."""
+    m = sm.monoid
+    assert sm.minimal_ideal == principal_ideal(m, minimal_ideal_element(m))
+    assert zero_one_basic(sm, dfa).zero_element == find_zero(m)
     maximum = build_signature(sm, [sm.alphabet]).periods[0]
     for period in (d for d in range(1, maximum + 1) if maximum % d == 0):
         dec = canonical_decomposition(sm, build_signature(sm, [sm.alphabet], [period]))
+        z = 0  # the product of N_0 in ascending order, which lies in K(N_0)
+        for t in dec.theta[(0,)]:
+            z = m.table[z][t]
         for r in range(period):
             t_r = residual_monoid(dec, r)
+            kernel = {t_r.slot[t] for t in sm.minimal_ideal if t in t_r.slot}
+            assert kernel == t_r.ideal(z), (period, r)
             table = residual_table(t_r)
             element = {tau: i for i, tau in enumerate(t_r.transformations)}
             for t in dec.theta[(0,)]:
@@ -147,20 +160,20 @@ def assert_residual_ideals_match_the_composed_table(sm):
 
 
 def test_residual_tables_match_compose(corpus):
-    for name, (_dfa, _minimal, sm) in corpus.items():
-        assert_residual_ideals_match_the_composed_table(sm)
+    for name, (dfa, _minimal, sm) in corpus.items():
+        assert_residual_ideals_match_the_composed_table(sm, dfa)
 
 
 @pytest.mark.parametrize("language", FAMILIES, ids=lambda lang: lang.name)
 def test_residual_tables_match_compose_on_benchmark_families(language):
-    assert_residual_ideals_match_the_composed_table(
-        transition_monoid(minimize(load_dfa(json.dumps(language.dfa)))))
+    dfa = load_dfa(json.dumps(language.dfa))
+    assert_residual_ideals_match_the_composed_table(transition_monoid(minimize(dfa)), dfa)
 
 
 @settings(max_examples=60)
 @given(small_dfas())
 def test_residual_tables_match_compose_on_random_dfas(dfa):
-    assert_residual_ideals_match_the_composed_table(small_monoid(dfa))
+    assert_residual_ideals_match_the_composed_table(small_monoid(dfa), dfa)
 
 
 # --- named transformation monoids ---

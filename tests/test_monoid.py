@@ -5,12 +5,13 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from synmon import (cayley_to_dot, direct_product, find_zero,
+from synmon import (Analysis, cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
                     minimize, monoid, principal_ideal, rees_factor,
                     semidirect_product, transition_monoid)
 from synmon.errors import InvalidArgument, InvalidMonoid, NotAnAction, NotAnIdeal, TooLarge
-from synmon.monoid import FiniteMonoid, SyntacticMonoid, minimal_ideal_element
+from synmon.monoid import FiniteMonoid, SyntacticMonoid
+from synmon.theory import minimal_ideal_element
 from synmon.oracle import brute_isomorphic
 from synmon.regexes import parse_regex, regex_to_dfa
 
@@ -372,6 +373,11 @@ def test_find_zero_and_the_minimal_ideal_by_definition(corpus):
         assert find_zero(m) == brute_zero(m), m.names
         z = minimal_ideal_element(m)
         assert all(z in principal_ideal(m, x) for x in range(m.order)), m.names
+    # the verdicts read K(M) off the closed classes of the Cayley graph, and
+    # the zero as its one element
+    for name, (dfa, _, sm) in corpus.items():
+        assert sm.minimal_ideal == principal_ideal(sm.monoid, minimal_ideal_element(sm.monoid))
+        assert Analysis(dfa).basic_verdict.zero_element == find_zero(sm.monoid), name
 
 
 # --- products ---

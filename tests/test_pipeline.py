@@ -55,18 +55,23 @@ def test_analyze_builds_the_monoid_once(monkeypatch, tmp_path, capsys):
 
 def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     checks = count_calls(monkeypatch, monoid, "check_table")
-    # T_r builds no table of its own, so only M's is checked: at P = 1 (the
-    # 6th letter from the end is an a), on a3 at P = 2, and at P = 3
-    for source, order, period in (
-            (["--regex", "(a|b)*a" + "(a|b)" * 5], 127, 1),
-            (["--dfa", str(DATA / "a3.json")], 5, 2),
-            (["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"], 15, 3)):
+    # T_r builds no table of its own, so only M's is checked: by analyze
+    # --json, which prints it, and by a witness scan, which reads its ideals
+    # off it.  At P = 1 (the 6th letter from the end is an a) no residual
+    # has a witness, so zero-one fills no table; on a3 at P = 2 and at P = 3
+    # a scan runs
+    for source, order, period, scans in (
+            (["--regex", "(a|b)*a" + "(a|b)" * 5], 127, 1, False),
+            (["--dfa", str(DATA / "a3.json")], 5, 2, True),
+            (["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"], 15, 3, True)):
         for verb in ("analyze", "zero-one"):
             assert cli.main([verb, "--json", *source]) == 0, (verb, period)
             report = json.loads(capsys.readouterr().out)
             rows = (report["probability"]["zero_one"] if verb == "analyze" else report)["residual"]
             assert len(rows) == 2 ** period - 1, (verb, period)
-            assert [len(call[0]) for call in checks] == [order], (verb, period)
+            assert any(row["verdict"] == "zero-one" for row in rows) == scans, (verb, period)
+            expected = [order] if verb == "analyze" or scans else []
+            assert [len(call[0]) for call in checks] == expected, (verb, period)
             checks.clear()
 
 
@@ -74,18 +79,24 @@ def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
     fills = count_calls(monkeypatch, monoid, "_rows")
     checks = count_calls(monkeypatch, monoid, "check_table")
     regex = ["--regex", "((a|b)(a|b))*a", "--alphabet", "ab"]  # P = 2, order 5
+    # the 6th letter from the end is an a: order 127, P = 1, no zero and no
+    # witness, so the verdicts read K(M) off the Cayley graph alone
+    tail = ["--regex", "(a|b)*a" + "(a|b)" * 5, "--alphabet", "ab"]
     for argv in (["period", *regex], ["prob", *regex], ["oracle", "cycle-gcd", *regex],
                  ["oracle", "lw", *regex, "--w", "a"], ["decompose", *regex],
-                 ["decompose", "--json", *regex]):
+                 ["decompose", "--json", *regex], ["analyze", *tail], ["zero-one", *tail]):
         assert cli.main(argv) == 0, argv
         assert (fills, checks) == ([], []), argv
     built, build = [], cli._analysis
     monkeypatch.setattr(cli, "_analysis", lambda args: built.append(build(args)) or built[-1])
-    for verb in ("monoid", "zero-one", "analyze"):
-        assert cli.main([verb, *regex]) == 0, verb
+    # monoid and analyze --json print the table; at P = 2 a witness scan
+    # reads T_r's ideals off it
+    for argv in (["monoid", *regex], ["zero-one", *regex], ["analyze", *regex],
+                 ["monoid", *tail], ["analyze", "--json", *tail]):
+        assert cli.main(argv) == 0, argv
         table = built.pop().monoid.monoid.table
         # one fill for M, checked once; T_r reads M's table and builds none
-        assert len(fills) == 1 and [call[0] is table for call in checks] == [True], verb
+        assert len(fills) == 1 and [call[0] is table for call in checks] == [True], argv
         fills.clear()
         checks.clear()
     capsys.readouterr()
