@@ -213,9 +213,10 @@ def _row_encoder(counts):
     joined from a table of decimals when every entry is below L, the length
     of the longest such row so far; any other row goes to the encoder.
     The text of a row whose id `counts` counts more than once (the same
-    object, as f_t(0) is both column t of M's table and an element of T_0
-    at period 1) is kept for its next use.  Object ids are unique only
-    among live objects, so the function must not outlive the report.
+    object, as Can(t) is both the decomposition's row f_t(0) and an
+    element of T_0 at period 1) is kept for its next use.  Object ids are
+    unique only among live objects, so the function must not outlive the
+    report.
     """
     decimals = ()
     memo = dict.fromkeys(key for key, count in counts.items() if count > 1)

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
-from .dfa import words_of_length
+from .dfa import reach, words_of_length
 from .errors import ScopeError, UnknownSymbol, VerificationFailure
 from .monoid import SyntacticMonoid, gather
 from .periods import PeriodSignature, residual_of_word
@@ -92,11 +92,12 @@ class CanonicalDecomposition(_Can):
 
 class ResidualMonoid(NamedTuple):
     """T_r = {f_t(r) : t in N_0}, a view of M: its elements, the slot of
-    each t in N_0, and M, off whose checked table its ideals are read."""
+    each t in N_0, and the verified decomposition, off whose maps and
+    Cayley graph its ideals are read."""
     r: int
     transformations: tuple  # element index -> transformation tuple
     slot: dict              # t in N_0, ascending -> the index of f_t(r)
-    m: SyntacticMonoid      # M, whose table `ideal` reads
+    dec: CanonicalDecomposition  # Can(t) and M's Cayley graph, which `ideal` reads
 
     @property
     def order(self) -> int:
@@ -110,20 +111,22 @@ class ResidualMonoid(NamedTuple):
 
     def ideal(self, t: int) -> frozenset:
         """The principal ideal of f_t(r) in T_r, for t in N_0: the slots of
-        N_0.t.N_0, read off M's table, which the first call fills.
+        N_0.t.N_0, read off Can(t) and the right Cayley graph.
 
         `verify_canonical` proves that t -> f_t(r) is a homomorphism from
         N_0 onto T_r: Can(s.t) = Can(s).Can(t) with rho_bar(s) = 0 gives
         f_{s.t}(r) = f_s(r) then f_t(r).  So the ideal of f_t(r) is the
-        image of N_0.t.N_0 = {s.t.u : s, u in N_0}.  Two x in N_0.t with one
-        image give x.N_0 one image, so the row of one x per image is read:
-        gathered at N_0, or whole where N_0 is all of M."""
-        table, slot = self.m.monoid.table, self.slot
-        left = {slot[x]: x for x in (table[s][t] for s in slot)}  # one x per image
-        rows = map(table.__getitem__, left.values())
-        if len(slot) < len(table):
-            rows = map(gather(tuple(slot)), rows)
-        return frozenset(map(slot.__getitem__, set().union(*rows)))
+        image of N_0.t.N_0 = {s.t.u : s, u in N_0}.  Can(t) sends the point
+        of x to that of x.t and keeps N_0, as rho_bar(t) = 0; N_0's points
+        are the first |N_0|, so N_0.t is Can(t) there, read as elements.
+        For x in N_0, x.N_0 = x.M & N_0, since rho_bar is a homomorphism
+        into a group and rho_bar(x.u) = rho_bar(u); and x.M is what x
+        reaches in the Cayley graph.  So N_0.t.N_0 is what N_0.t reaches,
+        kept in N_0.  Both Can(t) and every edge (s, a), through Can(s.a) =
+        Can(s).Can(a) and the read-back, passed `verify_canonical`."""
+        n_0, slot = self.dec.theta[(0,)], self.slot
+        left = gather(self.dec.flat[t][:len(n_0)])(n_0)  # N_0.t
+        return frozenset(map(slot.__getitem__, slot.keys() & reach(self.dec.m.right, left)))
 
 
 class LwRecognizer(NamedTuple):
@@ -274,15 +277,15 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
     composition, numbered in ascending order of the least t of each
     element; element 0 is the identity, the image of t = 0.  It keeps the
-    slot of each t in N_0 and M, so it builds no table of its own and fills
-    none of M's: see `ResidualMonoid.ideal`."""
+    slot of each t in N_0 and the decomposition, so it builds no table of
+    its own and fills none of M's: see `ResidualMonoid.ideal`."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
     index, slot = {}, {}
     for t in dec.signature.classes[(0,)]:
         slot[t] = index.setdefault(dec.f(t, (r,)), len(index))
-    return ResidualMonoid(r, tuple(index), slot, dec.m)
+    return ResidualMonoid(r, tuple(index), slot, dec)
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:

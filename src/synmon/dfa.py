@@ -104,17 +104,25 @@ class Dfa(Frozen):
         return [[position[self.delta[(q, a)]] for a in self.alphabet] for q in self.states]
 
 
-def _reachable(dfa: Dfa) -> list:
-    """The states reachable from the initial one, in breadth-first
-    discovery order with letters sorted."""
-    order, seen = [dfa.initial], {dfa.initial}
-    for q in order:  # the loop reads the states appended behind it
-        for a in dfa.alphabet:
-            t = dfa.delta[(q, a)]
+def reach(successors, sources) -> list:
+    """The vertices reachable from `sources`, each source once, in
+    breadth-first discovery order, with `successors[v]` the targets of the
+    edges leaving v, read in order: the index form of `Dfa.targets`."""
+    order = list(dict.fromkeys(sources))
+    seen = set(order)
+    for v in order:  # the loop reads the vertices appended behind it
+        for t in successors[v]:
             if t not in seen:
                 seen.add(t)
                 order.append(t)
     return order
+
+
+def _reachable(dfa: Dfa) -> list:
+    """The states reachable from the initial one, in breadth-first
+    discovery order with letters sorted."""
+    return list(map(dfa.states.__getitem__,
+                    reach(dfa.targets(), [dfa.states.index(dfa.initial)])))
 
 
 def trim(dfa: Dfa) -> Dfa:

@@ -293,7 +293,7 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
     K(T_r), and it lies in the preimage of K(T_r), an ideal of N_0; so it
     is K(T_r).  The ascending scan runs only when K(T_r) is a witness, to
     report the first one; it reads each element at its least t."""
-    kernel = frozenset(map(t_r.slot.__getitem__, t_r.slot.keys() & t_r.m.minimal_ideal))
+    kernel = frozenset(map(t_r.slot.__getitem__, t_r.slot.keys() & t_r.dec.m.minimal_ideal))
     witness = None
     if _decides(kernel, accepting):
         least = {}  # element -> its least t, in ascending order of the element

@@ -12,7 +12,8 @@ residuals, each from its own definition.  `markov_chain` and `mu_exact`
 are the uniform-transition chain of a DFA and one term of `mu_series`,
 which only the tests read.  `residual_table` is the multiplication table
 of a residual monoid T_r by composing every pair of its transformations,
-which the library no longer builds: T_r reads its ideals off M's table.
+which the library no longer builds: T_r reads its ideals off Can(t) and
+M's Cayley graph.
 """
 
 import math

@@ -462,7 +462,8 @@ def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
         raise InvalidMonoid("identity law fails at element 0")
 
     monkeypatch.setattr(monoid, "check_table", failing)
-    assert cli.main(["analyze", "--regex", A3_REGEX]) == 3
+    # analyze --json prints M's table, so it fills and checks it
+    assert cli.main(["analyze", "--json", "--regex", A3_REGEX]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "verification failure: identity law fails at element 0\n"
@@ -470,9 +471,8 @@ def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
 
 @pytest.mark.parametrize("verb", ["analyze", "zero-one"])
 def test_a_corrupted_cayley_edge_exits_three_without_a_table(verb, monkeypatch, capsys):
-    # text analyze and zero-one fill no table at P = 1 without a witness, so
-    # the table check does not see a wrong edge; the decomposition's
-    # homomorphism check names it
+    # text analyze and zero-one fill no table, so the table check does not
+    # see a wrong edge; the decomposition's homomorphism check names it
     from synmon import monoid, pipeline
 
     build, fills = monoid.transition_monoid, []

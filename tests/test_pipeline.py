@@ -55,11 +55,11 @@ def test_analyze_builds_the_monoid_once(monkeypatch, tmp_path, capsys):
 
 def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
     checks = count_calls(monkeypatch, monoid, "check_table")
-    # T_r builds no table of its own, so only M's is checked: by analyze
-    # --json, which prints it, and by a witness scan, which reads its ideals
-    # off it.  At P = 1 (the 6th letter from the end is an a) no residual
-    # has a witness, so zero-one fills no table; on a3 at P = 2 and at P = 3
-    # a scan runs
+    # T_r builds no table of its own and reads its ideals off the Cayley
+    # graph, so only M's table is checked, by analyze --json, which prints
+    # it; zero-one fills none, neither at P = 1 (the 6th letter from the end
+    # is an a), where no residual has a witness, nor on a3 at P = 2 and at
+    # P = 3, where a witness scan runs
     for source, order, period, scans in (
             (["--regex", "(a|b)*a" + "(a|b)" * 5], 127, 1, False),
             (["--dfa", str(DATA / "a3.json")], 5, 2, True),
@@ -70,7 +70,7 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
             rows = (report["probability"]["zero_one"] if verb == "analyze" else report)["residual"]
             assert len(rows) == 2 ** period - 1, (verb, period)
             assert any(row["verdict"] == "zero-one" for row in rows) == scans, (verb, period)
-            expected = [order] if verb == "analyze" or scans else []
+            expected = [order] if verb == "analyze" else []
             assert [len(call[0]) for call in checks] == expected, (verb, period)
             checks.clear()
 
@@ -78,27 +78,30 @@ def test_analyze_checks_each_monoid_table_once(monkeypatch, capsys):
 def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
     fills = count_calls(monkeypatch, monoid, "_rows")
     checks = count_calls(monkeypatch, monoid, "check_table")
-    regex = ["--regex", "((a|b)(a|b))*a", "--alphabet", "ab"]  # P = 2, order 5
+    # P = 2, order 5, and P = 3, order 15: a witness scan runs on both
+    regex = ["--regex", "((a|b)(a|b))*a", "--alphabet", "ab"]
+    period3 = ["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"]
     # the 6th letter from the end is an a: order 127, P = 1, no zero and no
     # witness, so the verdicts read K(M) off the Cayley graph alone
     tail = ["--regex", "(a|b)*a" + "(a|b)" * 5, "--alphabet", "ab"]
     for argv in (["period", *regex], ["prob", *regex], ["oracle", "cycle-gcd", *regex],
                  ["oracle", "lw", *regex, "--w", "a"], ["decompose", *regex],
-                 ["decompose", "--json", *regex], ["analyze", *tail], ["zero-one", *tail]):
+                 ["decompose", "--json", *regex], ["analyze", *tail], ["zero-one", *tail],
+                 *([*verb.split(), *source] for source in (regex, period3)
+                   for verb in ("analyze", "zero-one", "zero-one --json"))):
         assert cli.main(argv) == 0, argv
         assert (fills, checks) == ([], []), argv
     built, build = [], cli._analysis
     monkeypatch.setattr(cli, "_analysis", lambda args: built.append(build(args)) or built[-1])
-    # monoid and analyze --json print the table; at P = 2 a witness scan
-    # reads T_r's ideals off it
-    for argv in (["monoid", *regex], ["zero-one", *regex], ["analyze", *regex],
+    # monoid and analyze --json print the table
+    for argv in (["monoid", *regex], ["analyze", "--json", *regex],
                  ["monoid", *tail], ["analyze", "--json", *tail]):
         assert cli.main(argv) == 0, argv
-        table = built.pop().monoid.monoid.table
-        # one fill for M, checked once; T_r reads M's table and builds none
-        assert len(fills) == 1 and [call[0] is table for call in checks] == [True], argv
+        # one fill for M, checked once, counted before the read below,
+        # which would fill the table itself
+        assert (len(fills), len(checks)) == (1, 1), argv
+        assert checks.pop()[0] is built.pop().monoid.monoid.table, argv
         fills.clear()
-        checks.clear()
     capsys.readouterr()
 
 
@@ -197,7 +200,7 @@ def test_shared_residual_monoids_equal_fresh_ones(corpus):
         fresh = decompose.residual_monoid(analysis.decomposition, r)
         assert shared.r == fresh.r == r
         assert shared.transformations == fresh.transformations
-        assert shared.slot == fresh.slot and shared.m is fresh.m
+        assert shared.slot == fresh.slot and shared.dec is fresh.dec
 
 
 def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):
