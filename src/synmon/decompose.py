@@ -307,14 +307,14 @@ def block_images(dec: CanonicalDecomposition, r: int) -> dict:
             for b in words_of_length(dec.signature.alphabet, period)}
 
 
-def lw_accepting(dec: CanonicalDecomposition, w: str,
+def lw_accepting(dec: CanonicalDecomposition, image: int,
                  monoid: ResidualMonoid) -> frozenset:
-    """Indices of the elements of `monoid` = T_{|w|} that accept after the
-    prefix w: tau accepts iff theta_r(tau(k)) is in the image of L, with k
-    the position of eta(w) in N_r.  Depends on w only through eta(w)."""
-    r = _prefix_residual(dec, w)
-    theta = dec.theta[(r,)]
-    position = theta.index(dec.m.image_of_word(w))
+    """Indices of the elements of `monoid` = T_r that accept after a prefix
+    w of length r with eta(w) = `image`: tau accepts iff theta_r(tau(k)) is
+    in the image of L, with k the position of eta(w) in N_r.  It depends on
+    w only through eta(w), so it takes eta(w)."""
+    theta = dec.theta[(monoid.r,)]
+    position = theta.index(image)
     return frozenset(
         i for i, tau in enumerate(monoid.transformations)
         if theta[tau[position]] in dec.m.accepting_image
@@ -325,7 +325,8 @@ def lw_recognizer(dec: CanonicalDecomposition, w: str) -> LwRecognizer:
     """Recognizer for the block language L_w = {u in (Sigma^P)* : wu in L}."""
     r = _prefix_residual(dec, w)
     monoid = residual_monoid(dec, r)
-    return LwRecognizer(w, monoid, block_images(dec, r), lw_accepting(dec, w, monoid))
+    return LwRecognizer(w, monoid, block_images(dec, r),
+                        lw_accepting(dec, dec.m.image_of_word(w), monoid))
 
 
 def wreath_divisor(dec: CanonicalDecomposition) -> dict:

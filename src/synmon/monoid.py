@@ -125,11 +125,6 @@ class SyntacticMonoid(Frozen):
     def alphabet(self) -> tuple:
         return tuple(sorted(self.eta))
 
-    @cached_property
-    def _letter_index(self) -> dict:
-        """Letter -> its column of the Cayley graph."""
-        return {a: g for g, a in enumerate(self.alphabet)}
-
     @property
     def order(self) -> int:
         return len(self.right)
@@ -137,8 +132,20 @@ class SyntacticMonoid(Frozen):
     @cached_property
     def monoid(self) -> FiniteMonoid:
         """The multiplication table, filled from the Cayley graph along the
-        tree and checked, on first read."""
-        return FiniteMonoid(_rows(self.right, self.tree), self.names)
+        tree and checked, on first read.
+
+        `check_table` proves that the table is a monoid; its letters'
+        columns make it M's.  Once x.eta(a) = right[x][a] for every x and
+        letter a, x.y is M's product for every x and y, by induction along
+        the tree: x.0 = x by the identity law, and y > 0, with tree parent p
+        and last letter a, is p.eta(a) in the table, so x.y = (x.p).eta(a)
+        by associativity, which is the edge right[x.p][a], x.p being M's
+        product by induction."""
+        monoid = FiniteMonoid(_rows(self.right, self.tree), self.names)
+        for a, column in zip(sorted(self.eta), zip(*self.right)):  # x -> x.a over x
+            if tuple(row[column[0]] for row in monoid.table) != column:
+                raise InvalidMonoid(f"table column of letter {a!r} disagrees with the Cayley graph")
+        return monoid
 
     @cached_property
     def minimal_ideal(self) -> frozenset:
@@ -156,9 +163,9 @@ class SyntacticMonoid(Frozen):
         return frozenset().union(*(c for c, _ in _cycle_classes(self.order, self.right)))
 
     def image_of_word(self, word: str) -> int:
-        position, x = self._letter_index, 0
+        x = 0
         for a in word:
-            x = self.right[x][position[a]]
+            x = self.right[x][self.alphabet.index(a)]
         return x
 
     def targets(self) -> tuple:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .dfa import Dfa, Frozen, minimize, words_of_length
+from .dfa import Dfa, Frozen, minimize
 from .errors import ScopeError, TooLarge
 from .monoid import SyntacticMonoid, transition_monoid
 from .periods import PeriodSignature, build_signature, max_period
@@ -109,7 +109,13 @@ class Analysis(Frozen):
     @cached_property
     def residual_verdicts(self) -> tuple:
         """One verdict per prefix w with |w| < P, shortest first and then in
-        lexicographic order, each equal to `zero_one_residual` for w."""
+        lexicographic order, each equal to `zero_one_residual` for w.
+
+        The prefixes are walked level by level, each with eta(w) and the
+        state of the minimal DFA that w reaches: w + a takes one Cayley
+        edge and one DFA edge from w, so no word is read from the start.
+        Appending each letter in order to a lexicographic level gives a
+        lexicographic level, so the rows keep their order."""
         from . import decompose as dc
         from . import probability as pr
 
@@ -121,15 +127,15 @@ class Analysis(Frozen):
         if n_rows > PREFIX_ROWS:
             raise TooLarge(f"{n_rows} prefix rows of zero-one verdicts (every word shorter "
                            f"than the period {period}) exceed the budget of {PREFIX_ROWS}")
-        dec = self.decomposition
-        by_image = {}
-        rows = []
-        for r, t_r in enumerate(self.residual_monoids):
-            for w in words_of_length(self.monoid.alphabet, r):
-                image = self.monoid.image_of_word(w)
+        dec, m, delta = self.decomposition, self.monoid, self.minimal.delta
+        by_image, rows, level = {}, [], [("", 0, self.minimal.initial)]
+        for t_r in self.residual_monoids:
+            if t_r.r:  # level r from level r - 1
+                level = [(w + a, m.right[image][g], delta[q, a]) for w, image, q in level
+                         for g, a in enumerate(m.alphabet)]
+            for w, image, q in level:  # w, eta(w) and the state that w reaches
                 if image not in by_image:
                     by_image[image] = pr.residual_verdict(
-                        w, t_r, dc.lw_accepting(dec, w, t_r),
-                        self.limit_vector[self.minimal.run(w)])
+                        w, t_r, dc.lw_accepting(dec, image, t_r), self.limit_vector[q])
                 rows.append(by_image[image]._replace(w=w))
         return tuple(rows)

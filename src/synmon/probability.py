@@ -292,15 +292,19 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
     t -> f_t(r) (`ResidualMonoid.ideal`) is an ideal of T_r, so it holds
     K(T_r), and it lies in the preimage of K(T_r), an ideal of N_0; so it
     is K(T_r).  The ascending scan runs only when K(T_r) is a witness, to
-    report the first one; it reads each element at its least t."""
-    kernel = frozenset(map(t_r.slot.__getitem__, t_r.slot.keys() & t_r.dec.m.minimal_ideal))
+    report the first one; it reads each element at its least t, and reads
+    `kernel` for each element k of K(T_r): T_r.k.T_r is an ideal inside
+    K(T_r), so by minimality it is K(T_r)."""
+    # K(M) & N_0 by a loop over N_0, the keys of `slot`: `slot.keys() & K(M)`
+    # loops over K(M), which is all of M when M is a group
+    kernel = frozenset(map(t_r.slot.__getitem__, t_r.dec.m.minimal_ideal.intersection(t_r.slot)))
     witness = None
     if _decides(kernel, accepting):
         least = {}  # element -> its least t, in ascending order of the element
         for t, i in t_r.slot.items():
             least.setdefault(i, t)
-        witness = next(tuple(sorted(ideal)) for ideal in map(t_r.ideal, least.values())
-                       if _decides(ideal, accepting))
+        ideals = (kernel if i in kernel else t_r.ideal(t) for i, t in least.items())
+        witness = next(tuple(sorted(ideal)) for ideal in ideals if _decides(ideal, accepting))
     is_zero_or_one = witness is not None
     if (limit in (0, 1)) != is_zero_or_one:
         raise VerificationFailure(

@@ -469,6 +469,21 @@ def test_a_table_that_fails_its_check_exits_three(monkeypatch, capsys):
     assert captured.err == "verification failure: identity law fails at element 0\n"
 
 
+@pytest.mark.parametrize("verb", ["monoid", "monoid --json", "analyze --json"])
+def test_a_table_of_the_opposite_monoid_exits_three(verb, monkeypatch, capsys):
+    # the transpose of M's table is the table of the opposite monoid: it
+    # passes check_table, but its letters' columns are not M's Cayley edges
+    from synmon import monoid
+
+    rows = monoid._rows
+    monkeypatch.setattr(monoid, "_rows", lambda right, tree: tuple(zip(*rows(right, tree))))
+    assert cli.main([*verb.split(), "--regex", "(a|b)*a(a|b)", "--alphabet", "ab"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "verification failure: table column of letter 'a' disagrees with the Cayley graph\n")
+
+
 @pytest.mark.parametrize("verb", ["analyze", "zero-one"])
 def test_a_corrupted_cayley_edge_exits_three_without_a_table(verb, monkeypatch, capsys):
     # text analyze and zero-one fill no table, so the table check does not

@@ -151,7 +151,7 @@ def assert_residual_ideals_match_the_composed_table(sm, dfa):
                     (period, r, t)
             ideals = [principal_ideal(table, i) for i in range(table.order)]
             for w in words_of_length(sm.alphabet, r):
-                accepting = lw_accepting(dec, w, t_r)
+                accepting = lw_accepting(dec, sm.image_of_word(w), t_r)
                 scan = next((tuple(sorted(ideal)) for ideal in ideals
                              if not ideal & accepting or ideal <= accepting), None)
                 limit = Fraction(0) if scan else Fraction(1, 2)
@@ -174,6 +174,34 @@ def test_residual_tables_match_compose_on_benchmark_families(language):
 @given(small_dfas())
 def test_residual_tables_match_compose_on_random_dfas(dfa):
     assert_residual_ideals_match_the_composed_table(small_monoid(dfa), dfa)
+
+
+def assert_kernel_members_have_the_kernel_as_ideal(sm):
+    """For k in K(T_r), T_r.k.T_r is an ideal inside K(T_r), so by
+    minimality it is K(T_r): at every period dividing the maximum and for
+    every r, `t_r.ideal(t)` is the slots of K(M) & N_0 for every t in N_0
+    whose element lies in K(T_r)."""
+    maximum = build_signature(sm, [sm.alphabet]).periods[0]
+    for period in (d for d in range(1, maximum + 1) if maximum % d == 0):
+        dec = canonical_decomposition(sm, build_signature(sm, [sm.alphabet], [period]))
+        for r in range(period):
+            t_r = residual_monoid(dec, r)
+            kernel = frozenset(t_r.slot[t] for t in sm.minimal_ideal if t in t_r.slot)
+            members = [t for t, i in t_r.slot.items() if i in kernel]
+            assert members, (period, r)
+            for t in members:
+                assert t_r.ideal(t) == kernel, (period, r, t)
+
+
+def test_kernel_members_have_the_kernel_as_ideal(corpus):
+    for name, (_dfa, _minimal, sm) in corpus.items():
+        assert_kernel_members_have_the_kernel_as_ideal(sm)
+
+
+@settings(max_examples=60)
+@given(small_dfas())
+def test_kernel_members_have_the_kernel_as_ideal_on_random_dfas(dfa):
+    assert_kernel_members_have_the_kernel_as_ideal(small_monoid(dfa))
 
 
 # --- named transformation monoids ---

@@ -3,10 +3,14 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
+
+from hypothesis import assume, given, settings, strategies as st
 
 from synmon import (Analysis, cli, decompose, monoid, periods, probability,
                     zero_one_residual)
 from synmon.dfa import Dfa
+from synmon.errors import TooLarge
 from synmon.regexes import parse_regex, regex_to_dfa
 
 from conftest import DATA
@@ -191,6 +195,62 @@ def test_deduplicated_rows_equal_per_prefix_recomputation(corpus):
                     for p in itertools.product("ab", repeat=r)]
         direct = [zero_one_residual(analysis.decomposition, dfa, w) for w in prefixes]
         assert list(analysis.residual_verdicts) == direct, name
+
+
+@st.composite
+def level_dfas(draw):
+    """Complete DFAs over two or three letters with at most six states.  As
+    in `conftest.small_dfas`, state q sits on level q mod p and every
+    letter moves one level up, so that periods up to 6 occur."""
+    letters = draw(st.sampled_from(("ab", "abc")))
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, n))
+    delta = {(q, a): draw(st.sampled_from(range((q + 1) % p, n, p)))
+             for q in range(n) for a in letters}
+    accepting = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return Dfa(tuple(letters), tuple(range(n)), 0, frozenset(accepting), delta)
+
+
+@settings(max_examples=80)
+@given(level_dfas())
+def test_deduplicated_rows_equal_per_prefix_recomputation_on_random_dfas(dfa):
+    # the rows walk the prefixes level by level; each must be the verdict
+    # that `zero_one_residual` computes from its own word, in the same order
+    analysis = Analysis(dfa)
+    with mock.patch.object(monoid, "ORDER_CAP", 64):
+        try:
+            analysis.monoid
+        except TooLarge:
+            assume(False)
+    period = analysis.signature.periods[0]
+    prefixes = ["".join(p) for r in range(period)
+                for p in itertools.product(dfa.alphabet, repeat=r)]
+    direct = [zero_one_residual(analysis.decomposition, dfa, w) for w in prefixes]
+    assert list(analysis.residual_verdicts) == direct
+
+
+def test_the_zero_one_stage_walks_no_word_and_searches_no_ideal_of_the_kernel(monkeypatch, capsys):
+    # on C_50 = (a^50)* each T_r is one element, which lies in K(T_r) and
+    # decides, so every residual runs a witness scan; the scan reads K(T_r)
+    # for it and searches no ideal, and the prefixes are walked level by
+    # level, so no word is read through the Cayley graph
+    reach, searches = decompose.reach, []
+    monkeypatch.setattr(decompose, "reach", lambda *args: searches.append(args) or reach(*args))
+    image_of_word, walks = monoid.SyntacticMonoid.image_of_word, []
+    monkeypatch.setattr(monoid.SyntacticMonoid, "image_of_word",
+                        lambda self, w: walks.append(w) or image_of_word(self, w))
+    c50 = ["--regex", "(" + "a" * 50 + ")*", "--alphabet", "a"]
+    for argv in (["analyze", *c50], ["zero-one", *c50], ["zero-one", "--json", *c50]):
+        assert cli.main(argv) == 0, argv
+        assert searches == [], argv
+    # no verb walks a word, also where a witness scan searches ideals (P = 3)
+    for source in (c50, ["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"],
+                   ["--dfa", str(DATA / "a3.json")]):
+        for verb in ("analyze", "zero-one", "monoid", "period", "prob", "decompose"):
+            for argv in ([verb, *source], [verb, "--json", *source]):
+                assert cli.main(argv) == 0, argv
+                assert walks == [], argv
+    capsys.readouterr()
 
 
 def test_shared_residual_monoids_equal_fresh_ones(corpus):
