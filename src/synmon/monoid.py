@@ -160,7 +160,7 @@ class SyntacticMonoid(Frozen):
         s.R (a right ideal I inside s.R gives {r in R : s.r in I} = R)."""
         from .periods import _cycle_classes  # periods imports this module
 
-        return frozenset().union(*(c for c, _ in _cycle_classes(self.order, self.right)))
+        return frozenset().union(*(c for c, *_ in _cycle_classes(self.order, self.right)))
 
     def image_of_word(self, word: str) -> int:
         x = 0

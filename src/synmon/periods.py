@@ -6,8 +6,9 @@ so that rho_bar : M -> C_P is a homomorphism.  The maximum period is the
 gcd of the gamma-letter counts over all closed walks of the Cayley graph;
 any divisor of it is a period.  One walk from the identity,
 `_letter_counts`, gives every maximum period and rho_bar.  `_cycle_classes`
-finds the closed classes of unweighted graphs: the sinks of a DFA or a
-Cayley graph, and the closed classes of a Markov chain.
+finds the closed classes of unweighted graphs with their cycle gcds and
+breadth-first depths: the sinks of a DFA or a Cayley graph, and the closed
+classes of a Markov chain with their cyclic subclasses.
 """
 
 from __future__ import annotations
@@ -79,14 +80,17 @@ def strongly_connected_components(n: int, successors) -> list:
 def _cycle_classes(n: int, successors) -> list:
     """The closed classes of the graph v -> successors[v] on 0..n-1, the
     strongly connected components that no edge leaves, as (component, gcd
-    of its cycle lengths) in the order of `strongly_connected_components`.
+    of its cycle lengths, depth) in the order of
+    `strongly_connected_components`, with depth the dict {v: d(v)} over the
+    component.
 
-    With d(v) the distance of v from the least vertex of its class, the gcd
-    is that of d(u) + 1 - d(v) over the edges u -> v of the class, as for
-    the period of a Markov chain (Denardo, "Periods of connected networks
-    and powers of nonnegative matrices", Math. Oper. Res. 1977): a cycle's
-    length is the sum of these terms along it, and each term is the
-    difference of the lengths of two closed walks through the root.
+    With d(v) the breadth-first distance of v from the least vertex of its
+    class, the gcd is that of d(u) + 1 - d(v) over the edges u -> v of the
+    class, as for the period of a Markov chain (Denardo, "Periods of
+    connected networks and powers of nonnegative matrices", Math. Oper. Res.
+    1977): a cycle's length is the sum of these terms along it, and each
+    term is the difference of the lengths of two closed walks through the
+    root.  So every edge of the class raises d by 1 modulo the gcd.
     """
     classes = []
     for component in strongly_connected_components(n, successors):
@@ -101,7 +105,7 @@ def _cycle_classes(n: int, successors) -> list:
                     depth[v] = depth[u] + 1
                     queue.append(v)
                 g = gcd(g, depth[u] + 1 - depth[v])  # 0 on a tree edge
-        classes.append((component, g))
+        classes.append((component, g, depth))
     return classes
 
 
@@ -236,4 +240,4 @@ def sink_periods(graph) -> list:
     # every vertex has an out-edge, one per letter, so every closed class
     # holds a cycle and its period is at least 1
     return [(tuple(vertices[v] for v in component), period)
-            for component, period in _cycle_classes(len(vertices), graph.targets())]
+            for component, period, _ in _cycle_classes(len(vertices), graph.targets())]

@@ -19,7 +19,7 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dfa import Dfa, minimize
-from .errors import ScopeError, TooLarge, VerificationFailure
+from .errors import InvalidPeriod, ScopeError, TooLarge, VerificationFailure
 from .monoid import SyntacticMonoid, gather, transition_monoid
 from .periods import _cycle_classes, max_period
 
@@ -158,35 +158,72 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     accepted], exactly, for every state q of a DFA, minimal or not.
 
     h is the Cesaro limit of R^k applied to the accepting states, with R the
-    chain of `period` letters at a time: on each closed class of R the
+    chain of P = `period` letters at a time: on each closed class of R the
     stationary mass of the accepting states, and on the transient states
     the solution of h = R h (Kemeny & Snell, Finite Markov Chains, ch. 3-5).
     The Cesaro limit is the limit wherever that exists, which it does at
     every reachable state when `period` is a multiple of the maximum period.
+    A period below 1 raises InvalidPeriod.
+
+    R is A^P / |Sigma|^P, with A[i][j] the number of letters from i to j,
+    and each closed class of R is read off a closed class C of A, the
+    one-letter chain, with cycle gcd d and breadth-first depth from
+    `_cycle_classes`.  Its cyclic subclasses are the states of C by depth
+    mod d (Kemeny & Snell, ch. 5):
+    - every edge of C raises depth by 1 mod d, since d divides
+      depth(u) + 1 - depth(v) on each edge u -> v;
+    - so A moves subclass c onto c + 1, and A^P moves it onto c + P mod d;
+    - each subclass holds 1/d of the stationary distribution pi of A on C:
+      the edges into c + 1 are those out of c, and each state of C has
+      all |Sigma| of its edges in C, so pi(c + 1) = pi(c).
+    With g = gcd(d, P), the closed classes of R in C are the unions X_r of
+    the subclasses c = r mod g: A^P maps X_r into itself, and joins any
+    subclass c to any c' = c mod g, since the closed walks of C have every
+    large multiple of d as a length, and kP = c' - c mod d has a solution k.
+    X_r holds d/g subclasses, a mass 1/g of pi, so h = g pi(accepting
+    states of X_r) / pi(C) on X_r.  The formula needs g, not d: on a minimal
+    DFA d divides the maximum period, but not in general (three accepting
+    states in a cycle accept Sigma*, with d = 3 and P = 1).  A transient
+    state of A reaches a closed class of A and never returns, so it is
+    transient for R too.
+
+    pi comes from one solve on the base subclass B = {j : depth(j) = 0 mod
+    d}: A^d maps B into itself, each of its rows there sums to |Sigma|^d,
+    and it is irreducible there, since a walk in C between two states of B
+    has a length divisible by d and passes through B every d letters.  So
+    pi A^d = |Sigma|^d pi on B has one solution up to scale (Perron and
+    Frobenius), pinned to 1 at B's least state, the root of the depths.  The
+    walks of d letters from the states of B give the rows of A^d on B, and
+    their steps s < d carry pi onto subclass s as pi A^s / |Sigma|^s.  Only
+    the transient states walk P letters, for their rows of A^P.
     """
-    successors, n = dfa.targets(), dfa.n_states
-    # rows of A = size R, A[i][j] the number of words of `period` letters from i
-    # to j, in ascending order of j
-    rows = [dict(sorted(next(islice(_walk_counts(successors, i), period, None)).items()))
-            for i in range(n)]
-    size = len(dfa.alphabet) ** period
+    if period < 1:
+        raise InvalidPeriod(f"period {period} must be at least 1")
+    successors, n, size = dfa.targets(), dfa.n_states, len(dfa.alphabet)
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     h = {}
-    for component, _ in _cycle_classes(n, rows):  # a row's keys are its successors
-        # the stationary distribution pi of the closed class solves
-        # pi A = size pi, with one balance equation replaced by sum(pi) = 1
-        balance = {j: {j: -size} for j in component}
-        for i in component:
-            for j, c in rows[i].items():
+    for component, d, depth in _cycle_classes(n, successors):
+        g = gcd(d, period)
+        # balance: pi A^d = size^d pi on the base subclass, in ascending order;
+        # mass: i -> size^d times the accepting mass of the walks from i, by step mod g
+        balance, mass = {j: {j: -size ** d} for j in component if depth[j] % d == 0}, {}
+        for i in balance:
+            walk, mass[i] = _walk_counts(successors, i), [0] * g
+            for s, counts in zip(range(d), walk):
+                mass[i][s % g] += size ** (d - s) * sum(c for j, c in counts.items() if j in accepting)
+            for j, c in next(walk).items():
                 balance[j][i] = balance[j].get(i, 0) + c
-        pi = _solve([balance[j] for j in component[1:]]
-                    + [dict.fromkeys(component + [None], 1)])
-        h.update(dict.fromkeys(component, sum(pi[j] for j in component if j in accepting)))
-    transient = []  # size h_t - sum of A[t][j] h_j over transient j = the rest
+        # one balance equation is replaced by pi = 1 at the least state, component[0]
+        pi = _solve([*balance.values()][1:] + [{component[0]: 1, None: 1}])
+        total = d * size ** d * sum(pi.values())  # each subclass holds 1/d of pi
+        limits = [g * sum(pi[i] * mass[i][r] for i in mass) / total for r in range(g)]
+        h.update({j: limits[depth[j] % g] for j in component})
+    transient = []  # size^P h_t - sum of A^P[t][j] h_j over transient j = the rest
     for t in (t for t in range(n) if t not in h):
-        equation = {j: -c for j, c in rows[t].items() if j not in h}
-        equation[t] = equation.get(t, 0) + size
-        equation[None] = sum(c * h[j] for j, c in rows[t].items() if j in h)
+        row = sorted(next(islice(_walk_counts(successors, t), period, None)).items())
+        equation = {j: -c for j, c in row if j not in h}
+        equation[t] = equation.get(t, 0) + size ** period
+        equation[None] = sum(c * h[j] for j, c in row if j in h)
         transient.append(equation)
     h.update(_solve(transient))
     return {q: Fraction(h[i]) for i, q in enumerate(dfa.states)}

@@ -68,16 +68,18 @@ def full_decs(corpus, full_sigs):
 
 
 @st.composite
-def small_dfas(draw):
-    """Complete DFAs over {a, b} with at most five states.  State q sits on
-    level q mod p and every letter moves one level up, so that lengths mod p
-    are tracked and periods above one occur."""
-    n = draw(st.integers(1, 5))
+def small_dfas(draw, max_states=5, alphabets=("ab",), min_accepting=1):
+    """Complete DFAs with at most `max_states` states over one of
+    `alphabets`, with at least `min_accepting` accepting states.  State q
+    sits on level q mod p and every letter moves one level up, so that
+    lengths mod p are tracked and periods above one occur."""
+    n = draw(st.integers(1, max_states))
     p = draw(st.integers(1, n))
+    letters = draw(st.sampled_from(alphabets))
     delta = {(q, a): draw(st.sampled_from(range((q + 1) % p, n, p)))
-             for q in range(n) for a in "ab"}
-    accepting = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    return Dfa(("a", "b"), tuple(range(n)), 0, frozenset(accepting), delta)
+             for q in range(n) for a in letters}
+    accepting = draw(st.sets(st.integers(0, n - 1), min_size=min_accepting))
+    return Dfa(tuple(letters), tuple(range(n)), 0, frozenset(accepting), delta)
 
 
 def small_monoid(dfa, cap=64):

@@ -13,18 +13,22 @@ are the uniform-transition chain of a DFA and one term of `mu_series`,
 which only the tests read.  `residual_table` is the multiplication table
 of a residual monoid T_r by composing every pair of its transformations,
 which the library no longer builds: T_r reads its ideals off Can(t) and
-M's Cayley graph.
+M's Cayley graph.  `walk_limit_vector` is the limit vector from the
+closed classes of the chain at P letters a step, with the rows of A^P
+walked from every state; `probability.limit_vector` solves each closed
+class of the one-letter chain once instead.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from synmon.dfa import Dfa, trim
 from synmon.errors import RegexSyntaxError
 from synmon.monoid import FiniteMonoid
-from synmon.probability import mu_series
+from synmon.periods import _cycle_classes
+from synmon.probability import _solve, _walk_counts, mu_series
 from synmon.regexes import LETTERS, Alt, Cat, Epsilon, Letter, Opt, Plus, Star
 from synmon.theory import compose
 
@@ -268,3 +272,37 @@ def residual_table(t_r) -> FiniteMonoid:
     index = {tau: i for i, tau in enumerate(t_r.transformations)}
     return FiniteMonoid(tuple(tuple(index[compose(x, y)] for y in t_r.transformations)
                               for x in t_r.transformations))
+
+
+def walk_limit_vector(dfa: Dfa, period: int) -> dict:
+    """h[q] = lim_k Pr[a uniform word of length k*period read from q is
+    accepted]: the Cesaro limit of R^k applied to the accepting states, with
+    R the chain of `period` letters at a time, whose rows are walked from
+    every state.  On each closed class of R it is the stationary mass of the
+    accepting states, and on the transient states the solution of h = R h."""
+    successors, n = dfa.targets(), dfa.n_states
+    # rows of A = size R, A[i][j] the number of words of `period` letters from i
+    # to j, in ascending order of j
+    rows = [dict(sorted(next(islice(_walk_counts(successors, i), period, None)).items()))
+            for i in range(n)]
+    size = len(dfa.alphabet) ** period
+    accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
+    h = {}
+    for component, *_ in _cycle_classes(n, rows):  # a row's keys are its successors
+        # the stationary distribution pi of the closed class solves
+        # pi A = size pi, with one balance equation replaced by sum(pi) = 1
+        balance = {j: {j: -size} for j in component}
+        for i in component:
+            for j, c in rows[i].items():
+                balance[j][i] = balance[j].get(i, 0) + c
+        pi = _solve([balance[j] for j in component[1:]]
+                    + [dict.fromkeys(component + [None], 1)])
+        h.update(dict.fromkeys(component, sum(pi[j] for j in component if j in accepting)))
+    transient = []  # size h_t - sum of A[t][j] h_j over transient j = the rest
+    for t in (t for t in range(n) if t not in h):
+        equation = {j: -c for j, c in rows[t].items() if j not in h}
+        equation[t] = equation.get(t, 0) + size
+        equation[None] = sum(c * h[j] for j, c in rows[t].items() if j in h)
+        transient.append(equation)
+    h.update(_solve(transient))
+    return {q: Fraction(h[i]) for i, q in enumerate(dfa.states)}

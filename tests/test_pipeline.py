@@ -253,6 +253,19 @@ def test_the_zero_one_stage_walks_no_word_and_searches_no_ideal_of_the_kernel(mo
     capsys.readouterr()
 
 
+def test_the_limits_walk_a_to_the_p_from_no_closed_state(monkeypatch, capsys):
+    # on C_50 = (a^50)* every state lies in one closed cycle of gcd 50, so
+    # the limit vector walks 50 letters from its one base state, and the
+    # limits per residue walk from the initial state: two walks
+    walks = count_calls(monkeypatch, probability, "_walk_counts")
+    c50 = ["--regex", "(" + "a" * 50 + ")*", "--alphabet", "a"]
+    for argv in (["prob", "--json", *c50], ["analyze", *c50]):
+        walks.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(walks) == 2, argv
+    capsys.readouterr()
+
+
 def test_shared_residual_monoids_equal_fresh_ones(corpus):
     analysis = Analysis(corpus["a3"][0])
     assert len(analysis.residual_monoids) == 2

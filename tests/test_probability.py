@@ -13,15 +13,15 @@ from synmon import (Analysis, build_signature, canonical_decomposition, load_dfa
                     lw_recognizer, principal_ideal, mu_series,
                     accumulation_points, zero_one_basic, zero_one_residual)
 from synmon import periods, probability
-from synmon.dfa import words_of_length
-from synmon.errors import ScopeError, VerificationFailure
+from synmon.dfa import Dfa, minimize, words_of_length
+from synmon.errors import InvalidPeriod, ScopeError, VerificationFailure
 from synmon.oracle import mu_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.probability import (_solve, basic_verdict, limit_mu_blocks, limit_vector,
                                 maximum_period_of, residual_verdict, residue_limits)
 
 from conftest import closed_classes, random_decomposition, small_dfas
-from reference import markov_chain, mu_exact, residual_table
+from reference import markov_chain, mu_exact, residual_table, walk_limit_vector
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import counter, kth_tail  # noqa: E402
@@ -407,24 +407,55 @@ def test_limit_vector_systems_match_fraction_elimination(corpus):
 
 @given(small_dfas(), st.integers(1, 4))
 def test_limit_vector_closed_classes_on_random_dfas(dfa, period):
-    # the closed classes limit_vector solves are those of the chain at
-    # `period` letters a step; small_dfas numbers the states 0..n-1
+    # the closed classes limit_vector solves are those of the one-letter
+    # chain, with their cycle gcds, at every period; small_dfas numbers the
+    # states 0..n-1
     solved = []
 
     def recording(n, successors):
         classes = periods._cycle_classes(n, successors)
-        solved.extend(component for component, _ in classes)
+        solved.extend((component, d) for component, d, _ in classes)
         return classes
 
     with mock.patch.object(probability, "_cycle_classes", recording):
         limit_vector(dfa, period)
-    steps = []
-    for q in dfa.states:
-        reached = {q}
-        for _ in range(period):
-            reached = {dfa.delta[(p, a)] for p in reached for a in dfa.alphabet}
-        steps.append(sorted(reached))
-    assert solved == [list(members) for members, _ in closed_classes(steps)]
+    assert solved == [(list(members), d) for members, d in closed_classes(dfa.targets())]
+
+
+@settings(max_examples=300)
+@given(st.one_of(small_dfas(), small_dfas(8, ("ab", "abc"), 0)), st.integers(1, 6))
+def test_limit_vector_equals_the_walk_through_a_to_the_p(dfa, period):
+    # one solve per closed class of the one-letter chain gives the Cesaro
+    # limit over the closed classes of A^P, on the DFA as drawn, which need
+    # not be minimal, and on its minimization; the larger DFAs, over two or
+    # three letters with levels mod p up to 8 and maybe no accepting state,
+    # hold closed classes with cycle gcds up to 8
+    for automaton in (dfa, minimize(dfa)):
+        assert limit_vector(automaton, period) == walk_limit_vector(automaton, period)
+
+
+def test_limit_vector_reads_gcd_of_cycle_and_period():
+    # three accepting states in a cycle accept Sigma*: the cycle gcd is 3,
+    # and at periods 1 and 2, which 3 does not divide, every limit is 1;
+    # with one accepting state each limit is gcd(3, P)/3 or 0
+    delta = {(q, "a"): (q + 1) % 3 for q in range(3)}
+    for accepting, period, expected in (({0, 1, 2}, 1, [1, 1, 1]), ({0, 1, 2}, 2, [1, 1, 1]),
+                                        ({0}, 1, [Fraction(1, 3)] * 3),
+                                        ({0}, 3, [1, 0, 0]), ({0}, 6, [1, 0, 0])):
+        cycle = Dfa(("a",), (0, 1, 2), 0, frozenset(accepting), delta)
+        h = limit_vector(cycle, period)
+        assert h == walk_limit_vector(cycle, period)
+        assert [h[q] for q in range(3)] == expected
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_limit_vector_refuses_a_period_below_one(corpus, period):
+    # refused before any walk starts
+    walks = []
+    with mock.patch.object(probability, "_walk_counts", lambda *args: walks.append(args)):
+        with pytest.raises(InvalidPeriod, match=f"period {period} must be at least 1"):
+            limit_vector(corpus["pairs"][0], period)
+    assert walks == []
 
 
 # --- exact limits against float64 powers, on random DFAs ---
