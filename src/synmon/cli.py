@@ -213,10 +213,10 @@ def _row_encoder(counts):
     joined from a table of decimals when every entry is below L, the length
     of the longest such row so far; any other row goes to the encoder.
     The text of a row whose id `counts` counts more than once (the same
-    object, as Can(t) is both the decomposition's row f_t(0) and an
-    element of T_0 at period 1) is kept for its next use.  Object ids are
-    unique only among live objects, so the function must not outlive the
-    report.
+    object, as the decomposition's row f_t(r) is also an element of T_r
+    when t is the element's least t) is kept for its next use.  Object ids
+    are unique only among live objects, so the function must not outlive
+    the report.
     """
     decimals = ()
     memo = dict.fromkeys(key for key, count in counts.items() if count > 1)
@@ -352,10 +352,11 @@ def cmd_analyze(args) -> int:
             _check_digits(analysis.dfa.alphabet, args.length)
             series = mu_series(analysis.dfa, args.length)
             basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
+        decomposition = _decomposition_json(dec)
         out = {
             "monoid": _monoid_json(sm),
             "signature": _signature_json(sig),
-            "decomposition": _decomposition_json(dec),
+            "decomposition": decomposition,
             "wreath": {
                 "equivariant": True,  # verify_canonical passed, which implies it
                 "rho_bar_surjective": sig.surjective,
@@ -368,8 +369,12 @@ def cmd_analyze(args) -> int:
                 **_prob_json(series, basic.period, basic.accumulation, dfa_sinks),
                 "zero_one": _zero_one_json(basic, verdicts),
             }
+            # each element is the decomposition's row f_t(r) at its least t, the
+            # same object, so that `_row_encoder` encodes it once
+            can = decomposition["can"]
             out["residual_monoids"] = [
-                {"r": t.r, "order": t.order, "elements": t.transformations}
+                {"r": t.r, "order": t.order,
+                 "elements": [can[str(s)]["f"][str(t.r)] for s in t.least]}
                 for t in analysis.residual_monoids
             ]
         return out

@@ -36,8 +36,11 @@ class _Can(NamedTuple):
 
 
 class CanonicalDecomposition(_Can):
-    """A named tuple that keeps what is read off it: the layout of X and
-    each f_t(r), built on first use."""
+    """A named tuple that keeps what is read off it: the layout of X.  It
+    caches no f_t(r): `f` builds one off a slice of Can(t) on each read.
+    T_r groups N_0 by those slices and reads its elements at one point each
+    (`residual_monoid`, `lw_accepting`), so only a report or a name builds
+    an f_t(r)."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,42 +75,43 @@ class CanonicalDecomposition(_Can):
                 tuple(chain.from_iterable(map(repeat, residuals, sizes))),
                 {size: tuple(range(size, self.K)) for size in set(sizes)})
 
-    @cached_property
-    def _reads(self) -> dict:
-        """(t, r) -> f_t(r) once read, so that every read is the same object."""
-        return {}
-
     def f(self, t: int, r) -> tuple:
         """f_t(r), padded to degree K, read as the module docstring says: where
         N_r is X, as at period 1, Can(t) itself, and where N_r is empty, the
-        padding; each other f_t(r) is built on its first read and kept."""
+        padding; each other f_t(r) is a new tuple, gathered from the slice of
+        Can(t) at N_r's points on every read."""
         start, slot, _, padding = self._layout
-        size, reads = len(self.signature.classes[r]), self._reads
+        size = len(self.signature.classes[r])
         if not 0 < size < len(slot):
             return self.flat[t] if size else padding[0]
-        if (t, r) not in reads:
-            reads[t, r] = gather(self.flat[t][start[r]:start[r] + size])(slot) + padding[size]
-        return reads[t, r]
+        return gather(self.flat[t][start[r]:start[r] + size])(slot) + padding[size]
 
 
 class ResidualMonoid(NamedTuple):
-    """T_r = {f_t(r) : t in N_0}, a view of M: its elements, the slot of
-    each t in N_0, and the verified decomposition, off whose maps and
-    Cayley graph its ideals are read."""
+    """T_r = {f_t(r) : t in N_0}, a view of M: the least t of each element,
+    the slot of each t in N_0, and the verified decomposition, off whose
+    maps and Cayley graph its elements and ideals are read.  It keeps no
+    transformation: f_t(r) is built only to name an element."""
     r: int
-    transformations: tuple  # element index -> transformation tuple
+    least: tuple            # element index -> the least t in N_0 with that f_t(r)
     slot: dict              # t in N_0, ascending -> the index of f_t(r)
     dec: CanonicalDecomposition  # Can(t) and M's Cayley graph, which `ideal` reads
 
     @property
     def order(self) -> int:
-        return len(self.transformations)
+        return len(self.least)
+
+    @property
+    def transformations(self) -> tuple:
+        """Element index -> f_t(r) at its least t, all built on each read."""
+        return tuple(self.dec.f(t, (self.r,)) for t in self.least)
 
     def name_of(self, i: int) -> str:
-        """"e" for the identity, else the transformation as "(k0,k1,...)"."""
+        """"e" for the identity, else the transformation as "(k0,k1,...)",
+        built at the element's least t."""
         if i == 0:
             return "e"
-        return "(" + ",".join(map(str, self.transformations[i])) + ")"
+        return "(" + ",".join(map(str, self.dec.f(self.least[i], (self.r,)))) + ")"
 
     def ideal(self, t: int) -> frozenset:
         """The principal ideal of f_t(r) in T_r, for t in N_0: the slots of
@@ -277,15 +281,26 @@ def residual_monoid(dec: CanonicalDecomposition, r: int) -> ResidualMonoid:
     """T_r = {f_t(r) : rho_bar(t) = 0}, a monoid under left-to-right
     composition, numbered in ascending order of the least t of each
     element; element 0 is the identity, the image of t = 0.  It keeps the
-    slot of each t in N_0 and the decomposition, so it builds no table of
-    its own and fills none of M's: see `ResidualMonoid.ideal`."""
+    least t of each element, the slot of each t in N_0 and the
+    decomposition, so it builds no table of its own, fills none of M's and
+    builds no f_t(r): see `ResidualMonoid.ideal`.
+
+    The t are grouped by the slice of Can(t) at N_r's points,
+    flat[t][start_r:start_r + |N_r|]: f_s(r) = f_t(r) exactly when the
+    slices agree.  For t in N_0, rho_bar(t) = 0, so the slice holds points
+    of N_r, and f_t(r) reads each through `slot`, which is one-to-one on
+    them; the padding past |N_r| is the same for every t.  Where N_r is X,
+    as at period 1, the slice is Can(t) itself."""
     period = _require_full_alphabet(dec)
     if not 0 <= r < period:
         raise ScopeError(f"residual {r} out of range for period {period}")
-    index, slot = {}, {}
-    for t in dec.signature.classes[(0,)]:
-        slot[t] = index.setdefault(dec.f(t, (r,)), len(index))
-    return ResidualMonoid(r, tuple(index), slot, dec)
+    start, size = dec._layout[0][(r,)], len(dec.theta[(r,)])
+    index, slot, least = {}, {}, []
+    for t in dec.theta[(0,)]:  # ascending, so an element's first t is its least
+        slot[t] = index.setdefault(dec.flat[t][start:start + size], len(index))
+        if slot[t] == len(least):
+            least.append(t)
+    return ResidualMonoid(r, tuple(least), slot, dec)
 
 
 def _prefix_residual(dec: CanonicalDecomposition, w: str) -> int:
@@ -312,13 +327,17 @@ def lw_accepting(dec: CanonicalDecomposition, image: int,
     """Indices of the elements of `monoid` = T_r that accept after a prefix
     w of length r with eta(w) = `image`: tau accepts iff theta_r(tau(k)) is
     in the image of L, with k the position of eta(w) in N_r.  It depends on
-    w only through eta(w), so it takes eta(w)."""
+    w only through eta(w), so it takes eta(w).
+
+    Each element is read at one point of Can(t), for its least t: Can(t)
+    sends the point start_r + k of theta_r(k) to the point of
+    theta_r(k).t, which lies in N_r as rho_bar(t) = 0, so f_t(r)(k) is
+    flat[t][start_r + k] - start_r, and no f_t(r) is built."""
     theta = dec.theta[(monoid.r,)]
-    position = theta.index(image)
-    return frozenset(
-        i for i, tau in enumerate(monoid.transformations)
-        if theta[tau[position]] in dec.m.accepting_image
-    )
+    start = dec._layout[0][(monoid.r,)]
+    point = start + theta.index(image)
+    return frozenset(i for i, t in enumerate(monoid.least)
+                     if theta[dec.flat[t][point] - start] in dec.m.accepting_image)
 
 
 def lw_recognizer(dec: CanonicalDecomposition, w: str) -> LwRecognizer:

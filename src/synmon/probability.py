@@ -337,10 +337,7 @@ def residual_verdict(w: str, t_r: ResidualMonoid, accepting: frozenset,
     kernel = frozenset(map(t_r.slot.__getitem__, t_r.dec.m.minimal_ideal.intersection(t_r.slot)))
     witness = None
     if _decides(kernel, accepting):
-        least = {}  # element -> its least t, in ascending order of the element
-        for t, i in t_r.slot.items():
-            least.setdefault(i, t)
-        ideals = (kernel if i in kernel else t_r.ideal(t) for i, t in least.items())
+        ideals = (kernel if i in kernel else t_r.ideal(t) for i, t in enumerate(t_r.least))
         witness = next(tuple(sorted(ideal)) for ideal in ideals if _decides(ideal, accepting))
     is_zero_or_one = witness is not None
     if (limit in (0, 1)) != is_zero_or_one:

@@ -299,8 +299,8 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
     period = _require_full_alphabet(dec)
     rec = lw_recognizer(dec, w)
     lw_m = syntactic_monoid_of_lw(dfa, w, period)
-    t_m = rec.monoid
-    index = {tau: i for i, tau in enumerate(t_m.transformations)}
+    t_m, elements = rec.monoid, rec.monoid.transformations  # built on each read
+    index = {tau: i for i, tau in enumerate(elements)}
     blocks = sorted(rec.block_images.items())
     mapping = {0: 0}
     queue = [0]
@@ -308,7 +308,7 @@ def lw_quotient(dec: CanonicalDecomposition, dfa: Dfa, w: str) -> tuple:
         x = queue.pop()
         y = mapping[x]
         for b, g in blocks:
-            x2 = index[compose(t_m.transformations[x], g)]
+            x2 = index[compose(elements[x], g)]
             y2 = lw_m.monoid.table[y][lw_m.eta[b]]
             if x2 not in mapping:
                 mapping[x2] = y2

@@ -13,10 +13,14 @@ are the uniform-transition chain of a DFA and one term of `mu_series`,
 which only the tests read.  `residual_table` is the multiplication table
 of a residual monoid T_r by composing every pair of its transformations,
 which the library no longer builds: T_r reads its ideals off Can(t) and
-M's Cayley graph.  `walk_limit_vector` is the limit vector from the
-closed classes of the chain at P letters a step, with the rows of A^P
-walked from every state; `probability.limit_vector` solves each closed
-class of the one-letter chain once instead.
+M's Cayley graph.  `reference_residual_monoid` is T_r as a tuple of its
+transformations, deduplicated from f_t(r) over N_0 with the slot of each
+t, and `reference_lw_accepting` reads the accepting elements off those
+whole transformations; the library keeps only each element's least t
+and reads one point of Can(t).  `walk_limit_vector` is the limit vector
+from the closed classes of the chain at P letters a step, with the rows
+of A^P walked from every state; `probability.limit_vector` solves each
+closed class of the one-letter chain once instead.
 """
 
 import math
@@ -269,9 +273,34 @@ def mu_exact(dfa: Dfa, length: int) -> Fraction:
 def residual_table(t_r) -> FiniteMonoid:
     """The table of T_r, checked, by composing every pair of its
     transformations, numbered as `t_r.transformations` lists them."""
-    index = {tau: i for i, tau in enumerate(t_r.transformations)}
-    return FiniteMonoid(tuple(tuple(index[compose(x, y)] for y in t_r.transformations)
-                              for x in t_r.transformations))
+    elements = t_r.transformations  # built on each read
+    index = {tau: i for i, tau in enumerate(elements)}
+    return FiniteMonoid(tuple(tuple(index[compose(x, y)] for y in elements)
+                              for x in elements))
+
+
+class ReferenceResidualMonoid(NamedTuple):
+    r: int
+    transformations: tuple  # element index -> f_t(r) at the element's least t
+    slot: dict              # t in N_0, ascending -> the index of f_t(r)
+
+
+def reference_residual_monoid(dec, r: int) -> ReferenceResidualMonoid:
+    """T_r = {f_t(r) : t in N_0}, numbered in ascending order of the least
+    t of each element, by building every f_t(r) and deduplicating."""
+    index, slot = {}, {}
+    for t in dec.theta[(0,)]:
+        slot[t] = index.setdefault(dec.f(t, (r,)), len(index))
+    return ReferenceResidualMonoid(r, tuple(index), slot)
+
+
+def reference_lw_accepting(dec, image: int, t_r: ReferenceResidualMonoid) -> frozenset:
+    """The elements tau of T_r with theta_r(tau(k)) in the image of L, with
+    k the position of `image` = eta(w) in N_r."""
+    theta = dec.theta[(t_r.r,)]
+    position = theta.index(image)
+    return frozenset(i for i, tau in enumerate(t_r.transformations)
+                     if theta[tau[position]] in dec.m.accepting_image)
 
 
 def walk_limit_vector(dfa: Dfa, period: int) -> dict:

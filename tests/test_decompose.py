@@ -7,19 +7,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synmon import (Dfa, build_signature, canonical_decomposition, cli, load_dfa, lw_member,
                     lw_quotient, lw_recognizer, make_named, max_period, minimize,
                     residual_monoid, syntactic_monoid_of_lw, transition_monoid,
                     verify_canonical, wreath_divisor)
+from synmon.decompose import lw_accepting
 from synmon.errors import ScopeError, UnknownSymbol, VerificationFailure
 from synmon.oracle import brute_isomorphic, lw_enumerate
 from synmon.regexes import parse_regex, regex_to_dfa
 from synmon.theory import can_product, identity_transformation, target_order
 
-from conftest import CORPUS_SOURCES, random_decomposition, small_dfas, small_monoid
-from reference import residual_table
+from conftest import (CORPUS_SOURCES, load_corpus_dfa, random_decomposition, small_dfas,
+                      small_monoid)
+from reference import reference_lw_accepting, reference_residual_monoid, residual_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import kth_tail  # noqa: E402
@@ -168,19 +170,25 @@ def test_f_t_of_zero_is_column_t_at_period_one(full_decs):
         assert dec.f(t, (0,)) is dec.flat[t] is t_0.transformations[t]
 
 
-def test_each_f_t_of_r_is_one_object_at_period_two():
-    # N_0 and N_1 are both proper classes, so every f_t(r) is built on its
-    # first read; the elements of T_r and the report's rows are those reads
+def test_the_reports_t_r_rows_are_its_decomposition_rows_one_object_each(monkeypatch):
+    # N_0 and N_1 are both proper classes, so every read of f_t(r) builds a
+    # new tuple; analyze --json reads each row once, and the elements of T_r
+    # are its rows at their least t, so that each is encoded once
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda args, report, text, graph=None:
+                        reports.append(report()))
+    assert cli.main(["analyze", "--json", "--regex", "((a|b)(a|b))*a"]) == 0
+    (report,) = reports
+    can = report["decomposition"]["can"]
     sm = transition_monoid(minimize(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")))
     dec = canonical_decomposition(sm, build_signature(sm, [("a", "b")]))
-    report = cli._decomposition_json(dec)
-    for r in range(2):
+    assert dec.f(1, (1,)) == dec.f(1, (1,)) and dec.f(1, (1,)) is not dec.f(1, (1,))
+    assert len(report["residual_monoids"]) == 2
+    for r, row in enumerate(report["residual_monoids"]):
         t_r = residual_monoid(dec, r)
-        for t in dec.theta[(0,)]:
-            tau = dec.f(t, (r,))
-            assert tau is dec.f(t, (r,)) is report["can"][str(t)]["f"][str(r)]
-            assert tau in t_r.transformations
-            assert t_r.transformations[t_r.transformations.index(tau)] is tau
+        assert row["elements"] == list(t_r.transformations)
+        for tau, t in zip(row["elements"], t_r.least, strict=True):
+            assert tau is can[str(t)]["f"][str(r)]
 
 
 def kth_tail_of_length_mod(k: int, period: int):
@@ -317,6 +325,28 @@ def test_residual_monoid_names_elements_by_their_transformation(full_decs):
             assert t_r.name_of(0) == "e", name
             for i, tau in enumerate(t_r.transformations[1:], 1):
                 assert t_r.name_of(i) == "(" + ",".join(map(str, tau)) + ")", name
+
+
+@settings(max_examples=300)
+@given(small_dfas() | small_dfas(6, ("abc",), 0))
+@example(load_corpus_dfa("a3"))
+def test_residual_monoids_keep_the_least_t_of_the_reference_elements(dfa):
+    """T_r, grouped by slices of Can(t) and kept as least t, has the slots
+    and the transformations of the deduplicated f_t(r), and its accepting
+    elements read at one point are those read off whole transformations.
+    Few random DFAs have a T_r smaller than N_0, where the least t is a
+    choice; a3's T_1 is one element of three t."""
+    dec = random_decomposition(dfa)
+    for r in range(dec.signature.periods[0]):
+        t_r, reference = residual_monoid(dec, r), reference_residual_monoid(dec, r)
+        assert t_r.slot == reference.slot
+        assert t_r.transformations == reference.transformations
+        assert t_r.least == tuple(min(t for t, i in t_r.slot.items() if i == j)
+                                  for j in range(t_r.order))
+        for w in map("".join, itertools.product(dfa.alphabet, repeat=r)):
+            image = dec.m.image_of_word(w)
+            assert (lw_accepting(dec, image, t_r)
+                    == reference_lw_accepting(dec, image, reference)), w
 
 
 def test_residual_monoids_closed_with_identity(full_decs):

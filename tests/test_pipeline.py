@@ -17,8 +17,9 @@ from conftest import DATA
 
 
 def count_calls(monkeypatch, module, name):
-    """Wrap `module.name` in every synmon module that binds it; returns the
-    list of calls, one entry per call."""
+    """Wrap `module.name`, in `module` (a module or a class) and in every
+    synmon module that binds it; returns the list of calls, one entry per
+    call."""
     original = getattr(module, name)
     calls = []
 
@@ -27,6 +28,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counted)
     for key, mod in list(sys.modules.items()):
         if key == "synmon" or key.startswith("synmon."):
             for attr, value in list(vars(mod).items()):
@@ -266,6 +268,24 @@ def test_the_limits_walk_a_to_the_p_from_no_closed_state(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_text_verbs_build_no_f_t_of_r_but_to_name_a_witness(monkeypatch, capsys):
+    # T_r keeps each element's least t and reads one point of Can(t) for its
+    # accepting elements, so f_t(r) is built only to print it: on
+    # (a|b)*a(a|b)(a|b) (order 15, P = 1) no residual has a witness and no
+    # verb without a decomposition row builds one; at P = 3 the witnesses of
+    # the distinct prefix images name 12 elements other than e, one read each
+    reads = count_calls(monkeypatch, decompose.CanonicalDecomposition, "f")
+    tail = ["--regex", "(a|b)*a(a|b)(a|b)", "--alphabet", "ab"]
+    blocks = ["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"]
+    for argv, expected in ((["analyze", *tail], 0), (["zero-one", *tail], 0),
+                           (["zero-one", "--json", *tail], 0), (["analyze", *blocks], 12),
+                           (["zero-one", "--json", *blocks], 12)):
+        reads.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(reads) == expected, argv
+    capsys.readouterr()
+
+
 def test_shared_residual_monoids_equal_fresh_ones(corpus):
     analysis = Analysis(corpus["a3"][0])
     assert len(analysis.residual_monoids) == 2
@@ -299,10 +319,13 @@ def test_analyze_builds_each_residual_monoid_once(monkeypatch, capsys):
         assert capsys.readouterr().out.startswith("dfa: ")
         done, out = seen
         assert [r for _, r in builds] == list(range(period))
-        # the report's rows are the stage's own tuples, not copies
+        # each element of T_r is the report's decomposition row at its least t
         assert len(out["residual_monoids"]) == period
+        can = out["decomposition"]["can"]
         for row, t_r in zip(out["residual_monoids"], done.residual_monoids):
-            assert row["elements"] is t_r.transformations
+            assert row["elements"] == list(t_r.transformations)
+            for tau, t in zip(row["elements"], t_r.least, strict=True):
+                assert tau is can[str(t)]["f"][str(t_r.r)]
 
 
 def test_stages_match_closed_forms_past_the_oracle_caps():

@@ -176,7 +176,7 @@ def test_records_store_no_field_that_their_others_determine():
     analysis = Analysis(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab"))
     assert ResidualZeroOne._fields == ("w", "witness", "witness_names", "mu_lw")
     assert LwRecognizer._fields == ("w", "monoid", "block_images", "accepting")
-    assert ResidualMonoid._fields == ("r", "transformations", "slot", "dec")
+    assert ResidualMonoid._fields == ("r", "least", "slot", "dec")
     # the residual is read off the prefix, so it moves with it
     v = analysis.residual_verdicts[0]
     assert (v.w, v.r) == ("", 0) and v._replace(w="ab").r == 2
