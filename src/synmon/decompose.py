@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .dfa import reach, words_of_length
 from .errors import ScopeError, UnknownSymbol, VerificationFailure
-from .monoid import SyntacticMonoid, gather
+from .monoid import SyntacticMonoid, _require_cap, gather
 from .periods import PeriodSignature, residual_of_word
 
 
@@ -151,7 +151,10 @@ def canonical_decomposition(m: SyntacticMonoid,
     VerificationFailure otherwise).  A letter's map is its column of the
     Cayley graph relabelled by the points, and every other element's is
     its tree parent's map then its last letter's, as t = parent(t).last(t);
-    so the build reads no multiplication table."""
+    so the build reads no multiplication table.  Those |M| maps of |M|
+    points are refused (TooLarge) past ORDER_CAP elements before any is
+    built (`monoid._require_cap`)."""
+    _require_cap("the canonical decomposition", m.order)
     points = tuple(chain.from_iterable(map(sig.classes.__getitem__, sig.residuals())))
     point = sorted(range(m.order), key=points.__getitem__)
     # the column at the points, then the point of each element it holds

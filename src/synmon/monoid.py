@@ -13,10 +13,17 @@ from operator import itemgetter
 from .dfa import Dfa, Frozen
 from .errors import InvalidMonoid, TooLarge
 
-# the largest order a transition monoid may have
+# the largest order whose |M|^2 objects are built: M's table, the flat maps Can(t)
 ORDER_CAP = 5000
-# order x degree points the closure may hold: the order cap at degree 4096
-CLOSURE_BUDGET = ORDER_CAP * 4096
+# order x (degree + 42) words the closure may hold: order 5000 up to degree 4096
+CLOSURE_BUDGET = 5000 * (4096 + 42)
+
+
+def _require_cap(what: str, order: int) -> None:
+    """Raise TooLarge before `what`, an object of order^2 entries, is
+    built for a monoid past ORDER_CAP elements, read at call time."""
+    if order > ORDER_CAP:
+        raise TooLarge(f"{what} of order {order} exceeds the order cap {ORDER_CAP}")
 
 
 def gather(indices):
@@ -104,14 +111,14 @@ class FiniteMonoid(Frozen):
 
 class SyntacticMonoid(Frozen):
     """Transition monoid of a minimal DFA as `_close` built it: the right
-    Cayley graph, the BFS tree, which witnesses that the letters generate
-    the monoid, and the names; with the letter map and the image of the
-    language; compared by identity.  The table is filled on first read."""
-    __slots__ = ("right", "tree", "names", "eta", "accepting_image", "__dict__")
+    Cayley graph and the BFS tree, which witnesses that the letters
+    generate the monoid; with the letter map and the image of the
+    language; compared by identity.  The names and the table are built on
+    first read."""
+    __slots__ = ("right", "tree", "eta", "accepting_image", "__dict__")
 
-    def __init__(self, right: tuple, tree: tuple, names: tuple, eta: dict,
-                 accepting_image: frozenset):
-        self._set(right, tree, names, eta, accepting_image)
+    def __init__(self, right: tuple, tree: tuple, eta: dict, accepting_image: frozenset):
+        self._set(right, tree, eta, accepting_image)
         n = len(right)
         for row in right:
             if len(row) != len(eta) or min(row) < 0 or max(row) >= n:
@@ -130,9 +137,19 @@ class SyntacticMonoid(Frozen):
         return len(self.right)
 
     @cached_property
+    def names(self) -> tuple:
+        """Element j's name: the word that first reached it along the tree,
+        "e" for the identity."""
+        names = ["e"]
+        for parent, last in self.tree[1:]:
+            names.append((names[parent] if parent else "") + self.alphabet[last])
+        return tuple(names)
+
+    @cached_property
     def monoid(self) -> FiniteMonoid:
         """The multiplication table, filled from the Cayley graph along the
-        tree and checked, on first read.
+        tree and checked, on first read.  Its |M|^2 entries are refused
+        past ORDER_CAP elements before any is filled (`_require_cap`).
 
         `check_table` proves that the table is a monoid; its letters'
         columns make it M's.  Once x.eta(a) = right[x][a] for every x and
@@ -141,6 +158,7 @@ class SyntacticMonoid(Frozen):
         and last letter a, is p.eta(a) in the table, so x.y = (x.p).eta(a)
         by associativity, which is the edge right[x.p][a], x.p being M's
         product by induction."""
+        _require_cap("the multiplication table", self.order)
         monoid = FiniteMonoid(_rows(self.right, self.tree), self.names)
         for a, column in zip(sorted(self.eta), zip(*self.right)):  # x -> x.a over x
             if tuple(row[column[0]] for row in monoid.table) != column:
@@ -180,13 +198,20 @@ def _close(generators):
     Returns the elements (tuples in BFS order from the identity at 0,
     generators tried in order), the right Cayley graph (right[i][g] is
     element i times generator g) and the tree of first arrivals (element j
-    > 0 is tree[j] = (parent, last generator)), both as tuples.  TooLarge is
-    raised once the order would exceed ORDER_CAP, read at call time, or
-    else once order x degree would exceed CLOSURE_BUDGET.
+    > 0 is tree[j] = (parent, last generator)), both as tuples.
+
+    TooLarge is raised once order x (degree + 42) would exceed
+    CLOSURE_BUDGET, read at call time, counted in 8-byte words.  Each
+    element holds its tuple of `degree` points, its index entry, its
+    Cayley row and its tree entry: tracemalloc measured a peak of
+    8 x degree + 238 to 313 bytes per element at degrees 6, 20, 24, 28 and
+    1024, so 42 words (336 bytes) stand for all but the tuple's points.
+    The order alone is not bounded here, only the |M|^2 objects built
+    from the closure are (ORDER_CAP).
     """
     gens = [tuple(g) for g in generators]
     degree = len(gens[0])
-    room = CLOSURE_BUDGET // degree  # the largest order the budget holds
+    room = CLOSURE_BUDGET // (degree + 42)  # the largest order the budget holds
     elements = [tuple(range(degree))]
     index = {elements[0]: 0}
     tree, right = [(-1, -1)], []
@@ -197,12 +222,10 @@ def _close(generators):
             y = then(gen)
             j = index.setdefault(y, len(elements))
             if j == len(elements):
-                if j >= ORDER_CAP:
-                    raise TooLarge(f"transition monoid exceeds cap {ORDER_CAP}")
                 if j >= room:
                     raise TooLarge(
                         f"transition monoid of degree {degree} exceeds the closure budget "
-                        f"of {CLOSURE_BUDGET} points (order x degree) at order {j + 1}")
+                        f"of {CLOSURE_BUDGET} words (order x (degree + 42)) at order {j + 1}")
                 elements.append(y)
                 tree.append((len(right), g))
             row.append(j)
@@ -232,20 +255,18 @@ def _rows(right, tree) -> tuple:
 def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     """Word-induced transformations on the states of `dfa`, closed under
     composition and numbered in BFS order from the identity (letters
-    sorted), at most ORDER_CAP of them.  The caller must pass a minimal DFA
-    for the result to be the syntactic monoid.
+    sorted), as many as the closure budget holds: no table is filled, so
+    ORDER_CAP does not bound it.  The caller must pass a minimal DFA for the
+    result to be the syntactic monoid.
     """
     # the letters' transformations are the columns of the DFA's index form
     elements, right, tree = _close(zip(*dfa.targets()))
-    names = ["e"]  # element j is named by the word that first reached it
-    for parent, last in tree[1:]:
-        names.append((names[parent] if parent else "") + dfa.alphabet[last])
     eta = {a: right[0][g] for g, a in enumerate(dfa.alphabet)}
     initial = dfa.states.index(dfa.initial)
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     accepting_image = frozenset(
         i for i, x in enumerate(elements) if x[initial] in accepting)
-    return SyntacticMonoid(right, tree, tuple(names), eta, accepting_image)
+    return SyntacticMonoid(right, tree, eta, accepting_image)
 
 
 def _dot_string(text: str) -> str:

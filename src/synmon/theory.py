@@ -1,9 +1,11 @@
 """The paper's constructions, built only to check its statements: monoid
 products and actions, Rees quotients, named families, homomorphism checks,
 the target of Can and the block quotient T_r -> M_{L_w}.  Every builder
-decides the order it would build against monoid.ORDER_CAP before it
-builds anything.  No command imports this module; it reads `monoid` and
-`decompose`, never the reverse."""
+fills a table of order^2 entries, so it decides the order it would build
+against monoid.ORDER_CAP, the cap on such tables, before it builds
+anything; a transition monoid it closes is bounded by the closure budget
+alone, and its table by the cap when first read.  No command imports
+this module; it reads `monoid` and `decompose`, never the reverse."""
 
 from __future__ import annotations
 

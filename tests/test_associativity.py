@@ -185,8 +185,8 @@ def test_generators_that_do_not_generate_are_rejected():
     for j, edge in ((last, (last, sm.tree[last][1])), (1, later)):
         cut = sm.tree[:j] + (edge,) + sm.tree[j + 1:]
         with pytest.raises(InvalidMonoid, match="do not generate"):
-            SyntacticMonoid(sm.right, cut, sm.names, sm.eta, frozenset())
-    assert SyntacticMonoid(sm.right, sm.tree, sm.names, sm.eta, frozenset()).order == sm.order
+            SyntacticMonoid(sm.right, cut, sm.eta, frozenset())
+    assert SyntacticMonoid(sm.right, sm.tree, sm.eta, frozenset()).order == sm.order
 
 
 def test_commands_do_not_import_numpy():

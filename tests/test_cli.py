@@ -496,7 +496,7 @@ def test_a_corrupted_cayley_edge_exits_three_without_a_table(verb, monkeypatch, 
         sm = build(dfa)
         row = sm.right[-1]  # the last element has no child in the tree
         right = sm.right[:-1] + (((row[0] + 1) % sm.order,) + row[1:],)
-        return monoid.SyntacticMonoid(right, sm.tree, sm.names, sm.eta, sm.accepting_image)
+        return monoid.SyntacticMonoid(right, sm.tree, sm.eta, sm.accepting_image)
 
     monkeypatch.setattr(pipeline, "transition_monoid", corrupted)
     monkeypatch.setattr(monoid, "_rows", lambda *args: fills.append(args))
@@ -511,12 +511,35 @@ def test_a_corrupted_cayley_edge_exits_three_without_a_table(verb, monkeypatch, 
 def test_closure_budget_exits_two(monkeypatch, capsys):
     from synmon import monoid
 
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 19)  # a3: degree 4, order 5
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 229)  # a3: degree 4, order 5
     assert cli.main(["period", "--regex", A3_REGEX]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: transition monoid of degree 4 exceeds the closure "
-                            "budget of 19 points (order x degree) at order 5\n")
+                            "budget of 229 words (order x (degree + 42)) at order 5\n")
+
+
+def test_the_order_cap_refuses_only_the_verbs_that_build_an_order_squared_object(
+        monkeypatch, capsys):
+    # a3 has order 5: past a cap of 3, the closure and the signature still
+    # run, and M's table and the flat maps Can(t) are refused before either
+    # is built
+    from synmon import monoid
+
+    monkeypatch.setattr(monoid, "ORDER_CAP", 3)
+    assert Analysis(regex_to_dfa(parse_regex(A3_REGEX), "ab")).monoid.order == 5
+    for argv in (["period"], ["prob", "--json"]):
+        assert cli.main([*argv, "--regex", A3_REGEX]) == 0, argv
+        out, err = capsys.readouterr()
+        assert out and err == "", argv
+    table = "error: the multiplication table of order 5 exceeds the order cap 3\n"
+    can = "error: the canonical decomposition of order 5 exceeds the order cap 3\n"
+    for argv, message in ((["monoid"], table), (["monoid", "--json"], table),
+                          (["decompose"], can), (["decompose", "--json"], can),
+                          (["zero-one"], can), (["zero-one", "--json"], can),
+                          (["analyze"], can), (["analyze", "--json"], can)):
+        assert cli.main([*argv, "--regex", A3_REGEX]) == 2, argv
+        assert capsys.readouterr() == ("", message), argv
 
 
 def test_a_failing_analyze_writes_no_dot_file(tmp_path):

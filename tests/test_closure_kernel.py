@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from synmon import (build_signature, canonical_decomposition, find_zero, load_dfa, make_named,
-                    minimize, principal_ideal, residual_monoid, transition_monoid,
+                    minimize, monoid, principal_ideal, residual_monoid, transition_monoid,
                     zero_one_basic)
 from synmon.decompose import lw_accepting
 from synmon.dfa import words_of_length
@@ -30,7 +30,7 @@ from synmon.monoid import _close, _rows
 from synmon.probability import residual_verdict
 from synmon.theory import compose, identity_transformation, minimal_ideal_element
 
-from conftest import small_dfas, small_monoid
+from conftest import merging_dfas, small_dfas, small_monoid
 from reference import residual_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -42,10 +42,11 @@ FAMILIES = ([kth_tail(k) for k in range(1, 6)] + [counter(n) for n in (4, 6, 8)]
 
 # --- all-pairs references ---
 
-def compose_transition_monoid(dfa, cap=5000):
+def compose_transition_monoid(dfa, budget=5000 * (4096 + 42)):
     """(elements, names, eta, accepting image, table) of the transition
     monoid: BFS from the identity with letters sorted, then the table by
-    composing every pair of elements."""
+    composing every pair of elements.  Like the closure, it refuses an
+    element that takes order x (degree + 42) past `budget`."""
     position = {q: i for i, q in enumerate(dfa.states)}
     letters = sorted(dfa.alphabet)
     letter_trans = {
@@ -58,8 +59,10 @@ def compose_transition_monoid(dfa, cap=5000):
         for a in letters:
             t = compose(x, letter_trans[a])
             if t not in index:
-                if len(elements) >= cap:
-                    raise TooLarge(f"transition monoid exceeds cap {cap}")
+                if (len(elements) + 1) * (dfa.n_states + 42) > budget:
+                    raise TooLarge(f"transition monoid of degree {dfa.n_states} exceeds the "
+                                   f"closure budget of {budget} words (order x (degree + 42)) "
+                                   f"at order {len(elements) + 1}")
                 index[t] = len(elements)
                 elements.append(t)
                 words.append(words[i] + a)
@@ -89,6 +92,19 @@ def assert_kernel_matches_reference(dfa):
 
 
 # --- transition monoids ---
+
+def test_kernel_and_reference_refuse_at_the_same_order(corpus, monkeypatch):
+    # a3's minimal DFA has degree 4 and order 5: 230 words hold it, 229 do not
+    minimal = corpus["a3"][1]
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 230)
+    assert transition_monoid(minimal).order == len(compose_transition_monoid(minimal, 230)[0])
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 229)
+    with pytest.raises(TooLarge) as kernel:
+        transition_monoid(minimal)
+    with pytest.raises(TooLarge) as reference:
+        compose_transition_monoid(minimal, 229)
+    assert str(kernel.value) == str(reference.value)
+
 
 def test_kernel_matches_compose_on_corpus(corpus):
     for name, (dfa, minimal, _sm) in corpus.items():
@@ -171,7 +187,7 @@ def test_residual_tables_match_compose_on_benchmark_families(language):
 
 
 @settings(max_examples=60)
-@given(small_dfas())
+@given(small_dfas() | merging_dfas())
 def test_residual_tables_match_compose_on_random_dfas(dfa):
     assert_residual_ideals_match_the_composed_table(small_monoid(dfa), dfa)
 

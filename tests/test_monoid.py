@@ -167,34 +167,51 @@ def test_order_invariant_under_presentation():
 
 
 def test_monoid_cap(monkeypatch):
-    dfa = regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab")
-    assert monoid.ORDER_CAP == 5000 and monoid.CLOSURE_BUDGET == 5000 * 4096
+    # the cap bounds the |M|^2 objects, M's table and the flat maps Can(t),
+    # not the closure: at cap 3 the order-5 monoid is built, and both are refused
+    dfa = minimize(regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab"))
+    assert monoid.ORDER_CAP == 5000 and monoid.CLOSURE_BUDGET == 5000 * (4096 + 42)
     monkeypatch.setattr(monoid, "ORDER_CAP", 3)
-    with pytest.raises(TooLarge, match="^transition monoid exceeds cap 3$"):
-        transition_monoid(dfa)
-    # the cap is the largest order that builds
-    monkeypatch.setattr(monoid, "ORDER_CAP", 5)
     assert transition_monoid(dfa).order == 5
+    with pytest.raises(TooLarge,
+                       match="^the multiplication table of order 5 exceeds the order cap 3$"):
+        transition_monoid(dfa).monoid
+    with pytest.raises(TooLarge,
+                       match="^the canonical decomposition of order 5 exceeds the order cap 3$"):
+        Analysis(dfa).decomposition
+    # the cap is the largest order whose table and decomposition are built
+    monkeypatch.setattr(monoid, "ORDER_CAP", 5)
+    assert transition_monoid(dfa).monoid.order == 5
+    assert Analysis(dfa).decomposition.K == 3
     monkeypatch.setattr(monoid, "ORDER_CAP", 4)
     with pytest.raises(TooLarge):
-        transition_monoid(dfa)
+        transition_monoid(dfa).monoid
+    with pytest.raises(TooLarge):
+        Analysis(dfa).decomposition
 
 
 def test_closure_budget_bounds_order_times_degree(monkeypatch):
-    # a3's minimal DFA has degree 4 and order 5: a budget of 20 points holds it
+    # a3's minimal DFA has degree 4 and order 5: a budget of 5 x (4 + 42)
+    # words holds it, and one word less does not
     dfa = minimize(regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab"))
     assert dfa.n_states == 4
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 20)
+    # the budget holds order 5000 at every degree up to 4096, and past it at
+    # least the order that 5000 x 4096 points held
+    for degree in (1, 2, 4, 42, 1000, 4095, 4096):
+        assert monoid.CLOSURE_BUDGET // (degree + 42) >= 5000
+    for degree in (4097, 8192, 16384, 10 ** 6):
+        assert monoid.CLOSURE_BUDGET // (degree + 42) >= 5000 * 4096 // degree
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 230)
     assert transition_monoid(dfa).order == 5
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 19)
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 229)
     with pytest.raises(TooLarge) as info:
         transition_monoid(dfa)
     assert str(info.value) == ("transition monoid of degree 4 exceeds the closure budget "
-                               "of 19 points (order x degree) at order 5")
-    # the cap is checked first
-    monkeypatch.setattr(monoid, "ORDER_CAP", 3)
-    with pytest.raises(TooLarge, match="exceeds cap 3$"):
-        transition_monoid(dfa)
+                               "of 229 words (order x (degree + 42)) at order 5")
+    # the order cap does not bound the closure
+    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 230)
+    monkeypatch.setattr(monoid, "ORDER_CAP", 1)
+    assert transition_monoid(dfa).order == 5
 
 
 # --- Cayley graphs ---
@@ -246,21 +263,22 @@ def test_a_cayley_entry_out_of_range_is_rejected(corpus):
     for row in ((sm.order,) + last[1:], (-1,) + last[1:], last[:1]):
         with pytest.raises(InvalidMonoid,
                            match="^Cayley graph is not a table of element indices$"):
-            SyntacticMonoid(sm.right[:-1] + (row,), sm.tree, sm.names, sm.eta,
-                            sm.accepting_image)
+            SyntacticMonoid(sm.right[:-1] + (row,), sm.tree, sm.eta, sm.accepting_image)
 
 
 def test_the_table_is_filled_on_first_read_and_not_copied():
     sm = transition_monoid(minimize(regex_to_dfa(parse_regex("((a|b)(a|b))*a"), "ab")))
     assert "monoid" not in vars(sm)
     table = sm.monoid.table
-    assert vars(sm) == {"monoid": sm.monoid}
+    # the table takes the names, which read the alphabet
+    assert vars(sm) == {"monoid": sm.monoid, "names": sm.monoid.names, "alphabet": sm.alphabet}
     with pytest.raises(AttributeError):
         sm.monoid = None
     for clone in (copy.copy(sm), copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))):
-        assert type(clone) is SyntacticMonoid and "monoid" not in vars(clone)
-        assert (clone.right, clone.tree, clone.names, clone.eta, clone.accepting_image) == \
-            (sm.right, sm.tree, sm.names, sm.eta, sm.accepting_image)
+        assert type(clone) is SyntacticMonoid and vars(clone) == {}
+        assert (clone.right, clone.tree, clone.eta, clone.accepting_image) == \
+            (sm.right, sm.tree, sm.eta, sm.accepting_image)
+        assert clone.names == sm.names
         assert clone.monoid.table == table and clone.monoid is not sm.monoid
 
 

@@ -3,8 +3,8 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from synmon import (Analysis, cli, decompose, monoid, periods, probability,
@@ -108,6 +108,27 @@ def test_verbs_that_read_no_table_fill_none(monkeypatch, capsys):
         assert (len(fills), len(checks)) == (1, 1), argv
         assert checks.pop()[0] is built.pop().monoid.monoid.table, argv
         fills.clear()
+    capsys.readouterr()
+
+
+def test_only_the_table_and_the_dot_file_build_the_names(monkeypatch, capsys, tmp_path):
+    # the names are a cached property over the tree and the alphabet, no
+    # field: read each time here, they are counted at every read
+    assert monoid.SyntacticMonoid.__slots__ == ("right", "tree", "eta", "accepting_image",
+                                                "__dict__")
+    names, reads = monoid.SyntacticMonoid.names, []
+    monkeypatch.setattr(monoid.SyntacticMonoid, "names",
+                        property(lambda sm: reads.append(sm) or names.func(sm)))
+    regex = ["--regex", "((a|b)(a|b)(a|b))*a(a|b)", "--alphabet", "ab"]  # P = 3, a witness
+    for argv in (["period"], ["prob", "--json"], ["decompose", "--json"], ["zero-one", "--json"],
+                 ["analyze"]):
+        assert cli.main([*argv, *regex]) == 0, argv
+        assert reads == [], argv
+    dot = str(tmp_path / "o.dot")
+    for argv in (["monoid"], ["analyze", "--json"], ["analyze", "--dot", dot]):
+        assert cli.main([*argv, *regex]) == 0, argv
+        assert reads, argv
+        reads.clear()
     capsys.readouterr()
 
 
@@ -219,11 +240,7 @@ def test_deduplicated_rows_equal_per_prefix_recomputation_on_random_dfas(dfa):
     # the rows walk the prefixes level by level; each must be the verdict
     # that `zero_one_residual` computes from its own word, in the same order
     analysis = Analysis(dfa)
-    with mock.patch.object(monoid, "ORDER_CAP", 64):
-        try:
-            analysis.monoid
-        except TooLarge:
-            assume(False)
+    assume(analysis.monoid.order <= 64)
     period = analysis.signature.periods[0]
     prefixes = ["".join(p) for r in range(period)
                 for p in itertools.product(dfa.alphabet, repeat=r)]
@@ -450,6 +467,21 @@ def test_group_stages_match_closed_forms_past_the_oracle_caps():
         assert analysis.basic_verdict.zero_element is None
         assert [(v.w, v.is_zero_or_one, v.mu_lw) for v in analysis.residual_verdicts] == [
             ("", False, limit), ("a", False, limit), ("b", False, limit)]
+
+
+def test_the_period_and_the_limits_come_past_the_order_cap():
+    # the signed shifts at n = 12 have order 2^12 . 12 = 49152, past the cap
+    # of 5000 on the |M|^2 objects, which the closure and the period do not
+    # build; the limits are 1/24 as above, and the decomposition is refused
+    analysis = Analysis(signed_shift_dfa(12))
+    assert analysis.monoid.order == 49152 > monoid.ORDER_CAP
+    assert analysis.max_period == 2
+    assert tuple(analysis.accumulation) == (Fraction(1, 24),) * 2
+    assert "names" not in vars(analysis.monoid)
+    with pytest.raises(TooLarge, match="^the canonical decomposition of order 49152 exceeds"):
+        analysis.decomposition
+    with pytest.raises(TooLarge, match="^the multiplication table of order 49152 exceeds"):
+        analysis.monoid.monoid
 
 
 def test_text_reports_build_no_json(monkeypatch, capsys):
