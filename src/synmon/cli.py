@@ -8,10 +8,12 @@ report is theirs composed.  Each verb hands `_emit` two builders, unbuilt:
 one for its JSON report and one for its text lines, with the monoid whose
 Cayley graph `--dot` draws.  Each builder computes only what its output
 prints, so a value that one output alone prints is computed inside that
-builder; a value both print may be computed before.  `_emit` alone reads
-`--json` and `--dot`: it calls exactly one builder, writes the DOT file
-only after that, and prints last, so that a failed run prints nothing and
-writes no DOT file.
+builder; a value both print may be computed before.  A stage that can
+refuse (TooLarge) is read before any value that is computed only to be
+printed, such as `analyze`'s sink periods, so that a refused run walks
+nothing it would only print.  `_emit` alone reads `--json` and `--dot`:
+it calls exactly one builder, writes the DOT file only after that, and
+prints last, so that a failed run prints nothing and writes no DOT file.
 
 Each command imports `regexes`, `probability` and `oracle` only when it
 uses them, as `Analysis` does `decompose`, so that it pays at start-up only
@@ -29,12 +31,10 @@ from math import prod
 from operator import itemgetter
 
 from .dfa import load_dfa, trim
-from .errors import FormatError, InvalidArgument, SynmonError, TooLarge, VerificationFailure
+from .errors import FormatError, InvalidArgument, SynmonError, VerificationFailure
 from .monoid import cayley_to_dot
 from .periods import sink_periods
-from .pipeline import Analysis
-
-REPORT_ROWS = 1 << 20  # the most rows f_t(r), one per element and residual, that a report lists
+from .pipeline import Analysis, require_rows
 
 
 def _load_source(args):
@@ -121,14 +121,13 @@ def _signature_json(sig):
 
 def _check_report_rows(order, periods):
     """Raise TooLarge when a decomposition report would list more than
-    REPORT_ROWS rows f_t(r): one per element of a monoid of `order` and
-    residual of `periods`, |M| x P1 x ... x Pn in all.  It reads only the
-    signature, so a JSON builder calls it before any stage it would list."""
+    pipeline.REPORT_ROWS rows f_t(r) (`require_rows`): one per element of
+    a monoid of `order` and residual of `periods`, |M| x P1 x ... x Pn in
+    all.  It reads only the signature, so a JSON builder calls it before
+    any stage it would list."""
     residuals = prod(periods)
-    if order * residuals > REPORT_ROWS:
-        raise TooLarge(f"{order * residuals} rows f_t(r) of the decomposition report "
-                       f"({order} elements times {residuals} residuals) exceed the "
-                       f"budget of {REPORT_ROWS}")
+    require_rows(order * residuals, f"rows f_t(r) of the decomposition report ({order} "
+                 f"elements times {residuals} residuals)")
 
 
 def _decomposition_json(dec):
@@ -340,7 +339,6 @@ def _emit(args, report, text, graph=None):
 def cmd_analyze(args) -> int:
     analysis = _analysis(args)
     sm, sig = analysis.monoid, _signature(analysis)
-    dfa_sinks, cayley_sinks = sink_periods(analysis.dfa), sink_periods(sm)
     probability = sig.full_alphabet_at_maximum
 
     def report():
@@ -352,6 +350,7 @@ def cmd_analyze(args) -> int:
             _check_digits(analysis.dfa.alphabet, args.length)
             series = mu_series(analysis.dfa, args.length)
             basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
+        dfa_sinks, cayley_sinks = sink_periods(analysis.dfa), sink_periods(sm)
         decomposition = _decomposition_json(dec)
         out = {
             "monoid": _monoid_json(sm),
@@ -381,6 +380,9 @@ def cmd_analyze(args) -> int:
 
     def text():
         dec = analysis.decomposition
+        if probability:
+            basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
+        dfa_sinks, cayley_sinks = sink_periods(analysis.dfa), sink_periods(sm)
         lines = [f"dfa: {analysis.minimal.n_states} states over {{{','.join(sm.alphabet)}}}",
                  f"monoid: order {sm.order}"]
         for gamma, period in zip(sig.gammas, sig.periods):
@@ -393,7 +395,6 @@ def cmd_analyze(args) -> int:
             for comp, period in sinks:
                 lines.append(f"sink ({label}): {{{','.join(map(str, comp))}}} period {period}")
         if probability:
-            basic, verdicts = analysis.basic_verdict, analysis.residual_verdicts
             lines.extend(f"residual monoid T_{t.r}: order {t.order}"
                          for t in analysis.residual_monoids)
             lines.append("accumulation: " + ", ".join(

@@ -154,7 +154,7 @@ def canonical_decomposition(m: SyntacticMonoid,
     so the build reads no multiplication table.  Those |M| maps of |M|
     points are refused (TooLarge) past ORDER_CAP elements before any is
     built (`monoid._require_cap`)."""
-    _require_cap("the canonical decomposition", m.order)
+    _require_cap(f"the canonical decomposition of order {m.order}", (m.order,))
     points = tuple(chain.from_iterable(map(sig.classes.__getitem__, sig.residuals())))
     point = sorted(range(m.order), key=points.__getitem__)
     # the column at the points, then the point of each element it holds

@@ -13,17 +13,23 @@ from operator import itemgetter
 from .dfa import Dfa, Frozen
 from .errors import InvalidMonoid, TooLarge
 
-# the largest order whose |M|^2 objects are built: M's table, the flat maps Can(t)
+# the largest order whose |M|^2 objects are built: M's table, the flat maps
+# Can(t); the closure holds as many words as M's table at this order
 ORDER_CAP = 5000
-# order x (degree + 42) words the closure may hold: order 5000 up to degree 4096
-CLOSURE_BUDGET = 5000 * (4096 + 42)
 
 
-def _require_cap(what: str, order: int) -> None:
-    """Raise TooLarge before `what`, an object of order^2 entries, is
-    built for a monoid past ORDER_CAP elements, read at call time."""
-    if order > ORDER_CAP:
-        raise TooLarge(f"{what} of order {order} exceeds the order cap {ORDER_CAP}")
+def _require_cap(what: str, factors) -> None:
+    """Raise TooLarge before `what` is built unless the product of
+    `factors`, positive ints, the order of a monoid whose order^2 entries
+    it holds, is at most ORDER_CAP, read at call time.  The product stops
+    at the first factor that takes it past the cap, so no number much past
+    the cap is built, and a factorial or a power of two or more stops after
+    about ORDER_CAP.bit_length() factors."""
+    order = 1
+    for factor in factors:
+        order *= factor
+        if order > ORDER_CAP:
+            raise TooLarge(f"{what} exceeds the order cap {ORDER_CAP}")
 
 
 def gather(indices):
@@ -158,7 +164,7 @@ class SyntacticMonoid(Frozen):
         and last letter a, is p.eta(a) in the table, so x.y = (x.p).eta(a)
         by associativity, which is the edge right[x.p][a], x.p being M's
         product by induction."""
-        _require_cap("the multiplication table", self.order)
+        _require_cap(f"the multiplication table of order {self.order}", (self.order,))
         monoid = FiniteMonoid(_rows(self.right, self.tree), self.names)
         for a, column in zip(sorted(self.eta), zip(*self.right)):  # x -> x.a over x
             if tuple(row[column[0]] for row in monoid.table) != column:
@@ -200,18 +206,22 @@ def _close(generators):
     element i times generator g) and the tree of first arrivals (element j
     > 0 is tree[j] = (parent, last generator)), both as tuples.
 
-    TooLarge is raised once order x (degree + 42) would exceed
-    CLOSURE_BUDGET, read at call time, counted in 8-byte words.  Each
-    element holds its tuple of `degree` points, its index entry, its
-    Cayley row and its tree entry: tracemalloc measured a peak of
-    8 x degree + 238 to 313 bytes per element at degrees 6, 20, 24, 28 and
-    1024, so 42 words (336 bytes) stand for all but the tuple's points.
-    The order alone is not bounded here, only the |M|^2 objects built
-    from the closure are (ORDER_CAP).
+    TooLarge is raised once order x (degree + 42), counted in 8-byte
+    words, would exceed ORDER_CAP x (ORDER_CAP + 42), the words that M's
+    table and its elements hold at the order cap, with ORDER_CAP read at
+    call time.  Each element holds its tuple of `degree` points, its index
+    entry, its Cayley row and its tree entry: tracemalloc measured a peak
+    of 8 x degree + 238 to 313 bytes per element at degrees 6, 20, 24, 28
+    and 1024, so 42 words (336 bytes) stand for all but the tuple's
+    points.  So every monoid of order up to the cap on up to the cap's
+    number of states closes, and raising the cap raises the room with it;
+    the |M|^2 objects built from the closure are refused past the cap
+    (`_require_cap`).
     """
     gens = [tuple(g) for g in generators]
     degree = len(gens[0])
-    room = CLOSURE_BUDGET // (degree + 42)  # the largest order the budget holds
+    budget = ORDER_CAP * (ORDER_CAP + 42)
+    room = budget // (degree + 42)  # the largest order the budget holds
     elements = [tuple(range(degree))]
     index = {elements[0]: 0}
     tree, right = [(-1, -1)], []
@@ -225,7 +235,7 @@ def _close(generators):
                 if j >= room:
                     raise TooLarge(
                         f"transition monoid of degree {degree} exceeds the closure budget "
-                        f"of {CLOSURE_BUDGET} words (order x (degree + 42)) at order {j + 1}")
+                        f"of {budget} words (order x (degree + 42)) at order {j + 1}")
                 elements.append(y)
                 tree.append((len(right), g))
             row.append(j)
@@ -255,9 +265,10 @@ def _rows(right, tree) -> tuple:
 def transition_monoid(dfa: Dfa) -> SyntacticMonoid:
     """Word-induced transformations on the states of `dfa`, closed under
     composition and numbered in BFS order from the identity (letters
-    sorted), as many as the closure budget holds: no table is filled, so
-    ORDER_CAP does not bound it.  The caller must pass a minimal DFA for the
-    result to be the syntactic monoid.
+    sorted), as many as the closure budget holds (`_close`): every monoid
+    of order up to ORDER_CAP on up to ORDER_CAP states closes, and no
+    table is filled.  The caller must pass a minimal DFA for the result to
+    be the syntactic monoid.
     """
     # the letters' transformations are the columns of the DFA's index form
     elements, right, tree = _close(zip(*dfa.targets()))

@@ -30,7 +30,15 @@ if TYPE_CHECKING:
     from . import decompose as dc
     from . import probability as pr
 
-PREFIX_ROWS = 1 << 20  # the most zero-one rows, one per prefix, that are built
+REPORT_ROWS = 1 << 20  # the most rows of one kind that a report builds or lists
+
+
+def require_rows(n: int, what: str) -> None:
+    """Raise TooLarge before `n` rows of `what` are built or listed when
+    `n` passes REPORT_ROWS, read at call time: the zero-one rows, one per
+    prefix, and the decomposition report's rows f_t(r)."""
+    if n > REPORT_ROWS:
+        raise TooLarge(f"{n} {what} exceed the budget of {REPORT_ROWS}")
 
 
 class Analysis(Frozen):
@@ -115,7 +123,9 @@ class Analysis(Frozen):
         state of the minimal DFA that w reaches: w + a takes one Cayley
         edge and one DFA edge from w, so no word is read from the start.
         Appending each letter in order to a lexicographic level gives a
-        lexicographic level, so the rows keep their order."""
+        lexicographic level, so the rows keep their order.  More rows than
+        REPORT_ROWS are refused before the decomposition is read
+        (`require_rows`)."""
         from . import decompose as dc
         from . import probability as pr
 
@@ -123,10 +133,8 @@ class Analysis(Frozen):
         if not sig.full_alphabet_at_maximum:
             raise ScopeError("zero-one residual verdicts need the maximum period")
         size, period = len(self.monoid.alphabet), sig.periods[0]
-        n_rows = sum(size ** r for r in range(period))
-        if n_rows > PREFIX_ROWS:
-            raise TooLarge(f"{n_rows} prefix rows of zero-one verdicts (every word shorter "
-                           f"than the period {period}) exceed the budget of {PREFIX_ROWS}")
+        require_rows(sum(size ** r for r in range(period)), "prefix rows of zero-one verdicts "
+                     f"(every word shorter than the period {period})")
         dec, m, delta = self.decomposition, self.monoid, self.minimal.delta
         by_image, rows, level = {}, [], [("", 0, self.minimal.initial)]
         for t_r in self.residual_monoids:

@@ -3,9 +3,10 @@ products and actions, Rees quotients, named families, homomorphism checks,
 the target of Can and the block quotient T_r -> M_{L_w}.  Every builder
 fills a table of order^2 entries, so it decides the order it would build
 against monoid.ORDER_CAP, the cap on such tables, before it builds
-anything; a transition monoid it closes is bounded by the closure budget
-alone, and its table by the cap when first read.  No command imports
-this module; it reads `monoid` and `decompose`, never the reverse."""
+anything (`monoid._require_cap`); a transition monoid it closes is bounded
+by the closure budget, which holds every monoid within the cap, and its
+table by the cap when first read.  No command imports this module; it
+reads `monoid` and `decompose`, never the reverse."""
 
 from __future__ import annotations
 
@@ -13,28 +14,15 @@ from itertools import product, repeat
 from math import prod
 from numbers import Integral
 
-from . import monoid
 from .decompose import (CanonicalDecomposition, LwRecognizer, _require_full_alphabet,
                         lw_recognizer)
 from .dfa import Dfa, block_dfa, minimize
-from .errors import (InvalidArgument, NotAnAction, NotAnIdeal, ScopeError, TooLarge,
-                     UnknownSymbol, VerificationFailure)
-from .monoid import FiniteMonoid, SyntacticMonoid, _close, _rows, gather, transition_monoid
+from .errors import (InvalidArgument, NotAnAction, NotAnIdeal, ScopeError, UnknownSymbol,
+                     VerificationFailure)
+from .monoid import (FiniteMonoid, SyntacticMonoid, _close, _require_cap, _rows, gather,
+                     transition_monoid)
 
 Transformation = tuple
-
-
-def _require_order(what: str, factors) -> None:
-    """Raise TooLarge unless the product of `factors`, positive ints, the
-    order of a monoid about to be built, is at most monoid.ORDER_CAP.  The
-    product stops at the first factor that takes it past the cap, so no
-    number much past the cap is built, and a factorial or a power of two or
-    more stops after about ORDER_CAP.bit_length() factors."""
-    order = 1
-    for factor in factors:
-        order *= factor
-        if order > monoid.ORDER_CAP:
-            raise TooLarge(f"{what} exceeds the order cap")
 
 
 def identity_transformation(degree: int) -> Transformation:
@@ -135,8 +123,7 @@ def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid
     (m1, n1).(m2, n2) = (m1 . (n1 * m2), n1 . n2),
     where action[n][m] tabulates n * m.  Pair (i, j) gets index i*|N| + j,
     so the identity lands at 0."""
-    _require_order(f"semidirect product of orders {m.order} and {n.order}",
-                   (m.order, n.order))
+    _require_cap(f"semidirect product of orders {m.order} and {n.order}", (m.order, n.order))
     _check_action(m, n, action)
 
     def idx(i, j):
@@ -156,7 +143,7 @@ def semidirect_product(m: FiniteMonoid, n: FiniteMonoid, action) -> FiniteMonoid
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
-    _require_order(f"direct product of orders {m.order} and {n.order}", (m.order, n.order))
+    _require_cap(f"direct product of orders {m.order} and {n.order}", (m.order, n.order))
     return semidirect_product(m, n, [list(range(m.order)) for _ in range(n.order)])
 
 
@@ -165,7 +152,7 @@ def function_monoid(m: FiniteMonoid, copies: int) -> FiniteMonoid:
     order, so the constant identity lands at index 0."""
     if copies < 0:
         raise InvalidArgument(f"copies must be non-negative, got {copies}")
-    _require_order(f"|M|^{copies} with |M| = {m.order}", repeat(m.order, copies))
+    _require_cap(f"|M|^{copies} with |M| = {m.order}", repeat(m.order, copies))
     elements = list(product(range(m.order), repeat=copies))
     index = {f: i for i, f in enumerate(elements)}
     table = tuple(
@@ -186,7 +173,7 @@ def make_named(kind: str, k: int) -> FiniteMonoid:
               "symmetric": range(1, k + 1), "full_transformation": repeat(k, k)}
     if kind not in orders:
         raise InvalidArgument(f"unknown monoid kind {kind!r}")
-    _require_order(f"{kind} monoid of degree {k}", orders[kind])
+    _require_cap(f"{kind} monoid of degree {k}", orders[kind])
     if kind == "cyclic":
         table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
         return FiniteMonoid(table, tuple(str(i) for i in range(k)))

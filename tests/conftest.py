@@ -103,6 +103,27 @@ def merging_dfas(draw, max_states=6, alphabets=("ab", "abc")):
     return Dfa(tuple(letters), tuple(range(n)), 0, frozenset(accepting), delta)
 
 
+def full_transformation_dfa(n):
+    """The full transformations of n states: a sends i to i + 1 mod n, b
+    swaps 0 and 1, c sends 0 to 1 and fixes the rest; 0 is the start and
+    the only accepting state.  The DFA is minimal for n >= 2, and its
+    letters generate T_n, of order n^n."""
+    step = {"a": lambda i: (i + 1) % n, "b": lambda i: (1, 0)[i] if i < 2 else i,
+            "c": lambda i: max(i, 1)}
+    delta = {(q, a): f(q) for q in range(n) for a, f in step.items()}
+    return Dfa(tuple(step), tuple(range(n)), 0, frozenset({0}), delta)
+
+
+def dfa_document(dfa) -> str:
+    """`dfa` as the JSON document that `load_dfa` and `--dfa` read."""
+    return json.dumps({
+        "alphabet": list(dfa.alphabet), "states": [str(q) for q in dfa.states],
+        "initial": str(dfa.initial), "accepting": sorted(str(q) for q in dfa.accepting),
+        "transitions": [{"from": str(q), "on": a, "to": str(t)}
+                        for (q, a), t in dfa.delta.items()],
+    })
+
+
 def small_monoid(dfa, cap=64):
     """The syntactic monoid of a DFA from `small_dfas`; examples whose
     monoid has more than `cap` elements are skipped once it is closed,

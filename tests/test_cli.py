@@ -13,7 +13,7 @@ from synmon import Analysis, cli, errors
 from synmon.errors import InvalidArgument
 from synmon.regexes import LETTERS, parse_regex, regex_to_dfa
 
-from conftest import small_dfas
+from conftest import dfa_document, full_transformation_dfa, small_dfas
 
 DATA = Path(__file__).parent / "data"
 A3_REGEX = "a((a|b)(a|b))*|b(a|b)*"
@@ -508,37 +508,46 @@ def test_a_corrupted_cayley_edge_exits_three_without_a_table(verb, monkeypatch, 
         "s = 9, a = 'a', r = (0,), slot 6: Can(s.a) gives 14, Can(s).Can(a) gives 11"]
 
 
-def test_closure_budget_exits_two(monkeypatch, capsys):
+def test_closure_budget_exits_two(monkeypatch, capsys, tmp_path):
+    # the closure holds order x (degree + 42) <= cap x (cap + 42) words: the
+    # 3-state full transformation DFA (degree 3, order 27) needs 27 x 45 =
+    # 1215 of them, past the 19 x 61 = 1159 that a cap of 19 gives
     from synmon import monoid
 
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 229)  # a3: degree 4, order 5
-    assert cli.main(["period", "--regex", A3_REGEX]) == 2
+    path = tmp_path / "full3.json"
+    path.write_text(dfa_document(full_transformation_dfa(3)))
+    monkeypatch.setattr(monoid, "ORDER_CAP", 19)
+    assert cli.main(["period", "--dfa", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: transition monoid of degree 4 exceeds the closure "
-                            "budget of 229 words (order x (degree + 42)) at order 5\n")
+    assert captured.err == ("error: transition monoid of degree 3 exceeds the closure "
+                            "budget of 1159 words (order x (degree + 42)) at order 26\n")
 
 
 def test_the_order_cap_refuses_only_the_verbs_that_build_an_order_squared_object(
-        monkeypatch, capsys):
-    # a3 has order 5: past a cap of 3, the closure and the signature still
-    # run, and M's table and the flat maps Can(t) are refused before either
-    # is built
+        monkeypatch, capsys, tmp_path):
+    # the 3-state full transformation DFA has order 27: at a cap of 20 the
+    # closure (27 x 45 <= 20 x 62 words) and the signature still run, and
+    # M's table and the flat maps Can(t) are refused before either is built
     from synmon import monoid
 
-    monkeypatch.setattr(monoid, "ORDER_CAP", 3)
-    assert Analysis(regex_to_dfa(parse_regex(A3_REGEX), "ab")).monoid.order == 5
-    for argv in (["period"], ["prob", "--json"]):
-        assert cli.main([*argv, "--regex", A3_REGEX]) == 0, argv
+    dfa = full_transformation_dfa(3)
+    path = tmp_path / "full3.json"
+    path.write_text(dfa_document(dfa))
+    monkeypatch.setattr(monoid, "ORDER_CAP", 20)
+    assert Analysis(dfa).monoid.order == 27
+    # P = 1: the verbs that report a signature warn first
+    for argv, warning in ((["period"], NOTICE + "\n"), (["prob", "--json"], "")):
+        assert cli.main([*argv, "--dfa", str(path)]) == 0, argv
         out, err = capsys.readouterr()
-        assert out and err == "", argv
-    table = "error: the multiplication table of order 5 exceeds the order cap 3\n"
-    can = "error: the canonical decomposition of order 5 exceeds the order cap 3\n"
+        assert out and err == warning, argv
+    table = "error: the multiplication table of order 27 exceeds the order cap 20\n"
+    can = NOTICE + "\nerror: the canonical decomposition of order 27 exceeds the order cap 20\n"
     for argv, message in ((["monoid"], table), (["monoid", "--json"], table),
                           (["decompose"], can), (["decompose", "--json"], can),
                           (["zero-one"], can), (["zero-one", "--json"], can),
                           (["analyze"], can), (["analyze", "--json"], can)):
-        assert cli.main([*argv, "--regex", A3_REGEX]) == 2, argv
+        assert cli.main([*argv, "--dfa", str(path)]) == 2, argv
         assert capsys.readouterr() == ("", message), argv
 
 
@@ -601,14 +610,15 @@ def test_oracle_budgets_refuse_before_enumerating(argv):
 def test_prefix_row_budget(verb, monkeypatch, capsys):
     from synmon import pipeline
 
-    argv = [verb, "--regex", "((a|b|c)(a|b|c)(a|b|c))*"]  # P = 3: 1 + 3 + 9 rows
-    monkeypatch.setattr(pipeline, "PREFIX_ROWS", 12)
+    # P = 3: 1 + 3 + 9 prefix rows, and analyze --json lists 3 x 3 rows f_t(r)
+    argv = [verb, "--regex", "((a|b|c)(a|b|c)(a|b|c))*"]
+    monkeypatch.setattr(pipeline, "REPORT_ROWS", 12)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: 13 prefix rows of zero-one verdicts (every word "
                             "shorter than the period 3) exceed the budget of 12\n")
-    monkeypatch.setattr(pipeline, "PREFIX_ROWS", 13)
+    monkeypatch.setattr(pipeline, "REPORT_ROWS", 13)
     assert cli.main([*argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     verdicts = report["probability"]["zero_one"] if verb == "analyze" else report
@@ -678,7 +688,7 @@ def test_a_monoid_that_fails_its_check_writes_no_dot_file(flags, monkeypatch, ca
 
 @pytest.mark.parametrize("verb", ["analyze", "decompose"])
 def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
-    from synmon import decompose
+    from synmon import decompose, pipeline
 
     reads = []
     read = decompose.CanonicalDecomposition.f
@@ -688,8 +698,9 @@ def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
         return read(dec, t, r)
 
     monkeypatch.setattr(decompose.CanonicalDecomposition, "f", counted)
-    # a3: 5 elements at P = 2, so the report lists 10 rows f_t(r)
-    monkeypatch.setattr(cli, "REPORT_ROWS", 9)
+    # a3: 5 elements at P = 2, so the report lists 10 rows f_t(r), and 3
+    # prefix rows of zero-one verdicts
+    monkeypatch.setattr(pipeline, "REPORT_ROWS", 9)
     dot = tmp_path / "o.dot"
     argv = [verb, "--regex", A3_REGEX]
     # the text report lists no f_t(r), so the budget does not bound it, and
@@ -707,7 +718,7 @@ def test_decomposition_report_budget(verb, monkeypatch, capsys, tmp_path):
     # the report refused before any stage it lists: no f_t(r) was read, not
     # even the residual monoids'
     assert reads == []
-    monkeypatch.setattr(cli, "REPORT_ROWS", 10)
+    monkeypatch.setattr(pipeline, "REPORT_ROWS", 10)
     assert cli.main([*argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     can = (report["decomposition"] if verb == "analyze" else report)["can"]

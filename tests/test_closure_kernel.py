@@ -15,9 +15,10 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from synmon import (build_signature, canonical_decomposition, find_zero, load_dfa, make_named,
                     minimize, monoid, principal_ideal, residual_monoid, transition_monoid,
@@ -30,7 +31,7 @@ from synmon.monoid import _close, _rows
 from synmon.probability import residual_verdict
 from synmon.theory import compose, identity_transformation, minimal_ideal_element
 
-from conftest import merging_dfas, small_dfas, small_monoid
+from conftest import full_transformation_dfa, merging_dfas, small_dfas, small_monoid
 from reference import residual_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -42,11 +43,12 @@ FAMILIES = ([kth_tail(k) for k in range(1, 6)] + [counter(n) for n in (4, 6, 8)]
 
 # --- all-pairs references ---
 
-def compose_transition_monoid(dfa, budget=5000 * (4096 + 42)):
+def compose_transition_monoid(dfa, budget=5000 * (5000 + 42)):
     """(elements, names, eta, accepting image, table) of the transition
     monoid: BFS from the identity with letters sorted, then the table by
     composing every pair of elements.  Like the closure, it refuses an
-    element that takes order x (degree + 42) past `budget`."""
+    element that takes order x (degree + 42) past `budget`, by default the
+    closure's at the order cap of 5000."""
     position = {q: i for i, q in enumerate(dfa.states)}
     letters = sorted(dfa.alphabet)
     letter_trans = {
@@ -93,17 +95,49 @@ def assert_kernel_matches_reference(dfa):
 
 # --- transition monoids ---
 
-def test_kernel_and_reference_refuse_at_the_same_order(corpus, monkeypatch):
-    # a3's minimal DFA has degree 4 and order 5: 230 words hold it, 229 do not
-    minimal = corpus["a3"][1]
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 230)
-    assert transition_monoid(minimal).order == len(compose_transition_monoid(minimal, 230)[0])
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 229)
+def test_kernel_and_reference_refuse_at_the_same_order(monkeypatch):
+    # the 3-state full transformation DFA has degree 3 and order 27: a cap
+    # of 20 gives 20 x 62 = 1240 words, which hold 27 x 45, and a cap of 19
+    # gives 1159, which do not
+    dfa = full_transformation_dfa(3)
+    monkeypatch.setattr(monoid, "ORDER_CAP", 20)
+    assert transition_monoid(dfa).order == len(compose_transition_monoid(dfa, 1240)[0]) == 27
+    monkeypatch.setattr(monoid, "ORDER_CAP", 19)
     with pytest.raises(TooLarge) as kernel:
-        transition_monoid(minimal)
+        transition_monoid(dfa)
     with pytest.raises(TooLarge) as reference:
-        compose_transition_monoid(minimal, 229)
+        compose_transition_monoid(dfa, 1159)
     assert str(kernel.value) == str(reference.value)
+    assert "closure budget of 1159 words" in str(kernel.value)
+
+
+@settings(max_examples=200)
+@given(small_dfas(), st.integers(1, 40))
+def test_the_cap_bounds_the_closure_as_the_reference_and_the_tables_by_order(dfa, cap):
+    # the closure refuses exactly where the reference does at a budget of
+    # cap x (cap + 42) words, with the same message; where it closes, M's
+    # table and the decomposition are refused exactly past the cap
+    with mock.patch.object(monoid, "ORDER_CAP", cap):
+        for source in (dfa, minimize(dfa)):
+            try:
+                order = len(compose_transition_monoid(source, cap * (cap + 42))[0])
+            except TooLarge as reference:
+                with pytest.raises(TooLarge) as kernel:
+                    transition_monoid(source)
+                assert str(kernel.value) == str(reference)
+                continue
+            sm = transition_monoid(source)
+            assert sm.order == order
+            builders = (lambda: sm.monoid,
+                        lambda: canonical_decomposition(sm, build_signature(sm, [sm.alphabet])))
+            for build, what in zip(builders, ("the multiplication table",
+                                              "the canonical decomposition")):
+                if order <= cap:
+                    build()
+                else:
+                    with pytest.raises(TooLarge) as info:
+                        build()
+                    assert str(info.value) == f"{what} of order {order} exceeds the order cap {cap}"
 
 
 def test_kernel_matches_compose_on_corpus(corpus):

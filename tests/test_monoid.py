@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from synmon import (Analysis, cayley_to_dot, direct_product, find_zero,
+from synmon import (Analysis, Dfa, cayley_to_dot, direct_product, find_zero,
                     function_monoid, hom_image_check, is_ideal, make_named,
                     minimize, monoid, principal_ideal, rees_factor,
                     semidirect_product, transition_monoid)
@@ -15,7 +15,7 @@ from synmon.theory import minimal_ideal_element
 from synmon.oracle import brute_isomorphic
 from synmon.regexes import parse_regex, regex_to_dfa
 
-from conftest import small_dfas
+from conftest import full_transformation_dfa, small_dfas
 
 
 def assert_monoid_laws(m):
@@ -80,7 +80,7 @@ def test_named_monoids_refuse_past_the_order_cap(kind, largest, monkeypatch):
     monkeypatch.setattr(monoid, "ORDER_CAP", 6)
     assert make_named(kind, largest).order <= 6
     with pytest.raises(TooLarge,
-                       match=f"^{kind} monoid of degree {largest + 1} exceeds the order cap$"):
+                       match=f"^{kind} monoid of degree {largest + 1} exceeds the order cap 6$"):
         make_named(kind, largest + 1)
 
 
@@ -93,11 +93,12 @@ def test_products_and_powers_refuse_past_the_order_cap(monkeypatch):
     monkeypatch.setattr(monoid, "ORDER_CAP", 5)
     for action in (INVERSION, []):  # the order is refused before the action is read
         with pytest.raises(TooLarge,
-                           match="^semidirect product of orders 3 and 2 exceeds the order cap$"):
+                           match="^semidirect product of orders 3 and 2 exceeds the order cap 5$"):
             semidirect_product(c3, c2, action)
-    with pytest.raises(TooLarge, match="^direct product of orders 3 and 2 exceeds the order cap$"):
+    with pytest.raises(TooLarge,
+                       match="^direct product of orders 3 and 2 exceeds the order cap 5$"):
         direct_product(c3, c2)
-    with pytest.raises(TooLarge, match=r"^\|M\|\^3 with \|M\| = 2 exceeds the order cap$"):
+    with pytest.raises(TooLarge, match=r"^\|M\|\^3 with \|M\| = 2 exceeds the order cap 5$"):
         function_monoid(c2, 3)
 
 
@@ -168,22 +169,24 @@ def test_order_invariant_under_presentation():
 
 def test_monoid_cap(monkeypatch):
     # the cap bounds the |M|^2 objects, M's table and the flat maps Can(t),
-    # not the closure: at cap 3 the order-5 monoid is built, and both are refused
-    dfa = minimize(regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab"))
-    assert monoid.ORDER_CAP == 5000 and monoid.CLOSURE_BUDGET == 5000 * (4096 + 42)
-    monkeypatch.setattr(monoid, "ORDER_CAP", 3)
-    assert transition_monoid(dfa).order == 5
+    # and the closure only through its room of cap x (cap + 42) words: at cap
+    # 20 the 3-state full transformation monoid of order 27 is closed, and
+    # both are refused
+    dfa = full_transformation_dfa(3)
+    assert monoid.ORDER_CAP == 5000
+    monkeypatch.setattr(monoid, "ORDER_CAP", 20)
+    assert transition_monoid(dfa).order == 27
     with pytest.raises(TooLarge,
-                       match="^the multiplication table of order 5 exceeds the order cap 3$"):
+                       match="^the multiplication table of order 27 exceeds the order cap 20$"):
         transition_monoid(dfa).monoid
     with pytest.raises(TooLarge,
-                       match="^the canonical decomposition of order 5 exceeds the order cap 3$"):
+                       match="^the canonical decomposition of order 27 exceeds the order cap 20$"):
         Analysis(dfa).decomposition
     # the cap is the largest order whose table and decomposition are built
-    monkeypatch.setattr(monoid, "ORDER_CAP", 5)
-    assert transition_monoid(dfa).monoid.order == 5
-    assert Analysis(dfa).decomposition.K == 3
-    monkeypatch.setattr(monoid, "ORDER_CAP", 4)
+    monkeypatch.setattr(monoid, "ORDER_CAP", 27)
+    assert transition_monoid(dfa).monoid.order == 27
+    assert Analysis(dfa).decomposition.K == 27
+    monkeypatch.setattr(monoid, "ORDER_CAP", 26)
     with pytest.raises(TooLarge):
         transition_monoid(dfa).monoid
     with pytest.raises(TooLarge):
@@ -191,27 +194,29 @@ def test_monoid_cap(monkeypatch):
 
 
 def test_closure_budget_bounds_order_times_degree(monkeypatch):
-    # a3's minimal DFA has degree 4 and order 5: a budget of 5 x (4 + 42)
-    # words holds it, and one word less does not
-    dfa = minimize(regex_to_dfa(parse_regex("a((a|b)(a|b))*|b(a|b)*"), "ab"))
-    assert dfa.n_states == 4
-    # the budget holds order 5000 at every degree up to 4096, and past it at
-    # least the order that 5000 x 4096 points held
-    for degree in (1, 2, 4, 42, 1000, 4095, 4096):
-        assert monoid.CLOSURE_BUDGET // (degree + 42) >= 5000
-    for degree in (4097, 8192, 16384, 10 ** 6):
-        assert monoid.CLOSURE_BUDGET // (degree + 42) >= 5000 * 4096 // degree
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 230)
-    assert transition_monoid(dfa).order == 5
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 229)
-    with pytest.raises(TooLarge) as info:
-        transition_monoid(dfa)
-    assert str(info.value) == ("transition monoid of degree 4 exceeds the closure budget "
-                               "of 229 words (order x (degree + 42)) at order 5")
-    # the order cap does not bound the closure
-    monkeypatch.setattr(monoid, "CLOSURE_BUDGET", 230)
-    monkeypatch.setattr(monoid, "ORDER_CAP", 1)
-    assert transition_monoid(dfa).order == 5
+    # the closure refuses once order x (degree + 42) passes cap x (cap + 42)
+    # words (pinned against the reference closure in test_closure_kernel):
+    # at the cap of 5000 that holds order 5000 at every degree up to 5000,
+    # and at every degree at least the order that the earlier budget of
+    # 5000 x (4096 + 42) words held
+    assert monoid.ORDER_CAP == 5000
+    budget = 5000 * (5000 + 42)
+    for degree in (1, 4, 42, 4096, 4097, 8192, 10 ** 6):
+        assert budget // (degree + 42) >= 5000 * 4138 // (degree + 42)
+    assert all(budget // (degree + 42) >= 5000 for degree in range(1, 5001))
+    # so a monoid of order d on d points, the cyclic group of a d-cycle,
+    # closes exactly when d is within the cap
+    for cap in (1, 2, 5, 20):
+        monkeypatch.setattr(monoid, "ORDER_CAP", cap)
+        for d in range(1, 2 * cap + 2):
+            cycle = Dfa(("a",), tuple(range(d)), 0, frozenset({0}),
+                        {(q, "a"): (q + 1) % d for q in range(d)})
+            if d <= cap:
+                assert transition_monoid(cycle).order == d
+            else:
+                with pytest.raises(TooLarge, match=f"^transition monoid of degree {d} exceeds "
+                                   f"the closure budget of {cap * (cap + 42)} words "):
+                    transition_monoid(cycle)
 
 
 # --- Cayley graphs ---

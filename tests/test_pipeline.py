@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from synmon import (Analysis, cli, decompose, monoid, periods, probability,
+from synmon import (Analysis, cli, decompose, monoid, periods, pipeline, probability,
                     zero_one_residual)
 from synmon.dfa import Dfa
 from synmon.errors import TooLarge
 from synmon.regexes import parse_regex, regex_to_dfa
 
-from conftest import DATA
+from conftest import DATA, dfa_document, full_transformation_dfa
 
 
 def count_calls(monkeypatch, module, name):
@@ -514,9 +514,26 @@ def test_a_refused_report_builds_no_stage_it_would_list(monkeypatch, capsys):
     calls = [count_calls(monkeypatch, decompose, "canonical_decomposition"),
              count_calls(monkeypatch, monoid, "_rows"),
              count_calls(monkeypatch, decompose, "residual_monoid"),
-             count_calls(monkeypatch, probability, "mu_series")]
-    monkeypatch.setattr(cli, "REPORT_ROWS", 9)  # a3: 5 elements at P = 2 list 10 rows
+             count_calls(monkeypatch, probability, "mu_series"),
+             count_calls(monkeypatch, periods, "sink_periods")]
+    monkeypatch.setattr(pipeline, "REPORT_ROWS", 9)  # a3: 5 elements at P = 2 list 10 rows
     for verb in ("analyze", "decompose"):
         assert cli.main([verb, "--json", "--dfa", str(DATA / "a3.json")]) == 2, verb
         assert "exceed the budget of 9" in capsys.readouterr().err, verb
-        assert calls == [[], [], [], []], verb
+        assert calls == [[], [], [], [], []], verb
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_analyze_walks_no_sink_before_its_decomposition_refuses(flags, monkeypatch, capsys,
+                                                                 tmp_path):
+    # the 3-state full transformation DFA has order 27: at a cap of 20 it
+    # closes and its decomposition is refused, and the sink periods, which
+    # only the report prints, are not walked first
+    path = tmp_path / "full3.json"
+    path.write_text(dfa_document(full_transformation_dfa(3)))
+    monkeypatch.setattr(monoid, "ORDER_CAP", 20)
+    sinks = count_calls(monkeypatch, periods, "sink_periods")
+    assert cli.main(["analyze", "--dfa", str(path), *flags]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: the canonical decomposition of order 27 exceeds the order cap 20")
+    assert sinks == []
