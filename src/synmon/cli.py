@@ -39,19 +39,20 @@ from .pipeline import Analysis, require_rows
 
 def _load_source(args):
     """DFA from --regex or --dfa (exactly one; --alphabet only with --regex);
-    a DFA file's unreachable states are dropped with a warning."""
-    if bool(args.regex) == bool(args.dfa):
+    a DFA file's unreachable states are dropped with a warning.  A flag
+    given with an empty value counts as given."""
+    if (args.regex is None) == (args.dfa is None):
         raise SynmonError("need exactly one of --regex or --dfa")
-    if args.dfa and args.alphabet is not None:
+    if args.dfa is not None and args.alphabet is not None:
         raise InvalidArgument("--alphabet applies to --regex only; a DFA file declares its own")
-    if args.regex:
+    if args.regex is not None:
         from .regexes import LETTERS, parse_regex, regex_to_dfa, symbols_of
 
         for a in args.alphabet or "":
             if a not in LETTERS:
                 raise InvalidArgument(f"--alphabet symbol {a!r} is not a letter [a-z0-9]")
         ast = parse_regex(args.regex)
-        alphabet = sorted(set(args.alphabet) if args.alphabet else symbols_of(ast))
+        alphabet = sorted(symbols_of(ast) if args.alphabet is None else set(args.alphabet))
         return regex_to_dfa(ast, alphabet)
     with open(args.dfa, encoding="utf-8") as handle:
         try:
@@ -74,7 +75,8 @@ def _parse_gammas(args):
 
 
 def _parse_periods(args):
-    if not getattr(args, "periods", None):
+    """Periods from --periods; None (the maxima) without it."""
+    if getattr(args, "periods", None) is None:
         return None
     try:
         return [int(p) for p in args.periods.split(",")]

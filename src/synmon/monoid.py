@@ -172,9 +172,21 @@ class SyntacticMonoid(Frozen):
         return monoid
 
     @cached_property
+    def sinks(self) -> tuple:
+        """The closed classes of the right Cayley graph, the strongly
+        connected components that no edge leaves, each as (component tuple,
+        gcd of its cycle lengths), in the order of `periods._cycle_classes`,
+        from its one walk of the graph: the Cayley sinks that `analyze`
+        prints and, in union, the minimal ideal."""
+        from .periods import _cycle_classes  # periods imports this module
+
+        return tuple((tuple(c), g) for c, g, _ in _cycle_classes(self.order, self.right))
+
+    @cached_property
     def minimal_ideal(self) -> frozenset:
         """K(M), the minimal ideal, as the union of the closed classes of the
-        right Cayley graph: M has a zero exactly when K(M) is one element.
+        right Cayley graph (`sinks`): M has a zero exactly when K(M) is one
+        element.
 
         The class of x that no edge leaves is x.M, all that x reaches, and
         y.M = x.M for each y in it; so the closed classes are the minimal
@@ -182,9 +194,7 @@ class SyntacticMonoid(Frozen):
         union is K(M): R = r.k.M lies in K(M) for r in R and k in K(M), and
         K(M) lies in the ideal M.R, the union of the minimal right ideals
         s.R (a right ideal I inside s.R gives {r in R : s.r in I} = R)."""
-        from .periods import _cycle_classes  # periods imports this module
-
-        return frozenset().union(*(c for c, *_ in _cycle_classes(self.order, self.right)))
+        return frozenset().union(*(c for c, _ in self.sinks))
 
     def image_of_word(self, word: str) -> int:
         x = 0

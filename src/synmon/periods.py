@@ -7,8 +7,10 @@ gcd of the gamma-letter counts over all closed walks of the Cayley graph;
 any divisor of it is a period.  One walk from the identity,
 `_letter_counts`, gives every maximum period and rho_bar.  `_cycle_classes`
 finds the closed classes of unweighted graphs with their cycle gcds and
-breadth-first depths: the sinks of a DFA or a Cayley graph, and the closed
-classes of a Markov chain with their cyclic subclasses.
+breadth-first depths: the sinks of a DFA, those of a Cayley graph, which
+`SyntacticMonoid.sinks` walks once for the sink periods and the minimal
+ideal, and the closed classes of a Markov chain with their cyclic
+subclasses.
 """
 
 from __future__ import annotations
@@ -229,15 +231,15 @@ def build_signature(m: SyntacticMonoid, gammas, periods=None) -> PeriodSignature
 def sink_periods(graph) -> list:
     """Sinks (SCCs without outgoing edges) with their periods, the gcd of
     their cycle lengths, in the Cayley graph of a SyntacticMonoid or the
-    transition graph of a Dfa, both read in the index form of `targets()`.
-    Vertices keep their original ids."""
+    transition graph of a Dfa, read in the index form of `targets()`.
+    Vertices keep their original ids.  A monoid's are its cached
+    `SyntacticMonoid.sinks`, so the Cayley graph is walked once for them
+    and the minimal ideal; a Dfa's are walked on each call."""
     if isinstance(graph, SyntacticMonoid):
-        vertices = range(graph.order)
-    elif isinstance(graph, Dfa):
-        vertices = graph.states
-    else:
+        return list(graph.sinks)
+    if not isinstance(graph, Dfa):
         raise TypeError(f"expected SyntacticMonoid or Dfa, got {type(graph).__name__}")
     # every vertex has an out-edge, one per letter, so every closed class
     # holds a cycle and its period is at least 1
-    return [(tuple(vertices[v] for v in component), period)
-            for component, period, _ in _cycle_classes(len(vertices), graph.targets())]
+    return [(tuple(graph.states[v] for v in component), period)
+            for component, period, _ in _cycle_classes(graph.n_states, graph.targets())]

@@ -340,6 +340,10 @@ def a3_with(change) -> bytes:
                  None, id="prob --alphabet a,b"),
     pytest.param(("prob", "--regex", "((a|b)(a|b))*", "--alphabet", "a b"), None,
                  id="prob --alphabet 'a b'"),
+    # a flag given with an empty value is given
+    pytest.param(("period", "--regex="), None, id="period --regex= --dfa"),
+    pytest.param(("period", "--regex", "a", "--alphabet", ""), None, id="period --alphabet ''"),
+    pytest.param(("analyze", "--periods", ""), None, id="analyze --periods ''"),
 ])
 def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_path):
     path = DATA / "a3.json"
@@ -354,7 +358,14 @@ def test_out_of_range_numbers_exit_two_with_one_error_line(args, document, tmp_p
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     if "--alphabet" in args:  # the line names the symbol that is not a letter
         alphabet = args[args.index("--alphabet") + 1]
-        assert repr(next(a for a in alphabet if a not in LETTERS)) in lines[0]
+        if alphabet:
+            assert repr(next(a for a in alphabet if a not in LETTERS)) in lines[0]
+        else:  # the empty alphabet holds none of the regex's symbols
+            assert lines[0] == "error: symbols ['a'] not in alphabet []"
+    if "--regex=" in args:  # with the --dfa given above
+        assert lines[0] == "error: need exactly one of --regex or --dfa"
+    if "--periods" in args and not args[args.index("--periods") + 1]:
+        assert lines[0] == "error: --periods must be comma-separated integers, got ''"
 
 
 @pytest.mark.parametrize("gamma, shown", [("z", "['z']"), (",", "[]")])

@@ -74,10 +74,15 @@ def test_max_period_pairs_language(corpus):
 
 
 def test_max_period_order_six(corpus):
-    _, _, sm = corpus["a2"]
+    dfa, _, sm = corpus["a2"]
     assert max_period(sm, "a") == 2
     assert max_period(sm, "b") == 1
     assert max_period(sm, "ab") == 1
+    # a signature over {a} alone leaves the whole alphabet out, so the
+    # analysis walks the letter counts of {a,b} apart from it
+    counted_a = Analysis(dfa, [("a",)])
+    assert counted_a.signature.maxima == (2,)
+    assert counted_a.max_period == max_period(sm, "ab") == Analysis(dfa).max_period == 1
 
 
 def test_max_period_parity_language(corpus):

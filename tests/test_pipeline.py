@@ -537,3 +537,26 @@ def test_analyze_walks_no_sink_before_its_decomposition_refuses(flags, monkeypat
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: the canonical decomposition of order 27 exceeds the order cap 20")
     assert sinks == []
+
+
+@pytest.mark.parametrize("argv, walks", [
+    pytest.param(argv, walks, id=" ".join(argv))
+    for argv, walks in [(["analyze"], 1), (["analyze", "--json"], 1), (["zero-one"], 1),
+                        (["zero-one", "--json"], 1), (["period"], 0), (["prob", "--json"], 0),
+                        (["decompose"], 0)]
+])
+def test_each_verb_walks_the_cayley_graphs_closed_classes_at_most_once(argv, walks, monkeypatch,
+                                                                       capsys):
+    # the Cayley sinks and the minimal ideal share one walk of M's right
+    # Cayley graph; a3's 4 states and its 5 elements tell the DFA's walks
+    # from M's apart, and the walks are matched to M's graph by identity
+    built = []
+    close = pipeline.transition_monoid
+    monkeypatch.setattr(pipeline, "transition_monoid",
+                        lambda dfa: built.append(close(dfa)) or built[-1])
+    calls = count_calls(monkeypatch, periods, "_cycle_classes")
+    assert cli.main([*argv, "--dfa", str(DATA / "a3.json")]) == 0
+    capsys.readouterr()
+    [sm] = built
+    assert sm.order == 5
+    assert sum(successors is sm.right for _, successors in calls) == walks
