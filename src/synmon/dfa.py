@@ -8,6 +8,7 @@ plain dict keyed by (state, symbol) and must be total.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import product
 
 from .errors import FormatError, InvalidPeriod, UnknownSymbol
@@ -44,8 +45,10 @@ class Frozen:
 class Dfa(Frozen):
     """A complete DFA, validated on construction.  The alphabet is stored
     sorted, so every letter order in the package is this one.  Two are
-    equal when every field is; `delta` is left out of the repr."""
-    __slots__ = ("alphabet", "states", "initial", "accepting", "delta")
+    equal when every field is; `delta` is left out of the repr.  Its index
+    form, its closed classes and its minimal DFA are computed on first
+    read and kept."""
+    __slots__ = ("alphabet", "states", "initial", "accepting", "delta", "__dict__")
 
     def __init__(self, alphabet: tuple[str, ...], states: tuple, initial,
                  accepting: frozenset, delta: dict):
@@ -78,7 +81,8 @@ class Dfa(Frozen):
     def __eq__(self, other):
         if type(other) is not Dfa:
             return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__ if k != "__dict__")
 
     def __repr__(self):
         return (f"Dfa(alphabet={self.alphabet!r}, states={self.states!r}, "
@@ -97,11 +101,34 @@ class Dfa(Frozen):
     def accepts(self, word: str) -> bool:
         return self.run(word) in self.accepting
 
-    def targets(self) -> list:
+    def targets(self) -> tuple:
         """The DFA in index form: per state, in `states` order, the
         position in `states` of the target of each letter, letters sorted."""
+        return self._index_form
+
+    @cached_property
+    def _index_form(self) -> tuple:
         position = {q: i for i, q in enumerate(self.states)}
-        return [[position[self.delta[(q, a)]] for a in self.alphabet] for q in self.states]
+        return tuple(tuple(position[self.delta[(q, a)]] for a in self.alphabet)
+                     for q in self.states)
+
+    @cached_property
+    def closed_classes(self) -> tuple:
+        """The closed classes of the transition graph, read in the index
+        form, as `periods._cycle_classes` returns them: (component, gcd of
+        its cycle lengths, depth), from its one walk of the graph, which
+        the sink periods and the limits both read."""
+        from .periods import _cycle_classes  # periods imports this module
+
+        return tuple(_cycle_classes(self.n_states, self.targets()))
+
+    @cached_property
+    def minimal(self) -> Dfa:
+        """`minimize(self)`: one partition refinement (`_refine`), whose
+        result is recorded as its own minimal DFA."""
+        minimal = _refine(self)
+        minimal.__dict__["minimal"] = minimal
+        return minimal
 
 
 def reach(successors, sources) -> list:
@@ -139,13 +166,18 @@ def trim(dfa: Dfa) -> Dfa:
 
 def minimize(dfa: Dfa) -> Dfa:
     """Language-equivalent minimal complete DFA with canonical numbering:
-    states 0..m-1 in breadth-first discovery order, letters sorted.
+    states 0..m-1 in breadth-first discovery order, letters sorted.  It is
+    refined once per DFA and kept (`Dfa.minimal`), and a minimal DFA is
+    its own, so minimize(minimize(d)) is minimize(d)."""
+    return dfa.minimal
 
-    Hopcroft's partition refinement (Hopcroft 1971; Valmari and Lehtinen
-    2008) on the reachable states, through inverse transitions.  A
-    worklist holds (block, letter) splitters; a split block keeps its
-    number for its larger half and queues the smaller half under every
-    letter, so a state enters O(log n) splitters per letter.
+
+def _refine(dfa: Dfa) -> Dfa:
+    """`minimize` by Hopcroft's partition refinement (Hopcroft 1971;
+    Valmari and Lehtinen 2008) on the reachable states, through inverse
+    transitions.  A worklist holds (block, letter) splitters; a split
+    block keeps its number for its larger half and queues the smaller half
+    under every letter, so a state enters O(log n) splitters per letter.
     """
     letters = dfa.alphabet
     states = _reachable(dfa)

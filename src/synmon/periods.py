@@ -7,10 +7,11 @@ gcd of the gamma-letter counts over all closed walks of the Cayley graph;
 any divisor of it is a period.  One walk from the identity,
 `_letter_counts`, gives every maximum period and rho_bar.  `_cycle_classes`
 finds the closed classes of unweighted graphs with their cycle gcds and
-breadth-first depths: the sinks of a DFA, those of a Cayley graph, which
-`SyntacticMonoid.sinks` walks once for the sink periods and the minimal
-ideal, and the closed classes of a Markov chain with their cyclic
-subclasses.
+breadth-first depths, and each graph walks them once and keeps them: those
+of a Cayley graph, which `SyntacticMonoid.sinks` walks for the sink
+periods and the minimal ideal, and those of a DFA, which `Dfa.closed_classes`
+walks for its sinks and for the closed classes of its Markov chain with
+their cyclic subclasses.
 """
 
 from __future__ import annotations
@@ -232,9 +233,10 @@ def sink_periods(graph) -> list:
     """Sinks (SCCs without outgoing edges) with their periods, the gcd of
     their cycle lengths, in the Cayley graph of a SyntacticMonoid or the
     transition graph of a Dfa, read in the index form of `targets()`.
-    Vertices keep their original ids.  A monoid's are its cached
-    `SyntacticMonoid.sinks`, so the Cayley graph is walked once for them
-    and the minimal ideal; a Dfa's are walked on each call."""
+    Vertices keep their original ids.  Both kinds of graph walk their
+    closed classes once and keep them: a monoid's are its
+    `SyntacticMonoid.sinks`, which the minimal ideal reads too, and a
+    Dfa's are its `Dfa.closed_classes`, which the limits read too."""
     if isinstance(graph, SyntacticMonoid):
         return list(graph.sinks)
     if not isinstance(graph, Dfa):
@@ -242,4 +244,4 @@ def sink_periods(graph) -> list:
     # every vertex has an out-edge, one per letter, so every closed class
     # holds a cycle and its period is at least 1
     return [(tuple(graph.states[v] for v in component), period)
-            for component, period, _ in _cycle_classes(graph.n_states, graph.targets())]
+            for component, period, _ in graph.closed_classes]

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .dfa import Dfa, minimize
 from .errors import InvalidPeriod, ScopeError, TooLarge, VerificationFailure
 from .monoid import SyntacticMonoid, gather, transition_monoid
-from .periods import _cycle_classes, max_period
+from .periods import max_period
 
 if TYPE_CHECKING:  # decompose is imported where it is used: `prob` never needs it
     from .decompose import CanonicalDecomposition, ResidualMonoid
@@ -168,7 +168,7 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     R is A^P / |Sigma|^P, with A[i][j] the number of letters from i to j,
     and each closed class of R is read off a closed class C of A, the
     one-letter chain, with cycle gcd d and breadth-first depth from
-    `_cycle_classes`.  Its cyclic subclasses are the states of C by depth
+    `Dfa.closed_classes`.  Its cyclic subclasses are the states of C by depth
     mod d (Kemeny & Snell, ch. 5):
     - every edge of C raises depth by 1 mod d, since d divides
       depth(u) + 1 - depth(v) on each edge u -> v;
@@ -202,7 +202,7 @@ def limit_vector(dfa: Dfa, period: int) -> dict:
     successors, n, size = dfa.targets(), dfa.n_states, len(dfa.alphabet)
     accepting = {i for i, q in enumerate(dfa.states) if q in dfa.accepting}
     h = {}
-    for component, d, depth in _cycle_classes(n, successors):
+    for component, d, depth in dfa.closed_classes:
         g = gcd(d, period)
         # balance: pi A^d = size^d pi on the base subclass, in ascending order;
         # mass: i -> size^d times the accepting mass of the walks from i, by step mod g

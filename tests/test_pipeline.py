@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from synmon import (Analysis, cli, decompose, monoid, periods, pipeline, probability,
                     zero_one_residual)
+from synmon import dfa as automata
 from synmon.dfa import Dfa
 from synmon.errors import TooLarge
 from synmon.regexes import parse_regex, regex_to_dfa
@@ -560,3 +561,44 @@ def test_each_verb_walks_the_cayley_graphs_closed_classes_at_most_once(argv, wal
     [sm] = built
     assert sm.order == 5
     assert sum(successors is sm.right for _, successors in calls) == walks
+
+
+@pytest.mark.parametrize("argv, walks", [
+    pytest.param(argv, walks, id=" ".join(argv))
+    for argv, walks in [(["analyze"], 2), (["analyze", "--json"], 2), (["zero-one"], 2),
+                        (["zero-one", "--json"], 2), (["period"], 0), (["prob"], 0),
+                        (["prob", "--json"], 1), (["decompose"], 0), (["monoid"], 0)]
+])
+def test_each_verb_refines_once_and_walks_each_dfas_closed_classes_at_most_once(
+        argv, walks, monkeypatch, capsys):
+    # a Dfa keeps its index form, its closed classes and its minimal DFA, and
+    # a minimal DFA is its own: a regex is refined once, in regex_to_dfa, and
+    # its DFA is the one whose closed classes the sinks and the limits read.
+    # `walks` counts the regex's walks, the Cayley graph's included; each
+    # walk is matched by identity to the graph it reads
+    analyses, monoids = [], []
+    make, close = cli.Analysis, pipeline.transition_monoid
+    monkeypatch.setattr(cli, "Analysis", lambda *args: analyses.append(make(*args)) or analyses[-1])
+    monkeypatch.setattr(pipeline, "transition_monoid",
+                        lambda dfa: monoids.append(close(dfa)) or monoids[-1])
+    calls = count_calls(monkeypatch, periods, "_cycle_classes")
+    refinements = count_calls(monkeypatch, automata, "_refine")
+    for source in (["--regex", "(a|b)*a(a|b)(a|b)", "--alphabet", "ab"],
+                   ["--dfa", str(DATA / "a3.json")]):
+        calls.clear()
+        refinements.clear()
+        analyses.clear()
+        monoids.clear()
+        assert cli.main([*argv, *source]) == 0
+        capsys.readouterr()
+        [analysis] = analyses
+        dfas = [analysis.dfa, *([analysis.dfa.minimal] if refinements else [])]
+        graphs = [sm.right for sm in monoids] + [d.targets() for d in dfas]
+        assert all(any(successors is graph for graph in graphs) for _, successors in calls)
+        for graph in graphs:
+            assert sum(successors is graph for _, successors in calls) <= 1
+        if source[0] == "--regex":
+            assert analysis.dfa.minimal is analysis.dfa
+            assert len(calls) == walks and len(refinements) == 1
+        else:
+            assert len(refinements) <= 1

@@ -411,13 +411,14 @@ def test_limit_vector_closed_classes_on_random_dfas(dfa, period):
     # chain, with their cycle gcds, at every period; small_dfas numbers the
     # states 0..n-1
     solved = []
+    walk = periods._cycle_classes
 
     def recording(n, successors):
-        classes = periods._cycle_classes(n, successors)
+        classes = walk(n, successors)
         solved.extend((component, d) for component, d, _ in classes)
         return classes
 
-    with mock.patch.object(probability, "_cycle_classes", recording):
+    with mock.patch.object(periods, "_cycle_classes", recording):
         limit_vector(dfa, period)
     assert solved == [(list(members), d) for members, d in closed_classes(dfa.targets())]
 

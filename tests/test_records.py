@@ -16,7 +16,7 @@ import pytest
 import synmon
 from synmon import (Analysis, CanonicalDecomposition, LwRecognizer, ResidualMonoid,
                     lw_recognizer)
-from synmon.dfa import Dfa
+from synmon.dfa import Dfa, load_dfa, minimize
 from synmon.errors import FormatError, InvalidMonoid
 from synmon.monoid import FiniteMonoid, transition_monoid
 from synmon.probability import ResidualZeroOne
@@ -240,6 +240,25 @@ def test_dfas_and_monoids_copy_and_pickle():
         assert (clone.eta, clone.accepting_image) == (sm.eta, sm.accepting_image)
     with pytest.raises(AttributeError):
         copy.copy(dfa).initial = None
+
+
+def test_a_dfa_keeps_its_derived_forms_out_of_equality_and_copies():
+    # the index form, the closed classes and the minimal DFA are kept on
+    # first read; equality reads the fields alone, and a copy or a pickle
+    # starts with nothing kept
+    document = (DATA / "a3.json").read_text()
+    dfa, fresh = load_dfa(document), load_dfa(document)
+    minimal = minimize(dfa)
+    assert dfa.targets() is dfa.targets() and dfa.closed_classes is dfa.closed_classes
+    assert set(vars(dfa)) == {"_index_form", "closed_classes", "minimal"}
+    assert vars(fresh) == {} and dfa == fresh and fresh == dfa and not dfa != fresh
+    assert minimal != dfa and minimal == minimize(fresh) and minimal is not minimize(fresh)
+    # a minimal DFA is its own: it is refined once, and never again
+    assert minimize(minimize(dfa)) is minimize(dfa) is minimal and minimal.minimal is minimal
+    for original in (dfa, minimal):
+        for clone in clones(original):
+            assert vars(clone) == {} and clone == original and clone is not original
+    assert minimize(copy.copy(minimal)) == minimal
 
 
 def test_analyses_copy_and_pickle_without_their_stages():
